@@ -45,18 +45,17 @@ from .data import (
     save_dataset,
     serialize_triplets,
 )
-from .dkt import DktConfig, DktModel, dkt_forward, dkt_kqn_input
-from .metrics import TrialResult, auc, auc_scores, mean_loss
+from .dkt import DktConfig, DktModel
+from .metrics import auc_scores
 from .model import (
+    BatchForward,
     KqnModel,
     ModelConfig,
     Prediction,
-    encode_response,
-    encode_skill,
+    batch_arrays,
     encode_skill_table,
-    forward_sequence,
+    forward_batch,
     query,
-    total_loss,
 )
 from .training import (
     GridSpec,
@@ -100,21 +99,15 @@ __all__ = [
     "serialize_triplets",
     "DktConfig",
     "DktModel",
-    "dkt_forward",
-    "dkt_kqn_input",
-    "TrialResult",
-    "auc",
     "auc_scores",
-    "mean_loss",
+    "BatchForward",
     "KqnModel",
     "ModelConfig",
     "Prediction",
-    "encode_response",
-    "encode_skill",
+    "batch_arrays",
     "encode_skill_table",
-    "forward_sequence",
+    "forward_batch",
     "query",
-    "total_loss",
     "GridSpec",
     "TrainConfig",
     "evaluate",

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import ModelConfig, Params, encode_skill_table, forward_sequence
+from .model import ModelConfig, Params, batch_arrays, encode_skill_table, forward_batch
 from .ops import sigmoid
 
 DISTANCE_KINDS = ("cosine", "euclidean")
@@ -410,14 +410,8 @@ class Heatmap:
 def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
     """Query every distinct skill in a student's sequence against each of
     their successive knowledge states."""
-    if len(seq.responses) < 2:
-        raise ValueError("heatmap needs a sequence with at least 2 responses")
-    for r in seq.responses:
-        if not 1 <= r.skill <= config.num_skills:
-            raise ValueError(
-                f"skill {r.skill} outside model range 1..{config.num_skills}"
-            )
-    _, fwd = forward_sequence(seq, params, config, mode="eval")
+    skills, corrects, lengths = batch_arrays([seq])
+    fwd = forward_batch(skills, corrects, lengths, params, config)
     kstates = fwd.knowledge_states[:, 0, :]
     skill_ids = tuple(sorted({r.skill for r in seq.responses}))
     table = fwd.skill_table
@@ -427,11 +421,6 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
         f"({r.skill},{r.correct})" for r in seq.responses[: kstates.shape[0]]
     )
     return Heatmap(percent=percent, skill_ids=skill_ids, column_labels=labels)
-
-
-def model_heatmap(params: Params, config: ModelConfig, seq) -> Heatmap:
-    """Alias kept close to the CLI verb."""
-    return heatmap_matrix(params, config, seq)
 
 
 # ---------------------------------------------------------------------------

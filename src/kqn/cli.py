@@ -47,7 +47,6 @@ from .data import (
     save_dataset,
 )
 from .dkt import DktConfig, DktModel
-from .metrics import P_CLAMP  # noqa: F401  (re-exported for scripts)
 from .model import KqnModel, ModelConfig, encode_skill_table
 from .training import (
     GridSpec,
@@ -70,15 +69,45 @@ def _write_manifest(outdir: Path, command: str, options: dict) -> None:
     (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# Options a config file may give as a JSON list (or a single item), with
+# the type of each item.
+_LIST_ITEMS = {"vectors": str, "kinds": str, "dims": int, "rnn_hiddens": int, "mlp_hiddens": int}
+
+
+def _is(value, kind) -> bool:
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _config_type_ok(key: str, value, default) -> bool:
+    """Whether a config-file value has its option's type: that of the
+    default (an int also serves for a float), a string or null where the
+    default is None, or a list of items for the options in _LIST_ITEMS."""
+    item = _LIST_ITEMS.get(key)
+    items = value if isinstance(value, list) else [value]
+    if item is not None and all(_is(v, item) for v in items):
+        return True
+    if default is None:
+        return value is None or isinstance(value, str)
+    return _is(value, type(default))
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge hard defaults <- config file <- explicit flags."""
     out = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {config_path} must hold a JSON object")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if not _config_type_ok(key, value, defaults[key]):
+                expected = "str" if defaults[key] is None else type(defaults[key]).__name__
+                raise ValueError(f"config key {key!r} must be of type {expected}, got {value!r}")
         out.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -233,7 +262,6 @@ def cmd_train(args) -> int:
         tc = TrainConfig(
             batch_size=opts["batch_size"],
             epochs_validation=opts["epochs"],
-            epochs_test=opts["epochs"],
             adam_alpha=opts["alpha"],
             seed=opts["seed"] + rep,
             patience=opts["patience"],

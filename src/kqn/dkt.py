@@ -2,21 +2,33 @@
 whose input concatenates a correctness encoding with frozen skill vectors
 learned elsewhere.
 
-The output layer maps the hidden state to one logit per skill; trial t
-scores element e_{t+1} of that vector against c_{t+1}. Training plumbing
-(masking, loss, Adam) is shared with the query model through the same
-forward/backward protocol.
+The recurrent scan, batch checks and loss are the query model's (see
+model.py); this module adds only the input encodings and the output layer,
+which maps the recurrent output to one logit per skill so that trial t
+scores element e_{t+1} of that vector against c_{t+1}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .metrics import P_CLAMP, TrialResult, binary_cross_entropy
-from .model import Params, batch_arrays, lstm_cell, lstm_cell_backward
-from .ops import dropout_mask, sigmoid
+from .model import (
+    BatchForward,
+    Params,
+    check_batch,
+    next_trials,
+    onehot_inputs,
+    scan,
+    scan_backward,
+    scatter_steps,
+)
+
+# Not called here, but perfbench/tracing.py patches these names in this
+# module, so they stay bound.
+from .model import lstm_cell, lstm_cell_backward  # noqa: F401
+from .ops import dropout_mask, sigmoid  # noqa: F401
 
 _INPUT_MODES = ("onehot", "hybrid")
 _HYBRID_ENCODINGS = ("correctness", "signed")
@@ -50,28 +62,6 @@ class DktConfig:
             )
 
 
-def dkt_kqn_input(response, skill_table: np.ndarray, encoding: str = "correctness") -> np.ndarray:
-    """Hybrid input vector of length N + d for one response.
-
-    First N entries: the correctness flag written at index skill-1
-    ("correctness" encoding; a wrong answer leaves the block zero) or +/-1
-    there ("signed"). Last d entries: the frozen skill vector row.
-    """
-    table = np.asarray(skill_table, dtype=float)
-    n = table.shape[0]
-    if not 1 <= response.skill <= n:
-        raise ValueError(f"skill {response.skill} missing from table of {n} skills")
-    if encoding not in _HYBRID_ENCODINGS:
-        raise ValueError(f"encoding must be one of {_HYBRID_ENCODINGS}, got {encoding!r}")
-    v = np.zeros(n + table.shape[1])
-    if encoding == "correctness":
-        v[response.skill - 1] = float(response.correct)
-    else:
-        v[response.skill - 1] = 1.0 if response.correct else -1.0
-    v[n:] = table[response.skill - 1]
-    return v
-
-
 def init_params(config: DktConfig, input_dim: int, rng: np.random.Generator) -> Params:
     """Same scheme as the query model: uniform +/-1/sqrt(fan_in), zero
     biases, LSTM forget bias +1."""
@@ -90,27 +80,6 @@ def init_params(config: DktConfig, input_dim: int, rng: np.random.Generator) -> 
     }
     params["rnn_b"][h : 2 * h] = 1.0
     return params
-
-
-@dataclass
-class DktForward:
-    """Batched forward outputs under the shared trainer protocol."""
-
-    probs: np.ndarray
-    targets: np.ndarray
-    valid: np.ndarray
-    cache: Optional[dict] = field(default=None, repr=False)
-
-    @property
-    def num_valid(self) -> int:
-        return int(np.sum(self.valid))
-
-    def loss_sum(self) -> float:
-        if self.num_valid == 0:
-            return 0.0
-        return float(
-            np.sum(binary_cross_entropy(self.probs[self.valid], self.targets[self.valid]))
-        )
 
 
 class DktModel:
@@ -144,128 +113,48 @@ class DktModel:
     def init_params(self, rng: np.random.Generator) -> Params:
         return init_params(self.config, self.input_dim, rng)
 
-    def _inputs(self, skills, corrects, ok, j):
-        """Input matrix for step j with invalid rows all zero."""
+    def step_inputs(self, skills, corrects):
+        """Step-input builder: the one-hot response encoding, or in hybrid
+        mode a correctness block (the flag, or +/-1 when signed, at index
+        skill-1) followed by the frozen skill vector."""
         cfg = self.config
         n = cfg.num_skills
-        bsz = skills.shape[0]
-        x = np.zeros((bsz, self.input_dim))
-        rows = np.flatnonzero(ok)
-        e = skills[rows, j]
-        c = corrects[rows, j]
         if cfg.input_mode == "onehot":
-            x[rows, e - 1 + c * n] = 1.0
-        else:
-            if cfg.hybrid_encoding == "correctness":
-                x[rows, e - 1] = c
-            else:
-                x[rows, e - 1] = 2.0 * c - 1.0
-            x[rows[:, None], n + np.arange(self.skill_table.shape[1])[None, :]] = (
-                self.skill_table[e - 1]
-            )
-        return x
+            return onehot_inputs(skills, corrects, n)
+        signed = cfg.hybrid_encoding == "signed"
 
-    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> DktForward:
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        def step(j, rows):
+            x = np.zeros((skills.shape[0], self.input_dim))
+            e = skills[rows, j]
+            c = corrects[rows, j]
+            x[rows, e - 1] = 2.0 * c - 1.0 if signed else c
+            x[rows, n:] = self.skill_table[e - 1]
+            return x
+
+        return step
+
+    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> BatchForward:
         cfg = self.config
-        if mode == "train" and cfg.keep_prob < 1.0 and rng is None:
-            raise ValueError("train mode with dropout needs an rng")
-        if skills.size and (skills.min() < 1 or skills.max() > cfg.num_skills):
-            raise ValueError(
-                f"skill ids must lie in 1..{cfg.num_skills}, "
-                f"got range {skills.min()}..{skills.max()}"
-            )
-        hh = cfg.hidden
-        bsz = len(lengths)
-        s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
+        check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
+        hd, scan_cache = scan(
+            params, "lstm", self.step_inputs(skills, corrects), lengths, cfg.keep_prob, mode, rng
+        )
+        q = next_trials(skills, hd.shape[0])
+        out = hd @ params["out_w"].T + params["out_b"]
+        logits = np.take_along_axis(out, q[..., None] - 1, axis=2)[..., 0]
+        cache = {"scan": scan_cache, "hd": hd, "q": q} if mode == "train" else None
+        return BatchForward.from_logits(logits, corrects, lengths, cache)
 
-        probs = np.zeros((s_steps, bsz))
-        targets = np.zeros((s_steps, bsz))
-        valid = np.zeros((s_steps, bsz), dtype=bool)
-        train = mode == "train"
-        cache = {"cells": [], "masks": [], "hd": [], "q": []} if train else None
-
-        h = np.zeros((bsz, hh))
-        c_state = np.zeros((bsz, hh))
-        wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
-
-        for j in range(s_steps):
-            ok = j < lengths - 1
-            x = self._inputs(skills, corrects, ok, j)
-            h, c_state, cell_cache = lstm_cell(x, h, c_state, wx, wh, b)
-            if train and cfg.keep_prob < 1.0:
-                mask = dropout_mask((bsz, hh), cfg.keep_prob, rng)
-            else:
-                mask = np.ones((bsz, hh))
-            hd = h * mask
-            a = hd @ params["out_w"].T + params["out_b"]
-            q = skills[:, j + 1]
-            y = a[np.arange(bsz), q - 1]
-
-            probs[j] = sigmoid(y)
-            targets[j] = corrects[:, j + 1]
-            valid[j] = ok
-            if train:
-                cache["cells"].append(cell_cache)
-                cache["masks"].append(mask)
-                cache["hd"].append(hd)
-                cache["q"].append(q)
-
-        return DktForward(probs=probs, targets=targets, valid=valid, cache=cache)
-
-    def backward(self, params, fwd: DktForward) -> Params:
+    def backward(self, params, fwd: BatchForward) -> Params:
         if fwd.cache is None:
             raise ValueError("backward needs a forward pass run with mode='train'")
-        cfg = self.config
         cache = fwd.cache
-        s_steps, bsz = fwd.probs.shape
-
-        interior = (fwd.probs > P_CLAMP) & (fwd.probs < 1.0 - P_CLAMP)
-        dy = np.where(fwd.valid & interior, fwd.probs - fwd.targets, 0.0)
-
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        dh_rec = np.zeros((bsz, cfg.hidden))
-        dc_rec = np.zeros((bsz, cfg.hidden))
-        wx, wh = params["rnn_wx"], params["rnn_wh"]
-
-        for j in reversed(range(s_steps)):
-            dyj = dy[j]
-            q = cache["q"][j]
-            hd = cache["hd"][j]
-            mask = cache["masks"][j]
-
-            np.add.at(grads["out_w"], q - 1, dyj[:, None] * hd)
-            np.add.at(grads["out_b"], q - 1, dyj)
-            dhd = dyj[:, None] * params["out_w"][q - 1]
-            dh = dhd * mask + dh_rec
-
-            dh_rec, dc_rec, dwx, dwh, db = lstm_cell_backward(
-                dh, dc_rec, cache["cells"][j], wx, wh
-            )
-            grads["rnn_wx"] += dwx
-            grads["rnn_wh"] += dwh
-            grads["rnn_b"] += db
-        return grads
-
-
-def dkt_forward(
-    seq,
-    params: Params,
-    config: DktConfig,
-    mode: str = "eval",
-    rng=None,
-    skill_table: Optional[np.ndarray] = None,
-) -> list[TrialResult]:
-    """Score one sequence; returns a TrialResult per predicted trial."""
-    if len(seq.responses) < 2:
-        raise ValueError(
-            f"sequence needs at least 2 responses to score, got {len(seq.responses)}"
+        dy = fwd.logit_grad()
+        grads = scan_backward(
+            dy[..., None] * params["out_w"][cache["q"] - 1], cache["scan"], params
         )
-    model = DktModel(config, skill_table=skill_table)
-    skills, corrects, lengths = batch_arrays([seq])
-    fwd = model.forward(params, skills, corrects, lengths, mode=mode, rng=rng)
-    return [
-        TrialResult(prob=float(fwd.probs[j, 0]), target=int(fwd.targets[j, 0]))
-        for j in range(fwd.probs.shape[0])
-    ]
+        grads["out_w"] = np.zeros_like(params["out_w"])
+        grads["out_b"] = np.zeros_like(params["out_b"])
+        scatter_steps(grads["out_w"], cache["q"], dy[..., None] * cache["hd"])
+        scatter_steps(grads["out_b"], cache["q"], dy)
+        return grads

@@ -6,22 +6,11 @@ ties counted as half.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Probabilities are clamped into [P_CLAMP, 1 - P_CLAMP] inside the loss so
 # log stays finite even for saturated predictions.
 P_CLAMP = 1e-7
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    """One scored trial: predicted probability of a correct response and
-    the observed 0/1 outcome."""
-
-    prob: float
-    target: int
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -59,24 +48,8 @@ def auc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def auc(trials) -> float:
-    """AUC over a sequence of TrialResult."""
-    scores = np.array([t.prob for t in trials], dtype=float)
-    labels = np.array([t.target for t in trials])
-    return auc_scores(scores, labels)
-
-
 def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Elementwise -[c log p + (1-c) log(1-p)] with p clamped away from 0/1."""
     p = np.clip(np.asarray(probs, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
     c = np.asarray(targets, dtype=float)
     return -(c * np.log(p) + (1.0 - c) * np.log1p(-p))
-
-
-def mean_loss(trials) -> float:
-    """Mean per-trial cross-entropy; 0.0 for an empty collection."""
-    if not trials:
-        return 0.0
-    probs = np.array([t.prob for t in trials], dtype=float)
-    targets = np.array([t.target for t in trials])
-    return float(np.mean(binary_cross_entropy(probs, targets)))

@@ -4,7 +4,9 @@ the unit sphere, and their dot product is the logit for the next response.
 
 All forward passes are batched over students with explicit validity masks;
 backward passes are hand-derived and exact for the masked objective (the
-cross-entropy summed over valid trials).
+cross-entropy summed over valid trials). The batched recurrent scan, its
+backward pass and the forward result are shared with the DKT baseline,
+which supplies only its own input encoding and output head.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import P_CLAMP, TrialResult, binary_cross_entropy
+from .metrics import P_CLAMP, binary_cross_entropy
 from .ops import dropout_mask, l2_normalize_rows, l2_normalize_rows_backward, sigmoid
 
 Params = dict[str, np.ndarray]
@@ -81,10 +83,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     if config.rnn_kind == "lstm":
         params["rnn_b"][h : 2 * h] = 1.0
     return params
-
-
-def zero_grads(params: Params) -> Params:
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +180,184 @@ def gru_cell_backward(dh, cache, wx, wh):
 
 
 # ---------------------------------------------------------------------------
+# Batched sequences, shared with the DKT baseline
+#
+# A batch is (skills, corrects, lengths) from batch_arrays. Step j consumes
+# response j and predicts response j+1, so a batch runs S = max length - 1
+# steps and every per-step array is (S, B, ...).
+
+
+@dataclass
+class BatchForward:
+    """Everything produced by one batched forward pass.
+
+    probs, targets, valid are (S, B); position (j, b) is student b's
+    prediction for trial j+1. knowledge_states (S, B, d) and skill_table
+    (N, d) are filled by the query model and None for DKT. cache is
+    populated only in train mode.
+    """
+
+    probs: np.ndarray
+    targets: np.ndarray
+    valid: np.ndarray
+    knowledge_states: Optional[np.ndarray] = None
+    skill_table: Optional[np.ndarray] = None
+    cache: Optional[dict] = field(default=None, repr=False)
+
+    @classmethod
+    def from_logits(cls, logits, corrects, lengths, cache, **head) -> "BatchForward":
+        """Wrap a head's (S, B) logits with their targets and validity mask."""
+        s_steps = logits.shape[0]
+        return cls(
+            probs=sigmoid(logits),
+            targets=next_trials(corrects, s_steps).astype(float),
+            valid=np.arange(s_steps)[:, None] < lengths - 1,
+            cache=cache,
+            **head,
+        )
+
+    @property
+    def num_valid(self) -> int:
+        return int(np.sum(self.valid))
+
+    def loss_sum(self) -> float:
+        """Cross-entropy summed over valid trials."""
+        if self.num_valid == 0:
+            return 0.0
+        return float(
+            np.sum(binary_cross_entropy(self.probs[self.valid], self.targets[self.valid]))
+        )
+
+    def logit_grad(self) -> np.ndarray:
+        """Gradient of loss_sum() with respect to each (S, B) logit.
+
+        Trials whose probability sits on a clamp boundary contribute zero,
+        matching the piecewise-flat clamped loss there.
+        """
+        interior = (self.probs > P_CLAMP) & (self.probs < 1.0 - P_CLAMP)
+        return np.where(self.valid & interior, self.probs - self.targets, 0.0)
+
+
+def batch_arrays(sequences):
+    """Pad a list of response sequences into (skills, corrects, lengths).
+
+    Padded cells hold skill 1 / correct 0; the validity mask built from
+    lengths is what gives them meaning downstream.
+    """
+    lengths = np.array([len(seq.responses) for seq in sequences], dtype=int)
+    t_max = int(lengths.max()) if len(lengths) else 0
+    skills = np.ones((len(sequences), t_max), dtype=int)
+    corrects = np.zeros((len(sequences), t_max), dtype=int)
+    for b, seq in enumerate(sequences):
+        for t, resp in enumerate(seq.responses):
+            skills[b, t] = resp.skill
+            corrects[b, t] = resp.correct
+    return skills, corrects, lengths
+
+
+def check_batch(skills, lengths, num_skills: int, mode: str, keep_prob: float, rng) -> None:
+    """Reject a batch no model can score: an unknown mode, train-mode
+    dropout without an rng, a sequence with nothing to predict, or a
+    skill id outside 1..num_skills."""
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "train" and keep_prob < 1.0 and rng is None:
+        raise ValueError("train mode with dropout needs an rng")
+    if len(lengths) and lengths.min() < 2:
+        raise ValueError(
+            f"every sequence needs at least 2 responses to score, got {lengths.min()}"
+        )
+    if skills.size and (skills.min() < 1 or skills.max() > num_skills):
+        raise ValueError(
+            f"skill ids outside 1..{num_skills}: got range {skills.min()}..{skills.max()}"
+        )
+
+
+def next_trials(a: np.ndarray, s_steps: int) -> np.ndarray:
+    """(S, B) view of a padded (B, T) array shifted to the predicted trial."""
+    return np.ascontiguousarray(a[:, 1 : s_steps + 1].T)
+
+
+def onehot_inputs(skills, corrects, num_skills: int):
+    """Step inputs for the 2N one-hot response encoding: position skill-1
+    flags a wrong answer, position skill-1+N a correct one."""
+    hot = skills - 1 + corrects * num_skills
+
+    def step(j, rows):
+        x = np.zeros((skills.shape[0], 2 * num_skills))
+        x[rows, hot[rows, j]] = 1.0
+        return x
+
+    return step
+
+
+def scan(params: Params, rnn_kind: str, step_input, lengths, keep_prob: float, mode: str, rng):
+    """Run the recurrent cell over every step of a padded batch.
+
+    step_input(j, rows) builds the (B, D) input of step j, where rows are
+    the students that still predict a trial; other rows must stay zero.
+    Returns (out, cache): out is the (S, B, H) recurrent output, dropped
+    out in train mode, and cache feeds scan_backward (None in eval mode).
+    """
+    wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
+    bsz, hh = len(lengths), wh.shape[1]
+    train = mode == "train"
+    out = np.zeros((max(int(lengths.max()) - 1, 0) if bsz else 0, bsz, hh))
+    cells = []
+    h = np.zeros((bsz, hh))
+    c = np.zeros((bsz, hh))
+    for j in range(out.shape[0]):
+        x = step_input(j, np.flatnonzero(j < lengths - 1))
+        if rnn_kind == "lstm":
+            h, c, cell = lstm_cell(x, h, c, wx, wh, b)
+        else:
+            h, cell = gru_cell(x, h, wx, wh, b)
+        out[j] = h
+        if train:
+            cells.append(cell)
+    if not train:
+        return out, None
+    mask = dropout_mask(out.shape, keep_prob, rng)
+    out *= mask
+    return out, {"rnn_kind": rnn_kind, "cells": cells, "mask": mask}
+
+
+def scan_backward(d_out: np.ndarray, cache: dict, params: Params) -> Params:
+    """Gradients of rnn_wx, rnn_wh and rnn_b given d_out, the (S, B, H)
+    gradient on scan's outputs."""
+    wx, wh = params["rnn_wx"], params["rnn_wh"]
+    grads = {k: np.zeros_like(params[k]) for k in ("rnn_wx", "rnn_wh", "rnn_b")}
+    dh_rec = np.zeros(d_out.shape[1:])
+    dc_rec = np.zeros(d_out.shape[1:])
+    d_h = d_out * cache["mask"]
+    for j in reversed(range(d_out.shape[0])):
+        dh = d_h[j] + dh_rec
+        if cache["rnn_kind"] == "lstm":
+            dh_rec, dc_rec, dwx, dwh, db = lstm_cell_backward(
+                dh, dc_rec, cache["cells"][j], wx, wh
+            )
+        else:
+            dh_rec, dwx, dwh, db = gru_cell_backward(dh, cache["cells"][j], wx, wh)
+        grads["rnn_wx"] += dwx
+        grads["rnn_wh"] += dwh
+        grads["rnn_b"] += db
+    return grads
+
+
+def sum_steps(terms: np.ndarray) -> np.ndarray:
+    """Sum (S, ...) per-step terms from the last step to the first, the
+    order in which backpropagation through time reaches them."""
+    return terms[::-1].sum(axis=0)
+
+
+def scatter_steps(target: np.ndarray, q: np.ndarray, terms: np.ndarray) -> None:
+    """target[q - 1] += terms for (S, B) skill ids q, in place, from the
+    last step to the first."""
+    np.add.at(target, q[::-1].reshape(-1) - 1, terms[::-1].reshape(-1, *terms.shape[2:]))
+
+
+# ---------------------------------------------------------------------------
 # Encoders
-
-
-def encode_response(skill: int, correct: int, num_skills: int) -> np.ndarray:
-    """One-hot response vector of length 2N: position skill-1 flags a wrong
-    answer, position skill-1+N a correct one."""
-    if not 1 <= skill <= num_skills:
-        raise ValueError(f"skill must be in 1..{num_skills}, got {skill}")
-    if correct not in (0, 1):
-        raise ValueError(f"correct must be 0 or 1, got {correct}")
-    x = np.zeros(2 * num_skills)
-    x[skill - 1 + correct * num_skills] = 1.0
-    return x
 
 
 def encode_skill_table(params: Params):
@@ -231,15 +394,6 @@ def skill_table_backward(d_table: np.ndarray, cache: dict, params: Params) -> Pa
     }
 
 
-def encode_skill(skill: int, params: Params) -> np.ndarray:
-    """Unit-sphere embedding of a single skill id."""
-    num_skills = params["mlp_w0"].shape[1]
-    if not 1 <= skill <= num_skills:
-        raise ValueError(f"skill must be in 1..{num_skills}, got {skill}")
-    table, _ = encode_skill_table(params)
-    return table[skill - 1]
-
-
 # ---------------------------------------------------------------------------
 # Query head
 
@@ -274,53 +428,7 @@ def query(knowledge_state: np.ndarray, skill_vector: np.ndarray) -> Prediction:
 
 
 # ---------------------------------------------------------------------------
-# Batched sequence forward/backward
-
-
-@dataclass
-class BatchForward:
-    """Everything produced by one batched forward pass.
-
-    probs, targets, valid are (S, B) where S = max length - 1; position
-    (j, b) is student b's prediction for trial j+1. knowledge_states is
-    (S, B, d). cache is populated only in train mode.
-    """
-
-    probs: np.ndarray
-    targets: np.ndarray
-    valid: np.ndarray
-    knowledge_states: np.ndarray
-    skill_table: np.ndarray
-    cache: Optional[dict] = field(default=None, repr=False)
-
-    @property
-    def num_valid(self) -> int:
-        return int(np.sum(self.valid))
-
-    def loss_sum(self) -> float:
-        """Cross-entropy summed over valid trials."""
-        if self.num_valid == 0:
-            return 0.0
-        return float(
-            np.sum(binary_cross_entropy(self.probs[self.valid], self.targets[self.valid]))
-        )
-
-
-def batch_arrays(sequences):
-    """Pad a list of response sequences into (skills, corrects, lengths).
-
-    Padded cells hold skill 1 / correct 0; the validity mask built from
-    lengths is what gives them meaning downstream.
-    """
-    lengths = np.array([len(seq.responses) for seq in sequences], dtype=int)
-    t_max = int(lengths.max()) if len(lengths) else 0
-    skills = np.ones((len(sequences), t_max), dtype=int)
-    corrects = np.zeros((len(sequences), t_max), dtype=int)
-    for b, seq in enumerate(sequences):
-        for t, resp in enumerate(seq.responses):
-            skills[b, t] = resp.skill
-            corrects[b, t] = resp.correct
-    return skills, corrects, lengths
+# Query model over a batch
 
 
 def forward_batch(
@@ -339,142 +447,38 @@ def forward_batch(
     positions are masked out by `valid` and excluded from loss and
     gradients.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and config.keep_prob < 1.0 and rng is None:
-        raise ValueError("train mode with dropout needs an rng")
-    n, d, hh = config.num_skills, config.dim, config.rnn_hidden
-    bsz = len(lengths)
-    s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
-
+    check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
     table, skill_cache = encode_skill_table(params)
-    probs = np.zeros((s_steps, bsz))
-    targets = np.zeros((s_steps, bsz))
-    valid = np.zeros((s_steps, bsz), dtype=bool)
-    kstates = np.zeros((s_steps, bsz, d))
-
-    train = mode == "train"
-    cache = (
-        {"cells": [], "masks": [], "hd": [], "q": [], "s_sel": [], "skill": skill_cache}
-        if train
-        else None
+    hd, scan_cache = scan(
+        params, config.rnn_kind, onehot_inputs(skills, corrects, config.num_skills),
+        lengths, config.keep_prob, mode, rng,
     )
-
-    h = np.zeros((bsz, hh))
-    c = np.zeros((bsz, hh))
-    hot = skills - 1 + corrects * n
-    wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
-
-    for j in range(s_steps):
-        ok = j < lengths - 1
-        x = np.zeros((bsz, 2 * n))
-        x[np.flatnonzero(ok), hot[ok, j]] = 1.0
-        if config.rnn_kind == "lstm":
-            h, c, cell_cache = lstm_cell(x, h, c, wx, wh, b)
-        else:
-            h, cell_cache = gru_cell(x, h, wx, wh, b)
-        if train and config.keep_prob < 1.0:
-            mask = dropout_mask((bsz, hh), config.keep_prob, rng)
-        else:
-            mask = np.ones((bsz, hh))
-        hd = h * mask
-        ks = hd @ params["proj_w"].T + params["proj_b"]
-        q = skills[:, j + 1]
-        s_sel = table[q - 1]
-        y = np.sum(ks * s_sel, axis=1)
-
-        probs[j] = sigmoid(y)
-        targets[j] = corrects[:, j + 1]
-        valid[j] = ok
-        kstates[j] = ks
-        if train:
-            cache["cells"].append(cell_cache)
-            cache["masks"].append(mask)
-            cache["hd"].append(hd)
-            cache["q"].append(q)
-            cache["s_sel"].append(s_sel)
-
-    return BatchForward(
-        probs=probs,
-        targets=targets,
-        valid=valid,
-        knowledge_states=kstates,
-        skill_table=table,
-        cache=cache,
+    q = next_trials(skills, hd.shape[0])
+    kstates = hd @ params["proj_w"].T + params["proj_b"]
+    s_sel = table[q - 1]
+    logits = np.sum(kstates * s_sel, axis=2)
+    cache = None
+    if mode == "train":
+        cache = {"scan": scan_cache, "skill": skill_cache, "hd": hd, "q": q, "s_sel": s_sel}
+    return BatchForward.from_logits(
+        logits, corrects, lengths, cache, knowledge_states=kstates, skill_table=table
     )
 
 
 def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Params:
-    """Exact gradients of fwd.loss_sum() with respect to every parameter.
-
-    Trials whose clamped probability sits on a clamp boundary contribute
-    zero gradient, matching the piecewise-flat loss there.
-    """
+    """Exact gradients of fwd.loss_sum() with respect to every parameter."""
     if fwd.cache is None:
         raise ValueError("backward needs a forward pass run with mode='train'")
     cache = fwd.cache
-    n, d, hh = config.num_skills, config.dim, config.rnn_hidden
-    s_steps, bsz = fwd.probs.shape
-
-    interior = (fwd.probs > P_CLAMP) & (fwd.probs < 1.0 - P_CLAMP)
-    dy = np.where(fwd.valid & interior, fwd.probs - fwd.targets, 0.0)
-
-    grads = zero_grads(params)
-    d_table = np.zeros((n, d))
-    dh_rec = np.zeros((bsz, hh))
-    dc_rec = np.zeros((bsz, hh))
-    wx, wh = params["rnn_wx"], params["rnn_wh"]
-
-    for j in reversed(range(s_steps)):
-        dyj = dy[j]
-        ks = fwd.knowledge_states[j]
-        s_sel = cache["s_sel"][j]
-        q = cache["q"][j]
-        hd = cache["hd"][j]
-        mask = cache["masks"][j]
-
-        dks = dyj[:, None] * s_sel
-        np.add.at(d_table, q - 1, dyj[:, None] * ks)
-        grads["proj_w"] += dks.T @ hd
-        grads["proj_b"] += dks.sum(axis=0)
-        dh = (dks @ params["proj_w"]) * mask + dh_rec
-
-        if config.rnn_kind == "lstm":
-            dh_rec, dc_rec, dwx, dwh, db = lstm_cell_backward(
-                dh, dc_rec, cache["cells"][j], wx, wh
-            )
-        else:
-            dh_rec, dwx, dwh, db = gru_cell_backward(dh, cache["cells"][j], wx, wh)
-        grads["rnn_wx"] += dwx
-        grads["rnn_wh"] += dwh
-        grads["rnn_b"] += db
-
+    dy = fwd.logit_grad()[..., None]
+    dks = dy * cache["s_sel"]
+    d_table = np.zeros_like(fwd.skill_table)
+    scatter_steps(d_table, cache["q"], dy * fwd.knowledge_states)
+    grads = scan_backward(dks @ params["proj_w"], cache["scan"], params)
+    grads["proj_w"] = sum_steps(np.matmul(dks.transpose(0, 2, 1), cache["hd"]))
+    grads["proj_b"] = sum_steps(dks.sum(axis=1))
     grads.update(skill_table_backward(d_table, cache["skill"], params))
     return grads
-
-
-def forward_sequence(seq, params: Params, config: ModelConfig, mode: str = "eval", rng=None):
-    """Forward one response sequence; returns (trials, batch_forward)."""
-    if len(seq.responses) < 2:
-        raise ValueError(
-            f"sequence needs at least 2 responses to score, got {len(seq.responses)}"
-        )
-    skills, corrects, lengths = batch_arrays([seq])
-    fwd = forward_batch(skills, corrects, lengths, params, config, mode=mode, rng=rng)
-    trials = [
-        TrialResult(prob=float(fwd.probs[j, 0]), target=int(fwd.targets[j, 0]))
-        for j in range(fwd.probs.shape[0])
-    ]
-    return trials, fwd
-
-
-def total_loss(trials) -> float:
-    """Cross-entropy summed over trials; 0.0 for an empty list."""
-    if not trials:
-        return 0.0
-    probs = np.array([t.prob for t in trials])
-    targets = np.array([t.target for t in trials])
-    return float(np.sum(binary_cross_entropy(probs, targets)))
 
 
 class KqnModel:

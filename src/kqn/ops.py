@@ -8,26 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Below this norm a vector is treated as degenerate by l2_normalize.
+# Below this norm a row is treated as degenerate by l2_normalize_rows.
 NORM_EPS = 1e-12
-
-
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ x + b for a single vector, with explicit shape validation."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if w.ndim != 2 or x.shape != (w.shape[1],) or b.shape != (w.shape[0],):
-        raise ValueError(
-            f"affine shape mismatch: w is {w.shape}, x is {x.shape}, b is {b.shape}"
-        )
-    return w @ x + b
-
-
-def affine_backward(dout, w, x):
-    """Gradients of affine(w, x, b): returns (dw, dx, db)."""
-    dout = np.asarray(dout, dtype=float)
-    return np.outer(dout, x), np.asarray(w).T @ dout, dout.copy()
 
 
 def sigmoid(u):
@@ -43,43 +25,10 @@ def sigmoid(u):
     return out
 
 
-def sigmoid_backward(dout, s):
-    """Chain rule through sigmoid given its forward output s."""
-    return dout * s * (1.0 - s)
-
-
-def relu(v):
-    """Elementwise max(0, v)."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
-def relu_backward(dout, v_pre):
-    """Chain rule through relu given the pre-activation; subgradient 0 at 0."""
-    return dout * (np.asarray(v_pre) > 0)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / ||v||; degenerate inputs (||v|| < NORM_EPS) map to the uniform
-    positive unit vector so downstream consumers stay on the unit sphere."""
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < NORM_EPS:
-        return np.full(v.shape, 1.0 / np.sqrt(v.size))
-    return v / n
-
-
-def l2_normalize_backward(dout, v):
-    """Chain rule through l2_normalize; zero on the degenerate branch."""
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < NORM_EPS:
-        return np.zeros_like(v)
-    s = v / n
-    return (dout - s * float(s @ dout)) / n
-
-
 def l2_normalize_rows(m: np.ndarray):
-    """Row-wise l2_normalize for an (R, C) matrix; returns (out, norms)."""
+    """Scale each row of an (R, C) matrix to unit length; returns (out,
+    norms). Degenerate rows (norm < NORM_EPS) map to the uniform positive
+    unit vector so downstream consumers stay on the unit sphere."""
     m = np.asarray(m, dtype=float)
     norms = np.linalg.norm(m, axis=1)
     ok = norms >= NORM_EPS
@@ -90,7 +39,7 @@ def l2_normalize_rows(m: np.ndarray):
 
 
 def l2_normalize_rows_backward(dout, m, norms):
-    """Row-wise backward of l2_normalize_rows; degenerate rows get zero."""
+    """Chain rule through l2_normalize_rows; degenerate rows get zero."""
     ok = norms >= NORM_EPS
     dm = np.zeros_like(m)
     s = m[ok] / norms[ok, None]

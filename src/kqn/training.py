@@ -24,33 +24,31 @@ from .model import KqnModel, ModelConfig, Params, batch_arrays
 class TrainConfig:
     """Optimizer and schedule settings.
 
-    epochs_validation drives model selection runs, epochs_test the final
-    fit; both are upper bounds under early stopping (patience epochs
-    without a validation-AUC improvement, best weights restored).
+    epochs_validation is the default epoch budget of train(); it is an
+    upper bound under early stopping (patience epochs without a
+    validation-AUC improvement, best weights restored).
     """
 
     batch_size: int = 128
     epochs_validation: int = 50
-    epochs_test: int = 200
     adam_alpha: float = 0.001
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    repeats: int = 5
     patience: int = 5
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.epochs_validation < 1 or self.epochs_test < 1:
-            raise ValueError("epoch counts must be positive")
+        if self.epochs_validation < 1:
+            raise ValueError("epochs_validation must be positive")
         if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
             raise ValueError("adam betas must be in [0, 1)")
         if self.adam_alpha <= 0 or self.adam_eps <= 0:
             raise ValueError("adam_alpha and adam_eps must be positive")
-        if self.patience < 1 or self.repeats < 1:
-            raise ValueError("patience and repeats must be positive")
+        if self.patience < 1:
+            raise ValueError("patience must be positive")
 
 
 @dataclass

@@ -40,6 +40,35 @@ def max_rel_err(numeric, analytic, floor=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# Single-vector unit normalization: the oracle for ops.l2_normalize_rows and
+# its backward pass
+
+
+def l2_normalize(v):
+    """v / ||v||; degenerate inputs (||v|| < NORM_EPS) map to the uniform
+    positive unit vector."""
+    from kqn.ops import NORM_EPS
+
+    v = np.asarray(v, dtype=float)
+    n = float(np.linalg.norm(v))
+    if n < NORM_EPS:
+        return np.full(v.shape, 1.0 / np.sqrt(v.size))
+    return v / n
+
+
+def l2_normalize_backward(dout, v):
+    """Chain rule through l2_normalize; zero on the degenerate branch."""
+    from kqn.ops import NORM_EPS
+
+    v = np.asarray(v, dtype=float)
+    n = float(np.linalg.norm(v))
+    if n < NORM_EPS:
+        return np.zeros_like(v)
+    s = v / n
+    return (dout - s * float(s @ dout)) / n
+
+
+# ---------------------------------------------------------------------------
 # Shared gradient-check instance: two short sequences, tiny dims, dropout
 # off. The init seed is chosen so every skill-MLP pre-activation magnitude
 # exceeds 1e-3 and every pre-normalization row norm exceeds 1e-2 for both
@@ -103,6 +132,86 @@ def kqn_gradient_errors(rnn_kind):
         numeric = finite_diff(loss_with, params[key], GRAD_CHECK_EPS)
         errors[key] = max_rel_err(numeric, grads[key], floor=GRAD_CHECK_FLOOR)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# Step-at-a-time reference for the batched scan: every head runs inside the
+# time loop, one dropout mask is drawn per step and every gradient is
+# accumulated step by step. The batched path keeps this arithmetic, so the
+# two must agree bit for bit.
+
+
+def reference_step_loop(model, params, skills, corrects, lengths, rng):
+    """Train-mode (probs, grads) of a KqnModel or DktModel, one step at a
+    time."""
+    from kqn.metrics import P_CLAMP
+    from kqn.model import encode_skill_table, gru_cell, gru_cell_backward, lstm_cell
+    from kqn.model import lstm_cell_backward, onehot_inputs, skill_table_backward
+    from kqn.ops import dropout_mask, sigmoid
+
+    cfg = model.config
+    kqn = model.name == "kqn"
+    kind = cfg.rnn_kind if kqn else "lstm"
+    step_input = (
+        onehot_inputs(skills, corrects, cfg.num_skills) if kqn
+        else model.step_inputs(skills, corrects)
+    )
+    bsz, hh = len(lengths), params["rnn_wh"].shape[1]
+    s_steps = int(lengths.max()) - 1
+    table, skill_cache = encode_skill_table(params) if kqn else (None, None)
+    wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
+    h, c = np.zeros((bsz, hh)), np.zeros((bsz, hh))
+    probs = np.zeros((s_steps, bsz))
+    steps = []
+    for j in range(s_steps):
+        x = step_input(j, np.flatnonzero(j < lengths - 1))
+        if kind == "lstm":
+            h, c, cell = lstm_cell(x, h, c, wx, wh, b)
+        else:
+            h, cell = gru_cell(x, h, wx, wh, b)
+        mask = dropout_mask((bsz, hh), cfg.keep_prob, rng)
+        hd = h * mask
+        q = skills[:, j + 1]
+        if kqn:
+            ks = hd @ params["proj_w"].T + params["proj_b"]
+            y = np.sum(ks * table[q - 1], axis=1)
+        else:
+            ks = None
+            y = (hd @ params["out_w"].T + params["out_b"])[np.arange(bsz), q - 1]
+        probs[j] = sigmoid(y)
+        steps.append((cell, mask, hd, q, ks))
+
+    targets = corrects[:, 1:].T
+    valid = np.arange(s_steps)[:, None] < lengths - 1
+    interior = (probs > P_CLAMP) & (probs < 1.0 - P_CLAMP)
+    dy = np.where(valid & interior, probs - targets, 0.0)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    d_table = np.zeros_like(table) if kqn else None
+    dh_rec, dc_rec = np.zeros((bsz, hh)), np.zeros((bsz, hh))
+    for j in reversed(range(s_steps)):
+        cell, mask, hd, q, ks = steps[j]
+        dyj = dy[j][:, None]
+        if kqn:
+            dks = dyj * table[q - 1]
+            np.add.at(d_table, q - 1, dyj * ks)
+            grads["proj_w"] += dks.T @ hd
+            grads["proj_b"] += dks.sum(axis=0)
+            dhd = dks @ params["proj_w"]
+        else:
+            np.add.at(grads["out_w"], q - 1, dyj * hd)
+            np.add.at(grads["out_b"], q - 1, dy[j])
+            dhd = dyj * params["out_w"][q - 1]
+        dh = dhd * mask + dh_rec
+        if kind == "lstm":
+            dh_rec, dc_rec, dwx, dwh, db = lstm_cell_backward(dh, dc_rec, cell, wx, wh)
+        else:
+            dh_rec, dwx, dwh, db = gru_cell_backward(dh, cell, wx, wh)
+        grads["rnn_wx"] += dwx
+        grads["rnn_wh"] += dwh
+        grads["rnn_b"] += db
+    if kqn:
+        grads.update(skill_table_backward(d_table, skill_cache, params))
+    return probs, grads
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from kqn.analysis import (
     write_heatmap_csv,
 )
 from kqn.data import ResponseSequence, StudentResponse
-from kqn.model import ModelConfig, forward_sequence, init_params
+from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
 from kqn.ops import sigmoid
 
 from helpers import ari_contingency, mst_edge_weights, random_unit_vectors
@@ -368,7 +368,7 @@ class TestHeatmap:
         config, params = self.make_model()
         seq = self.make_seq()
         hm = heatmap_matrix(params, config, seq)
-        _, fwd = forward_sequence(seq, params, config)
+        fwd = forward_batch(*batch_arrays([seq]), params, config)
         for r, skill in enumerate(hm.skill_ids):
             for t in range(hm.percent.shape[1]):
                 ks = fwd.knowledge_states[t, 0]

@@ -173,6 +173,16 @@ class TestEvaluate:
         assert report["trials"] == n_trials == sum(
             len(seq.responses) - 1 for seq in test_ds.sequences)
 
+    def test_skill_ids_beyond_checkpoint(self, ws, tmp_path, capsys):
+        steps = ",".join(str(e) for e in range(1, 10))
+        (tmp_path / "nine.txt").write_text(f"9\n{steps}\n1,0,1,0,1,0,1,0,1\n")
+        for model in ("kqn4", "dkt"):
+            rc = main(["evaluate", "--out", str(tmp_path / model), "--checkpoint",
+                       str(ws / model / "checkpoint.json"),
+                       "--data", str(tmp_path / "nine.txt")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("error: skill ids outside 1..6")
+
     def test_dkt_checkpoint(self, ws, tmp_path):
         run("evaluate", "--out", tmp_path, "--checkpoint", ws / "dkt" / "checkpoint.json",
             "--data", ws / "split" / "test.txt", "--batch-size", 8)
@@ -397,6 +407,28 @@ class TestOptionHandling:
                    "--config", str(tmp_path / "cfg.json")])
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", [
+        ("train", {"dim": "16"}),
+        ("train", {"keep_prob": True}),
+        ("synth", {"students": 8.5}),
+        ("split", {"data": 3}),
+        ("gridsearch", {"kinds": ["lstm", 1]}),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, bad):
+        (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        rc = main([command, "--out", str(tmp_path / "out"),
+                   "--config", str(tmp_path / "cfg.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(next(iter(bad))) in err
+
+    def test_config_values_of_matching_type(self, tmp_path):
+        config = {"students": 8, "skills": 4, "concepts": 2, "steps": 6, "guess": 0,
+                  "name": "typed"}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        run("synth", "--out", tmp_path / "out", "--config", tmp_path / "cfg.json")
+        assert load_dataset(tmp_path / "out" / "data.txt").num_students == 8
 
     def test_missing_required_option(self, capsys):
         rc = main(["synth"])

@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kqn.data import ResponseSequence, StudentResponse
-from kqn.dkt import DktConfig, DktModel, dkt_forward, dkt_kqn_input, init_params
+from kqn.dkt import DktConfig, DktModel, init_params
 from kqn.model import batch_arrays, lstm_cell
 from kqn.ops import sigmoid
 from kqn.training import TrainConfig, train
 
-from helpers import finite_diff, max_rel_err
+from helpers import finite_diff, max_rel_err, reference_step_loop
 
 TABLE_2X2 = np.array([[0.6, 0.8], [1.0, 0.0]])
 
@@ -25,24 +25,41 @@ def random_sequences(rng, count, num_skills, min_len=2, max_len=8):
     return seqs
 
 
+def hybrid_model(encoding="correctness"):
+    config = DktConfig(num_skills=2, keep_prob=1.0, input_mode="hybrid",
+                       hybrid_encoding=encoding)
+    return DktModel(config, skill_table=TABLE_2X2)
+
+
+def dkt_kqn_input(response, encoding="correctness"):
+    """Hybrid input vector of one response, through the batched step input."""
+    step = hybrid_model(encoding).step_inputs(
+        np.array([[response.skill]]), np.array([[response.correct]])
+    )
+    return step(0, np.array([0]))[0]
+
+
 class TestHybridInput:
     def test_correctness_encoding_examples(self):
-        wrong = dkt_kqn_input(StudentResponse(1, 0), TABLE_2X2)
-        right = dkt_kqn_input(StudentResponse(1, 1), TABLE_2X2)
+        wrong = dkt_kqn_input(StudentResponse(1, 0))
+        right = dkt_kqn_input(StudentResponse(1, 1))
         assert_allclose(wrong, [0.0, 0.0, 0.6, 0.8])
         assert_allclose(right, [1.0, 0.0, 0.6, 0.8])
 
     def test_signed_encoding_examples(self):
-        wrong = dkt_kqn_input(StudentResponse(1, 0), TABLE_2X2, encoding="signed")
-        right = dkt_kqn_input(StudentResponse(2, 1), TABLE_2X2, encoding="signed")
+        wrong = dkt_kqn_input(StudentResponse(1, 0), encoding="signed")
+        right = dkt_kqn_input(StudentResponse(2, 1), encoding="signed")
         assert_allclose(wrong, [-1.0, 0.0, 0.6, 0.8])
         assert_allclose(right, [0.0, 1.0, 1.0, 0.0])
 
     def test_missing_skill_and_bad_encoding_raise(self):
-        with pytest.raises(ValueError, match="missing"):
-            dkt_kqn_input(StudentResponse(3, 1), TABLE_2X2)
+        model = hybrid_model()
+        params = model.init_params(np.random.default_rng(0))
+        seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(3, 1)))
+        with pytest.raises(ValueError, match="outside 1..2"):
+            model.forward(params, *batch_arrays([seq]))
         with pytest.raises(ValueError, match="encoding"):
-            dkt_kqn_input(StudentResponse(1, 1), TABLE_2X2, encoding="plusminus")
+            hybrid_model(encoding="plusminus")
 
 
 class TestDktConfig:
@@ -107,7 +124,7 @@ class TestDktForward:
         seq = ResponseSequence(
             0, (StudentResponse(2, 1), StudentResponse(1, 0), StudentResponse(3, 1))
         )
-        trials = dkt_forward(seq, params, config)
+        fwd = model.forward(params, *batch_arrays([seq]))
 
         h = np.zeros((1, 4))
         c = np.zeros((1, 4))
@@ -117,8 +134,27 @@ class TestDktForward:
             h, c, _ = lstm_cell(x, h, c, params["rnn_wx"], params["rnn_wh"], params["rnn_b"])
             a = h @ params["out_w"].T + params["out_b"]
             nxt = seq.responses[j + 1]
-            assert_allclose(trials[j].prob, sigmoid(float(a[0, nxt.skill - 1])), rtol=1e-12)
-            assert trials[j].target == nxt.correct
+            assert_allclose(fwd.probs[j, 0], sigmoid(float(a[0, nxt.skill - 1])), rtol=1e-12)
+            assert fwd.targets[j, 0] == nxt.correct
+
+    @pytest.mark.parametrize("mode, encoding", [
+        ("onehot", "correctness"), ("hybrid", "correctness"), ("hybrid", "signed"),
+    ])
+    def test_matches_step_loop_bit_for_bit(self, mode, encoding):
+        rng = np.random.default_rng(14)
+        table = rng.random((4, 3))
+        config = DktConfig(num_skills=4, hidden=5, keep_prob=0.6, input_mode=mode,
+                           hybrid_encoding=encoding)
+        model = DktModel(config, skill_table=table if mode == "hybrid" else None)
+        params = model.init_params(np.random.default_rng(15))
+        arrays = batch_arrays(random_sequences(np.random.default_rng(16), 6, 4, 2, 11))
+        fwd = model.forward(params, *arrays, mode="train", rng=np.random.default_rng(17))
+        grads = model.backward(params, fwd)
+        probs, ref = reference_step_loop(model, params, *arrays, np.random.default_rng(17))
+        assert fwd.probs.tobytes() == probs.tobytes()
+        assert set(grads) == set(ref)
+        for key in ref:
+            assert grads[key].tobytes() == ref[key].tobytes(), key
 
     def test_skill_range_validated(self):
         config = DktConfig(num_skills=2, keep_prob=1.0)
@@ -131,9 +167,11 @@ class TestDktForward:
 
     def test_short_sequence_raises(self):
         config = DktConfig(num_skills=2, keep_prob=1.0)
-        params = DktModel(config).init_params(np.random.default_rng(6))
-        with pytest.raises(ValueError):
-            dkt_forward(ResponseSequence(0, (StudentResponse(1, 1),)), params, config)
+        model = DktModel(config)
+        params = model.init_params(np.random.default_rng(6))
+        seq = ResponseSequence(0, (StudentResponse(1, 1),))
+        with pytest.raises(ValueError, match="at least 2 responses"):
+            model.forward(params, *batch_arrays([seq]))
 
     def test_train_mode_needs_rng_when_dropping(self):
         config = DktConfig(num_skills=2, keep_prob=0.5)

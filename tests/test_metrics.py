@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kqn.metrics import P_CLAMP, TrialResult, auc, auc_scores, binary_cross_entropy, mean_loss
+from kqn.metrics import P_CLAMP, auc_scores, binary_cross_entropy
 
 from helpers import auc_pairs
 
@@ -42,14 +42,6 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc_scores(np.array([0.1, 0.9]), np.array([0, 0]))
 
-    def test_trial_wrapper_matches_scores(self):
-        rng = np.random.default_rng(2)
-        probs = rng.random(50)
-        targets = rng.integers(0, 2, size=50)
-        targets[0], targets[1] = 0, 1
-        trials = [TrialResult(prob=float(p), target=int(t)) for p, t in zip(probs, targets)]
-        assert auc(trials) == auc_scores(probs, targets)
-
 
 class TestBinaryCrossEntropy:
     def test_half_probability_gives_log_two(self):
@@ -68,17 +60,3 @@ class TestBinaryCrossEntropy:
         t = rng.integers(0, 2, size=100)
         expected = -(t * np.log(p) + (1 - t) * np.log(1.0 - p))
         assert_allclose(binary_cross_entropy(p, t), expected, rtol=1e-12)
-
-    def test_mean_loss_over_trials(self):
-        trials = [TrialResult(prob=0.5, target=1), TrialResult(prob=0.5, target=0)]
-        assert_allclose(mean_loss(trials), np.log(2.0), rtol=1e-12)
-
-    def test_mean_loss_empty_is_zero(self):
-        assert mean_loss([]) == 0.0
-
-
-class TestTrialResult:
-    def test_frozen(self):
-        t = TrialResult(prob=0.25, target=1)
-        with pytest.raises((AttributeError, TypeError)):
-            t.prob = 0.5

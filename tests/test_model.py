@@ -4,26 +4,24 @@ from numpy.testing import assert_allclose
 
 from kqn.data import ResponseSequence, StudentResponse
 from kqn.model import (
+    KqnModel,
     ModelConfig,
     Prediction,
     batch_arrays,
-    encode_response,
-    encode_skill,
     encode_skill_table,
     forward_batch,
-    forward_sequence,
     gru_cell,
     gru_cell_backward,
     init_params,
     lstm_cell,
     lstm_cell_backward,
+    onehot_inputs,
     query,
     skill_table_backward,
-    total_loss,
 )
 from kqn.ops import sigmoid
 
-from helpers import finite_diff, kqn_gradient_errors, max_rel_err
+from helpers import finite_diff, kqn_gradient_errors, max_rel_err, reference_step_loop
 
 
 def random_sequences(rng, count, num_skills, min_len=2, max_len=9):
@@ -38,6 +36,12 @@ def random_sequences(rng, count, num_skills, min_len=2, max_len=9):
     return seqs
 
 
+def encode_response(skill, correct, num_skills):
+    """One response through the batched one-hot step input."""
+    step = onehot_inputs(np.array([[skill]]), np.array([[correct]]), num_skills)
+    return step(0, np.array([0]))[0]
+
+
 class TestEncodeResponse:
     def test_wrong_answer_sets_low_half(self):
         assert_allclose(encode_response(1, 0, 2), [1.0, 0.0, 0.0, 0.0])
@@ -48,12 +52,21 @@ class TestEncodeResponse:
         assert_allclose(encode_response(2, 1, 2), [0.0, 0.0, 0.0, 1.0])
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            encode_response(0, 1, 2)
-        with pytest.raises(ValueError):
-            encode_response(3, 1, 2)
-        with pytest.raises(ValueError):
-            encode_response(1, 2, 2)
+        config = ModelConfig(num_skills=2, dim=2, rnn_hidden=3, mlp_hidden=3, keep_prob=1.0)
+        params = init_params(config, np.random.default_rng(0))
+        for bad in (0, 3):
+            seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(bad, 0)))
+            with pytest.raises(ValueError, match="outside 1..2"):
+                forward_batch(*batch_arrays([seq]), params, config)
+
+    def test_rows_past_the_last_scored_step_stay_zero(self):
+        seqs = [
+            ResponseSequence(0, (StudentResponse(2, 1), StudentResponse(1, 0))),
+            ResponseSequence(1, (StudentResponse(1, 0),) * 3),
+        ]
+        skills, corrects, _ = batch_arrays(seqs)
+        x = onehot_inputs(skills, corrects, 2)(1, np.array([1]))
+        assert_allclose(x, [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 
 
 class TestLstmCell:
@@ -173,12 +186,17 @@ class TestSkillEncoder:
         assert_allclose(np.linalg.norm(table, axis=1), np.ones(6), rtol=1e-12)
 
     def test_single_skill_matches_table_row(self):
-        _, params = self.make_params()
+        # The query of skill e reads row e-1 of the table; ids past N raise.
+        config, params = self.make_params()
         table, _ = encode_skill_table(params)
         for e in range(1, 7):
-            assert_allclose(encode_skill(e, params), table[e - 1], rtol=1e-12)
+            seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(e, 0)))
+            fwd = forward_batch(*batch_arrays([seq]), params, config)
+            assert_allclose(fwd.probs[0, 0], sigmoid(fwd.knowledge_states[0, 0] @ table[e - 1]),
+                            rtol=1e-12)
+        seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(7, 0)))
         with pytest.raises(ValueError):
-            encode_skill(7, params)
+            forward_batch(*batch_arrays([seq]), params, config)
 
     def test_table_matches_reference_mlp(self):
         _, params = self.make_params()
@@ -270,10 +288,23 @@ class TestForwardBatch:
             skills, corrects, lengths = batch_arrays(seqs)
             fwd = forward_batch(skills, corrects, lengths, params, config)
             for b, seq in enumerate(seqs):
-                trials, _ = forward_sequence(seq, params, config)
+                solo = forward_batch(*batch_arrays([seq]), params, config).probs[:, 0]
                 batched = fwd.probs[: len(seq.responses) - 1, b]
-                solo = np.array([t.prob for t in trials[: len(seq.responses) - 1]])
                 assert np.max(np.abs(batched - solo)) <= 1e-9
+
+    @pytest.mark.parametrize("rnn_kind", ["lstm", "gru"])
+    def test_matches_step_loop_bit_for_bit(self, rnn_kind):
+        model = KqnModel(self.make(rnn_kind, keep_prob=0.6))
+        params = model.init_params(np.random.default_rng(28))
+        seqs = random_sequences(np.random.default_rng(29), 7, 5, 2, 12)
+        arrays = batch_arrays(seqs)
+        fwd = model.forward(params, *arrays, mode="train", rng=np.random.default_rng(30))
+        grads = model.backward(params, fwd)
+        probs, ref = reference_step_loop(model, params, *arrays, np.random.default_rng(30))
+        assert fwd.probs.tobytes() == probs.tobytes()
+        assert set(grads) == set(ref)
+        for key in ref:
+            assert grads[key].tobytes() == ref[key].tobytes(), key
 
     def test_valid_mask_counts(self):
         config = self.make()
@@ -305,9 +336,12 @@ class TestForwardBatch:
     def test_short_sequence_raises(self):
         config = self.make()
         params = init_params(config, np.random.default_rng(15))
-        seq = ResponseSequence(0, (StudentResponse(1, 1),))
-        with pytest.raises(ValueError):
-            forward_sequence(seq, params, config)
+        seqs = [
+            ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(2, 0))),
+            ResponseSequence(1, (StudentResponse(1, 1),)),
+        ]
+        with pytest.raises(ValueError, match="at least 2 responses"):
+            forward_batch(*batch_arrays(seqs), params, config)
 
     def test_train_mode_validation(self):
         config = self.make(keep_prob=0.5)
@@ -346,13 +380,14 @@ class TestForwardBatch:
         config = self.make()
         params = init_params(config, np.random.default_rng(23))
         seq = random_sequences(np.random.default_rng(24), 1, config.num_skills, 5, 5)[0]
-        trials, fwd = forward_sequence(seq, params, config)
+        fwd = forward_batch(*batch_arrays([seq]), params, config)
         expected = -sum(
-            np.log(t.prob) if t.target == 1 else np.log(1.0 - t.prob) for t in trials
+            np.log(p) if resp.correct == 1 else np.log(1.0 - p)
+            for p, resp in zip(fwd.probs[:, 0], seq.responses[1:])
         )
-        assert_allclose(total_loss(trials), expected, rtol=1e-12)
         assert_allclose(fwd.loss_sum(), expected, rtol=1e-12)
-        assert total_loss([]) == 0.0
+        empty = forward_batch(*batch_arrays([]), params, config)
+        assert empty.num_valid == 0 and empty.loss_sum() == 0.0
 
 
 class TestInitParams:

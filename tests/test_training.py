@@ -21,7 +21,7 @@ from kqn.training import (
     write_metrics_csv,
 )
 from kqn.metrics import auc_scores
-from kqn.model import forward_sequence
+from kqn.model import batch_arrays, forward_batch
 
 TINY_CONFIG = ModelConfig(num_skills=10, dim=4, rnn_hidden=6, mlp_hidden=6, keep_prob=1.0)
 
@@ -193,9 +193,9 @@ class TestEvaluate:
         probs = []
         targets = []
         for seq in seqs:
-            trials, _ = forward_sequence(seq, result.params, TINY_CONFIG)
-            probs.extend(t.prob for t in trials)
-            targets.extend(t.target for t in trials)
+            fwd = forward_batch(*batch_arrays([seq]), result.params, TINY_CONFIG)
+            probs.extend(fwd.probs[:, 0])
+            targets.extend(fwd.targets[:, 0])
         assert n == len(probs) == sum(s.length - 1 for s in seqs)
         assert abs(auc_eval - auc_scores(np.array(probs), np.array(targets))) < 1e-12
 

@@ -5,6 +5,10 @@ JSON file whose keys are the flag names with dashes as underscores, lets
 explicit flags override the file, and writes a manifest.json echoing the
 fully resolved options next to its artifacts. All randomness flows from
 the resolved seed.
+
+Two tables drive the parser and the option resolution: _OPTIONS gives the
+type, default and choices of every option, and _COMMANDS gives each
+subcommand's function, help line, required options and other options.
 """
 from __future__ import annotations
 
@@ -12,13 +16,13 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
-    Heatmap,
     ari,
     flat_clusters,
     hcluster,
@@ -58,20 +62,70 @@ from .training import (
     write_metrics_csv,
 )
 
+_DISTANCE_KINDS = ("cosine", "euclidean")
 
-def _write_manifest(outdir: Path, command: str, options: dict) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "options": {k: (str(v) if isinstance(v, Path) else v) for k, v in options.items()},
-        "seed": options.get("seed"),
-    }
-    (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+# name: (type, default, choices). A list option takes comma-separated items
+# on the command line, except --vectors, which is repeated; a config file
+# may give it as a JSON list, a single item or a comma string.
+_OPTIONS = {
+    "out": (str, None, None),
+    "seed": (int, 0, None),
+    "students": (int, 400, None),
+    "skills": (int, 50, None),
+    "concepts": (int, 5, None),
+    "steps": (int, 50, None),
+    "guess": (float, 0.25, None),
+    "name": (str, None, None),
+    "data": (str, None, None),
+    "train_ratio": (float, 0.8, None),
+    "tv_ratio": (float, 0.5, None),
+    "train": (str, None, None),
+    "valid": (str, None, None),
+    "test": (str, None, None),
+    "dim": (int, 32, None),
+    "rnn": (str, "lstm", ("lstm", "gru")),
+    "rnn_hidden": (int, 32, None),
+    "mlp_hidden": (int, 32, None),
+    "hidden": (int, 32, None),
+    "keep_prob": (float, 0.6, None),
+    "mode": (str, "onehot", ("onehot", "hybrid")),
+    "encoding": (str, "correctness", ("correctness", "signed")),
+    "batch_size": (int, 128, None),
+    "epochs": (int, 50, None),
+    "alpha": (float, 0.001, None),
+    "patience": (int, 5, None),
+    "repeats": (int, 1, None),
+    "kinds": (list[str], "lstm,gru", None),
+    "dims": (list[int], "32,64,128", None),
+    "rnn_hiddens": (list[int], "32,64,128", None),
+    "mlp_hiddens": (list[int], "32,64,128", None),
+    "checkpoint": (str, None, None),
+    "skill_vectors": (str, None, None),
+    "student": (int, 0, None),
+    "kind": (str, "euclidean", _DISTANCE_KINDS),
+    "distances": (str, None, None),
+    "distance": (str, "euclidean", _DISTANCE_KINDS),
+    "linkage": (
+        str,
+        "average",
+        ("average", "centroid", "complete", "median", "single", "ward", "weighted"),
+    ),
+    "n": (int, 5, None),
+    "labels_a": (str, None, None),
+    "labels_b": (str, None, None),
+    "distances_a": (str, None, None),
+    "distances_b": (str, None, None),
+    "permutations": (int, 999, None),
+    "vectors": (list[str], None, None),
+    "mapping": (str, None, None),
+}
+
+_HELP = {"out": "output directory", "mapping": "JSON file mapping old skill ids to new labels"}
 
 
-# Options a config file may give as a JSON list (or a single item), with
-# the type of each item.
-_LIST_ITEMS = {"vectors": str, "kinds": str, "dims": int, "rnn_hiddens": int, "mlp_hiddens": int}
+def _item_type(kind):
+    """The item type of a list option's type, or None for a scalar."""
+    return typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
 
 
 def _is(value, kind) -> bool:
@@ -80,46 +134,76 @@ def _is(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _config_type_ok(key: str, value, default) -> bool:
-    """Whether a config-file value has its option's type: that of the
-    default (an int also serves for a float), a string or null where the
-    default is None, or a list of items for the options in _LIST_ITEMS."""
-    item = _LIST_ITEMS.get(key)
-    items = value if isinstance(value, list) else [value]
-    if item is not None and all(_is(v, item) for v in items):
-        return True
-    if default is None:
-        return value is None or isinstance(value, str)
-    return _is(value, type(default))
+def _check_config_value(key: str, value) -> None:
+    """A config value has its option's type (an int also serves for a
+    float) and one of its choices; null only where the default is null.
+    A list option also takes a JSON list of items or a comma string."""
+    kind, default, choices = _OPTIONS[key]
+    item = _item_type(kind)
+    if value is None:
+        ok = default is None
+    elif item is not None:
+        items = value if isinstance(value, list) else [value]
+        ok = isinstance(value, str) or all(_is(v, item) for v in items)
+    else:
+        ok = _is(value, kind)
+    if not ok:
+        expected = kind.__name__ if item is None else f"list of {item.__name__}"
+        raise ValueError(f"config key {key!r} must be of type {expected}, got {value!r}")
+    if choices and value not in choices:
+        raise ValueError(f"config key {key!r} must be one of {', '.join(choices)}, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge hard defaults <- config file <- explicit flags."""
-    out = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
+def _list_option(opts: dict, key: str) -> tuple:
+    """Items of a list option, converted to the option's item type; a
+    string is split at commas and blank items are dropped."""
+    value = opts[key]
+    raw = value if isinstance(value, list) else str(value).split(",")
+    convert = _item_type(_OPTIONS[key][0])
+    items = tuple(convert(str(v).strip()) for v in raw if str(v).strip())
+    if not items:
+        raise ValueError(f"{key} needs at least one item")
+    return items
+
+
+def _option_names(command: str) -> tuple:
+    _, _, required, other = _COMMANDS[command]
+    return ("out", "seed", *required, *other)
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge table defaults <- config file <- explicit flags, then check
+    that every required option is set."""
+    names = _option_names(args.command)
+    opts = {name: _OPTIONS[name][1] for name in names}
+    if args.config:
+        loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
-            raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = set(loaded) - set(defaults)
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = set(loaded) - set(opts)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
-            if not _config_type_ok(key, value, defaults[key]):
-                expected = "str" if defaults[key] is None else type(defaults[key]).__name__
-                raise ValueError(f"config key {key!r} must be of type {expected}, got {value!r}")
-        out.update(loaded)
-    for key in defaults:
-        value = getattr(args, key, None)
+            _check_config_value(key, value)
+        opts.update(loaded)
+    for name in names:
+        value = getattr(args, name)
         if value is not None:
-            out[key] = value
-    return out
-
-
-def _require(opts: dict, *keys: str) -> None:
-    missing = [k for k in keys if opts[k] is None]
+            opts[name] = value
+    missing = [name for name in ("out", *_COMMANDS[args.command][2]) if opts[name] is None]
     if missing:
         raise ValueError(f"missing required options: {', '.join(missing)}")
+    return opts
+
+
+def _write_manifest(outdir: Path, command: str, options: dict) -> None:
+    doc = {
+        "command": command,
+        "version": __version__,
+        "options": options,
+        "seed": options.get("seed"),
+    }
+    (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _outdir(opts: dict) -> Path:
@@ -138,24 +222,30 @@ def _sidecar_extra(data_path) -> dict:
     return {k: meta[k] for k in ("concepts", "generator") if k in meta}
 
 
+def _load_parts(opts: dict):
+    """The train, valid and (when given) test datasets, and the largest
+    num_skills among them."""
+    train_ds, valid_ds = load_dataset(opts["train"]), load_dataset(opts["valid"])
+    test_ds = load_dataset(opts["test"]) if opts.get("test") else None
+    parts = [ds for ds in (train_ds, valid_ds, test_ds) if ds is not None]
+    return train_ds, valid_ds, test_ds, max(ds.num_skills for ds in parts)
+
+
+def _train_config(opts: dict, seed: int) -> TrainConfig:
+    return TrainConfig(
+        batch_size=opts["batch_size"],
+        epochs_validation=opts["epochs"],
+        adam_alpha=opts["alpha"],
+        seed=seed,
+        patience=opts["patience"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
-SYNTH_DEFAULTS = {
-    "out": None,
-    "students": 400,
-    "skills": 50,
-    "concepts": 5,
-    "steps": 50,
-    "guess": 0.25,
-    "seed": 0,
-    "name": None,
-}
 
-
-def cmd_synth(args) -> int:
-    opts = _resolve(args, SYNTH_DEFAULTS)
-    _require(opts, "out")
+def cmd_synth(opts) -> int:
     outdir = _outdir(opts)
     spec = SyntheticSpec(
         num_students=opts["students"],
@@ -183,18 +273,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-SPLIT_DEFAULTS = {
-    "out": None,
-    "data": None,
-    "train_ratio": 0.8,
-    "tv_ratio": 0.5,
-    "seed": 0,
-}
-
-
-def cmd_split(args) -> int:
-    opts = _resolve(args, SPLIT_DEFAULTS)
-    _require(opts, "out", "data")
+def cmd_split(opts) -> int:
     outdir = _outdir(opts)
     dataset = load_dataset(opts["data"])
     split = split_data(dataset.sequences, opts["train_ratio"], opts["tv_ratio"], opts["seed"])
@@ -213,40 +292,11 @@ def cmd_split(args) -> int:
     return 0
 
 
-TRAIN_DEFAULTS = {
-    "out": None,
-    "train": None,
-    "valid": None,
-    "test": None,
-    "dim": 32,
-    "rnn": "lstm",
-    "rnn_hidden": 32,
-    "mlp_hidden": 32,
-    "keep_prob": 0.6,
-    "batch_size": 128,
-    "epochs": 50,
-    "alpha": 0.001,
-    "patience": 5,
-    "repeats": 1,
-    "seed": 0,
-}
-
-
-def _load_parts(opts, *keys):
-    parts = [load_dataset(opts[k]) for k in keys if opts[k]]
-    num_skills = max(ds.num_skills for ds in parts)
-    return parts, num_skills
-
-
-def cmd_train(args) -> int:
-    opts = _resolve(args, TRAIN_DEFAULTS)
-    _require(opts, "out", "train", "valid")
+def cmd_train(opts) -> int:
+    if opts["repeats"] < 1:
+        raise ValueError(f"repeats must be at least 1, got {opts['repeats']}")
     outdir = _outdir(opts)
-    (train_ds, valid_ds), num_skills = _load_parts(opts, "train", "valid")
-    test_ds = load_dataset(opts["test"]) if opts["test"] else None
-    if test_ds is not None:
-        num_skills = max(num_skills, test_ds.num_skills)
-
+    train_ds, valid_ds, test_ds, num_skills = _load_parts(opts)
     config = ModelConfig(
         num_skills=num_skills,
         dim=opts["dim"],
@@ -259,14 +309,8 @@ def cmd_train(args) -> int:
     summaries = []
     test_aucs = []
     for rep in range(opts["repeats"]):
-        tc = TrainConfig(
-            batch_size=opts["batch_size"],
-            epochs_validation=opts["epochs"],
-            adam_alpha=opts["alpha"],
-            seed=opts["seed"] + rep,
-            patience=opts["patience"],
-        )
-        result = train(model, train_ds.sequences, valid_ds.sequences, tc, epochs=opts["epochs"])
+        tc = _train_config(opts, opts["seed"] + rep)
+        result = train(model, train_ds.sequences, valid_ds.sequences, tc)
         name = "metrics.csv" if rep == 0 else f"metrics_{rep}.csv"
         write_metrics_csv(outdir / name, result.metrics.epochs)
         best = result.metrics.epochs[result.metrics.best_epoch - 1]
@@ -301,16 +345,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-EVALUATE_DEFAULTS = {
-    "out": None,
-    "checkpoint": None,
-    "data": None,
-    "skill_vectors": None,
-    "batch_size": 128,
-    "seed": 0,
-}
-
-
 def _model_from_checkpoint(kind, config, skill_vectors_path=None):
     if kind == "kqn":
         return KqnModel(config)
@@ -322,9 +356,7 @@ def _model_from_checkpoint(kind, config, skill_vectors_path=None):
     return DktModel(config)
 
 
-def cmd_evaluate(args) -> int:
-    opts = _resolve(args, EVALUATE_DEFAULTS)
-    _require(opts, "out", "checkpoint", "data")
+def cmd_evaluate(opts) -> int:
     outdir = _outdir(opts)
     kind, config, params = load_checkpoint(opts["checkpoint"])
     model = _model_from_checkpoint(kind, config, opts["skill_vectors"])
@@ -339,47 +371,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-GRID_DEFAULTS = {
-    "out": None,
-    "train": None,
-    "valid": None,
-    "kinds": "lstm,gru",
-    "dims": "32,64,128",
-    "rnn_hiddens": "32,64,128",
-    "mlp_hiddens": "32,64,128",
-    "keep_prob": 0.6,
-    "batch_size": 128,
-    "epochs": 50,
-    "alpha": 0.001,
-    "patience": 5,
-    "seed": 0,
-}
-
-
-def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-
-
-def cmd_gridsearch(args) -> int:
-    opts = _resolve(args, GRID_DEFAULTS)
-    _require(opts, "out", "train", "valid")
+def cmd_gridsearch(opts) -> int:
     outdir = _outdir(opts)
-    (train_ds, valid_ds), num_skills = _load_parts(opts, "train", "valid")
-    kinds = opts["kinds"] if isinstance(opts["kinds"], (list, tuple)) else opts["kinds"].split(",")
+    train_ds, valid_ds, _, num_skills = _load_parts(opts)
     grid = GridSpec(
-        rnn_kinds=tuple(k.strip() for k in kinds if k.strip()),
-        dims=_int_list(opts["dims"]),
-        rnn_hiddens=_int_list(opts["rnn_hiddens"]),
-        mlp_hiddens=_int_list(opts["mlp_hiddens"]),
-    )
-    tc = TrainConfig(
-        batch_size=opts["batch_size"],
-        epochs_validation=opts["epochs"],
-        adam_alpha=opts["alpha"],
-        seed=opts["seed"],
-        patience=opts["patience"],
+        rnn_kinds=_list_option(opts, "kinds"),
+        dims=_list_option(opts, "dims"),
+        rnn_hiddens=_list_option(opts, "rnn_hiddens"),
+        mlp_hiddens=_list_option(opts, "mlp_hiddens"),
     )
 
     def progress(config, auc_value):
@@ -392,7 +391,7 @@ def cmd_gridsearch(args) -> int:
         num_skills,
         train_ds.sequences,
         valid_ds.sequences,
-        tc,
+        _train_config(opts, opts["seed"]),
         grid=grid,
         keep_prob=opts["keep_prob"],
         progress=progress,
@@ -427,12 +426,7 @@ def cmd_gridsearch(args) -> int:
     return 0
 
 
-HEATMAP_DEFAULTS = {"out": None, "checkpoint": None, "data": None, "student": 0, "seed": 0}
-
-
-def cmd_heatmap(args) -> int:
-    opts = _resolve(args, HEATMAP_DEFAULTS)
-    _require(opts, "out", "checkpoint", "data")
+def cmd_heatmap(opts) -> int:
     outdir = _outdir(opts)
     kind, config, params = load_checkpoint(opts["checkpoint"])
     if kind != "kqn":
@@ -451,15 +445,6 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-DISTANCES_DEFAULTS = {
-    "out": None,
-    "checkpoint": None,
-    "skill_vectors": None,
-    "kind": "euclidean",
-    "seed": 0,
-}
-
-
 def _table_from_opts(opts):
     if opts["checkpoint"]:
         kind, config, params = load_checkpoint(opts["checkpoint"])
@@ -474,9 +459,7 @@ def _table_from_opts(opts):
     raise ValueError("need --checkpoint or --skill-vectors")
 
 
-def cmd_distances(args) -> int:
-    opts = _resolve(args, DISTANCES_DEFAULTS)
-    _require(opts, "out")
+def cmd_distances(opts) -> int:
     outdir = _outdir(opts)
     table, ids = _table_from_opts(opts)
     dmat = pairwise_distances(table, opts["kind"])
@@ -486,21 +469,7 @@ def cmd_distances(args) -> int:
     return 0
 
 
-CLUSTER_DEFAULTS = {
-    "out": None,
-    "checkpoint": None,
-    "skill_vectors": None,
-    "distances": None,
-    "distance": "euclidean",
-    "linkage": "average",
-    "n": 5,
-    "seed": 0,
-}
-
-
-def cmd_cluster(args) -> int:
-    opts = _resolve(args, CLUSTER_DEFAULTS)
-    _require(opts, "out")
+def cmd_cluster(opts) -> int:
     outdir = _outdir(opts)
     if opts["distances"]:
         dmat, ids = read_distance_csv(opts["distances"], kind=opts["distance"])
@@ -520,12 +489,7 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-ARI_DEFAULTS = {"out": None, "labels_a": None, "labels_b": None, "seed": 0}
-
-
-def cmd_ari(args) -> int:
-    opts = _resolve(args, ARI_DEFAULTS)
-    _require(opts, "out", "labels_a", "labels_b")
+def cmd_ari(opts) -> int:
     outdir = _outdir(opts)
     ids_a, labels_a = read_clusters_csv(opts["labels_a"])
     ids_b, labels_b = read_clusters_csv(opts["labels_b"])
@@ -540,18 +504,7 @@ def cmd_ari(args) -> int:
     return 0
 
 
-MANTEL_DEFAULTS = {
-    "out": None,
-    "distances_a": None,
-    "distances_b": None,
-    "permutations": 999,
-    "seed": 0,
-}
-
-
-def cmd_mantel(args) -> int:
-    opts = _resolve(args, MANTEL_DEFAULTS)
-    _require(opts, "out", "distances_a", "distances_b")
+def cmd_mantel(opts) -> int:
     outdir = _outdir(opts)
     d1, _ = read_distance_csv(opts["distances_a"])
     d2, _ = read_distance_csv(opts["distances_b"])
@@ -567,13 +520,8 @@ def cmd_mantel(args) -> int:
     return 0
 
 
-SENSITIVITY_DEFAULTS = {"out": None, "vectors": None, "kind": "euclidean", "seed": 0}
-
-
-def cmd_sensitivity(args) -> int:
-    opts = _resolve(args, SENSITIVITY_DEFAULTS)
-    _require(opts, "out", "vectors")
-    paths = opts["vectors"] if isinstance(opts["vectors"], (list, tuple)) else [opts["vectors"]]
+def cmd_sensitivity(opts) -> int:
+    paths = _list_option(opts, "vectors")
     if len(paths) < 2:
         raise ValueError("sensitivity needs at least two skill-vector files")
     outdir = _outdir(opts)
@@ -597,32 +545,9 @@ def cmd_sensitivity(args) -> int:
     return 0
 
 
-DKT_DEFAULTS = {
-    "out": None,
-    "train": None,
-    "valid": None,
-    "test": None,
-    "hidden": 32,
-    "keep_prob": 0.6,
-    "mode": "onehot",
-    "encoding": "correctness",
-    "skill_vectors": None,
-    "batch_size": 128,
-    "epochs": 50,
-    "alpha": 0.001,
-    "patience": 5,
-    "seed": 0,
-}
-
-
-def cmd_dkt(args) -> int:
-    opts = _resolve(args, DKT_DEFAULTS)
-    _require(opts, "out", "train", "valid")
+def cmd_dkt(opts) -> int:
     outdir = _outdir(opts)
-    (train_ds, valid_ds), num_skills = _load_parts(opts, "train", "valid")
-    test_ds = load_dataset(opts["test"]) if opts["test"] else None
-    if test_ds is not None:
-        num_skills = max(num_skills, test_ds.num_skills)
+    train_ds, valid_ds, test_ds, num_skills = _load_parts(opts)
     config = DktConfig(
         num_skills=num_skills,
         hidden=opts["hidden"],
@@ -636,14 +561,7 @@ def cmd_dkt(args) -> int:
             raise ValueError("hybrid mode needs --skill-vectors")
         _, table = load_skill_vectors(opts["skill_vectors"])
     model = DktModel(config, skill_table=table)
-    tc = TrainConfig(
-        batch_size=opts["batch_size"],
-        epochs_validation=opts["epochs"],
-        adam_alpha=opts["alpha"],
-        seed=opts["seed"],
-        patience=opts["patience"],
-    )
-    result = train(model, train_ds.sequences, valid_ds.sequences, tc, epochs=opts["epochs"])
+    result = train(model, train_ds.sequences, valid_ds.sequences, _train_config(opts, opts["seed"]))
     write_metrics_csv(outdir / "metrics.csv", result.metrics.epochs)
     save_checkpoint(outdir / "checkpoint.json", "dkt", config, result.params)
     best = result.metrics.epochs[result.metrics.best_epoch - 1]
@@ -662,15 +580,12 @@ def cmd_dkt(args) -> int:
     return 0
 
 
-RELABEL_DEFAULTS = {"out": None, "data": None, "mapping": None, "seed": 0}
-
-
-def cmd_relabel(args) -> int:
-    opts = _resolve(args, RELABEL_DEFAULTS)
-    _require(opts, "out", "data", "mapping")
+def cmd_relabel(opts) -> int:
     outdir = _outdir(opts)
     dataset = load_dataset(opts["data"])
     raw = json.loads(Path(opts["mapping"]).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"mapping file {opts['mapping']} must hold a JSON object")
     mapping = {int(k): int(v) for k, v in raw.items()}
     relabeled = relabel_skills(dataset, mapping)
     save_dataset(relabeled, outdir / "data.txt", extra={"relabeled_from": str(opts["data"])})
@@ -685,27 +600,35 @@ def cmd_relabel(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+_FIT = ("batch_size", "epochs", "alpha", "patience")
+
+# command: (function, help, required options, other options); every command
+# also takes --config, --out (required) and --seed.
 _COMMANDS = {
-    "synth": cmd_synth,
-    "split": cmd_split,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "gridsearch": cmd_gridsearch,
-    "heatmap": cmd_heatmap,
-    "distances": cmd_distances,
-    "cluster": cmd_cluster,
-    "ari": cmd_ari,
-    "mantel": cmd_mantel,
-    "sensitivity": cmd_sensitivity,
-    "dkt": cmd_dkt,
-    "relabel": cmd_relabel,
+    "synth": (cmd_synth, "generate a synthetic response log",
+              (), ("students", "skills", "concepts", "steps", "guess", "name")),
+    "split": (cmd_split, "split a dataset by student", ("data",), ("train_ratio", "tv_ratio")),
+    "train": (cmd_train, "train the knowledge-query model", ("train", "valid"),
+              ("test", "dim", "rnn", "rnn_hidden", "mlp_hidden", "keep_prob", *_FIT, "repeats")),
+    "evaluate": (cmd_evaluate, "score a checkpoint on a dataset",
+                 ("checkpoint", "data"), ("skill_vectors", "batch_size")),
+    "gridsearch": (cmd_gridsearch, "sweep architecture hyperparameters", ("train", "valid"),
+                   ("kinds", "dims", "rnn_hiddens", "mlp_hiddens", "keep_prob", *_FIT)),
+    "heatmap": (cmd_heatmap, "export one student's knowledge-interaction matrix",
+                ("checkpoint", "data"), ("student",)),
+    "distances": (cmd_distances, "export the skill distance matrix",
+                  (), ("checkpoint", "skill_vectors", "kind")),
+    "cluster": (cmd_cluster, "hierarchical clustering of skills",
+                (), ("checkpoint", "skill_vectors", "distances", "distance", "linkage", "n")),
+    "ari": (cmd_ari, "adjusted Rand index between two labelings", ("labels_a", "labels_b"), ()),
+    "mantel": (cmd_mantel, "permutation test between two distance matrices",
+               ("distances_a", "distances_b"), ("permutations",)),
+    "sensitivity": (cmd_sensitivity, "compare skill geometries across dimensions",
+                    ("vectors",), ("kind",)),
+    "dkt": (cmd_dkt, "train the baseline next-response model", ("train", "valid"),
+            ("test", "hidden", "keep_prob", "mode", "encoding", "skill_vectors", *_FIT)),
+    "relabel": (cmd_relabel, "merge or rename skill ids", ("data", "mapping"), ()),
 }
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON file of option defaults")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -715,119 +638,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("synth", help="generate a synthetic response log")
-    _add_common(p)
-    p.add_argument("--students", type=int)
-    p.add_argument("--skills", type=int)
-    p.add_argument("--concepts", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--guess", type=float)
-    p.add_argument("--name")
-
-    p = subs.add_parser("split", help="split a dataset by student")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--train-ratio", type=float, dest="train_ratio")
-    p.add_argument("--tv-ratio", type=float, dest="tv_ratio")
-
-    p = subs.add_parser("train", help="train the knowledge-query model")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--test")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--rnn", choices=["lstm", "gru"])
-    p.add_argument("--rnn-hidden", type=int, dest="rnn_hidden")
-    p.add_argument("--mlp-hidden", type=int, dest="mlp_hidden")
-    p.add_argument("--keep-prob", type=float, dest="keep_prob")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--repeats", type=int)
-
-    p = subs.add_parser("evaluate", help="score a checkpoint on a dataset")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--skill-vectors", dest="skill_vectors")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-
-    p = subs.add_parser("gridsearch", help="sweep architecture hyperparameters")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--kinds")
-    p.add_argument("--dims")
-    p.add_argument("--rnn-hiddens", dest="rnn_hiddens")
-    p.add_argument("--mlp-hiddens", dest="mlp_hiddens")
-    p.add_argument("--keep-prob", type=float, dest="keep_prob")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--patience", type=int)
-
-    p = subs.add_parser("heatmap", help="export one student's knowledge-interaction matrix")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--student", type=int)
-
-    p = subs.add_parser("distances", help="export the skill distance matrix")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--skill-vectors", dest="skill_vectors")
-    p.add_argument("--kind", choices=["cosine", "euclidean"])
-
-    p = subs.add_parser("cluster", help="hierarchical clustering of skills")
-    _add_common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--skill-vectors", dest="skill_vectors")
-    p.add_argument("--distances")
-    p.add_argument("--distance", choices=["cosine", "euclidean"])
-    p.add_argument(
-        "--linkage",
-        choices=["average", "centroid", "complete", "median", "single", "ward", "weighted"],
-    )
-    p.add_argument("--n", type=int)
-
-    p = subs.add_parser("ari", help="adjusted Rand index between two labelings")
-    _add_common(p)
-    p.add_argument("--labels-a", dest="labels_a")
-    p.add_argument("--labels-b", dest="labels_b")
-
-    p = subs.add_parser("mantel", help="permutation test between two distance matrices")
-    _add_common(p)
-    p.add_argument("--distances-a", dest="distances_a")
-    p.add_argument("--distances-b", dest="distances_b")
-    p.add_argument("--permutations", type=int)
-
-    p = subs.add_parser("sensitivity", help="compare skill geometries across dimensions")
-    _add_common(p)
-    p.add_argument("--vectors", action="append")
-    p.add_argument("--kind", choices=["cosine", "euclidean"])
-
-    p = subs.add_parser("dkt", help="train the baseline next-response model")
-    _add_common(p)
-    p.add_argument("--train")
-    p.add_argument("--valid")
-    p.add_argument("--test")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--keep-prob", type=float, dest="keep_prob")
-    p.add_argument("--mode", choices=["onehot", "hybrid"])
-    p.add_argument("--encoding", choices=["correctness", "signed"])
-    p.add_argument("--skill-vectors", dest="skill_vectors")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--patience", type=int)
-
-    p = subs.add_parser("relabel", help="merge or rename skill ids")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--mapping", help="JSON file mapping old skill ids to new labels")
-
+    for command, (_, help_text, _, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="JSON file of option defaults")
+        for name in _option_names(command):
+            kind, _, choices = _OPTIONS[name]
+            sub.add_argument(
+                "--" + name.replace("_", "-"),
+                type=kind if kind in (int, float) else None,
+                choices=choices,
+                action="append" if name == "vectors" else "store",
+                help=_HELP.get(name),
+            )
     return parser
 
 
@@ -835,7 +657,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](_resolve(args))
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -159,41 +159,36 @@ def save_dataset(dataset: Dataset, path, extra: Optional[dict] = None) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read triplet text, honoring a sidecar when present.
+    """Read triplet text, keeping skill ids as written.
 
-    With a sidecar the stored num_skills wins (skills may not cover 1..N
-    densely after splitting) and ids are taken as already canonical; without
-    one the text is re-indexed by parse_triplets.
+    num_skills is the sidecar's value when there is one (skills may not
+    cover 1..N densely after splitting), else the largest id; relabel_skills
+    is the way to renumber ids densely.
     """
     path = Path(path)
-    text = path.read_text()
     sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        result = parse_triplets(text, name=path.stem)
-        return result.dataset
-    meta = json.loads(sidecar.read_text())
-    num_skills = int(meta["num_skills"])
-    result = parse_triplets(text, name=meta.get("name", path.stem))
-    # Undo the dense re-indexing: keep original ids, validate the range.
+    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    result = parse_triplets(path.read_text(), name=meta.get("name", path.stem))
+    largest = max(result.skill_map, default=0)
+    num_skills = int(meta.get("num_skills", largest))
+    if largest > num_skills:
+        raise ValueError(f"skill id {largest} exceeds sidecar num_skills={num_skills}")
+    # Undo the dense re-indexing of parse_triplets.
     inverse = {new: orig for orig, new in result.skill_map.items()}
-    sequences = []
-    for seq in result.dataset.sequences:
-        responses = tuple(
-            StudentResponse(inverse[r.skill], r.correct) for r in seq.responses
+    sequences = tuple(
+        ResponseSequence(
+            seq.student_id,
+            tuple(StudentResponse(inverse[r.skill], r.correct) for r in seq.responses),
         )
-        for r in responses:
-            if r.skill > num_skills:
-                raise ValueError(
-                    f"skill id {r.skill} exceeds sidecar num_skills={num_skills}"
-                )
-        sequences.append(ResponseSequence(seq.student_id, responses))
+        for seq in result.dataset.sequences
+    )
     skill_names = None
     if "skill_names" in meta:
         skill_names = {int(k): v for k, v in meta["skill_names"].items()}
     return Dataset(
         name=result.dataset.name,
         num_skills=num_skills,
-        sequences=tuple(sequences),
+        sequences=sequences,
         skill_names=skill_names,
     )
 

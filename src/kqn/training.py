@@ -24,9 +24,9 @@ from .model import KqnModel, ModelConfig, Params, batch_arrays
 class TrainConfig:
     """Optimizer and schedule settings.
 
-    epochs_validation is the default epoch budget of train(); it is an
-    upper bound under early stopping (patience epochs without a
-    validation-AUC improvement, best weights restored).
+    epochs_validation is the epoch budget of train(); it is an upper
+    bound under early stopping (patience epochs without a validation-AUC
+    improvement, best weights restored).
     """
 
     batch_size: int = 128
@@ -154,13 +154,7 @@ def _batches(items, size):
         yield items[start : start + size]
 
 
-def train(
-    model,
-    train_seqs,
-    valid_seqs,
-    cfg: TrainConfig,
-    epochs: Optional[int] = None,
-) -> TrainResult:
+def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
     """Fit a model with Adam and validation-AUC early stopping.
 
     Single-response sequences are skipped (nothing to predict) and counted
@@ -174,7 +168,6 @@ def train(
         raise ValueError("no trainable sequences (all shorter than 2 responses)")
     if not valid_kept:
         raise ValueError("no scoreable validation sequences")
-    max_epochs = epochs if epochs is not None else cfg.epochs_validation
 
     rng = np.random.default_rng(cfg.seed)
     params = model.init_params(rng)
@@ -186,7 +179,7 @@ def train(
     best_params = copy.deepcopy(params)
     stale = 0
 
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, cfg.epochs_validation + 1):
         order = rng.permutation(len(train_kept))
         loss_total = 0.0
         trials_total = 0

@@ -17,8 +17,15 @@ from kqn.analysis import (
     write_heatmap_csv,
 )
 from kqn.checkpoint import load_checkpoint, load_skill_vectors
-from kqn.cli import main
-from kqn.data import SyntheticSpec, generate_synthetic, load_dataset, relabel_skills
+from kqn.cli import _list_option, _resolve, build_parser, main
+from kqn.data import (
+    ResponseSequence,
+    StudentResponse,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    relabel_skills,
+)
 from kqn.model import KqnModel, encode_skill_table
 from kqn.training import evaluate, split_data
 
@@ -157,6 +164,14 @@ class TestTrain:
         for name in ("metrics.csv", "checkpoint.json", "skill_vectors.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_zero_repeats_rejected(self, ws, tmp_path, capsys):
+        rc = main(["train", "--out", str(tmp_path / "r0"),
+                   "--train", str(ws / "split" / "train.txt"),
+                   "--valid", str(ws / "split" / "valid.txt"), "--repeats", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: repeats must be at least 1")
+        assert not (tmp_path / "r0").exists()
+
 
 class TestEvaluate:
     def test_matches_library_evaluate(self, ws, tmp_path):
@@ -182,6 +197,23 @@ class TestEvaluate:
                        "--data", str(tmp_path / "nine.txt")])
             assert rc == 1
             assert capsys.readouterr().err.startswith("error: skill ids outside 1..6")
+
+    def test_sparse_ids_are_scored_as_written(self, ws, tmp_path):
+        rows = [("2,4,6,2,4,6", "1,0,1,1,0,0"), ("6,6,4,2,2,4", "0,1,1,0,1,1"),
+                ("4,2,6,4,6,2", "1,1,0,0,1,0")]
+        (tmp_path / "sparse.txt").write_text("".join(f"6\n{e}\n{c}\n" for e, c in rows))
+        run("evaluate", "--out", tmp_path / "out", "--checkpoint",
+            ws / "kqn4" / "checkpoint.json", "--data", tmp_path / "sparse.txt")
+        report = json.loads((tmp_path / "out" / "eval.json").read_text())
+        _, config, params = load_checkpoint(ws / "kqn4" / "checkpoint.json")
+        sequences = [
+            ResponseSequence(i, tuple(StudentResponse(int(e), int(c))
+                                      for e, c in zip(es.split(","), cs.split(","))))
+            for i, (es, cs) in enumerate(rows)
+        ]
+        auc_value, loss_value, n_trials = evaluate(KqnModel(config), params, sequences)
+        assert (report["auc"], report["loss"], report["trials"]) == \
+            (auc_value, loss_value, n_trials)
 
     def test_dkt_checkpoint(self, ws, tmp_path):
         run("evaluate", "--out", tmp_path, "--checkpoint", ws / "dkt" / "checkpoint.json",
@@ -373,6 +405,23 @@ class TestGridsearch:
         cell_aucs = [float(line.split(",")[4]) for line in lines[1:]]
         assert best["valid_auc"] == max(cell_aucs)
 
+    @pytest.mark.parametrize("flag, value", [("--dims", ""), ("--kinds", ",")])
+    def test_empty_list_option(self, ws, tmp_path, capsys, flag, value):
+        rc = main(["gridsearch", "--out", str(tmp_path),
+                   "--train", str(ws / "split" / "train.txt"),
+                   "--valid", str(ws / "split" / "valid.txt"), flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flag[2:]} needs at least one item\n"
+
+    def test_list_options_from_config(self, tmp_path):
+        config = {"kinds": "gru", "dims": "3, 4", "rnn_hiddens": [4, 5], "mlp_hiddens": 6}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        opts = _resolve(build_parser().parse_args(
+            ["gridsearch", "--out", "o", "--train", "t", "--valid", "v",
+             "--config", str(tmp_path / "cfg.json")]))
+        assert [_list_option(opts, key) for key in config] == \
+            [("gru",), (3, 4), (4, 5), (6,)]
+
 
 class TestRelabel:
     def test_merge_matches_library(self, ws, tmp_path):
@@ -385,6 +434,14 @@ class TestRelabel:
         expected = relabel_skills(dataset, {int(k): v for k, v in mapping.items()})
         assert merged.num_skills == 3
         assert merged.sequences == expected.sequences
+
+    def test_mapping_must_be_an_object(self, ws, tmp_path, capsys):
+        (tmp_path / "map.json").write_text("[1, 2]")
+        rc = main(["relabel", "--out", str(tmp_path / "out"), "--data",
+                   str(ws / "synth" / "data.txt"), "--mapping", str(tmp_path / "map.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must hold a JSON object" in err
 
 
 class TestOptionHandling:
@@ -414,6 +471,9 @@ class TestOptionHandling:
         ("synth", {"students": 8.5}),
         ("split", {"data": 3}),
         ("gridsearch", {"kinds": ["lstm", 1]}),
+        ("gridsearch", {"dims": ["8"]}),
+        ("train", {"rnn": "rnm"}),
+        ("cluster", {"linkage": None}),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, bad):
         (tmp_path / "cfg.json").write_text(json.dumps(bad))
@@ -440,3 +500,67 @@ class TestOptionHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert kqn.__version__ in capsys.readouterr().out
+
+
+# Every command's defaults and the options it requires besides --out,
+# written out as literals: benchmarks and scripts depend on these flag
+# names, and manifests echo these values.
+CLI_DEFAULTS = {
+    "synth": {"out": None, "students": 400, "skills": 50, "concepts": 5, "steps": 50,
+              "guess": 0.25, "seed": 0, "name": None},
+    "split": {"out": None, "data": None, "train_ratio": 0.8, "tv_ratio": 0.5, "seed": 0},
+    "train": {"out": None, "train": None, "valid": None, "test": None, "dim": 32,
+              "rnn": "lstm", "rnn_hidden": 32, "mlp_hidden": 32, "keep_prob": 0.6,
+              "batch_size": 128, "epochs": 50, "alpha": 0.001, "patience": 5,
+              "repeats": 1, "seed": 0},
+    "evaluate": {"out": None, "checkpoint": None, "data": None, "skill_vectors": None,
+                 "batch_size": 128, "seed": 0},
+    "gridsearch": {"out": None, "train": None, "valid": None, "kinds": "lstm,gru",
+                   "dims": "32,64,128", "rnn_hiddens": "32,64,128",
+                   "mlp_hiddens": "32,64,128", "keep_prob": 0.6, "batch_size": 128,
+                   "epochs": 50, "alpha": 0.001, "patience": 5, "seed": 0},
+    "heatmap": {"out": None, "checkpoint": None, "data": None, "student": 0, "seed": 0},
+    "distances": {"out": None, "checkpoint": None, "skill_vectors": None,
+                  "kind": "euclidean", "seed": 0},
+    "cluster": {"out": None, "checkpoint": None, "skill_vectors": None, "distances": None,
+                "distance": "euclidean", "linkage": "average", "n": 5, "seed": 0},
+    "ari": {"out": None, "labels_a": None, "labels_b": None, "seed": 0},
+    "mantel": {"out": None, "distances_a": None, "distances_b": None,
+               "permutations": 999, "seed": 0},
+    "sensitivity": {"out": None, "vectors": None, "kind": "euclidean", "seed": 0},
+    "dkt": {"out": None, "train": None, "valid": None, "test": None, "hidden": 32,
+            "keep_prob": 0.6, "mode": "onehot", "encoding": "correctness",
+            "skill_vectors": None, "batch_size": 128, "epochs": 50, "alpha": 0.001,
+            "patience": 5, "seed": 0},
+    "relabel": {"out": None, "data": None, "mapping": None, "seed": 0},
+}
+CLI_REQUIRED = {
+    "synth": (), "split": ("data",), "train": ("train", "valid"),
+    "evaluate": ("checkpoint", "data"), "gridsearch": ("train", "valid"),
+    "heatmap": ("checkpoint", "data"), "distances": (), "cluster": (),
+    "ari": ("labels_a", "labels_b"), "mantel": ("distances_a", "distances_b"),
+    "sensitivity": ("vectors",), "dkt": ("train", "valid"), "relabel": ("data", "mapping"),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_DEFAULTS))
+def test_cli_surface_is_pinned(command):
+    parser = build_parser()
+    subcommands = parser._subparsers._group_actions[0].choices
+    assert list(subcommands) == list(CLI_DEFAULTS)
+    flags = {s for a in subcommands[command]._actions for s in a.option_strings}
+    defaults = CLI_DEFAULTS[command]
+    assert flags - {"-h", "--help"} == \
+        {"--config"} | {"--" + key.replace("_", "-") for key in defaults}
+
+    given = ("out", *CLI_REQUIRED[command])
+    argv = [command]
+    for key in given:
+        argv += ["--" + key.replace("_", "-"), "x"]
+    expected = dict(defaults, **{k: ["x"] if k == "vectors" else "x" for k in given})
+    # Compare as the manifest writes them, so 1 and 1.0 differ.
+    opts = _resolve(parser.parse_args(argv))
+    assert json.dumps(opts, sort_keys=True) == json.dumps(expected, sort_keys=True)
+    with pytest.raises(ValueError) as exc:
+        _resolve(parser.parse_args([command]))
+    assert str(exc.value) == f"missing required options: {', '.join(given)}"

@@ -99,12 +99,12 @@ class TestSaveLoad:
         # original sparse ids survive the round trip
         assert [r.skill for r in back.sequences[0].responses] == [2, 5]
 
-    def test_without_sidecar_ids_are_reindexed(self, tmp_path):
+    def test_without_sidecar_ids_are_kept(self, tmp_path):
         path = tmp_path / "plain.txt"
         path.write_text("2\n4,8\n1,0\n")
         back = load_dataset(path)
-        assert back.num_skills == 2
-        assert [r.skill for r in back.sequences[0].responses] == [1, 2]
+        assert back.num_skills == 8
+        assert [r.skill for r in back.sequences[0].responses] == [4, 8]
 
     def test_skill_id_beyond_sidecar_count_raises(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -176,12 +176,6 @@ class TestTrain:
         for k in runs[0].params:
             assert np.array_equal(runs[0].params[k], runs[1].params[k])
 
-    def test_explicit_epoch_override(self, tiny_synthetic):
-        cfg = tiny_train_cfg(epochs_validation=50)
-        result = train(KqnModel(TINY_CONFIG), tiny_synthetic.dataset.sequences[:30],
-                       tiny_synthetic.dataset.sequences[30:40], cfg, epochs=2)
-        assert len(result.metrics.epochs) == 2
-
 
 class TestEvaluate:
     def test_matches_per_sequence_scoring(self, tiny_synthetic):

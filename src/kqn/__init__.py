@@ -36,7 +36,6 @@ from .checkpoint import (
 from .data import (
     Dataset,
     ResponseSequence,
-    StudentResponse,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -89,7 +88,6 @@ __all__ = [
     "save_checkpoint",
     "Dataset",
     "ResponseSequence",
-    "StudentResponse",
     "SyntheticSpec",
     "generate_synthetic",
     "load_dataset",

@@ -413,13 +413,11 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
     skills, corrects, lengths = batch_arrays([seq])
     fwd = forward_batch(skills, corrects, lengths, params, config)
     kstates = fwd.knowledge_states[:, 0, :]
-    skill_ids = tuple(sorted({r.skill for r in seq.responses}))
+    skill_ids = tuple(np.unique(seq.responses[:, 0]).tolist())
     table = fwd.skill_table
     logits = table[np.array(skill_ids) - 1] @ kstates.T
     percent = 100.0 * sigmoid(logits)
-    labels = tuple(
-        f"({r.skill},{r.correct})" for r in seq.responses[: kstates.shape[0]]
-    )
+    labels = tuple(f"({s},{c})" for s, c in seq.responses[: kstates.shape[0]].tolist())
     return Heatmap(percent=percent, skill_ids=skill_ids, column_labels=labels)
 
 

@@ -47,6 +47,7 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    read_sidecar,
     relabel_skills,
     save_dataset,
 )
@@ -212,16 +213,6 @@ def _outdir(opts: dict) -> Path:
     return path
 
 
-def _sidecar_extra(data_path) -> dict:
-    """Carry generator metadata (concepts, parameters) through dataset
-    transforms when the source file has a sidecar."""
-    sidecar = Path(str(data_path) + ".meta.json")
-    if not sidecar.exists():
-        return {}
-    meta = json.loads(sidecar.read_text())
-    return {k: meta[k] for k in ("concepts", "generator") if k in meta}
-
-
 def _load_parts(opts: dict):
     """The train, valid and (when given) test datasets, and the largest
     num_skills among them."""
@@ -277,7 +268,9 @@ def cmd_split(opts) -> int:
     outdir = _outdir(opts)
     dataset = load_dataset(opts["data"])
     split = split_data(dataset.sequences, opts["train_ratio"], opts["tv_ratio"], opts["seed"])
-    extra = _sidecar_extra(opts["data"])
+    # The parts carry the source's generator metadata (concepts, parameters).
+    meta = read_sidecar(opts["data"])
+    extra = {k: meta[k] for k in ("concepts", "generator") if k in meta}
     for part, seqs in (("train", split.train), ("valid", split.valid), ("test", split.test)):
         subset = dataclasses.replace(
             dataset, name=f"{dataset.name}-{part}", sequences=tuple(seqs)

@@ -1,5 +1,6 @@
-"""Response-log datasets: triplet-text parsing and serialization, JSON
-sidecars, dense skill relabeling, and a seeded synthetic generator.
+"""Response-log datasets, one (T, 2) int array of (skill, correct) rows per
+student: triplet-text parsing and serialization, JSON sidecars, dense skill
+relabeling, and a seeded synthetic generator.
 
 The triplet text format is three lines per student:
 
@@ -12,24 +13,31 @@ with skills as positive integers and correctness flags in {0, 1}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .ops import sigmoid
 
 
-class StudentResponse(NamedTuple):
-    skill: int
-    correct: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseSequence:
+    """One student's responses as a (T, 2) int array: column 0 holds the
+    skill ids and column 1 the correctness flags. Any array-like of pairs
+    converts; equality is identity, as an array field has no single ==."""
+
     student_id: int
-    responses: tuple[StudentResponse, ...]
+    responses: np.ndarray
+
+    def __post_init__(self):
+        responses = np.asarray(self.responses, dtype=int)
+        if responses.ndim != 2 or responses.shape[1] != 2:
+            raise ValueError(
+                f"responses must be (T, 2) (skill, correct) pairs, got shape {responses.shape}"
+            )
+        object.__setattr__(self, "responses", responses)
 
     @property
     def length(self) -> int:
@@ -41,7 +49,6 @@ class Dataset:
     name: str
     num_skills: int
     sequences: tuple[ResponseSequence, ...]
-    skill_names: Optional[dict[int, str]] = None
 
     @property
     def num_students(self) -> int:
@@ -50,13 +57,6 @@ class Dataset:
     @property
     def num_responses(self) -> int:
         return sum(seq.length for seq in self.sequences)
-
-
-@dataclass(frozen=True)
-class ParseResult:
-    dataset: Dataset
-    skill_map: dict[int, int]
-    dropped: int
 
 
 def _split_ints(line: str, lineno: int, what: str) -> list[int]:
@@ -72,17 +72,15 @@ def _split_ints(line: str, lineno: int, what: str) -> list[int]:
     return out
 
 
-def parse_triplets(text: str, name: str = "dataset") -> ParseResult:
-    """Parse triplet text into a Dataset with skills re-indexed to 1..N.
+def parse_triplets(text: str, name: str = "dataset") -> Dataset:
+    """Parse triplet text into a Dataset, keeping skill ids as written.
 
-    Re-indexing maps the sorted distinct original ids onto 1..N, so a file
-    already using 1..N densely parses to itself. Records with a correctness
-    flag outside {0, 1} are dropped whole and counted; length mismatches
-    raise with the offending line number.
+    num_skills is the largest id. A malformed record (bad count, length
+    mismatch, non-positive skill id, correctness flag outside {0, 1})
+    raises with the offending line number.
     """
     lines = text.splitlines()
-    records = []
-    dropped = 0
+    sequences = []
     idx = 0
     while idx < len(lines):
         if lines[idx].strip() == "":
@@ -108,41 +106,36 @@ def parse_triplets(text: str, name: str = "dataset") -> ParseResult:
                 f"line {lineno + 2}: expected {t} correctness flags, got {len(corrects)}"
             )
         for s in skills:
-            if s <= 0:
-                raise ValueError(f"line {lineno + 1}: skill ids must be positive, got {s}")
-        if any(c not in (0, 1) for c in corrects):
-            dropped += 1
-        else:
-            records.append((skills, corrects))
+            if not 0 < s < 2**63:
+                raise ValueError(f"line {lineno + 1}: skill ids must be in 1..2**63-1, got {s}")
+        for c in corrects:
+            if c not in (0, 1):
+                raise ValueError(f"line {lineno + 2}: correctness flags must be 0 or 1, got {c}")
+        sequences.append(ResponseSequence(len(sequences), np.column_stack((skills, corrects))))
         idx += 3
-
-    distinct = sorted({s for skills, _ in records for s in skills})
-    skill_map = {orig: i + 1 for i, orig in enumerate(distinct)}
-    sequences = tuple(
-        ResponseSequence(
-            student_id=sid,
-            responses=tuple(
-                StudentResponse(skill_map[s], c) for s, c in zip(skills, corrects)
-            ),
-        )
-        for sid, (skills, corrects) in enumerate(records)
-    )
-    dataset = Dataset(name=name, num_skills=len(distinct), sequences=sequences)
-    return ParseResult(dataset=dataset, skill_map=skill_map, dropped=dropped)
+    largest = max((int(seq.responses[:, 0].max()) for seq in sequences), default=0)
+    return Dataset(name=name, num_skills=largest, sequences=tuple(sequences))
 
 
 def serialize_triplets(dataset: Dataset) -> str:
-    """Inverse of parse_triplets for densely indexed datasets."""
+    """Inverse of parse_triplets."""
     parts = []
     for seq in dataset.sequences:
+        skills, corrects = seq.responses.T.tolist()
         parts.append(str(seq.length))
-        parts.append(",".join(str(r.skill) for r in seq.responses))
-        parts.append(",".join(str(r.correct) for r in seq.responses))
+        parts.append(",".join(map(str, skills)))
+        parts.append(",".join(map(str, corrects)))
     return "\n".join(parts) + ("\n" if parts else "")
 
 
 def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(path.suffix + ".meta.json")
+
+
+def read_sidecar(path) -> dict:
+    """The JSON sidecar written next to a dataset file, or {} if none."""
+    sidecar = _sidecar_path(Path(path))
+    return json.loads(sidecar.read_text()) if sidecar.exists() else {}
 
 
 def save_dataset(dataset: Dataset, path, extra: Optional[dict] = None) -> None:
@@ -151,8 +144,6 @@ def save_dataset(dataset: Dataset, path, extra: Optional[dict] = None) -> None:
     path = Path(path)
     path.write_text(serialize_triplets(dataset))
     meta = {"name": dataset.name, "num_skills": dataset.num_skills}
-    if dataset.skill_names:
-        meta["skill_names"] = {str(k): v for k, v in dataset.skill_names.items()}
     if extra:
         meta.update(extra)
     _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
@@ -166,31 +157,12 @@ def load_dataset(path) -> Dataset:
     is the way to renumber ids densely.
     """
     path = Path(path)
-    sidecar = _sidecar_path(path)
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    result = parse_triplets(path.read_text(), name=meta.get("name", path.stem))
-    largest = max(result.skill_map, default=0)
-    num_skills = int(meta.get("num_skills", largest))
-    if largest > num_skills:
-        raise ValueError(f"skill id {largest} exceeds sidecar num_skills={num_skills}")
-    # Undo the dense re-indexing of parse_triplets.
-    inverse = {new: orig for orig, new in result.skill_map.items()}
-    sequences = tuple(
-        ResponseSequence(
-            seq.student_id,
-            tuple(StudentResponse(inverse[r.skill], r.correct) for r in seq.responses),
-        )
-        for seq in result.dataset.sequences
-    )
-    skill_names = None
-    if "skill_names" in meta:
-        skill_names = {int(k): v for k, v in meta["skill_names"].items()}
-    return Dataset(
-        name=result.dataset.name,
-        num_skills=num_skills,
-        sequences=sequences,
-        skill_names=skill_names,
-    )
+    meta = read_sidecar(path)
+    dataset = parse_triplets(path.read_text(), name=meta.get("name", path.stem))
+    num_skills = int(meta.get("num_skills", dataset.num_skills))
+    if dataset.num_skills > num_skills:
+        raise ValueError(f"skill id {dataset.num_skills} exceeds sidecar num_skills={num_skills}")
+    return Dataset(name=dataset.name, num_skills=num_skills, sequences=dataset.sequences)
 
 
 def relabel_skills(dataset: Dataset, mapping: dict[int, int]) -> Dataset:
@@ -199,18 +171,22 @@ def relabel_skills(dataset: Dataset, mapping: dict[int, int]) -> Dataset:
     mapping must cover every skill id present; merged labels are renumbered
     by sorted distinct target label.
     """
-    present = {r.skill for seq in dataset.sequences for r in seq.responses}
-    missing = present - set(mapping)
+    columns = [seq.responses[:, 0] for seq in dataset.sequences]
+    present = np.unique(np.concatenate([np.zeros(0, dtype=int), *columns]))
+    missing = sorted(set(present.tolist()) - set(mapping))
     if missing:
-        raise ValueError(f"mapping is missing skill ids: {sorted(missing)}")
-    targets = sorted({mapping[s] for s in present})
+        raise ValueError(f"mapping is missing skill ids: {missing}")
+    targets = sorted({mapping[s] for s in present.tolist()})
     dense = {t: i + 1 for i, t in enumerate(targets)}
+    # new_ids[i] is the new id of present[i]; searching present rather than
+    # indexing by id keeps sparse ids up to 2**63 - 1 cheap.
+    new_ids = np.array([dense[mapping[s]] for s in present.tolist()], dtype=int)
     sequences = tuple(
         ResponseSequence(
             seq.student_id,
-            tuple(StudentResponse(dense[mapping[r.skill]], r.correct) for r in seq.responses),
+            np.column_stack((new_ids[np.searchsorted(present, skills)], seq.responses[:, 1])),
         )
-        for seq in dataset.sequences
+        for seq, skills in zip(dataset.sequences, columns)
     )
     return Dataset(name=dataset.name, num_skills=len(targets), sequences=sequences)
 
@@ -276,14 +252,7 @@ def generate_synthetic(spec: SyntheticSpec):
             ability[(skills - 1) % spec.num_concepts] - difficulty[skills - 1]
         )
         corrects = (rng.random(spec.steps_per_student) < p).astype(int)
-        sequences.append(
-            ResponseSequence(
-                student_id=sid,
-                responses=tuple(
-                    StudentResponse(int(s), int(c)) for s, c in zip(skills, corrects)
-                ),
-            )
-        )
+        sequences.append(ResponseSequence(sid, np.column_stack((skills, corrects))))
     dataset = Dataset(
         name=f"synthetic-{spec.num_concepts}",
         num_skills=spec.num_skills,

@@ -248,10 +248,10 @@ def batch_arrays(sequences):
     t_max = int(lengths.max()) if len(lengths) else 0
     skills = np.ones((len(sequences), t_max), dtype=int)
     corrects = np.zeros((len(sequences), t_max), dtype=int)
-    for b, seq in enumerate(sequences):
-        for t, resp in enumerate(seq.responses):
-            skills[b, t] = resp.skill
-            corrects[b, t] = resp.correct
+    # Row-major mask order is the order of the concatenated responses.
+    filled = np.arange(t_max) < lengths[:, None]
+    responses = np.concatenate([np.zeros((0, 2), dtype=int)] + [s.responses for s in sequences])
+    skills[filled], corrects[filled] = responses.T
     return skills, corrects, lengths
 
 

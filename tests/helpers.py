@@ -83,7 +83,7 @@ GRAD_CHECK_FLOOR = 1e-3
 
 
 def gradient_check_setup(rnn_kind):
-    from kqn.data import ResponseSequence, StudentResponse
+    from kqn.data import ResponseSequence
     from kqn.model import ModelConfig, batch_arrays, init_params
 
     config = ModelConfig(
@@ -93,7 +93,7 @@ def gradient_check_setup(rnn_kind):
     seqs = []
     for sid, steps in ((1, 8), (2, 6)):
         resp = tuple(
-            StudentResponse(int(rng.integers(1, 6)), int(rng.integers(0, 2)))
+            (int(rng.integers(1, 6)), int(rng.integers(0, 2)))
             for _ in range(steps)
         )
         seqs.append(ResponseSequence(student_id=sid, responses=resp))
@@ -212,6 +212,70 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
     if kqn:
         grads.update(skill_table_backward(d_table, skill_cache, params))
     return probs, grads
+
+
+# ---------------------------------------------------------------------------
+# Response logs: the per-response padding loop that batch_arrays replaced,
+# kept as its oracle, and comparisons for array-valued sequences
+
+
+def batch_arrays_loop(sequences):
+    """(skills, corrects, lengths) padded one response at a time; padded
+    cells hold skill 1 / correct 0."""
+    lengths = np.array([len(seq.responses) for seq in sequences], dtype=int)
+    t_max = int(lengths.max()) if len(lengths) else 0
+    skills = np.ones((len(sequences), t_max), dtype=int)
+    corrects = np.zeros((len(sequences), t_max), dtype=int)
+    for b, seq in enumerate(sequences):
+        for t, (skill, correct) in enumerate(seq.responses.tolist()):
+            skills[b, t] = skill
+            corrects[b, t] = correct
+    return skills, corrects, lengths
+
+
+def pairs(seq):
+    """A sequence's responses as a hashable tuple of (skill, correct)."""
+    return tuple(map(tuple, seq.responses.tolist()))
+
+
+def assert_same_sequences(a, b):
+    assert [s.student_id for s in a] == [s.student_id for s in b]
+    assert [pairs(s) for s in a] == [pairs(s) for s in b]
+
+
+# ---------------------------------------------------------------------------
+# Model-free concept recovery: how much concept structure the response data
+# carry, clustered exactly as criterion 5 clusters the learned vectors
+
+
+def residual_concept_ari(sequences, concepts, num_skills, n_clusters=5):
+    """ARI of the concept labels against skills clustered by residual
+    correlation.
+
+    Each student's residual on a skill is their mean of (correct minus the
+    skill's base rate over all the sequences), 0 for an unseen skill. Skills
+    are correlated across students; 1 - r (the cosine distance of the
+    centred residual columns) is cut at n_clusters by average linkage.
+    """
+    from kqn.analysis import DistanceMatrix, ari, flat_clusters, hcluster
+
+    responses = np.concatenate([seq.responses for seq in sequences])
+    seen = np.bincount(responses[:, 0], minlength=num_skills + 1)[1:]
+    right = np.bincount(responses[:, 0], weights=responses[:, 1], minlength=num_skills + 1)[1:]
+    base_rate = right / np.maximum(seen, 1)
+    residuals = np.zeros((len(sequences), num_skills))
+    for i, seq in enumerate(sequences):
+        skills, corrects = seq.responses.T
+        residual = corrects - base_rate[skills - 1]
+        count = np.bincount(skills - 1, minlength=num_skills)
+        total = np.bincount(skills - 1, weights=residual, minlength=num_skills)
+        residuals[i] = total / np.maximum(count, 1)
+    dist = 1.0 - np.corrcoef(residuals.T)
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    labels = flat_clusters(hcluster(DistanceMatrix("cosine", dist), "average"), n_clusters)
+    truth = np.array([concepts[e] for e in range(1, num_skills + 1)])
+    return ari(labels, truth)
 
 
 # ---------------------------------------------------------------------------

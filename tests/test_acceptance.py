@@ -3,13 +3,17 @@ single PASS/FAIL line with the measured numbers before asserting its
 bounds. Criteria 4-8 share the session-scoped desk-sized dataset and the
 models trained on it (see conftest).
 
-Known honest failure: the cluster-recovery bar in criterion 5 is not
-attainable on desk-sized data under this generator. The trained model's
-test AUC equals the per-skill base-rate ceiling, ability explains too
-little of the remaining variance at this scale, and skill difficulties
-are drawn independently of concept membership, so the learned vectors
-carry no concept signal. Measured ARI sits at 0 +/- 0.03 across seeds
-and hyperparameters; the test asserts the stated bar anyway and fails.
+Known honest failure: criterion 5's cluster-recovery bar. The desk data
+carry the concepts and the model misses them. Clustering skills by how
+the 160 training students' residuals (correct minus the skill's base
+rate) correlate recovers the concepts with ARI 0.298, above the 0.15 bar
+(test_criterion_5_bar_is_reachable_from_the_data). The learned vectors
+encode skill difficulty instead: their first principal component holds
+38% of the variance and correlates with the true difficulty at |r| 0.95,
+and with it projected out ARI stays near 0. Next-response prediction
+gains only about 0.02 test AUC from concept structure at this scale, so
+the training signal for it is weak. The test asserts the stated bar
+anyway and fails.
 """
 import time
 
@@ -179,10 +183,16 @@ def test_criterion_5_cluster_recovery(desk, kqn16):
     )
     assert observed > random_mean
     assert observed >= 0.15, (
-        f"ARI {observed:.4f} below 0.15: desk-scale vectors carry no concept "
-        f"signal (test AUC equals the per-skill base-rate ceiling; difficulty "
-        f"is drawn independently of concept membership)"
+        f"ARI {observed:.4f} below 0.15: the desk data carry the concepts "
+        f"(residual-correlation clustering reaches ARI >= 0.15) but the learned "
+        f"vectors encode skill difficulty and miss them"
     )
+
+
+def test_criterion_5_bar_is_reachable_from_the_data(desk):
+    observed = helpers.residual_concept_ari(desk.split.train, desk.concepts, desk.spec.num_skills)
+    print(f"criterion 5 data ceiling: residual-correlation ARI {observed:.4f} (bar 0.15)")
+    assert observed >= 0.15
 
 
 def test_criterion_6_dimensionality_sensitivity(kqn8, kqn16):
@@ -228,7 +238,7 @@ def test_criterion_8_heatmap_contract(desk, kqn16):
     seq = next(s for s in desk.split.test if s.student_id == HELDOUT_STUDENT_ID)
     hm = heatmap_matrix(kqn16.params, kqn16.config, seq)
     steps = len(seq.responses)
-    distinct = len({r.skill for r in seq.responses})
+    distinct = len(np.unique(seq.responses[:, 0]))
     row_of = {skill: r for r, skill in enumerate(hm.skill_ids)}
 
     shape_ok = hm.percent.shape == (distinct, steps - 1)
@@ -238,10 +248,10 @@ def test_criterion_8_heatmap_contract(desk, kqn16):
     # Column t holds the state after consuming response t, so response j
     # is absorbed across the transition from column j-1 to column j.
     for j in range(1, steps - 1):
-        resp = seq.responses[j]
-        if resp.correct == 1:
+        skill, correct = seq.responses[j]
+        if correct == 1:
             events += 1
-            row = row_of[resp.skill]
+            row = row_of[skill]
             ups += bool(hm.percent[row, j] > hm.percent[row, j - 1])
     rate = ups / events
     ok = shape_ok and range_ok and rate >= 0.60

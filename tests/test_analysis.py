@@ -25,7 +25,7 @@ from kqn.analysis import (
     write_distance_csv,
     write_heatmap_csv,
 )
-from kqn.data import ResponseSequence, StudentResponse
+from kqn.data import ResponseSequence
 from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
 from kqn.ops import sigmoid
 
@@ -350,10 +350,7 @@ class TestHeatmap:
 
     def make_seq(self):
         triples = [(2, 1), (5, 0), (2, 1), (7, 1), (5, 1)]
-        return ResponseSequence(
-            student_id=0,
-            responses=tuple(StudentResponse(s, c) for s, c in triples),
-        )
+        return ResponseSequence(student_id=0, responses=triples)
 
     def test_shape_rows_and_labels(self):
         config, params = self.make_model()
@@ -377,12 +374,10 @@ class TestHeatmap:
 
     def test_errors(self):
         config, params = self.make_model()
-        short = ResponseSequence(0, (StudentResponse(1, 1),))
+        short = ResponseSequence(0, ((1, 1),))
         with pytest.raises(ValueError):
             heatmap_matrix(params, config, short)
-        out_of_range = ResponseSequence(
-            0, (StudentResponse(1, 1), StudentResponse(12, 0))
-        )
+        out_of_range = ResponseSequence(0, ((1, 1), (12, 0)))
         with pytest.raises(ValueError, match="outside"):
             heatmap_matrix(params, config, out_of_range)
 
@@ -432,9 +427,7 @@ class TestCsvRoundTrips:
     def test_heatmap_csv_quotes_labels(self, tmp_path):
         config = ModelConfig(num_skills=4, dim=3, rnn_hidden=4, mlp_hidden=4, keep_prob=1.0)
         params = init_params(config, np.random.default_rng(27))
-        seq = ResponseSequence(
-            0, (StudentResponse(1, 1), StudentResponse(3, 0), StudentResponse(1, 0))
-        )
+        seq = ResponseSequence(0, ((1, 1), (3, 0), (1, 0)))
         hm = heatmap_matrix(params, config, seq)
         path = tmp_path / "heatmap.csv"
         write_heatmap_csv(path, hm)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kqn
-from kqn.data import ResponseSequence, StudentResponse
+from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
 from kqn.model import batch_arrays, forward_batch
 
@@ -60,8 +60,8 @@ def test_install_traces_dkt_through_the_shared_scan():
         model = DktModel(DktConfig(num_skills=3, hidden=4, keep_prob=0.5))
         params = model.init_params(np.random.default_rng(0))
         arrays = batch_arrays([
-            ResponseSequence(0, tuple(StudentResponse(e, e % 2) for e in (1, 3, 2, 2))),
-            ResponseSequence(1, tuple(StudentResponse(e, 1) for e in (2, 1, 3))),
+            ResponseSequence(0, [(e, e % 2) for e in (1, 3, 2, 2)]),
+            ResponseSequence(1, [(e, 1) for e in (2, 1, 3)]),
         ])
         tracer.active = True
         fwd = model.forward(params, *arrays, mode="train", rng=np.random.default_rng(2))

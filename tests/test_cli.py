@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import helpers
 import kqn
 from kqn.analysis import (
     ari,
@@ -20,7 +21,6 @@ from kqn.checkpoint import load_checkpoint, load_skill_vectors
 from kqn.cli import _list_option, _resolve, build_parser, main
 from kqn.data import (
     ResponseSequence,
-    StudentResponse,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -75,7 +75,7 @@ class TestSynth:
                              steps_per_student=12, guess=0.25, seed=3)
         dataset, concepts = generate_synthetic(spec)
         from_cli = load_dataset(ws / "synth" / "data.txt")
-        assert from_cli.sequences == dataset.sequences
+        helpers.assert_same_sequences(from_cli.sequences, dataset.sequences)
         ids, labels = read_clusters_csv(ws / "synth" / "concepts.csv")
         assert list(ids) == sorted(concepts)
         assert [concepts[i] for i in ids] == list(labels)
@@ -102,19 +102,19 @@ class TestSplit:
         # The triplet format stores no student ids (they are positional),
         # so compare the response content in order.
         for name, expected in (("train", split.train), ("test", split.test)):
-            assert [s.responses for s in parts[name].sequences] == \
-                [s.responses for s in expected]
+            assert [helpers.pairs(s) for s in parts[name].sequences] == \
+                [helpers.pairs(s) for s in expected]
 
     def test_parts_cover_the_dataset(self, ws):
         from collections import Counter
 
         whole = Counter(
-            seq.responses for seq in load_dataset(ws / "synth" / "data.txt").sequences
+            helpers.pairs(seq) for seq in load_dataset(ws / "synth" / "data.txt").sequences
         )
         parts = Counter()
         for name in ("train", "valid", "test"):
             part = load_dataset(ws / "split" / f"{name}.txt")
-            parts.update(seq.responses for seq in part.sequences)
+            parts.update(helpers.pairs(seq) for seq in part.sequences)
         assert parts == whole
         assert sum(parts.values()) == 30
 
@@ -188,6 +188,16 @@ class TestEvaluate:
         assert report["trials"] == n_trials == sum(
             len(seq.responses) - 1 for seq in test_ds.sequences)
 
+    def test_non_binary_flag_is_a_line_numbered_error(self, ws, tmp_path, capsys):
+        # Before flags were checked, the third record was dropped without a
+        # word and the other two were scored.
+        (tmp_path / "flags.txt").write_text("3\n1,2,3\n1,0,1\n3\n2,3,1\n0,1,0\n2\n2,3\n0,2\n")
+        rc = main(["evaluate", "--out", str(tmp_path / "out"), "--checkpoint",
+                   str(ws / "kqn4" / "checkpoint.json"), "--data", str(tmp_path / "flags.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 9: correctness flags must be 0 or 1, got 2\n"
+
     def test_skill_ids_beyond_checkpoint(self, ws, tmp_path, capsys):
         steps = ",".join(str(e) for e in range(1, 10))
         (tmp_path / "nine.txt").write_text(f"9\n{steps}\n1,0,1,0,1,0,1,0,1\n")
@@ -207,7 +217,7 @@ class TestEvaluate:
         report = json.loads((tmp_path / "out" / "eval.json").read_text())
         _, config, params = load_checkpoint(ws / "kqn4" / "checkpoint.json")
         sequences = [
-            ResponseSequence(i, tuple(StudentResponse(int(e), int(c))
+            ResponseSequence(i, tuple((int(e), int(c))
                                       for e, c in zip(es.split(","), cs.split(","))))
             for i, (es, cs) in enumerate(rows)
         ]
@@ -433,7 +443,7 @@ class TestRelabel:
         dataset = load_dataset(ws / "synth" / "data.txt")
         expected = relabel_skills(dataset, {int(k): v for k, v in mapping.items()})
         assert merged.num_skills == 3
-        assert merged.sequences == expected.sequences
+        helpers.assert_same_sequences(merged.sequences, expected.sequences)
 
     def test_mapping_must_be_an_object(self, ws, tmp_path, capsys):
         (tmp_path / "map.json").write_text("[1, 2]")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kqn.data import ResponseSequence, StudentResponse
+from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel, init_params
 from kqn.model import batch_arrays, lstm_cell
 from kqn.ops import sigmoid
@@ -18,7 +18,7 @@ def random_sequences(rng, count, num_skills, min_len=2, max_len=8):
     for sid in range(count):
         steps = int(rng.integers(min_len, max_len + 1))
         resp = tuple(
-            StudentResponse(int(rng.integers(1, num_skills + 1)), int(rng.integers(0, 2)))
+            (int(rng.integers(1, num_skills + 1)), int(rng.integers(0, 2)))
             for _ in range(steps)
         )
         seqs.append(ResponseSequence(student_id=sid, responses=resp))
@@ -32,30 +32,30 @@ def hybrid_model(encoding="correctness"):
 
 
 def dkt_kqn_input(response, encoding="correctness"):
-    """Hybrid input vector of one response, through the batched step input."""
-    step = hybrid_model(encoding).step_inputs(
-        np.array([[response.skill]]), np.array([[response.correct]])
-    )
+    """Hybrid input vector of one (skill, correct) response, through the
+    batched step input."""
+    skill, correct = response
+    step = hybrid_model(encoding).step_inputs(np.array([[skill]]), np.array([[correct]]))
     return step(0, np.array([0]))[0]
 
 
 class TestHybridInput:
     def test_correctness_encoding_examples(self):
-        wrong = dkt_kqn_input(StudentResponse(1, 0))
-        right = dkt_kqn_input(StudentResponse(1, 1))
+        wrong = dkt_kqn_input((1, 0))
+        right = dkt_kqn_input((1, 1))
         assert_allclose(wrong, [0.0, 0.0, 0.6, 0.8])
         assert_allclose(right, [1.0, 0.0, 0.6, 0.8])
 
     def test_signed_encoding_examples(self):
-        wrong = dkt_kqn_input(StudentResponse(1, 0), encoding="signed")
-        right = dkt_kqn_input(StudentResponse(2, 1), encoding="signed")
+        wrong = dkt_kqn_input((1, 0), encoding="signed")
+        right = dkt_kqn_input((2, 1), encoding="signed")
         assert_allclose(wrong, [-1.0, 0.0, 0.6, 0.8])
         assert_allclose(right, [0.0, 1.0, 1.0, 0.0])
 
     def test_missing_skill_and_bad_encoding_raise(self):
         model = hybrid_model()
         params = model.init_params(np.random.default_rng(0))
-        seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(3, 1)))
+        seq = ResponseSequence(0, ((1, 1), (3, 1)))
         with pytest.raises(ValueError, match="outside 1..2"):
             model.forward(params, *batch_arrays([seq]))
         with pytest.raises(ValueError, match="encoding"):
@@ -121,21 +121,19 @@ class TestDktForward:
         config = DktConfig(num_skills=3, hidden=4, keep_prob=1.0)
         model = DktModel(config)
         params = model.init_params(np.random.default_rng(4))
-        seq = ResponseSequence(
-            0, (StudentResponse(2, 1), StudentResponse(1, 0), StudentResponse(3, 1))
-        )
+        seq = ResponseSequence(0, ((2, 1), (1, 0), (3, 1)))
         fwd = model.forward(params, *batch_arrays([seq]))
 
         h = np.zeros((1, 4))
         c = np.zeros((1, 4))
-        for j, resp in enumerate(seq.responses[:-1]):
+        for j, (skill, correct) in enumerate(seq.responses[:-1]):
             x = np.zeros((1, 6))
-            x[0, resp.skill - 1 + resp.correct * 3] = 1.0
+            x[0, skill - 1 + correct * 3] = 1.0
             h, c, _ = lstm_cell(x, h, c, params["rnn_wx"], params["rnn_wh"], params["rnn_b"])
             a = h @ params["out_w"].T + params["out_b"]
-            nxt = seq.responses[j + 1]
-            assert_allclose(fwd.probs[j, 0], sigmoid(float(a[0, nxt.skill - 1])), rtol=1e-12)
-            assert fwd.targets[j, 0] == nxt.correct
+            next_skill, next_correct = seq.responses[j + 1]
+            assert_allclose(fwd.probs[j, 0], sigmoid(float(a[0, next_skill - 1])), rtol=1e-12)
+            assert fwd.targets[j, 0] == next_correct
 
     @pytest.mark.parametrize("mode, encoding", [
         ("onehot", "correctness"), ("hybrid", "correctness"), ("hybrid", "signed"),
@@ -160,7 +158,7 @@ class TestDktForward:
         config = DktConfig(num_skills=2, keep_prob=1.0)
         model = DktModel(config)
         params = model.init_params(np.random.default_rng(5))
-        seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(3, 0)))
+        seq = ResponseSequence(0, ((1, 1), (3, 0)))
         skills, corrects, lengths = batch_arrays([seq])
         with pytest.raises(ValueError, match="1..2"):
             model.forward(params, skills, corrects, lengths)
@@ -169,7 +167,7 @@ class TestDktForward:
         config = DktConfig(num_skills=2, keep_prob=1.0)
         model = DktModel(config)
         params = model.init_params(np.random.default_rng(6))
-        seq = ResponseSequence(0, (StudentResponse(1, 1),))
+        seq = ResponseSequence(0, ((1, 1),))
         with pytest.raises(ValueError, match="at least 2 responses"):
             model.forward(params, *batch_arrays([seq]))
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kqn.data import ResponseSequence, StudentResponse
+from kqn.data import ResponseSequence
 from kqn.model import (
     KqnModel,
     ModelConfig,
@@ -21,7 +23,13 @@ from kqn.model import (
 )
 from kqn.ops import sigmoid
 
-from helpers import finite_diff, kqn_gradient_errors, max_rel_err, reference_step_loop
+from helpers import (
+    batch_arrays_loop,
+    finite_diff,
+    kqn_gradient_errors,
+    max_rel_err,
+    reference_step_loop,
+)
 
 
 def random_sequences(rng, count, num_skills, min_len=2, max_len=9):
@@ -29,7 +37,7 @@ def random_sequences(rng, count, num_skills, min_len=2, max_len=9):
     for sid in range(count):
         steps = int(rng.integers(min_len, max_len + 1))
         resp = tuple(
-            StudentResponse(int(rng.integers(1, num_skills + 1)), int(rng.integers(0, 2)))
+            (int(rng.integers(1, num_skills + 1)), int(rng.integers(0, 2)))
             for _ in range(steps)
         )
         seqs.append(ResponseSequence(student_id=sid, responses=resp))
@@ -55,14 +63,14 @@ class TestEncodeResponse:
         config = ModelConfig(num_skills=2, dim=2, rnn_hidden=3, mlp_hidden=3, keep_prob=1.0)
         params = init_params(config, np.random.default_rng(0))
         for bad in (0, 3):
-            seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(bad, 0)))
+            seq = ResponseSequence(0, ((1, 1), (bad, 0)))
             with pytest.raises(ValueError, match="outside 1..2"):
                 forward_batch(*batch_arrays([seq]), params, config)
 
     def test_rows_past_the_last_scored_step_stay_zero(self):
         seqs = [
-            ResponseSequence(0, (StudentResponse(2, 1), StudentResponse(1, 0))),
-            ResponseSequence(1, (StudentResponse(1, 0),) * 3),
+            ResponseSequence(0, ((2, 1), (1, 0))),
+            ResponseSequence(1, ((1, 0),) * 3),
         ]
         skills, corrects, _ = batch_arrays(seqs)
         x = onehot_inputs(skills, corrects, 2)(1, np.array([1]))
@@ -190,11 +198,11 @@ class TestSkillEncoder:
         config, params = self.make_params()
         table, _ = encode_skill_table(params)
         for e in range(1, 7):
-            seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(e, 0)))
+            seq = ResponseSequence(0, ((1, 1), (e, 0)))
             fwd = forward_batch(*batch_arrays([seq]), params, config)
             assert_allclose(fwd.probs[0, 0], sigmoid(fwd.knowledge_states[0, 0] @ table[e - 1]),
                             rtol=1e-12)
-        seq = ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(7, 0)))
+        seq = ResponseSequence(0, ((1, 1), (7, 0)))
         with pytest.raises(ValueError):
             forward_batch(*batch_arrays([seq]), params, config)
 
@@ -263,13 +271,22 @@ class TestQuery:
 class TestBatchArrays:
     def test_padding_and_lengths(self):
         seqs = [
-            ResponseSequence(0, (StudentResponse(3, 1), StudentResponse(2, 0))),
-            ResponseSequence(1, (StudentResponse(4, 1),)),
+            ResponseSequence(0, ((3, 1), (2, 0))),
+            ResponseSequence(1, ((4, 1),)),
         ]
         skills, corrects, lengths = batch_arrays(seqs)
         assert skills.tolist() == [[3, 2], [4, 1]]
         assert corrects.tolist() == [[1, 0], [1, 0]]
         assert lengths.tolist() == [2, 1]
+
+    @settings(deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(1, 500), st.integers(0, 1)),
+                             min_size=1, max_size=15), max_size=10))
+    def test_scatter_matches_per_response_loop(self, logs):
+        seqs = [ResponseSequence(i, pairs) for i, pairs in enumerate(logs)]
+        for got, want in zip(batch_arrays(seqs), batch_arrays_loop(seqs)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestForwardBatch:
@@ -321,14 +338,7 @@ class TestForwardBatch:
     def test_targets_are_next_trial_correctness(self):
         config = self.make()
         params = init_params(config, np.random.default_rng(14))
-        seq = ResponseSequence(
-            0,
-            (
-                StudentResponse(1, 1),
-                StudentResponse(3, 0),
-                StudentResponse(2, 1),
-            ),
-        )
+        seq = ResponseSequence(0, ((1, 1), (3, 0), (2, 1)))
         skills, corrects, lengths = batch_arrays([seq])
         fwd = forward_batch(skills, corrects, lengths, params, config)
         assert fwd.targets[:, 0].tolist() == [0.0, 1.0]
@@ -337,8 +347,8 @@ class TestForwardBatch:
         config = self.make()
         params = init_params(config, np.random.default_rng(15))
         seqs = [
-            ResponseSequence(0, (StudentResponse(1, 1), StudentResponse(2, 0))),
-            ResponseSequence(1, (StudentResponse(1, 1),)),
+            ResponseSequence(0, ((1, 1), (2, 0))),
+            ResponseSequence(1, ((1, 1),)),
         ]
         with pytest.raises(ValueError, match="at least 2 responses"):
             forward_batch(*batch_arrays(seqs), params, config)
@@ -382,8 +392,8 @@ class TestForwardBatch:
         seq = random_sequences(np.random.default_rng(24), 1, config.num_skills, 5, 5)[0]
         fwd = forward_batch(*batch_arrays([seq]), params, config)
         expected = -sum(
-            np.log(p) if resp.correct == 1 else np.log(1.0 - p)
-            for p, resp in zip(fwd.probs[:, 0], seq.responses[1:])
+            np.log(p) if correct == 1 else np.log(1.0 - p)
+            for p, correct in zip(fwd.probs[:, 0], seq.responses[1:, 1])
         )
         assert_allclose(fwd.loss_sum(), expected, rtol=1e-12)
         empty = forward_batch(*batch_arrays([]), params, config)

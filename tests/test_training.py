@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kqn.data import ResponseSequence, StudentResponse
+from kqn.data import ResponseSequence
 from kqn.model import ModelConfig, KqnModel
 from kqn.training import (
     AdamState,
@@ -83,7 +83,7 @@ class TestAdam:
 class TestSplitData:
     def make(self, n):
         return [
-            ResponseSequence(i, (StudentResponse(1, 0), StudentResponse(2, 1)))
+            ResponseSequence(i, ((1, 0), (2, 1)))
             for i in range(n)
         ]
 
@@ -153,7 +153,7 @@ class TestTrain:
         assert len(records) >= result.metrics.best_epoch + cfg.patience
 
     def test_single_response_sequences_skipped_and_counted(self, tiny_synthetic):
-        stub = ResponseSequence(999, (StudentResponse(1, 1),))
+        stub = ResponseSequence(999, ((1, 1),))
         cfg = tiny_train_cfg(epochs_validation=1)
         result = train(
             KqnModel(TINY_CONFIG),

@@ -16,14 +16,12 @@ from .analysis import (
     Heatmap,
     MantelResult,
     SensitivityReport,
-    SkillPairGeometry,
     ari,
     flat_clusters,
     hcluster,
     heatmap_matrix,
     mantel,
-    odds_ratio_identity_check,
-    pair_geometry,
+    odds_ratio_identity,
     pairwise_distances,
     sensitivity_stats,
 )
@@ -50,11 +48,9 @@ from .model import (
     BatchForward,
     KqnModel,
     ModelConfig,
-    Prediction,
     batch_arrays,
     encode_skill_table,
     forward_batch,
-    query,
 )
 from .training import (
     GridSpec,
@@ -72,14 +68,12 @@ __all__ = [
     "Heatmap",
     "MantelResult",
     "SensitivityReport",
-    "SkillPairGeometry",
     "ari",
     "flat_clusters",
     "hcluster",
     "heatmap_matrix",
     "mantel",
-    "odds_ratio_identity_check",
-    "pair_geometry",
+    "odds_ratio_identity",
     "pairwise_distances",
     "sensitivity_stats",
     "export_skill_vectors",
@@ -101,11 +95,9 @@ __all__ = [
     "BatchForward",
     "KqnModel",
     "ModelConfig",
-    "Prediction",
     "batch_arrays",
     "encode_skill_table",
     "forward_batch",
-    "query",
     "GridSpec",
     "TrainConfig",
     "evaluate",

@@ -81,56 +81,33 @@ def pairwise_distances(vectors, kind: str) -> DistanceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Pair geometry and the odds-ratio identity
+# The odds-ratio identity
 
 
-@dataclass(frozen=True)
-class SkillPairGeometry:
-    """A pair of unit skill vectors with their difference direction and
-    both distances."""
+def odds_ratio_identity(ks, table):
+    """Both sides of the squared log odds-ratio identity for every skill
+    pair i < j, as condensed arrays in np.triu_indices order.
 
-    s_i: np.ndarray
-    s_j: np.ndarray
-    delta: np.ndarray
-    d_euclid: float
-    d_cos: float
-
-
-def pair_geometry(s_i, s_j) -> SkillPairGeometry:
-    """Geometry of one skill pair; raises for (near-)identical vectors,
-    whose difference direction is undefined."""
-    a = np.asarray(s_i, dtype=float)
-    b = np.asarray(s_j, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"vectors must be 1-d with equal length, got {a.shape}, {b.shape}")
-    diff = a - b
-    norm = float(np.linalg.norm(diff))
-    if norm < 1e-12:
-        raise ValueError("skill vectors are identical; pair direction is undefined")
-    return SkillPairGeometry(
-        s_i=a,
-        s_j=b,
-        delta=diff / norm,
-        d_euclid=norm,
-        d_cos=1.0 - float(a @ b),
-    )
-
-
-def odds_ratio_identity_check(ks, geometry: SkillPairGeometry):
-    """Evaluate both sides of the squared log odds-ratio identity.
-
-    lhs goes through the probabilistic route (query both skills, take the
-    odds); rhs is pure geometry: (ks . delta)^2 * d_euclid^2. For unit
-    skill vectors the two agree to rounding.
+    lhs goes through the probabilistic route: the log odds of
+    sigmoid(table @ ks), differenced per pair and squared. rhs is pure
+    geometry: (ks . delta_ij)^2 * d_ij^2, with delta_ij the unit direction
+    of s_i - s_j and d_ij their pairwise Euclidean distance. The rows must
+    be unit vectors, and then the two sides agree to rounding. Raises for
+    (near-)identical rows, whose difference direction is undefined.
     """
-    from .model import query
-
     ks = np.asarray(ks, dtype=float)
-    q_i = query(ks, geometry.s_i)
-    q_j = query(ks, geometry.s_j)
-    lhs = (np.log(q_i.odds) - np.log(q_j.odds)) ** 2
-    rhs = float(ks @ geometry.delta) ** 2 * geometry.d_euclid ** 2
-    return float(lhs), float(rhs)
+    table = np.asarray(table, dtype=float)
+    i, j = np.triu_indices(len(table), k=1)
+    diff = table[i] - table[j]
+    norm = np.linalg.norm(diff, axis=1)
+    if np.any(norm < 1e-12):
+        raise ValueError("skill vectors are identical; pair direction is undefined")
+    p = sigmoid(table @ ks)
+    log_odds = np.log(p) - np.log1p(-p)
+    lhs = (log_odds[i] - log_odds[j]) ** 2
+    dist = pairwise_distances(table, "euclidean").values[i, j]
+    rhs = (diff @ ks / norm) ** 2 * dist ** 2
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,11 @@ class ResponseSequence:
         return len(self.responses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """A named set of response sequences over skills 1..num_skills;
+    equality is identity, as for the sequences it holds."""
+
     name: str
     num_skills: int
     sequences: tuple[ResponseSequence, ...]

@@ -2,15 +2,12 @@
 
 AUC is computed with the rank-statistic (Mann-Whitney) formulation using
 tie-averaged ranks, which is O(n log n) and matches pair counting exactly,
-ties counted as half.
+ties counted as half. Cross-entropy is taken from logits, so it is exact
+and finite for every finite prediction.
 """
 from __future__ import annotations
 
 import numpy as np
-
-# Probabilities are clamped into [P_CLAMP, 1 - P_CLAMP] inside the loss so
-# log stays finite even for saturated predictions.
-P_CLAMP = 1e-7
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -48,8 +45,8 @@ def auc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def binary_cross_entropy(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Elementwise -[c log p + (1-c) log(1-p)] with p clamped away from 0/1."""
-    p = np.clip(np.asarray(probs, dtype=float), P_CLAMP, 1.0 - P_CLAMP)
-    c = np.asarray(targets, dtype=float)
-    return -(c * np.log(p) + (1.0 - c) * np.log1p(-p))
+def binary_cross_entropy(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Elementwise -[c log p + (1-c) log(1-p)] for p = sigmoid(y), computed
+    as softplus((1 - 2c) y). Its derivative in y is p - c."""
+    z = (1.0 - 2.0 * np.asarray(targets, dtype=float)) * np.asarray(logits, dtype=float)
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .metrics import P_CLAMP, binary_cross_entropy
+from .metrics import binary_cross_entropy
 from .ops import dropout_mask, l2_normalize_rows, l2_normalize_rows_backward, sigmoid
 
 Params = dict[str, np.ndarray]
@@ -191,12 +191,14 @@ def gru_cell_backward(dh, cache, wx, wh):
 class BatchForward:
     """Everything produced by one batched forward pass.
 
-    probs, targets, valid are (S, B); position (j, b) is student b's
-    prediction for trial j+1. knowledge_states (S, B, d) and skill_table
+    logits, probs = sigmoid(logits), targets and valid are (S, B); position
+    (j, b) is student b's prediction for trial j+1. The loss and its
+    gradient read the logits. knowledge_states (S, B, d) and skill_table
     (N, d) are filled by the query model and None for DKT. cache is
     populated only in train mode.
     """
 
+    logits: np.ndarray
     probs: np.ndarray
     targets: np.ndarray
     valid: np.ndarray
@@ -209,6 +211,7 @@ class BatchForward:
         """Wrap a head's (S, B) logits with their targets and validity mask."""
         s_steps = logits.shape[0]
         return cls(
+            logits=logits,
             probs=sigmoid(logits),
             targets=next_trials(corrects, s_steps).astype(float),
             valid=np.arange(s_steps)[:, None] < lengths - 1,
@@ -222,20 +225,13 @@ class BatchForward:
 
     def loss_sum(self) -> float:
         """Cross-entropy summed over valid trials."""
-        if self.num_valid == 0:
-            return 0.0
         return float(
-            np.sum(binary_cross_entropy(self.probs[self.valid], self.targets[self.valid]))
+            np.sum(binary_cross_entropy(self.logits[self.valid], self.targets[self.valid]))
         )
 
     def logit_grad(self) -> np.ndarray:
-        """Gradient of loss_sum() with respect to each (S, B) logit.
-
-        Trials whose probability sits on a clamp boundary contribute zero,
-        matching the piecewise-flat clamped loss there.
-        """
-        interior = (self.probs > P_CLAMP) & (self.probs < 1.0 - P_CLAMP)
-        return np.where(self.valid & interior, self.probs - self.targets, 0.0)
+        """Gradient of loss_sum() with respect to each (S, B) logit."""
+        return np.where(self.valid, self.probs - self.targets, 0.0)
 
 
 def batch_arrays(sequences):
@@ -392,39 +388,6 @@ def skill_table_backward(d_table: np.ndarray, cache: dict, params: Params) -> Pa
         "mlp_w1": dw1,
         "mlp_b1": db1,
     }
-
-
-# ---------------------------------------------------------------------------
-# Query head
-
-# Odds are reported from a probability nudged strictly inside (0, 1) so the
-# ratio stays finite even for saturated predictions.
-_ODDS_LO = 1e-300
-_ODDS_HI = 1.0 - 2.0 ** -53
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One query outcome: raw logit, probability, and odds p/(1-p)."""
-
-    logit: float
-    prob: float
-    odds: float
-
-
-def query(knowledge_state: np.ndarray, skill_vector: np.ndarray) -> Prediction:
-    """Dot-product query of a knowledge state by a skill vector."""
-    ks = np.asarray(knowledge_state, dtype=float)
-    s = np.asarray(skill_vector, dtype=float)
-    if ks.shape != s.shape or ks.ndim != 1:
-        raise ValueError(
-            f"knowledge state and skill vector must be 1-d with equal length, "
-            f"got {ks.shape} and {s.shape}"
-        )
-    y = float(ks @ s)
-    p = sigmoid(y)
-    pc = min(max(p, _ODDS_LO), _ODDS_HI)
-    return Prediction(logit=y, prob=p, odds=pc / (1.0 - pc))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,10 @@ NORM_EPS = 1e-12
 
 
 def sigmoid(u):
-    """Logistic function 1/(1+exp(-u)), overflow-safe, elementwise.
-
-    Scalars in, float out; arrays in, array out.
-    """
+    """Logistic function 1/(1+exp(-u)), overflow-safe, elementwise."""
     arr = np.asarray(u, dtype=float)
     e = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(arr >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def l2_normalize_rows(m: np.ndarray):

@@ -3,8 +3,8 @@ with bias correction, student-level data splits, early stopping on
 validation AUC, hyperparameter grid search, and the metrics CSV format.
 
 A trainable model is anything exposing init_params(rng), forward(params,
-skills, corrects, lengths, mode, rng) returning an object with probs,
-targets, valid, loss_sum() and num_valid, and backward(params, fwd).
+skills, corrects, lengths, mode, rng) returning an object with logits,
+probs, targets, valid, loss_sum() and num_valid, and backward(params, fwd).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .metrics import auc_scores, binary_cross_entropy
+from .metrics import auc_scores
 from .model import KqnModel, ModelConfig, Params, batch_arrays
 
 
@@ -159,7 +159,8 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
     Single-response sequences are skipped (nothing to predict) and counted
     in metrics.skipped. All randomness (init, shuffles, dropout) comes from
-    one generator seeded with cfg.seed.
+    one generator seeded with cfg.seed. A non-finite batch loss raises
+    ValueError naming the epoch and batch, before that batch's update.
     """
     t0 = time.monotonic()
     train_kept, skipped_train = _scoreable(train_seqs)
@@ -183,11 +184,16 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
         order = rng.permutation(len(train_kept))
         loss_total = 0.0
         trials_total = 0
-        for idx_batch in _batches(order, cfg.batch_size):
+        for batch_no, idx_batch in enumerate(_batches(order, cfg.batch_size), start=1):
             batch = [train_kept[i] for i in idx_batch]
             skills, corrects, lengths = batch_arrays(batch)
             fwd = model.forward(params, skills, corrects, lengths, mode="train", rng=rng)
-            loss_total += fwd.loss_sum()
+            loss = fwd.loss_sum()
+            if not np.isfinite(loss):
+                raise ValueError(
+                    f"training diverged: epoch {epoch} batch {batch_no} loss is {loss}"
+                )
+            loss_total += loss
             trials_total += fwd.num_valid
             grads = model.backward(params, fwd)
             adam_step(params, grads, state, cfg)
@@ -222,14 +228,15 @@ def evaluate(model, params: Params, sequences, batch_size: int = 128):
         raise ValueError("no scoreable sequences to evaluate")
     probs = []
     targets = []
+    loss_total = 0.0
     for batch in _batches(kept, batch_size):
         skills, corrects, lengths = batch_arrays(list(batch))
         fwd = model.forward(params, skills, corrects, lengths, mode="eval")
         probs.append(fwd.probs[fwd.valid])
         targets.append(fwd.targets[fwd.valid])
+        loss_total += fwd.loss_sum()
     p = np.concatenate(probs)
-    c = np.concatenate(targets)
-    return auc_scores(p, c), float(np.mean(binary_cross_entropy(p, c))), len(p)
+    return auc_scores(p, np.concatenate(targets)), loss_total / len(p), len(p)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,6 @@ def kqn_gradient_errors(rnn_kind):
 def reference_step_loop(model, params, skills, corrects, lengths, rng):
     """Train-mode (probs, grads) of a KqnModel or DktModel, one step at a
     time."""
-    from kqn.metrics import P_CLAMP
     from kqn.model import encode_skill_table, gru_cell, gru_cell_backward, lstm_cell
     from kqn.model import lstm_cell_backward, onehot_inputs, skill_table_backward
     from kqn.ops import dropout_mask, sigmoid
@@ -183,8 +182,7 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
 
     targets = corrects[:, 1:].T
     valid = np.arange(s_steps)[:, None] < lengths - 1
-    interior = (probs > P_CLAMP) & (probs < 1.0 - P_CLAMP)
-    dy = np.where(valid & interior, probs - targets, 0.0)
+    dy = np.where(valid, probs - targets, 0.0)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_table = np.zeros_like(table) if kqn else None
     dh_rec, dc_rec = np.zeros((bsz, hh)), np.zeros((bsz, hh))

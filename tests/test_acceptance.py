@@ -27,8 +27,7 @@ from kqn.analysis import (
     hcluster,
     heatmap_matrix,
     mantel,
-    odds_ratio_identity_check,
-    pair_geometry,
+    odds_ratio_identity,
     pairwise_distances,
     sensitivity_stats,
 )
@@ -67,15 +66,16 @@ def test_criterion_2_geometry_identities():
     worst_factor2 = 0.0
     for _ in range(1000):
         dim = int(rng.integers(2, 17))
-        u, v = helpers.random_unit_vectors(2, dim, rng)
-        geo = pair_geometry(u, v)
-        worst_factor2 = max(worst_factor2, abs(geo.d_euclid**2 - 2.0 * geo.d_cos))
+        pair = helpers.random_unit_vectors(2, dim, rng)
+        d_euclid = pairwise_distances(pair, "euclidean").values[0, 1]
+        d_cos = pairwise_distances(pair, "cosine").values[0, 1]
+        worst_factor2 = max(worst_factor2, abs(d_euclid**2 - 2.0 * d_cos))
     worst_odds = 0.0
     for _ in range(1000):
         dim = int(rng.integers(2, 17))
-        u, v = helpers.random_unit_vectors(2, dim, rng)
+        pair = helpers.random_unit_vectors(2, dim, rng)
         ks = rng.normal(size=dim)
-        lhs, rhs = odds_ratio_identity_check(ks, pair_geometry(u, v))
+        (lhs,), (rhs,) = odds_ratio_identity(ks, pair)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
         worst_odds = max(worst_odds, rel)
     ok = worst_factor2 <= 1e-10 and worst_odds <= 1e-8

@@ -12,8 +12,7 @@ from kqn.analysis import (
     hcluster,
     heatmap_matrix,
     mantel,
-    odds_ratio_identity_check,
-    pair_geometry,
+    odds_ratio_identity,
     pairwise_distances,
     read_clusters_csv,
     read_dendrogram_csv,
@@ -83,37 +82,40 @@ class TestPairwiseDistances:
 
 class TestOddsRatioIdentity:
     def test_hand_case_lhs_equals_rhs_equals_one(self):
-        geom = pair_geometry(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        lhs, rhs = odds_ratio_identity_check(np.array([1.0, 0.0]), geom)
-        assert_allclose(lhs, 1.0, rtol=1e-12)
-        assert_allclose(rhs, 1.0, rtol=1e-12)
+        lhs, rhs = odds_ratio_identity(np.array([1.0, 0.0]), np.eye(2))
+        assert_allclose(lhs, [1.0], rtol=1e-12)
+        assert_allclose(rhs, [1.0], rtol=1e-12)
 
     def test_orthogonal_state_gives_zero_both_sides(self):
-        geom = pair_geometry(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        lhs, rhs = odds_ratio_identity_check(np.array([1.0, 1.0]), geom)
-        assert_allclose(lhs, 0.0, atol=1e-24)
-        assert_allclose(rhs, 0.0, atol=1e-24)
+        lhs, rhs = odds_ratio_identity(np.array([1.0, 1.0]), np.eye(2))
+        assert_allclose(lhs, [0.0], atol=1e-24)
+        assert_allclose(rhs, [0.0], atol=1e-24)
 
     def test_random_draws_agree(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             d = int(rng.integers(2, 10))
-            v = random_unit_vectors(2, d, rng)
+            v = random_unit_vectors(int(rng.integers(2, 6)), d, rng)
             ks = rng.normal(scale=2.0, size=d)
-            lhs, rhs = odds_ratio_identity_check(ks, pair_geometry(v[0], v[1]))
-            denom = max(abs(lhs), abs(rhs), 1e-12)
-            assert abs(lhs - rhs) / denom <= 1e-8
+            lhs, rhs = odds_ratio_identity(ks, v)
+            denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
+            assert np.max(np.abs(lhs - rhs) / denom) <= 1e-8
 
     def test_identical_vectors_rejected(self):
-        v = np.array([0.6, 0.8])
+        v = np.array([[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]])
         with pytest.raises(ValueError, match="identical"):
-            pair_geometry(v, v)
+            odds_ratio_identity(np.ones(2), v)
 
     def test_geometry_fields(self):
-        geom = pair_geometry(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert_allclose(geom.d_euclid, np.sqrt(2.0), rtol=1e-12)
-        assert_allclose(geom.d_cos, 1.0, rtol=1e-12)
-        assert_allclose(np.linalg.norm(geom.delta), 1.0, rtol=1e-12)
+        # Condensed pair order is np.triu_indices order, and the right side
+        # is (ks . (s_i - s_j))^2 for each pair.
+        rng = np.random.default_rng(5)
+        v = random_unit_vectors(4, 3, rng)
+        ks = rng.normal(size=3)
+        lhs, rhs = odds_ratio_identity(ks, v)
+        assert lhs.shape == rhs.shape == (6,)
+        i, j = np.triu_indices(4, k=1)
+        assert_allclose(rhs, ((v[i] - v[j]) @ ks) ** 2, rtol=1e-12)
 
 
 class TestHcluster:

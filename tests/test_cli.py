@@ -172,6 +172,18 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: repeats must be at least 1")
         assert not (tmp_path / "r0").exists()
 
+    def test_diverging_fit_is_an_error(self, ws, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--out", str(tmp_path / "div"),
+                       "--train", str(ws / "split" / "train.txt"),
+                       "--valid", str(ws / "split" / "valid.txt"),
+                       "--dim", "3", "--rnn-hidden", "4", "--mlp-hidden", "4",
+                       "--batch-size", "8", "--alpha", "1e300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: epoch 1 batch ")
+        assert not (tmp_path / "div" / "metrics.csv").exists()
+
 
 class TestEvaluate:
     def test_matches_library_evaluate(self, ws, tmp_path):

@@ -224,6 +224,13 @@ class TestSequenceTypes:
         with pytest.raises(ValueError, match="shape"):
             ResponseSequence(0, [4, 1])
 
+    def test_dataset_equality_is_identity(self):
+        seqs = (ResponseSequence(0, ((1, 1), (2, 0))),)
+        ds = Dataset(name="d", num_skills=2, sequences=seqs)
+        assert ds == ds
+        assert ds != Dataset(name="d", num_skills=2, sequences=seqs)
+        assert len({ds, ds}) == 1
+
 
 # Random ragged response logs over sparse skill ids.
 _PAIRS = st.lists(st.tuples(st.integers(1, 2**63 - 1), st.integers(0, 1)), min_size=1, max_size=12)

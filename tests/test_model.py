@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kqn.analysis import odds_ratio_identity
 from kqn.data import ResponseSequence
 from kqn.model import (
+    BatchForward,
     KqnModel,
     ModelConfig,
-    Prediction,
     batch_arrays,
     encode_skill_table,
     forward_batch,
@@ -18,7 +19,6 @@ from kqn.model import (
     lstm_cell,
     lstm_cell_backward,
     onehot_inputs,
-    query,
     skill_table_backward,
 )
 from kqn.ops import sigmoid
@@ -236,36 +236,53 @@ class TestSkillEncoder:
 
 
 class TestQuery:
+    """The query head: logit KS . s for the next trial's skill vector."""
+
+    CONFIG = ModelConfig(num_skills=5, dim=4, rnn_hidden=6, mlp_hidden=6, keep_prob=1.0)
+
+    def forward(self, **overrides):
+        params = init_params(self.CONFIG, np.random.default_rng(9))
+        params.update(overrides)
+        seqs = random_sequences(np.random.default_rng(10), 4, self.CONFIG.num_skills)
+        skills, corrects, lengths = batch_arrays(seqs)
+        return forward_batch(skills, corrects, lengths, params, self.CONFIG), skills
+
     def test_logit_prob_odds(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            ks = rng.normal(size=4)
-            s = rng.normal(size=4)
-            s = s / np.linalg.norm(s)
-            pred = query(ks, s)
-            assert_allclose(pred.logit, float(ks @ s), rtol=1e-12)
-            assert_allclose(pred.prob, sigmoid(float(ks @ s)), rtol=1e-12)
-            assert_allclose(pred.odds, pred.prob / (1.0 - pred.prob), rtol=1e-12)
+        fwd, skills = self.forward()
+        s_sel = fwd.skill_table[skills[:, 1:].T - 1]
+        assert_allclose(fwd.logits, np.sum(fwd.knowledge_states * s_sel, axis=2), rtol=1e-12)
+        assert np.array_equal(fwd.probs, sigmoid(fwd.logits))
+        assert_allclose(np.log(fwd.probs / (1.0 - fwd.probs)), fwd.logits, atol=1e-12)
 
     def test_zero_state_gives_even_odds(self):
-        pred = query(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert pred.prob == 0.5
-        assert pred.odds == 1.0
+        fwd, _ = self.forward(proj_w=np.zeros((4, 6)), proj_b=np.zeros(4))
+        assert np.all(fwd.logits == 0.0)
+        assert np.all(fwd.probs == 0.5)
 
     def test_saturated_predictions_keep_finite_odds(self):
-        hi = query(np.array([1e4]), np.array([1.0]))
-        lo = query(np.array([-1e4]), np.array([1.0]))
-        assert np.isfinite(hi.odds) and hi.odds > 0
-        assert np.isfinite(lo.odds) and lo.odds > 0
+        # Skill vectors are non-negative unit vectors, so every logit is of
+        # size 1e4 or more and every probability rounds to 1 or 0; the
+        # logits, the loss and its gradient stay finite.
+        for sign in (1.0, -1.0):
+            fwd, _ = self.forward(proj_b=np.full(4, sign * 1e4))
+            assert np.all(fwd.probs[fwd.valid] == (sign > 0))
+            assert np.all(np.isfinite(fwd.logits))
+            assert np.isfinite(fwd.loss_sum()) and fwd.loss_sum() > 1e4
+            assert np.all(np.abs(fwd.logit_grad()) <= 1.0)
 
     def test_shape_mismatch_raises(self):
+        # The batched query sigmoid(table @ ks) rejects a state of the wrong length.
         with pytest.raises(ValueError):
-            query(np.zeros(3), np.zeros(4))
+            odds_ratio_identity(np.zeros(3), np.eye(4))
 
-    def test_prediction_frozen(self):
-        pred = query(np.zeros(2), np.array([1.0, 0.0]))
-        with pytest.raises((AttributeError, TypeError)):
-            pred.prob = 0.9
+
+class TestBatchForward:
+    def test_confidently_wrong_trial_keeps_its_gradient(self):
+        fwd = BatchForward.from_logits(
+            np.array([[-40.0]]), np.array([[0, 1]]), np.array([2]), cache=None
+        )
+        assert_allclose(fwd.logit_grad(), [[-1.0]], rtol=1e-12)
+        assert_allclose(fwd.loss_sum(), 40.0, rtol=1e-12)
 
 
 class TestBatchArrays:

@@ -24,11 +24,6 @@ class TestSigmoid:
             assert sigmoid(800.0) == 1.0
             assert sigmoid(-800.0) == 0.0
 
-    def test_scalar_in_float_out(self):
-        out = sigmoid(0.0)
-        assert isinstance(out, float)
-        assert out == 0.5
-
     def test_backward_matches_finite_differences(self):
         # The cell backward passes use s * (1 - s) as the sigmoid's slope.
         rng = np.random.default_rng(4)

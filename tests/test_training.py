@@ -129,6 +129,13 @@ class TestTrain:
         assert len(losses) == 3
         assert losses[0] > losses[1] > losses[2]
 
+    def test_non_finite_loss_raises_naming_epoch_and_batch(self, tiny_synthetic):
+        # Adam's first step moves every weight by about 1e300, so the next
+        # batch's forward pass overflows.
+        seqs = tiny_synthetic.dataset.sequences
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"epoch 1 batch 2 "):
+            train(KqnModel(TINY_CONFIG), seqs[:40], seqs[40:], tiny_train_cfg(adam_alpha=1e300))
+
     def test_returned_params_are_best_validation_epoch(self, tiny_synthetic):
         cfg = tiny_train_cfg(epochs_validation=8)
         model = KqnModel(TINY_CONFIG)

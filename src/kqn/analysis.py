@@ -9,16 +9,14 @@ for all of them.
 """
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .model import ModelConfig, Params, batch_arrays, encode_skill_table, forward_batch
+from .model import ModelConfig, Params, batch_arrays, forward_batch
 from .ops import sigmoid
+from .tables import read_table, write_table
 
 DISTANCE_KINDS = ("cosine", "euclidean")
 LINKAGES = ("average", "centroid", "complete", "median", "single", "ward", "weighted")
@@ -102,8 +100,10 @@ def odds_ratio_identity(ks, table):
     norm = np.linalg.norm(diff, axis=1)
     if np.any(norm < 1e-12):
         raise ValueError("skill vectors are identical; pair direction is undefined")
-    p = sigmoid(table @ ks)
-    log_odds = np.log(p) - np.log1p(-p)
+    # log sigmoid(y) - log sigmoid(-y) through the stable log sigmoid(u) =
+    # -softplus(-u) = -logaddexp(0, -u), finite for every finite logit.
+    y = table @ ks
+    log_odds = np.logaddexp(0.0, y) - np.logaddexp(0.0, -y)
     lhs = (log_odds[i] - log_odds[j]) ** 2
     dist = pairwise_distances(table, "euclidean").values[i, j]
     rhs = (diff @ ks / norm) ** 2 * dist ** 2
@@ -315,7 +315,7 @@ def mantel(d1, d2, permutations: int = 999, rng=None) -> MantelResult:
     count = 0
     for _ in range(permutations):
         perm = rng.permutation(n)
-        pu2 = v2[np.ix_(perm, perm)][iu]
+        pu2 = v2[perm[iu[0]], perm[iu[1]]]
         rho_p = float(c1 @ (pu2 - mean2)) / (norm1 * norm2)
         if rho_p >= rho:
             count += 1
@@ -399,98 +399,50 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
 
 
 # ---------------------------------------------------------------------------
-# CSV formats
-
-# All floats are written with repr(float(x)) so values round-trip exactly
-# and output is byte-stable across runs.
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
+# CSV formats (see tables.py)
 
 
 def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
-    n = dmat.n
-    ids = list(skill_ids) if skill_ids is not None else list(range(1, n + 1))
-    if len(ids) != n:
-        raise ValueError(f"{len(ids)} skill ids for a {n}x{n} matrix")
-    lines = ["skill," + ",".join(str(i) for i in ids)]
-    for r in range(n):
-        lines.append(str(ids[r]) + "," + ",".join(_fmt(x) for x in dmat.values[r]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    ids = list(skill_ids) if skill_ids is not None else list(range(1, dmat.n + 1))
+    if len(ids) != dmat.n:
+        raise ValueError(f"{len(ids)} skill ids for a {dmat.n}x{dmat.n} matrix")
+    write_table(path, ["skill", *ids], ([i, *row] for i, row in zip(ids, dmat.values.tolist())))
 
 
 def read_distance_csv(path, kind: str = "euclidean"):
     """Returns (DistanceMatrix, skill_ids)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("skill,"):
-        raise ValueError(f"{path} is not a distance CSV")
-    ids = [int(tok) for tok in lines[0].split(",")[1:]]
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append([float(tok) for tok in cells[1:]])
-    values = np.array(rows)
+    header, ids, values = read_table(path, "distance", ("skill", ...))
+    if ids != [int(c) for c in header[1:]]:
+        raise ValueError(f"{path}: row skill ids differ from the header's")
     return DistanceMatrix(kind=kind, values=values), ids
 
 
 def write_dendrogram_csv(path, dend: Dendrogram) -> None:
-    lines = ["a,b,height,size"]
-    for a, b, height, size in dend.merges:
-        lines.append(f"{int(a)},{int(b)},{_fmt(height)},{int(size)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((int(a), int(b), h, int(size)) for a, b, h, size in dend.merges.tolist())
+    write_table(path, ("a", "b", "height", "size"), rows)
 
 
 def read_dendrogram_csv(path) -> Dendrogram:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "a,b,height,size":
-        raise ValueError(f"{path} is not a dendrogram CSV")
-    merges = np.zeros((len(lines) - 1, 4))
-    for t, line in enumerate(lines[1:]):
-        a, b, height, size = line.split(",")
-        merges[t] = (int(a), int(b), float(height), int(size))
-    return Dendrogram(merges=merges, num_leaves=len(merges) + 1)
+    _, a, rest = read_table(path, "dendrogram", ("a", "b", "height", "size"))
+    return Dendrogram(merges=np.column_stack([a, rest]), num_leaves=len(a) + 1)
 
 
 def write_clusters_csv(path, labels, skill_ids=None) -> None:
     ids = list(skill_ids) if skill_ids is not None else list(range(1, len(labels) + 1))
-    lines = ["skill,label"]
-    for sid, lab in zip(ids, labels):
-        lines.append(f"{sid},{int(lab)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, ("skill", "label"), ((sid, int(lab)) for sid, lab in zip(ids, labels)))
 
 
 def read_clusters_csv(path):
     """Returns (skill_ids, labels) as parallel int arrays."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "skill,label":
-        raise ValueError(f"{path} is not a cluster CSV")
-    ids = []
-    labels = []
-    for line in lines[1:]:
-        sid, lab = line.split(",")
-        ids.append(int(sid))
-        labels.append(int(lab))
-    return np.array(ids), np.array(labels)
+    _, ids, labels = read_table(path, "cluster", ("skill", "label"), dtype=int)
+    return np.array(ids), labels[:, 0]
 
 
 def write_heatmap_csv(path, hm: Heatmap) -> None:
-    # Column labels contain commas, so this one goes through a real CSV
-    # writer with quoting.
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["skill", *hm.column_labels])
-    for sid, row in zip(hm.skill_ids, hm.percent):
-        writer.writerow([sid, *[_fmt(x) for x in row]])
-    Path(path).write_text(buf.getvalue())
+    rows = ([sid, *row] for sid, row in zip(hm.skill_ids, hm.percent.tolist()))
+    write_table(path, ("skill", *hm.column_labels), rows)
 
 
 def read_heatmap_csv(path) -> Heatmap:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "skill":
-        raise ValueError(f"{path} is not a heatmap CSV")
-    labels = tuple(rows[0][1:])
-    ids = tuple(int(r[0]) for r in rows[1:])
-    percent = np.array([[float(x) for x in r[1:]] for r in rows[1:]])
-    return Heatmap(percent=percent, skill_ids=ids, column_labels=labels)
+    header, ids, percent = read_table(path, "heatmap", ("skill", ...))
+    return Heatmap(percent=percent, skill_ids=tuple(ids), column_labels=tuple(header[1:]))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dkt import DktConfig
 from .model import ModelConfig, Params, encode_skill_table
+from .tables import read_table, write_table
 
 FORMAT_VERSION = 1
 
@@ -54,21 +55,11 @@ def load_checkpoint(path):
 def export_skill_vectors(path, params: Params, config: ModelConfig) -> None:
     """Skill-vector CSV: header skill,x1..xd, one row per skill id."""
     table, _ = encode_skill_table(params)
-    lines = ["skill," + ",".join(f"x{i + 1}" for i in range(config.dim))]
-    for e in range(1, config.num_skills + 1):
-        lines.append(str(e) + "," + ",".join(repr(float(x)) for x in table[e - 1]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["skill", *(f"x{i + 1}" for i in range(config.dim))]
+    write_table(path, header, ([e, *row] for e, row in enumerate(table.tolist(), start=1)))
 
 
 def load_skill_vectors(path):
     """Returns (skill_ids, table) with table rows in file order."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("skill,"):
-        raise ValueError(f"{path} is not a skill-vector CSV")
-    ids = []
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        ids.append(int(cells[0]))
-        rows.append([float(x) for x in cells[1:]])
-    return np.array(ids), np.array(rows)
+    _, ids, table = read_table(path, "skill-vector", ("skill", ...))
+    return np.array(ids), table

@@ -23,6 +23,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DISTANCE_KINDS,
+    LINKAGES,
     ari,
     flat_clusters,
     hcluster,
@@ -51,8 +53,9 @@ from .data import (
     relabel_skills,
     save_dataset,
 )
-from .dkt import DktConfig, DktModel
-from .model import KqnModel, ModelConfig, encode_skill_table
+from .dkt import HYBRID_ENCODINGS, INPUT_MODES, DktConfig, DktModel
+from .model import RNN_KINDS, KqnModel, ModelConfig, encode_skill_table
+from .tables import write_table
 from .training import (
     GridSpec,
     TrainConfig,
@@ -62,8 +65,6 @@ from .training import (
     train,
     write_metrics_csv,
 )
-
-_DISTANCE_KINDS = ("cosine", "euclidean")
 
 # name: (type, default, choices). A list option takes comma-separated items
 # on the command line, except --vectors, which is repeated; a config file
@@ -84,13 +85,13 @@ _OPTIONS = {
     "valid": (str, None, None),
     "test": (str, None, None),
     "dim": (int, 32, None),
-    "rnn": (str, "lstm", ("lstm", "gru")),
+    "rnn": (str, "lstm", RNN_KINDS),
     "rnn_hidden": (int, 32, None),
     "mlp_hidden": (int, 32, None),
     "hidden": (int, 32, None),
     "keep_prob": (float, 0.6, None),
-    "mode": (str, "onehot", ("onehot", "hybrid")),
-    "encoding": (str, "correctness", ("correctness", "signed")),
+    "mode": (str, "onehot", INPUT_MODES),
+    "encoding": (str, "correctness", HYBRID_ENCODINGS),
     "batch_size": (int, 128, None),
     "epochs": (int, 50, None),
     "alpha": (float, 0.001, None),
@@ -103,14 +104,10 @@ _OPTIONS = {
     "checkpoint": (str, None, None),
     "skill_vectors": (str, None, None),
     "student": (int, 0, None),
-    "kind": (str, "euclidean", _DISTANCE_KINDS),
+    "kind": (str, "euclidean", DISTANCE_KINDS),
     "distances": (str, None, None),
-    "distance": (str, "euclidean", _DISTANCE_KINDS),
-    "linkage": (
-        str,
-        "average",
-        ("average", "centroid", "complete", "median", "single", "ward", "weighted"),
-    ),
+    "distance": (str, "euclidean", DISTANCE_KINDS),
+    "linkage": (str, "average", LINKAGES),
     "n": (int, 5, None),
     "labels_a": (str, None, None),
     "labels_b": (str, None, None),
@@ -389,14 +386,10 @@ def cmd_gridsearch(opts) -> int:
         keep_prob=opts["keep_prob"],
         progress=progress,
     )
-    lines = ["rnn,dim,rnn_hidden,mlp_hidden,valid_auc,best_epoch"]
-    for cell in result.cells:
-        c = cell.config
-        lines.append(
-            f"{c.rnn_kind},{c.dim},{c.rnn_hidden},{c.mlp_hidden},"
-            f"{repr(float(cell.valid_auc))},{cell.best_epoch}"
-        )
-    (outdir / "grid.csv").write_text("\n".join(lines) + "\n")
+    header = ("rnn", "dim", "rnn_hidden", "mlp_hidden", "valid_auc", "best_epoch")
+    rows = ((c.config.rnn_kind, c.config.dim, c.config.rnn_hidden, c.config.mlp_hidden,
+             c.valid_auc, c.best_epoch) for c in result.cells)
+    write_table(outdir / "grid.csv", header, rows)
     best = result.best.config
     (outdir / "best.json").write_text(
         json.dumps(

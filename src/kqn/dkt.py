@@ -30,8 +30,8 @@ from .model import (
 from .model import lstm_cell, lstm_cell_backward  # noqa: F401
 from .ops import dropout_mask, sigmoid  # noqa: F401
 
-_INPUT_MODES = ("onehot", "hybrid")
-_HYBRID_ENCODINGS = ("correctness", "signed")
+INPUT_MODES = ("onehot", "hybrid")
+HYBRID_ENCODINGS = ("correctness", "signed")
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ class DktConfig:
             raise ValueError(f"hidden must be positive, got {self.hidden}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if self.input_mode not in _INPUT_MODES:
-            raise ValueError(f"input_mode must be one of {_INPUT_MODES}, got {self.input_mode!r}")
-        if self.hybrid_encoding not in _HYBRID_ENCODINGS:
+        if self.input_mode not in INPUT_MODES:
+            raise ValueError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
+        if self.hybrid_encoding not in HYBRID_ENCODINGS:
             raise ValueError(
-                f"hybrid_encoding must be one of {_HYBRID_ENCODINGS}, "
+                f"hybrid_encoding must be one of {HYBRID_ENCODINGS}, "
                 f"got {self.hybrid_encoding!r}"
             )
 

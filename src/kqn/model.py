@@ -20,7 +20,7 @@ from .ops import dropout_mask, l2_normalize_rows, l2_normalize_rows_backward, si
 
 Params = dict[str, np.ndarray]
 
-_RNN_KINDS = ("lstm", "gru")
+RNN_KINDS = ("lstm", "gru")
 # Gate blocks along axis 0 of the stacked recurrent weights.
 _GATES = {"lstm": 4, "gru": 3}
 
@@ -49,8 +49,8 @@ class ModelConfig:
             raise ValueError(f"num_skills must be >= 2, got {self.num_skills}")
         if self.dim < 1 or self.rnn_hidden < 1 or self.mlp_hidden < 1:
             raise ValueError("dim, rnn_hidden and mlp_hidden must be positive")
-        if self.rnn_kind not in _RNN_KINDS:
-            raise ValueError(f"rnn_kind must be one of {_RNN_KINDS}, got {self.rnn_kind!r}")
+        if self.rnn_kind not in RNN_KINDS:
+            raise ValueError(f"rnn_kind must be one of {RNN_KINDS}, got {self.rnn_kind!r}")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .metrics import auc_scores
 from .model import KqnModel, ModelConfig, Params, batch_arrays
+from .tables import read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,9 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
     Single-response sequences are skipped (nothing to predict) and counted
     in metrics.skipped. All randomness (init, shuffles, dropout) comes from
-    one generator seeded with cfg.seed. A non-finite batch loss raises
-    ValueError naming the epoch and batch, before that batch's update.
+    one generator seeded with cfg.seed. A non-finite batch loss or gradient
+    entry raises ValueError naming the epoch and batch, before that batch's
+    update, and so does a non-finite validation loss, naming the epoch.
     """
     t0 = time.monotonic()
     train_kept, skipped_train = _scoreable(train_seqs)
@@ -187,19 +188,27 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
         for batch_no, idx_batch in enumerate(_batches(order, cfg.batch_size), start=1):
             batch = [train_kept[i] for i in idx_batch]
             skills, corrects, lengths = batch_arrays(batch)
-            fwd = model.forward(params, skills, corrects, lengths, mode="train", rng=rng)
-            loss = fwd.loss_sum()
-            if not np.isfinite(loss):
-                raise ValueError(
-                    f"training diverged: epoch {epoch} batch {batch_no} loss is {loss}"
-                )
-            loss_total += loss
-            trials_total += fwd.num_valid
-            grads = model.backward(params, fwd)
-            adam_step(params, grads, state, cfg)
+            # A diverging fit overflows inside this step; the check below
+            # reports it as one error instead of a stream of NumPy warnings.
+            with np.errstate(all="ignore"):
+                fwd = model.forward(params, skills, corrects, lengths, mode="train", rng=rng)
+                loss = fwd.loss_sum()
+                grads = model.backward(params, fwd)
+                diverged = f"training diverged: epoch {epoch} batch {batch_no}"
+                if not np.isfinite(loss):
+                    raise ValueError(f"{diverged} loss is {loss}")
+                bad = [k for k, g in grads.items() if not np.all(np.isfinite(g))]
+                if bad:
+                    raise ValueError(f"{diverged} gradient {bad[0]!r} is not finite")
+                loss_total += loss
+                trials_total += fwd.num_valid
+                adam_step(params, grads, state, cfg)
 
         train_loss = loss_total / max(trials_total, 1)
-        valid_auc, _, _ = evaluate(model, params, valid_kept, cfg.batch_size)
+        with np.errstate(all="ignore"):
+            valid_auc, valid_loss, _ = evaluate(model, params, valid_kept, cfg.batch_size)
+        if not np.isfinite(valid_loss):
+            raise ValueError(f"training diverged: epoch {epoch} validation loss is {valid_loss}")
         records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_auc=valid_auc))
 
         if valid_auc > best_auc:
@@ -300,14 +309,13 @@ def grid_search(
     cfg: TrainConfig,
     grid: GridSpec = GridSpec(),
     keep_prob: float = 0.6,
-    model_factory: Callable[[ModelConfig], object] = KqnModel,
     progress: Optional[Callable[[ModelConfig, float], None]] = None,
 ) -> GridSearchResult:
     """Train every grid cell to epochs_validation and rank by best
     validation AUC with the deterministic tie-break of _cell_rank."""
     cells = []
     for config in enumerate_grid(num_skills, grid, keep_prob):
-        result = train(model_factory(config), train_seqs, valid_seqs, cfg)
+        result = train(KqnModel(config), train_seqs, valid_seqs, cfg)
         best = max(r.valid_auc for r in result.metrics.epochs)
         cells.append(
             GridCell(config=config, valid_auc=best, best_epoch=result.metrics.best_epoch)
@@ -323,22 +331,10 @@ def grid_search(
 
 
 def write_metrics_csv(path, records: Sequence[EpochRecord]) -> None:
-    """epoch,train_loss,valid_auc rows; floats use repr for exact
-    round-trip and byte-stable output."""
-    lines = ["epoch,train_loss,valid_auc"]
-    for rec in records:
-        lines.append(
-            f"{rec.epoch},{repr(float(rec.train_loss))},{repr(float(rec.valid_auc))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """epoch,train_loss,valid_auc rows (see tables.py)."""
+    write_table(path, EpochRecord._fields, records)
 
 
 def read_metrics_csv(path) -> list[EpochRecord]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != "epoch,train_loss,valid_auc":
-        raise ValueError(f"{path} is not a metrics CSV")
-    out = []
-    for line in lines[1:]:
-        epoch, loss, auc_s = line.split(",")
-        out.append(EpochRecord(int(epoch), float(loss), float(auc_s)))
-    return out
+    _, epochs, values = read_table(path, "metrics", EpochRecord._fields)
+    return [EpochRecord(e, loss, auc) for e, (loss, auc) in zip(epochs, values.tolist())]

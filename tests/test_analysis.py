@@ -106,6 +106,14 @@ class TestOddsRatioIdentity:
         with pytest.raises(ValueError, match="identical"):
             odds_ratio_identity(np.ones(2), v)
 
+    @pytest.mark.parametrize("logit", [50.0, -50.0, 800.0, -800.0])
+    def test_saturated_logits_stay_finite(self, logit):
+        # sigmoid(50) rounds to 1, and exp(800) overflows; the log odds must
+        # still be the logit itself, with no warning.
+        lhs, rhs = odds_ratio_identity(np.array([logit, 0.0]), np.eye(2))
+        assert_allclose(lhs, [logit ** 2], rtol=1e-12)
+        assert_allclose(rhs, [logit ** 2], rtol=1e-12)
+
     def test_geometry_fields(self):
         # Condensed pair order is np.triu_indices order, and the right side
         # is (ks . (s_i - s_j))^2 for each pair.
@@ -279,6 +287,23 @@ class TestMantel:
         b = mantel(d1, d2, permutations=99, rng=np.random.default_rng(5))
         assert a == b
 
+    def test_p_value_matches_permuted_matrix_oracle(self):
+        # The null draws permute the full matrix and read its upper triangle,
+        # from the same generator stream as mantel().
+        d1 = self.random_dmat(9, 19)
+        d2 = 0.5 * d1 + self.random_dmat(9, 20)
+        res = mantel(d1, d2, permutations=199, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        iu = np.triu_indices(9, k=1)
+        c1 = d1[iu] - d1[iu].mean()
+        scale = np.linalg.norm(c1) * np.linalg.norm(d2[iu] - d2[iu].mean())
+        count = 0
+        for _ in range(199):
+            perm = rng.permutation(9)
+            count += float(c1 @ (d2[np.ix_(perm, perm)][iu] - d2[iu].mean())) / scale >= res.rho
+        assert res.p_value == (1.0 + count) / 200.0
+        assert 0 < count < 199
+
     def test_accepts_distance_matrix_objects(self):
         rng = np.random.default_rng(18)
         v = random_unit_vectors(8, 4, rng)
@@ -396,6 +421,20 @@ class TestCsvRoundTrips:
         assert path.read_text().splitlines()[0] == "skill,3,5,7,9,11"
         with pytest.raises(ValueError):
             write_distance_csv(tmp_path / "x.csv", dmat, skill_ids=[1, 2])
+
+    def test_ids_beyond_float_precision_round_trip(self, tmp_path):
+        # 2**62 + 1 is not a float64; ids must never pass through one.
+        ids = [2 ** 62 + 1, 2 ** 63 - 1, 7]
+        dmat = pairwise_distances(random_unit_vectors(3, 2, np.random.default_rng(28)), "cosine")
+        write_distance_csv(tmp_path / "d.csv", dmat, skill_ids=ids)
+        back, back_ids = read_distance_csv(tmp_path / "d.csv", kind="cosine")
+        assert back_ids == ids
+        assert np.array_equal(back.values, dmat.values)
+        write_clusters_csv(tmp_path / "c.csv", [2, 1, 2], skill_ids=ids)
+        back_ids, labels = read_clusters_csv(tmp_path / "c.csv")
+        assert back_ids.tolist() == ids
+        assert labels.tolist() == [2, 1, 2]
+        assert (tmp_path / "c.csv").read_text().splitlines()[1] == f"{2 ** 62 + 1},2"
 
     def test_distance_csv_default_ids(self, tmp_path):
         v = random_unit_vectors(3, 3, np.random.default_rng(25))

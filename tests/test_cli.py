@@ -185,6 +185,22 @@ class TestTrain:
         assert not (tmp_path / "div" / "metrics.csv").exists()
 
 
+    # With one batch per epoch, the validation pass is the first to see the
+    # diverged weights.
+    @pytest.mark.parametrize("batch_size, where", [("8", "batch 2 loss"),
+                                                   ("1000", "validation loss")])
+    def test_diverging_fit_prints_only_the_error(self, ws, tmp_path, capsys, batch_size, where):
+        # No NumPy warning may precede the one-line error.
+        rc = main(["train", "--out", str(tmp_path / "div"),
+                   "--train", str(ws / "split" / "train.txt"),
+                   "--valid", str(ws / "split" / "valid.txt"),
+                   "--dim", "3", "--rnn-hidden", "4", "--mlp-hidden", "4",
+                   "--batch-size", batch_size, "--alpha", "1e300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: training diverged: epoch 1 {where} is nan\n"
+
+
 class TestEvaluate:
     def test_matches_library_evaluate(self, ws, tmp_path):
         run("evaluate", "--out", tmp_path, "--checkpoint", ws / "kqn4" / "checkpoint.json",
@@ -295,6 +311,22 @@ class TestDistancesClusterAri:
         merges = (tmp_path / "c" / "dendrogram.csv").read_text().splitlines()
         assert merges[0] == "a,b,height,size"
         assert len(merges) == 1 + 5
+
+    @pytest.mark.parametrize("header, first_id, message", [
+        # The header names 4 skills, but every row holds 3 distances.
+        ("skill,1,2,3,4", "1", " line 2: 4 cells, the header has 5"),
+        # The rows name their skills in another order than the header.
+        ("skill,1,2,3", "3", ": row skill ids differ from the header's"),
+    ], ids=["missing-column", "reordered-rows"])
+    def test_mismatched_distance_file_is_an_error(self, tmp_path, capsys, header, first_id,
+                                                  message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n{first_id},0.0,1.0,2.0\n2,1.0,0.0,1.0\n"
+                       f"{4 - int(first_id)},2.0,1.0,0.0\n")
+        rc = main(["cluster", "--out", str(tmp_path / "c"), "--distances", str(bad), "--n", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}{message}\n"
+        assert not (tmp_path / "c" / "clusters.csv").exists()
 
     def test_cluster_direct_from_checkpoint(self, ws, tmp_path):
         run("cluster", "--out", tmp_path, "--checkpoint",

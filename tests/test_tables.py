@@ -1,0 +1,78 @@
+"""The CSV table codec shared by every artifact."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kqn.tables import read_table, write_table
+
+# Values whose repr switches notation or needs all 17 digits.
+HARD_FLOATS = [0.1, 1 / 3, 1e16, 9999999999999998.0, 1e-4, 9.999e-5, 1e-5, 5e-324,
+               1.7976931348623157e308, -0.0, 2.0 ** 60]
+
+
+def test_cells_are_written_as_repr_of_float_and_str_of_int(tmp_path):
+    # Under NumPy 2, repr(np.float64(x)) prints "np.float64(x)"; the cells
+    # must carry the bytes of repr(float(x)) whether the value arrives as a
+    # Python or a NumPy scalar.
+    path = tmp_path / "t.csv"
+    big = 2 ** 63 - 1
+    rows = [[i, x, np.float64(x), np.int64(i)] for i, x in enumerate(HARD_FLOATS)]
+    rows.append([big, 1.0, np.float64(2.0), np.int64(big)])
+    write_table(path, ("id", "py", "np", "(a,b)"), rows)
+    lines = path.read_bytes().decode().split("\n")
+    assert lines[0] == 'id,py,np,"(a,b)"'
+    for line, (i, x, y, j) in zip(lines[1:], rows):
+        assert line == f"{int(i)},{x!r},{float(y)!r},{int(j)}"
+    assert lines[-1] == ""
+    head, ids, values = read_table(path, "test", ("id", "py", "np", "(a,b)"))
+    assert head == ["id", "py", "np", "(a,b)"]
+    assert ids == [r[0] for r in rows]
+    assert values.shape == (len(rows), 3)
+    assert np.array_equal(values[:-1, 0], HARD_FLOATS)
+
+
+def test_header_checks(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("skill", "x1", "x2"), [(1, 0.5, 0.25)])
+    assert read_table(path, "vector", ("skill", ...))[0] == ["skill", "x1", "x2"]
+    for header in [("skill", "x1"), ("skill", "x1", "x2", "x3"), ("id", ...)]:
+        with pytest.raises(ValueError, match=r"t\.csv is not a vector CSV$"):
+            read_table(path, "vector", header)
+    path.write_text("")
+    with pytest.raises(ValueError, match="is not a vector CSV"):
+        read_table(path, "vector", ("skill", ...))
+
+
+def test_every_row_needs_the_header_width(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("skill,1,2,3\n1,0.0,1.0,2.0\n2,1.0,0.0\n")
+    with pytest.raises(ValueError, match=r"t\.csv line 3: 3 cells, the header has 4$"):
+        read_table(path, "distance", ("skill", ...))
+
+
+def test_empty_table_keeps_its_width(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("a", "b", "c"), [])
+    assert path.read_text() == "a,b,c\n"
+    _, ids, values = read_table(path, "test", ("a", "b", "c"))
+    assert ids == [] and values.shape == (0, 2)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.integers(-(2 ** 63) + 1, 2 ** 63 - 1), min_size=1, max_size=5),
+    st.integers(0, 4),
+    st.data(),
+)
+def test_round_trip_is_exact(tmp_path_factory, ids, width, data):
+    values = data.draw(st.lists(
+        st.lists(st.floats(allow_nan=False), min_size=width, max_size=width),
+        min_size=len(ids), max_size=len(ids),
+    ))
+    path = tmp_path_factory.mktemp("t") / "t.csv"
+    header = ["id", *(f"v{k}" for k in range(width))]
+    write_table(path, header, ([i, *row] for i, row in zip(ids, values)))
+    _, back_ids, back = read_table(path, "test", header)
+    assert back_ids == ids
+    assert np.array_equal(back, np.array(values).reshape(len(ids), width))

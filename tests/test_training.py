@@ -136,6 +136,19 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"epoch 1 batch 2 "):
             train(KqnModel(TINY_CONFIG), seqs[:40], seqs[40:], tiny_train_cfg(adam_alpha=1e300))
 
+    def test_non_finite_gradient_raises_before_the_update(self, tiny_synthetic):
+        # A finite loss with one infinite gradient entry must not reach Adam.
+        class InfiniteGradient(KqnModel):
+            def backward(self, params, fwd):
+                grads = super().backward(params, fwd)
+                grads["mlp_b1"][0] = np.inf
+                return grads
+
+        seqs = tiny_synthetic.dataset.sequences
+        with pytest.raises(ValueError, match=r"^training diverged: epoch 1 batch 1 gradient "
+                                             r"'mlp_b1' is not finite$"):
+            train(InfiniteGradient(TINY_CONFIG), seqs[:40], seqs[40:], tiny_train_cfg())
+
     def test_returned_params_are_best_validation_epoch(self, tiny_synthetic):
         cfg = tiny_train_cfg(epochs_validation=8)
         model = KqnModel(TINY_CONFIG)

@@ -26,7 +26,7 @@ _SQUARED_LINKAGES = ("centroid", "median", "ward")
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric non-negative matrix with zero diagonal."""
+    """Finite, symmetric, non-negative matrix with zero diagonal."""
 
     kind: str
     values: np.ndarray
@@ -37,6 +37,8 @@ class DistanceMatrix:
             raise ValueError(f"kind must be one of {DISTANCE_KINDS}, got {self.kind!r}")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("distance matrix entries must be finite")
         if np.max(np.abs(v - v.T)) > 1e-12:
             raise ValueError("distance matrix is not symmetric within 1e-12")
         if np.any(np.diag(v) != 0.0):
@@ -124,13 +126,18 @@ class Dendrogram:
     num_leaves: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
     """Agglomerative clustering via the Lance-Williams recurrence.
 
     single/complete/average/weighted update raw distances; centroid,
     median and ward run on squared distances (the matrix is interpreted
-    as Euclidean) with recorded heights square-rooted. Ties in the merge
-    choice resolve to the first pair in row-major upper-triangle order.
+    as Euclidean) with recorded heights square-rooted.
+
+    One n x n matrix is updated in place: a merged cluster takes the slot
+    of its lower-slot member and the other slot is retired to inf, so a
+    cluster's slot is its smallest leaf index. Ties in the merge choice
+    resolve to the first pair of slots in row-major upper-triangle order.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -139,27 +146,20 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
         raise ValueError(f"need at least 2 points to cluster, got {n}")
     squared = linkage in _SQUARED_LINKAGES
 
-    total = 2 * n - 1
-    w = np.full((total, total), np.inf)
-    w[:n, :n] = dmat.values ** 2 if squared else dmat.values
+    w = np.array(dmat.values ** 2 if squared else dmat.values, dtype=float)
     np.fill_diagonal(w, np.inf)
-    active = np.zeros(total, dtype=bool)
-    active[:n] = True
-    sizes = np.ones(total, dtype=int)
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=int)
+    ids = np.arange(n)
     merges = np.zeros((n - 1, 4))
 
     for step in range(n - 1):
-        idx = np.flatnonzero(active)
-        sub = w[np.ix_(idx, idx)]
-        iu = np.triu_indices(len(idx), k=1)
-        flat = int(np.argmin(sub[iu]))
-        i = int(idx[iu[0][flat]])
-        j = int(idx[iu[1][flat]])
+        # w is symmetric, so the first minimum lies in the upper triangle.
+        i, j = divmod(int(np.argmin(w)), n)
         dij = w[i, j]
-        m = n + step
         ni, nj = int(sizes[i]), int(sizes[j])
-
-        others = idx[(idx != i) & (idx != j)]
+        active[i] = active[j] = False
+        others = np.flatnonzero(active)
         dki = w[others, i]
         dkj = w[others, j]
         if linkage == "single":
@@ -178,14 +178,17 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
             nk = sizes[others]
             dkm = ((ni + nk) * dki + (nj + nk) * dkj - nk * dij) / (ni + nj + nk)
 
-        w[m, others] = dkm
-        w[others, m] = dkm
-        active[i] = False
-        active[j] = False
-        active[m] = True
-        sizes[m] = ni + nj
+        w[i, others] = w[others, i] = dkm
+        w[j, :] = w[:, j] = np.inf
+        active[i] = True
+        sizes[i] = ni + nj
         height = float(np.sqrt(max(dij, 0.0))) if squared else float(dij)
-        merges[step] = (i, j, height, ni + nj)
+        merges[step] = (min(ids[i], ids[j]), max(ids[i], ids[j]), height, ni + nj)
+        ids[i] = n + step
+
+    # Under the errstate, distances too large for the linkage end as an inf or nan height.
+    if not np.all(np.isfinite(merges[:, 2])):
+        raise ValueError(f"distances too large for {linkage} linkage: a merge height overflows")
 
     return Dendrogram(merges=merges, num_leaves=n)
 
@@ -273,6 +276,8 @@ def _check_mantel_matrix(values: np.ndarray, name: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"{name} must be square, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} entries must be finite")
     if np.max(np.abs(v - v.T)) > 1e-10:
         raise ValueError(f"{name} is not symmetric")
     if np.any(np.abs(np.diag(v)) > 1e-12):

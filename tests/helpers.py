@@ -346,6 +346,64 @@ def mst_edge_weights(dist):
 
 
 # ---------------------------------------------------------------------------
+# Lance-Williams reference: a (2n-1)-square matrix with one row per cluster
+# id, where every merge copies out the active submatrix and scans its upper
+# triangle in id order. The in-place hcluster keeps this arithmetic, so on
+# tie-free inputs the two merge lists agree bit for bit.
+
+
+def reference_hcluster(dmat, linkage):
+    """Merge rows (a, b, height, size) of agglomerative clustering."""
+    n = dmat.n
+    squared = linkage in ("centroid", "median", "ward")
+    total = 2 * n - 1
+    w = np.full((total, total), np.inf)
+    w[:n, :n] = dmat.values ** 2 if squared else dmat.values
+    np.fill_diagonal(w, np.inf)
+    active = np.zeros(total, dtype=bool)
+    active[:n] = True
+    sizes = np.ones(total, dtype=int)
+    merges = np.zeros((n - 1, 4))
+    for step in range(n - 1):
+        idx = np.flatnonzero(active)
+        sub = w[np.ix_(idx, idx)]
+        iu = np.triu_indices(len(idx), k=1)
+        flat = int(np.argmin(sub[iu]))
+        i = int(idx[iu[0][flat]])
+        j = int(idx[iu[1][flat]])
+        dij = w[i, j]
+        m = n + step
+        ni, nj = int(sizes[i]), int(sizes[j])
+        others = idx[(idx != i) & (idx != j)]
+        dki = w[others, i]
+        dkj = w[others, j]
+        if linkage == "single":
+            dkm = 0.5 * (dki + dkj) - 0.5 * np.abs(dki - dkj)
+        elif linkage == "complete":
+            dkm = 0.5 * (dki + dkj) + 0.5 * np.abs(dki - dkj)
+        elif linkage == "average":
+            dkm = (ni * dki + nj * dkj) / (ni + nj)
+        elif linkage == "weighted":
+            dkm = 0.5 * (dki + dkj)
+        elif linkage == "centroid":
+            dkm = (ni * dki + nj * dkj) / (ni + nj) - ni * nj * dij / (ni + nj) ** 2
+        elif linkage == "median":
+            dkm = 0.5 * (dki + dkj) - 0.25 * dij
+        else:  # ward
+            nk = sizes[others]
+            dkm = ((ni + nk) * dki + (nj + nk) * dkj - nk * dij) / (ni + nj + nk)
+        w[m, others] = dkm
+        w[others, m] = dkm
+        active[i] = False
+        active[j] = False
+        active[m] = True
+        sizes[m] = ni + nj
+        height = float(np.sqrt(max(dij, 0.0))) if squared else float(dij)
+        merges[step] = (i, j, height, ni + nj)
+    return merges
+
+
+# ---------------------------------------------------------------------------
 # Random synthetic-style distance matrices and unit vectors
 
 

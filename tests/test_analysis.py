@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import pdist, squareform
@@ -28,7 +30,7 @@ from kqn.data import ResponseSequence
 from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
 from kqn.ops import sigmoid
 
-from helpers import ari_contingency, mst_edge_weights, random_unit_vectors
+from helpers import ari_contingency, mst_edge_weights, random_unit_vectors, reference_hcluster
 
 MONOTONE_LINKAGES = ("single", "complete", "average", "weighted", "ward")
 
@@ -47,6 +49,12 @@ class TestDistanceMatrix:
             DistanceMatrix(kind="euclidean", values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(ValueError):
             DistanceMatrix(kind="manhattan", values=good)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        values = np.array([[0.0, bad, 1.0], [bad, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(kind="euclidean", values=values)
 
 
 class TestPairwiseDistances:
@@ -179,6 +187,35 @@ class TestHcluster:
         dend = hcluster(DistanceMatrix(kind="euclidean", values=values), "single")
         assert (dend.merges[0, 0], dend.merges[0, 1]) == (0.0, 1.0)
         assert (dend.merges[1, 0], dend.merges[1, 1]) == (2.0, 3.0)
+
+    def test_tie_break_keys_clusters_by_slot(self):
+        # After (0,1) merges into cluster 6, d(6,5) = 2 ties with d(3,4) = 2.
+        # Cluster 6 is keyed by its smallest leaf, 0, so (5,6) comes first;
+        # ordering clusters by id instead would merge (3,4) first.
+        values = np.full((6, 6), 5.0)
+        np.fill_diagonal(values, 0.0)
+        for a, b, d in ((0, 1, 1.0), (3, 4, 2.0), (0, 5, 2.0), (1, 5, 2.0)):
+            values[a, b] = values[b, a] = d
+        dmat = DistanceMatrix(kind="euclidean", values=values)
+        dend = hcluster(dmat, "single")
+        assert dend.merges[:3, :2].tolist() == [[0, 1], [5, 6], [3, 4]]
+        assert dend.merges[:3, 2].tolist() == [1.0, 2.0, 2.0]
+        assert reference_hcluster(dmat, "single")[1, :2].tolist() == [3, 4]
+
+    @pytest.mark.parametrize("method, step", [("ward", 1e200), ("average", 5e307)])
+    def test_overflowing_distances_rejected(self, method, step):
+        # Finite inputs whose squares (ward) or sums (average) overflow.
+        values = step * np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+        with pytest.raises(ValueError, match="too large"):
+            hcluster(DistanceMatrix(kind="euclidean", values=values), method)
+
+    @pytest.mark.parametrize("method", LINKAGES)
+    @settings(deadline=None)
+    @given(n=st.integers(2, 40), dim=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_loop(self, method, n, dim, seed):
+        v = np.abs(np.random.default_rng(seed).normal(size=(n, dim)))
+        dmat = pairwise_distances(v / np.linalg.norm(v, axis=1, keepdims=True), "euclidean")
+        assert np.array_equal(hcluster(dmat, method).merges, reference_hcluster(dmat, method))
 
     def test_bad_linkage_and_tiny_matrix(self):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -330,6 +367,14 @@ class TestMantel:
             mantel(d, d, permutations=0)
         with pytest.raises(ValueError, match="constant"):
             mantel(np.zeros((4, 4)), d[:4, :4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        d = self.random_dmat(6, 21)
+        broken = d.copy()
+        broken[1, 2] = broken[2, 1] = bad
+        with pytest.raises(ValueError, match="d2 entries must be finite"):
+            mantel(d, broken, permutations=9)
 
 
 class TestSensitivityStats:

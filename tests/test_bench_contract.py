@@ -51,6 +51,11 @@ def test_forward_mode_positions():
     assert callable(DktModel.backward)
 
 
+def test_hcluster_linkage_position():
+    # The tracer names analysis.hcluster.<linkage> spans from argument 1.
+    assert list(inspect.signature(kqn.analysis.hcluster).parameters)[1] == "linkage"
+
+
 def test_install_traces_dkt_through_the_shared_scan():
     modules = kqn_modules()
     tracer = tracing.Tracer()

@@ -30,6 +30,10 @@ from kqn.model import KqnModel, encode_skill_table
 from kqn.training import evaluate, split_data
 
 
+# A symmetric distance file with one non-finite pair.
+NAN_DISTANCES = "skill,1,2,3\n1,0.0,nan,2.0\n2,nan,0.0,1.0\n3,2.0,1.0,0.0\n"
+
+
 def run(*argv):
     rc = main([str(a) for a in argv])
     assert rc == 0, f"command failed: {argv}"
@@ -328,6 +332,15 @@ class TestDistancesClusterAri:
         assert capsys.readouterr().err == f"error: {bad}{message}\n"
         assert not (tmp_path / "c" / "clusters.csv").exists()
 
+    def test_nan_distance_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(NAN_DISTANCES)
+        rc = main(["cluster", "--out", str(tmp_path / "c"), "--distances", str(bad),
+                   "--linkage", "average", "--n", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: distance matrix entries must be finite\n"
+        assert not (tmp_path / "c" / "dendrogram.csv").exists()
+
     def test_cluster_direct_from_checkpoint(self, ws, tmp_path):
         run("cluster", "--out", tmp_path, "--checkpoint",
             ws / "kqn4" / "checkpoint.json", "--distance", "cosine",
@@ -378,6 +391,17 @@ class TestMantelSensitivity:
         assert report["rho"] == expected.rho
         assert report["p_value"] == expected.p_value
         assert report["permutations"] == 199
+
+    def test_nan_distance_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(NAN_DISTANCES)
+        good = tmp_path / "good.csv"
+        good.write_text(NAN_DISTANCES.replace("nan", "1.5"))
+        rc = main(["mantel", "--out", str(tmp_path / "m"), "--distances-a", str(good),
+                   "--distances-b", str(bad), "--permutations", "9"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: distance matrix entries must be finite\n"
+        assert not (tmp_path / "m" / "mantel.json").exists()
 
     def test_sensitivity_matches_library(self, ws, tmp_path):
         run("sensitivity", "--out", tmp_path,

@@ -32,7 +32,8 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
+        v = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", v)
         if self.kind not in DISTANCE_KINDS:
             raise ValueError(f"kind must be one of {DISTANCE_KINDS}, got {self.kind!r}")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
@@ -419,7 +420,10 @@ def read_distance_csv(path, kind: str = "euclidean"):
     header, ids, values = read_table(path, "distance", ("skill", ...))
     if ids != [int(c) for c in header[1:]]:
         raise ValueError(f"{path}: row skill ids differ from the header's")
-    return DistanceMatrix(kind=kind, values=values), ids
+    try:
+        return DistanceMatrix(kind=kind, values=values), ids
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_dendrogram_csv(path, dend: Dendrogram) -> None:

@@ -2,22 +2,32 @@
 and the skill-vector CSV consumed by downstream analysis and the hybrid
 baseline.
 
-Parameters are serialized with Python float repr via tolist(), so a
-save/load round-trip is bit-exact.
+A checkpoint is one JSON object: "format_version" (2), "model" ("kqn" or
+"dkt"), "config" (every field of the model's config dataclass) and
+"params", which maps each parameter name to {"dtype": "<f8", "shape":
+[...], "data": base64 of its little-endian float64 bytes in C order}, so a
+save/load round trip is bit-exact. load_checkpoint checks the document
+against its own config and raises ValueError naming the file and the field
+or parameter at fault.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import math
+import typing
 from pathlib import Path
 
 import numpy as np
 
+from . import dkt, model
 from .dkt import DktConfig
 from .model import ModelConfig, Params, encode_skill_table
-from .tables import read_table, write_table
+from .tables import read_table, write_table, write_text
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_DTYPE = "<f8"
 
 _CONFIG_TYPES = {"kqn": ModelConfig, "dkt": DktConfig}
 
@@ -33,23 +43,131 @@ def save_checkpoint(path, model_kind: str, config, params: Params) -> None:
         "format_version": FORMAT_VERSION,
         "model": model_kind,
         "config": dataclasses.asdict(config),
-        "params": {k: np.asarray(v, dtype=float).tolist() for k, v in params.items()},
+        "params": {k: _encode(v) for k, v in params.items()},
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    write_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _encode(value) -> dict:
+    array = np.asarray(value, dtype=_DTYPE)
+    data = base64.b64encode(array.tobytes()).decode("ascii")
+    return {"dtype": _DTYPE, "shape": list(array.shape), "data": data}
 
 
 def load_checkpoint(path):
-    """Returns (model_kind, config, params)."""
-    doc = json.loads(Path(path).read_text())
+    """Returns (model_kind, config, params). Raises ValueError "<path>: ..."
+    unless the file is a version-2 checkpoint whose config fields have
+    their dataclass's types and whose parameters are finite and have the
+    keys and shapes init_params gives for that config."""
+    try:
+        return _read(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("a checkpoint must hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
     kind = doc.get("model")
-    if kind not in _CONFIG_TYPES:
+    if not isinstance(kind, str) or kind not in _CONFIG_TYPES:
         raise ValueError(f"unknown model kind {kind!r} in checkpoint")
-    config = _CONFIG_TYPES[kind](**doc["config"])
-    params = {k: np.array(v, dtype=float) for k, v in doc["params"].items()}
+    config = _config(_CONFIG_TYPES[kind], doc.get("config"))
+    stored = doc.get("params")
+    if not isinstance(stored, dict):
+        raise ValueError("params must be an object")
+    params = {key: _decode(key, entry) for key, entry in stored.items()}
+    shapes = _shapes(kind, config, params)
+    missing, unknown = shapes.keys() - params.keys(), params.keys() - shapes.keys()
+    if missing:
+        raise ValueError(f"parameters missing: {', '.join(map(repr, sorted(missing)))}")
+    if unknown:
+        raise ValueError(f"unknown parameters: {', '.join(map(repr, sorted(unknown)))}")
+    for key, value in params.items():
+        if value.shape != shapes[key]:
+            raise ValueError(
+                f"parameter {key!r} has shape {value.shape}, the config gives {shapes[key]}"
+            )
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"parameter {key!r} contains non-finite values")
     return kind, config, params
+
+
+def _config(cls, fields):
+    """The config from its stored fields: exactly the dataclass's fields,
+    an int field an int (a bool is refused), a float field an int or a
+    float. The dataclass then checks the values."""
+    if not isinstance(fields, dict):
+        raise ValueError("config must be an object")
+    types = typing.get_type_hints(cls)
+    unknown = sorted(fields.keys() - types.keys())
+    if unknown:
+        raise ValueError(f"unknown config fields: {', '.join(map(repr, unknown))}")
+    for name, kind in types.items():
+        if name not in fields:
+            raise ValueError(f"config lacks field {name!r}")
+        value = fields[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"config field {name!r} must be of type {kind.__name__}, got {value!r}")
+    return cls(**fields)
+
+
+def _decode(key: str, entry) -> np.ndarray:
+    """One parameter as a writable float64 array."""
+    if not isinstance(entry, dict) or entry.keys() != {"dtype", "shape", "data"}:
+        raise ValueError(f"parameter {key!r} must be an object of dtype, shape and data")
+    if entry["dtype"] != _DTYPE:
+        raise ValueError(f"parameter {key!r} has dtype {entry['dtype']!r}, not {_DTYPE!r}")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+    ):
+        raise ValueError(f"parameter {key!r} has shape {shape!r}, not a list of sizes")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"parameter {key!r} data is not base64: {exc}") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(
+            f"parameter {key!r} holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}"
+        )
+    return np.frombuffer(raw, _DTYPE).reshape(shape).astype(float)
+
+
+class _NoDraws:
+    """Stands in for the Generator that init_params draws its weights from:
+    uniform() returns a broadcast zero of the asked size, which costs no
+    draws and no memory."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
+def _shapes(kind: str, config, params: Params) -> dict:
+    """Every parameter's shape, as init_params gives it for the config. A
+    hybrid DKT model's input width is its skill-vector table's, which the
+    checkpoint does not hold: the stored rnn_wx width stands in for it here,
+    and the code that loads the table checks it."""
+    # Every size in a config is a side of some weight matrix. init_params
+    # allocates the biases, so a size beyond what the file stores is
+    # refused before it is asked.
+    stored = sum(value.size for value in params.values())
+    for name, value in dataclasses.asdict(config).items():
+        if type(value) is int and value > stored:
+            raise ValueError(f"config field {name!r} is {value}, the file stores "
+                             f"{stored} parameter values")
+    if kind == "kqn":
+        reference = model.init_params(config, _NoDraws())
+    else:
+        width = 2 * config.num_skills
+        wx = np.shape(params.get("rnn_wx"))
+        if config.input_mode == "hybrid" and len(wx) == 2 and wx[1] > config.num_skills:
+            width = wx[1]
+        reference = dkt.init_params(config, width, _NoDraws())
+    return {key: value.shape for key, value in reference.items()}
 
 
 def export_skill_vectors(path, params: Params, config: ModelConfig) -> None:

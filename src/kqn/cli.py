@@ -335,21 +335,30 @@ def cmd_train(opts) -> int:
     return 0
 
 
-def _model_from_checkpoint(kind, config, skill_vectors_path=None):
+def _model_from_checkpoint(opts, kind, config, params):
     if kind == "kqn":
         return KqnModel(config)
-    if config.input_mode == "hybrid":
-        if skill_vectors_path is None:
-            raise ValueError("hybrid checkpoint needs --skill-vectors")
-        _, table = load_skill_vectors(skill_vectors_path)
-        return DktModel(config, skill_table=table)
-    return DktModel(config)
+    if config.input_mode == "onehot":
+        return DktModel(config)
+    if opts["skill_vectors"] is None:
+        raise ValueError("hybrid checkpoint needs --skill-vectors")
+    _, table = load_skill_vectors(opts["skill_vectors"])
+    model = DktModel(config, skill_table=table)
+    # The checkpoint does not hold the table, so load_checkpoint could not
+    # check this width.
+    width = params["rnn_wx"].shape[1]
+    if width != model.input_dim:
+        raise ValueError(
+            f"{opts['checkpoint']}: parameter 'rnn_wx' takes {width} inputs, the skill "
+            f"vectors in {opts['skill_vectors']} give {model.input_dim}"
+        )
+    return model
 
 
 def cmd_evaluate(opts) -> int:
     outdir = _outdir(opts)
     kind, config, params = load_checkpoint(opts["checkpoint"])
-    model = _model_from_checkpoint(kind, config, opts["skill_vectors"])
+    model = _model_from_checkpoint(opts, kind, config, params)
     dataset = load_dataset(opts["data"])
     auc_value, loss_value, n_trials = evaluate(
         model, params, dataset.sequences, opts["batch_size"]

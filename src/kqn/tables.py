@@ -5,9 +5,24 @@ a row is an integer id: a skill id, a merged cluster id or an epoch.
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
+
+
+def write_text(path, text: str) -> None:
+    """Write text to a temp file beside path, then move it over path with
+    os.replace, so a write cut short by an error or an interrupt leaves the
+    old file or no file under path, never part of the new one. (It does not
+    fsync, so it does not guard against a power loss.)"""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_table(path, header, rows) -> None:
@@ -16,7 +31,7 @@ def write_table(path, header, rows) -> None:
     bytes of repr(float(x)). A header cell that holds a comma is quoted."""
     lines = [",".join(f'"{c}"' if "," in c else c for c in map(str, header))]
     lines += [",".join(map(str, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_table(path, what: str, header, dtype=float):

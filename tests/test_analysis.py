@@ -56,6 +56,14 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="finite"):
             DistanceMatrix(kind="euclidean", values=values)
 
+    def test_array_likes_become_float_arrays(self):
+        dmat = DistanceMatrix("euclidean", [[0, 1], [1.0, 0.0]])
+        assert isinstance(dmat.values, np.ndarray)
+        assert dmat.values.dtype == np.float64
+        assert dmat.n == 2
+        with pytest.raises(ValueError, match="symmetric"):
+            DistanceMatrix("euclidean", [[0.0, 1.0], [2.0, 0.0]])
+
 
 class TestPairwiseDistances:
     def test_matches_explicit_loops(self):

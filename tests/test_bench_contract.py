@@ -12,7 +12,7 @@ import pytest
 import kqn
 from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
-from kqn.model import batch_arrays, forward_batch
+from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 MODULES = ("ops", "metrics", "model", "dkt", "data", "checkpoint", "training", "analysis", "cli")
@@ -54,6 +54,29 @@ def test_forward_mode_positions():
 def test_hcluster_linkage_position():
     # The tracer names analysis.hcluster.<linkage> spans from argument 1.
     assert list(inspect.signature(kqn.analysis.hcluster).parameters)[1] == "linkage"
+
+
+def test_file_hooks_find_the_written_file(tmp_path):
+    # _after_file sizes the file at the call's `path` argument, passed first,
+    # once the call has returned.
+    hooked = sorted(f"{home}.{attr}" for (home, attr), hook in tracing._AFTER.items()
+                    if hook.__qualname__.startswith("_after_file."))
+    assert hooked == ["analysis.write_distance_csv", "checkpoint.export_skill_vectors",
+                      "checkpoint.save_checkpoint"]
+    config = ModelConfig(num_skills=3, dim=2, rnn_hidden=2, mlp_hidden=2)
+    params = init_params(config, np.random.default_rng(0))
+    table, _ = kqn.model.encode_skill_table(params)
+    calls = {
+        kqn.checkpoint.save_checkpoint: ("kqn", config, params),
+        kqn.checkpoint.export_skill_vectors: (params, config),
+        kqn.analysis.write_distance_csv: (kqn.analysis.pairwise_distances(table, "cosine"),),
+    }
+    for func, rest in calls.items():
+        assert list(inspect.signature(func).parameters)[0] == "path"
+        path = tmp_path / func.__name__
+        func(path, *rest)
+        assert path.stat().st_size > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f.__name__ for f in calls)
 
 
 def test_install_traces_dkt_through_the_shared_scan():

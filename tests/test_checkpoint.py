@@ -1,10 +1,17 @@
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kqn.checkpoint import (
     FORMAT_VERSION,
+    _decode,
+    _encode,
     export_skill_vectors,
     load_checkpoint,
     load_skill_vectors,
@@ -14,10 +21,86 @@ from kqn.dkt import DktConfig, DktModel
 from kqn.model import ModelConfig, encode_skill_table, init_params
 
 
+# The float64 extremes: smallest subnormal, largest subnormal, smallest
+# normal, the largest finite magnitudes and a signed zero.
+EXTREMES = [5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, -0.0]
+
+
 def make_kqn(seed=0):
     config = ModelConfig(num_skills=6, dim=3, rnn_kind="gru", rnn_hidden=4, mlp_hidden=5,
                          keep_prob=0.7)
     return config, init_params(config, np.random.default_rng(seed))
+
+
+def saved_doc(tmp_path):
+    config, params = make_kqn()
+    path = tmp_path / "model.json"
+    save_checkpoint(path, "kqn", config, params)
+    return path, json.loads(path.read_text())
+
+
+def rewrite(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def bits(array):
+    return array.view("<u8")
+
+
+class TestParameterCodec:
+    @settings(deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0),
+                      elements=st.sampled_from(EXTREMES) | st.floats(allow_nan=False,
+                                                                     allow_infinity=False)))
+    @example(np.array(EXTREMES).reshape(2, 3))
+    @example(np.empty((0, 4)))
+    @example(np.array(-0.0))
+    def test_round_trip_is_bit_exact(self, value):
+        entry = json.loads(json.dumps(_encode(value)))
+        back = _decode("p", entry)
+        assert back.shape == value.shape
+        assert back.dtype == np.float64
+        assert np.array_equal(bits(back), bits(value))
+        assert back.flags.writeable
+
+    def test_saved_json_holds_no_float_lists(self, tmp_path):
+        _, doc = saved_doc(tmp_path)
+
+        def floats(node):
+            if isinstance(node, dict):
+                return any(floats(v) for v in node.values())
+            if isinstance(node, list):
+                return any(isinstance(v, float) or floats(v) for v in node)
+            return False
+
+        assert not floats(doc)
+        for entry in doc["params"].values():
+            assert entry.keys() == {"dtype", "shape", "data"}
+            assert entry["dtype"] == "<f8"
+            assert isinstance(entry["data"], str)
+
+    def test_version_1_document_refused(self, tmp_path):
+        _, params = make_kqn()
+        path, doc = saved_doc(tmp_path)
+        doc["format_version"] = 1
+        doc["params"] = {k: v.tolist() for k, v in params.items()}
+        with pytest.raises(ValueError, match="unsupported checkpoint format_version 1$"):
+            load_checkpoint(rewrite(path, doc))
+
+    @pytest.mark.parametrize("data, message", [
+        ("not base64!", "'proj_w' data is not base64"),
+        ("AAA", "'proj_w' data is not base64"),
+        (None, "'proj_w' data is not base64"),
+        ("AAAA", r"'proj_w' holds 3 bytes, shape \[3, 4\] needs 96$"),
+        (base64.b64encode(bytes(8 * 11)).decode(), r"'proj_w' holds 88 bytes, shape \[3, 4\]"),
+    ])
+    def test_bad_data_is_a_value_error(self, tmp_path, data, message):
+        path, doc = saved_doc(tmp_path)
+        doc["params"]["proj_w"]["data"] = data
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(rewrite(path, doc))
 
 
 class TestCheckpointRoundTrip:
@@ -76,6 +159,65 @@ class TestCheckpointRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unknown model"):
             load_checkpoint(path)
+
+
+def nan_bytes(n):
+    return base64.b64encode(np.full(n, np.nan).tobytes()).decode()
+
+
+# Each edit of a saved make_kqn() document and the error it must raise.
+REFUSED = {
+    "nan_entry": (lambda d: d["params"]["proj_b"].update(data=nan_bytes(3)),
+                  "parameter 'proj_b' contains non-finite values"),
+    "float32": (lambda d: d["params"]["proj_b"].update(dtype="<f4"), "'proj_b' has dtype '<f4'"),
+    "string_size": (lambda d: d["params"]["proj_b"].update(shape=["3"]),
+                    "'proj_b' has shape .* not a list"),
+    "negative_size": (lambda d: d["params"]["proj_b"].update(shape=[-3]),
+                      "'proj_b' has shape .* not a list"),
+    "no_dtype": (lambda d: d["params"]["proj_b"].pop("dtype"), "'proj_b' must be an object of"),
+    "extra_parameter": (lambda d: d["params"].update(extra=d["params"]["proj_b"]),
+                        "unknown parameters: 'extra'"),
+    "params_list": (lambda d: d.update(params=[]), "params must be an object"),
+    "bool_for_int": (lambda d: d["config"].update(rnn_hidden=True),
+                     "config field 'rnn_hidden' must be of type int, got True"),
+    "string_for_float": (lambda d: d["config"].update(keep_prob="0.7"),
+                         "'keep_prob' must be of type float"),
+    "keep_prob_zero": (lambda d: d["config"].update(keep_prob=0), r"keep_prob must be in \(0, 1\]"),
+    "missing_field": (lambda d: d["config"].pop("mlp_hidden"), "config lacks field 'mlp_hidden'"),
+    "config_null": (lambda d: d.update(config=None), "config must be an object"),
+    "model_list": (lambda d: d.update(model=["kqn"]), "unknown model kind"),
+    # Refused before init_params would allocate biases of that size.
+    "huge_size": (lambda d: d["config"].update(num_skills=10 ** 12),
+                  "config field 'num_skills' is 1000000000000, the file stores 272 parameter values"),
+}
+
+
+class TestDocumentChecks:
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_naming_the_file(self, tmp_path, case):
+        edit, message = REFUSED[case]
+        path, doc = saved_doc(tmp_path)
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
+            load_checkpoint(rewrite(path, doc))
+
+    def test_an_int_serves_for_keep_prob(self, tmp_path):
+        path, doc = saved_doc(tmp_path)
+        doc["config"]["keep_prob"] = 1
+        _, config, _ = load_checkpoint(rewrite(path, doc))
+        assert config.keep_prob == 1
+
+    def test_hybrid_dkt_keeps_its_table_width(self, tmp_path):
+        config = DktConfig(num_skills=4, hidden=3, input_mode="hybrid")
+        model = DktModel(config, skill_table=np.eye(4)[:, :2])
+        params = model.init_params(np.random.default_rng(1))
+        path = tmp_path / "dkt.json"
+        save_checkpoint(path, "dkt", config, params)
+        assert load_checkpoint(path)[2]["rnn_wx"].shape == (12, 6)
+        doc = json.loads(path.read_text())
+        doc["params"]["rnn_wx"] = _encode(params["rnn_wx"][:, :4])
+        with pytest.raises(ValueError, match=r"'rnn_wx' has shape \(12, 4\), the config gives"):
+            load_checkpoint(rewrite(path, doc))
 
 
 class TestSkillVectorCsv:

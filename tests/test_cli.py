@@ -265,6 +265,59 @@ class TestEvaluate:
         assert 0.0 <= report["auc"] <= 1.0
 
 
+# Each edit of a trained checkpoint and the one stderr line that evaluate
+# then prints after "error: <path>: ".
+MALFORMED = {
+    "dim_is_a_string": ("kqn4", lambda d: {**d, "config": {**d["config"], "dim": "3"}},
+                        "config field 'dim' must be of type int, got '3'"),
+    "unknown_config_key": ("kqn4", lambda d: {**d, "config": {**d["config"], "depth": 2}},
+                           "unknown config fields: 'depth'"),
+    "top_level_list": ("kqn4", lambda d: [d], "a checkpoint must hold a JSON object"),
+    "missing_parameter": (
+        "kqn4", lambda d: {**d, "params": {k: v for k, v in d["params"].items() if k != "proj_w"}},
+        "parameters missing: 'proj_w'"),
+    "wrongly_shaped_parameter": (
+        "kqn4", lambda d: {**d, "params": {**d["params"],
+                                           "proj_w": {**d["params"]["proj_w"], "shape": [2, 8]}}},
+        "parameter 'proj_w' has shape (2, 8), the config gives (4, 4)"),
+    "dim_above_the_parameters": ("kqn3", lambda d: {**d, "config": {**d["config"], "dim": 4}},
+                                 "parameter 'proj_w' has shape (3, 4), the config gives (4, 4)"),
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_one_error_line(self, ws, tmp_path, capsys, case):
+        source, edit, message = MALFORMED[case]
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(edit(json.loads((ws / source / "checkpoint.json").read_text()))))
+        rc = main(["evaluate", "--out", str(tmp_path / "out"), "--checkpoint", str(bad),
+                   "--data", str(ws / "split" / "test.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out" / "eval.json").exists()
+
+    def test_hybrid_skill_vectors_of_the_wrong_width(self, ws, tmp_path, capsys):
+        run("dkt", "--out", tmp_path / "dkt",
+            "--train", ws / "split" / "train.txt",
+            "--valid", ws / "split" / "valid.txt",
+            "--mode", "hybrid", "--skill-vectors", ws / "kqn4" / "skill_vectors.csv",
+            "--hidden", 4, "--epochs", 1, "--batch-size", 8, "--seed", 2)
+        checkpoint = tmp_path / "dkt" / "checkpoint.json"
+        run("evaluate", "--out", tmp_path / "right", "--checkpoint", checkpoint,
+            "--skill-vectors", ws / "kqn4" / "skill_vectors.csv",
+            "--data", ws / "split" / "test.txt")
+        narrow = ws / "kqn3" / "skill_vectors.csv"
+        rc = main(["evaluate", "--out", str(tmp_path / "wrong"), "--checkpoint", str(checkpoint),
+                   "--skill-vectors", str(narrow), "--data", str(ws / "split" / "test.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint}: parameter 'rnn_wx' takes 10 inputs, "
+            f"the skill vectors in {narrow} give 9\n"
+        )
+        assert not (tmp_path / "wrong" / "eval.json").exists()
+
+
 class TestHeatmap:
     def test_matches_library_heatmap(self, ws, tmp_path):
         run("heatmap", "--out", tmp_path / "hm", "--checkpoint",
@@ -338,7 +391,7 @@ class TestDistancesClusterAri:
         rc = main(["cluster", "--out", str(tmp_path / "c"), "--distances", str(bad),
                    "--linkage", "average", "--n", "2"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: distance matrix entries must be finite\n"
+        assert capsys.readouterr().err == f"error: {bad}: distance matrix entries must be finite\n"
         assert not (tmp_path / "c" / "dendrogram.csv").exists()
 
     def test_cluster_direct_from_checkpoint(self, ws, tmp_path):
@@ -400,7 +453,7 @@ class TestMantelSensitivity:
         rc = main(["mantel", "--out", str(tmp_path / "m"), "--distances-a", str(good),
                    "--distances-b", str(bad), "--permutations", "9"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: distance matrix entries must be finite\n"
+        assert capsys.readouterr().err == f"error: {bad}: distance matrix entries must be finite\n"
         assert not (tmp_path / "m" / "mantel.json").exists()
 
     def test_sensitivity_matches_library(self, ws, tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kqn.tables import read_table, write_table
+from kqn import tables
+from kqn.tables import read_table, write_table, write_text
 
 # Values whose repr switches notation or needs all 17 digits.
 HARD_FLOATS = [0.1, 1 / 3, 1e16, 9999999999999998.0, 1e-4, 9.999e-5, 1e-5, 5e-324,
@@ -76,3 +77,17 @@ def test_round_trip_is_exact(tmp_path_factory, ids, width, data):
     _, back_ids, back = read_table(path, "test", header)
     assert back_ids == ids
     assert np.array_equal(back, np.array(values).reshape(len(ids), width))
+
+
+def test_an_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    write_text(path, "old\n")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(tables.os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        write_table(path, ("a",), [(1,)])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]

@@ -64,8 +64,9 @@ def pairwise_distances(vectors, kind: str) -> DistanceMatrix:
     if kind not in DISTANCE_KINDS:
         raise ValueError(f"kind must be one of {DISTANCE_KINDS}, got {kind!r}")
     norms = np.linalg.norm(v, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-6:
-        worst = int(np.argmax(np.abs(norms - 1.0)))
+    off = np.abs(norms - 1.0)
+    if not np.all(off <= 1e-6):  # a nan norm fails too
+        worst = int(np.argmax(off))  # the first nan, if there is one
         raise ValueError(
             f"vectors must be unit length; row {worst} has norm {norms[worst]}"
         )

@@ -1,14 +1,15 @@
 """Model persistence: a JSON checkpoint holding config plus parameters,
 and the skill-vector CSV consumed by downstream analysis and the hybrid
-baseline.
+baseline. A hybrid DKT model's frozen skill table is one of its
+parameters, so its checkpoint is as self-contained as any other.
 
 A checkpoint is one JSON object: "format_version" (2), "model" ("kqn" or
 "dkt"), "config" (every field of the model's config dataclass) and
 "params", which maps each parameter name to {"dtype": "<f8", "shape":
 [...], "data": base64 of its little-endian float64 bytes in C order}, so a
 save/load round trip is bit-exact. load_checkpoint checks the document
-against its own config and raises ValueError naming the file and the field
-or parameter at fault.
+against its own config (and a DKT model's against its stored table) and
+raises ValueError naming the file and the field or parameter at fault.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import dkt, model
 from .dkt import DktConfig
 from .model import ModelConfig, Params, encode_skill_table
-from .tables import read_table, write_table, write_text
+from .tables import read_table, write_json, write_table
 
 FORMAT_VERSION = 2
 _DTYPE = "<f8"
@@ -45,7 +46,7 @@ def save_checkpoint(path, model_kind: str, config, params: Params) -> None:
         "config": dataclasses.asdict(config),
         "params": {k: _encode(v) for k, v in params.items()},
     }
-    write_text(path, json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc, indent=1)
 
 
 def _encode(value) -> dict:
@@ -58,7 +59,8 @@ def load_checkpoint(path):
     """Returns (model_kind, config, params). Raises ValueError "<path>: ..."
     unless the file is a version-2 checkpoint whose config fields have
     their dataclass's types and whose parameters are finite and have the
-    keys and shapes init_params gives for that config."""
+    keys and shapes init_params gives for that config (and a DKT model's
+    stored skill table)."""
     try:
         return _read(json.loads(Path(path).read_text()))
     except ValueError as exc:
@@ -147,10 +149,8 @@ class _NoDraws:
 
 
 def _shapes(kind: str, config, params: Params) -> dict:
-    """Every parameter's shape, as init_params gives it for the config. A
-    hybrid DKT model's input width is its skill-vector table's, which the
-    checkpoint does not hold: the stored rnn_wx width stands in for it here,
-    and the code that loads the table checks it."""
+    """Every parameter's shape, as init_params gives it for the config and,
+    for a DKT model, the stored skill table, which init_params checks."""
     # Every size in a config is a side of some weight matrix. init_params
     # allocates the biases, so a size beyond what the file stores is
     # refused before it is asked.
@@ -162,11 +162,7 @@ def _shapes(kind: str, config, params: Params) -> dict:
     if kind == "kqn":
         reference = model.init_params(config, _NoDraws())
     else:
-        width = 2 * config.num_skills
-        wx = np.shape(params.get("rnn_wx"))
-        if config.input_mode == "hybrid" and len(wx) == 2 and wx[1] > config.num_skills:
-            width = wx[1]
-        reference = dkt.init_params(config, width, _NoDraws())
+        reference = dkt.init_params(config, _NoDraws(), params.get("skill_table"))
     return {key: value.shape for key, value in reference.items()}
 
 
@@ -178,6 +174,10 @@ def export_skill_vectors(path, params: Params, config: ModelConfig) -> None:
 
 
 def load_skill_vectors(path):
-    """Returns (skill_ids, table) with table rows in file order."""
+    """Returns (skill_ids, table) with table rows in file order; a
+    non-finite cell is an error naming the file and the skill."""
     _, ids, table = read_table(path, "skill-vector", ("skill", ...))
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: skill {ids[bad[0]]} has a non-finite coordinate")
     return np.array(ids), table

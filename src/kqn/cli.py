@@ -55,7 +55,7 @@ from .data import (
 )
 from .dkt import HYBRID_ENCODINGS, INPUT_MODES, DktConfig, DktModel
 from .model import RNN_KINDS, KqnModel, ModelConfig, encode_skill_table
-from .tables import write_table
+from .tables import write_json, write_table
 from .training import (
     GridSpec,
     TrainConfig,
@@ -175,9 +175,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     names = _option_names(args.command)
     opts = {name: _OPTIONS[name][1] for name in names}
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
+        loaded = _json_object(args.config, "config")
         unknown = set(loaded) - set(opts)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -194,6 +192,18 @@ def _resolve(args: argparse.Namespace) -> dict:
     return opts
 
 
+def _json_object(path, what: str) -> dict:
+    """The JSON object a file holds; malformed JSON or any other value is
+    an error naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
 def _write_manifest(outdir: Path, command: str, options: dict) -> None:
     doc = {
         "command": command,
@@ -201,7 +211,7 @@ def _write_manifest(outdir: Path, command: str, options: dict) -> None:
         "options": options,
         "seed": options.get("seed"),
     }
-    (outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(outdir / "manifest.json", doc, sort_keys=True)
 
 
 def _outdir(opts: dict) -> Path:
@@ -217,6 +227,29 @@ def _load_parts(opts: dict):
     test_ds = load_dataset(opts["test"]) if opts.get("test") else None
     parts = [ds for ds in (train_ds, valid_ds, test_ds) if ds is not None]
     return train_ds, valid_ds, test_ds, max(ds.num_skills for ds in parts)
+
+
+def _fit(opts: dict, model, parts, seed: int, metrics: Path, label: str):
+    """Train model on the train and valid parts under the fit options and
+    seed, write its per-epoch metrics CSV and score the test part when
+    there is one. Prints one summary line after label and returns the
+    fitted parameters and the summary: best epoch, its validation AUC and
+    the test AUC, loss and trial count."""
+    train_ds, valid_ds, test_ds = parts
+    result = train(model, train_ds.sequences, valid_ds.sequences, _train_config(opts, seed))
+    write_metrics_csv(metrics, result.metrics.epochs)
+    best = result.metrics.best_epoch
+    summary = {"best_epoch": best, "valid_auc": result.metrics.epochs[best - 1].valid_auc}
+    if test_ds is not None:
+        auc_value, loss_value, n_trials = evaluate(
+            model, result.params, test_ds.sequences, opts["batch_size"]
+        )
+        summary.update(test_auc=auc_value, test_loss=loss_value, test_trials=n_trials)
+    print(
+        f"{label} best epoch {best} valid AUC {summary['valid_auc']:.4f}"
+        + (f" test AUC {summary['test_auc']:.4f}" if test_ds is not None else "")
+    )
+    return result.params, summary
 
 
 def _train_config(opts: dict, seed: int) -> TrainConfig:
@@ -286,7 +319,7 @@ def cmd_train(opts) -> int:
     if opts["repeats"] < 1:
         raise ValueError(f"repeats must be at least 1, got {opts['repeats']}")
     outdir = _outdir(opts)
-    train_ds, valid_ds, test_ds, num_skills = _load_parts(opts)
+    *parts, num_skills = _load_parts(opts)
     config = ModelConfig(
         num_skills=num_skills,
         dim=opts["dim"],
@@ -295,76 +328,36 @@ def cmd_train(opts) -> int:
         mlp_hidden=opts["mlp_hidden"],
         keep_prob=opts["keep_prob"],
     )
-    model = KqnModel(config)
     summaries = []
-    test_aucs = []
     for rep in range(opts["repeats"]):
-        tc = _train_config(opts, opts["seed"] + rep)
-        result = train(model, train_ds.sequences, valid_ds.sequences, tc)
-        name = "metrics.csv" if rep == 0 else f"metrics_{rep}.csv"
-        write_metrics_csv(outdir / name, result.metrics.epochs)
-        best = result.metrics.epochs[result.metrics.best_epoch - 1]
-        summary = {
-            "repeat": rep,
-            "seed": tc.seed,
-            "best_epoch": result.metrics.best_epoch,
-            "valid_auc": best.valid_auc,
-        }
+        seed = opts["seed"] + rep
+        metrics = outdir / ("metrics.csv" if rep == 0 else f"metrics_{rep}.csv")
+        params, summary = _fit(opts, KqnModel(config), parts, seed, metrics, f"repeat {rep}:")
         if rep == 0:
-            save_checkpoint(outdir / "checkpoint.json", "kqn", config, result.params)
-            export_skill_vectors(outdir / "skill_vectors.csv", result.params, config)
-        if test_ds is not None:
-            auc_value, loss_value, n_trials = evaluate(
-                model, result.params, test_ds.sequences, opts["batch_size"]
-            )
-            summary.update(test_auc=auc_value, test_loss=loss_value, test_trials=n_trials)
-            test_aucs.append(auc_value)
-        summaries.append(summary)
-        print(
-            f"repeat {rep}: best epoch {summary['best_epoch']} "
-            f"valid AUC {summary['valid_auc']:.4f}"
-            + (f" test AUC {summary['test_auc']:.4f}" if test_ds is not None else "")
-        )
+            save_checkpoint(outdir / "checkpoint.json", "kqn", config, params)
+            export_skill_vectors(outdir / "skill_vectors.csv", params, config)
+        summaries.append({"repeat": rep, "seed": seed, **summary})
 
     report = {"repeats": summaries}
+    test_aucs = [s["test_auc"] for s in summaries if "test_auc" in s]
     if test_aucs:
         report["test_auc_mean"] = float(np.mean(test_aucs))
         report["test_auc_std"] = float(np.std(test_aucs))
-    (outdir / "eval.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(outdir / "eval.json", report)
     _write_manifest(outdir, "train", opts)
     return 0
-
-
-def _model_from_checkpoint(opts, kind, config, params):
-    if kind == "kqn":
-        return KqnModel(config)
-    if config.input_mode == "onehot":
-        return DktModel(config)
-    if opts["skill_vectors"] is None:
-        raise ValueError("hybrid checkpoint needs --skill-vectors")
-    _, table = load_skill_vectors(opts["skill_vectors"])
-    model = DktModel(config, skill_table=table)
-    # The checkpoint does not hold the table, so load_checkpoint could not
-    # check this width.
-    width = params["rnn_wx"].shape[1]
-    if width != model.input_dim:
-        raise ValueError(
-            f"{opts['checkpoint']}: parameter 'rnn_wx' takes {width} inputs, the skill "
-            f"vectors in {opts['skill_vectors']} give {model.input_dim}"
-        )
-    return model
 
 
 def cmd_evaluate(opts) -> int:
     outdir = _outdir(opts)
     kind, config, params = load_checkpoint(opts["checkpoint"])
-    model = _model_from_checkpoint(opts, kind, config, params)
+    model = KqnModel(config) if kind == "kqn" else DktModel(config)
     dataset = load_dataset(opts["data"])
     auc_value, loss_value, n_trials = evaluate(
         model, params, dataset.sequences, opts["batch_size"]
     )
     report = {"model": kind, "auc": auc_value, "loss": loss_value, "trials": n_trials}
-    (outdir / "eval.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(outdir / "eval.json", report)
     _write_manifest(outdir, "evaluate", opts)
     print(f"{kind} AUC {auc_value:.4f} loss {loss_value:.4f} over {n_trials} trials")
     return 0
@@ -400,18 +393,15 @@ def cmd_gridsearch(opts) -> int:
              c.valid_auc, c.best_epoch) for c in result.cells)
     write_table(outdir / "grid.csv", header, rows)
     best = result.best.config
-    (outdir / "best.json").write_text(
-        json.dumps(
-            {
-                "rnn": best.rnn_kind,
-                "dim": best.dim,
-                "rnn_hidden": best.rnn_hidden,
-                "mlp_hidden": best.mlp_hidden,
-                "valid_auc": result.best.valid_auc,
-            },
-            indent=2,
-        )
-        + "\n"
+    write_json(
+        outdir / "best.json",
+        {
+            "rnn": best.rnn_kind,
+            "dim": best.dim,
+            "rnn_hidden": best.rnn_hidden,
+            "mlp_hidden": best.mlp_hidden,
+            "valid_auc": result.best.valid_auc,
+        },
     )
     _write_manifest(outdir, "gridsearch", opts)
     print(
@@ -493,7 +483,7 @@ def cmd_ari(opts) -> int:
     order_a = np.argsort(ids_a)
     order_b = np.argsort(ids_b)
     value = ari(labels_a[order_a], labels_b[order_b])
-    (outdir / "ari.json").write_text(json.dumps({"ari": value}, indent=2) + "\n")
+    write_json(outdir / "ari.json", {"ari": value})
     _write_manifest(outdir, "ari", opts)
     print(f"ARI {value:.6f}")
     return 0
@@ -509,7 +499,7 @@ def cmd_mantel(opts) -> int:
         "p_value": result.p_value,
         "permutations": result.permutations,
     }
-    (outdir / "mantel.json").write_text(json.dumps(report, indent=2) + "\n")
+    write_json(outdir / "mantel.json", report)
     _write_manifest(outdir, "mantel", opts)
     print(f"mantel rho {result.rho:.6f} p {result.p_value:.6g}")
     return 0
@@ -533,7 +523,7 @@ def cmd_sensitivity(opts) -> int:
         "eta": {str(d): v for d, v in report.eta.items()},
         "xi": {f"{a},{b}": v for (a, b), v in report.xi.items()},
     }
-    (outdir / "sensitivity.json").write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(outdir / "sensitivity.json", doc)
     _write_manifest(outdir, "sensitivity", opts)
     for (a, b), v in report.xi.items():
         print(f"xi[{a},{b}] {v:.6f} (eta[{a}] {report.eta[a]:.6f}, eta[{b}] {report.eta[b]:.6f})")
@@ -542,7 +532,7 @@ def cmd_sensitivity(opts) -> int:
 
 def cmd_dkt(opts) -> int:
     outdir = _outdir(opts)
-    train_ds, valid_ds, test_ds, num_skills = _load_parts(opts)
+    *parts, num_skills = _load_parts(opts)
     config = DktConfig(
         num_skills=num_skills,
         hidden=opts["hidden"],
@@ -556,32 +546,17 @@ def cmd_dkt(opts) -> int:
             raise ValueError("hybrid mode needs --skill-vectors")
         _, table = load_skill_vectors(opts["skill_vectors"])
     model = DktModel(config, skill_table=table)
-    result = train(model, train_ds.sequences, valid_ds.sequences, _train_config(opts, opts["seed"]))
-    write_metrics_csv(outdir / "metrics.csv", result.metrics.epochs)
-    save_checkpoint(outdir / "checkpoint.json", "dkt", config, result.params)
-    best = result.metrics.epochs[result.metrics.best_epoch - 1]
-    report = {"best_epoch": result.metrics.best_epoch, "valid_auc": best.valid_auc}
-    if test_ds is not None:
-        auc_value, loss_value, n_trials = evaluate(
-            model, result.params, test_ds.sequences, opts["batch_size"]
-        )
-        report.update(test_auc=auc_value, test_loss=loss_value, test_trials=n_trials)
-    (outdir / "eval.json").write_text(json.dumps(report, indent=2) + "\n")
+    params, report = _fit(opts, model, parts, opts["seed"], outdir / "metrics.csv", "dkt")
+    save_checkpoint(outdir / "checkpoint.json", "dkt", config, params)
+    write_json(outdir / "eval.json", report)
     _write_manifest(outdir, "dkt", opts)
-    print(
-        f"dkt best epoch {report['best_epoch']} valid AUC {report['valid_auc']:.4f}"
-        + (f" test AUC {report['test_auc']:.4f}" if test_ds is not None else "")
-    )
     return 0
 
 
 def cmd_relabel(opts) -> int:
     outdir = _outdir(opts)
     dataset = load_dataset(opts["data"])
-    raw = json.loads(Path(opts["mapping"]).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"mapping file {opts['mapping']} must hold a JSON object")
-    mapping = {int(k): int(v) for k, v in raw.items()}
+    mapping = {int(k): int(v) for k, v in _json_object(opts["mapping"], "mapping").items()}
     relabeled = relabel_skills(dataset, mapping)
     save_dataset(relabeled, outdir / "data.txt", extra={"relabeled_from": str(opts["data"])})
     _write_manifest(outdir, "relabel", opts)
@@ -606,7 +581,7 @@ _COMMANDS = {
     "train": (cmd_train, "train the knowledge-query model", ("train", "valid"),
               ("test", "dim", "rnn", "rnn_hidden", "mlp_hidden", "keep_prob", *_FIT, "repeats")),
     "evaluate": (cmd_evaluate, "score a checkpoint on a dataset",
-                 ("checkpoint", "data"), ("skill_vectors", "batch_size")),
+                 ("checkpoint", "data"), ("batch_size",)),
     "gridsearch": (cmd_gridsearch, "sweep architecture hyperparameters", ("train", "valid"),
                    ("kinds", "dims", "rnn_hiddens", "mlp_hiddens", "keep_prob", *_FIT)),
     "heatmap": (cmd_heatmap, "export one student's knowledge-interaction matrix",

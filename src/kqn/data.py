@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .ops import sigmoid
+from .tables import write_json, write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +146,11 @@ def save_dataset(dataset: Dataset, path, extra: Optional[dict] = None) -> None:
     """Write triplet text plus a JSON sidecar carrying num_skills and any
     extra metadata (generator parameters, concept labels, remaps)."""
     path = Path(path)
-    path.write_text(serialize_triplets(dataset))
+    write_text(path, serialize_triplets(dataset))
     meta = {"name": dataset.name, "num_skills": dataset.num_skills}
     if extra:
         meta.update(extra)
-    _sidecar_path(path).write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(_sidecar_path(path), meta)
 
 
 def load_dataset(path) -> Dataset:

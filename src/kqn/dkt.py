@@ -5,12 +5,14 @@ learned elsewhere.
 The recurrent scan, batch checks and loss are the query model's (see
 model.py); this module adds only the input encodings and the output layer,
 which maps the recurrent output to one logit per skill so that trial t
-scores element e_{t+1} of that vector against c_{t+1}.
+scores element e_{t+1} of that vector against c_{t+1}. A hybrid model
+holds its frozen table as the parameter "skill_table", which no gradient
+reaches, so its config and parameters describe it fully and a checkpoint
+carries the table it was trained with.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,11 +20,14 @@ from .model import (
     BatchForward,
     Params,
     check_batch,
+    check_config,
+    init_recurrent,
     next_trials,
     onehot_inputs,
     scan,
     scan_backward,
     scatter_steps,
+    uniform_weights,
 )
 
 # Not called here, but perfbench/tracing.py patches these names in this
@@ -47,88 +52,67 @@ class DktConfig:
     hybrid_encoding: str = "correctness"
 
     def __post_init__(self):
-        if self.num_skills < 2:
-            raise ValueError(f"num_skills must be >= 2, got {self.num_skills}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be positive, got {self.hidden}")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
-        if self.input_mode not in INPUT_MODES:
-            raise ValueError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
-        if self.hybrid_encoding not in HYBRID_ENCODINGS:
-            raise ValueError(
-                f"hybrid_encoding must be one of {HYBRID_ENCODINGS}, "
-                f"got {self.hybrid_encoding!r}"
-            )
+        check_config(self, input_mode=INPUT_MODES, hybrid_encoding=HYBRID_ENCODINGS)
 
 
-def init_params(config: DktConfig, input_dim: int, rng: np.random.Generator) -> Params:
-    """Same scheme as the query model: uniform +/-1/sqrt(fan_in), zero
-    biases, LSTM forget bias +1."""
-    h, n = config.hidden, config.num_skills
+def init_params(config: DktConfig, rng: np.random.Generator, skill_table=None) -> Params:
+    """The recurrent block of model.init_recurrent, then the output layer;
+    in hybrid mode a copy of skill_table follows as the last parameter.
 
-    def uniform(rows, cols):
-        lim = 1.0 / np.sqrt(cols)
-        return rng.uniform(-lim, lim, size=(rows, cols))
-
-    params: Params = {
-        "rnn_wx": uniform(4 * h, input_dim),
-        "rnn_wh": uniform(4 * h, h),
-        "rnn_b": np.zeros(4 * h),
-        "out_w": uniform(n, h),
-        "out_b": np.zeros(n),
-    }
-    params["rnn_b"][h : 2 * h] = 1.0
+    This is the one place that checks the table: hybrid mode needs one of
+    num_skills rows and one-hot mode takes none. The input width follows
+    from it: 2N one-hot inputs, or N correctness inputs and the table's d.
+    """
+    n = config.num_skills
+    width = 2 * n
+    if config.input_mode == "hybrid":
+        if skill_table is None:
+            raise ValueError("hybrid input mode needs a skill-vector table")
+        table = np.array(skill_table, dtype=float)
+        if table.ndim != 2 or table.shape[0] != n:
+            raise ValueError(f"skill table must have {n} rows, got shape {table.shape}")
+        width = n + table.shape[1]
+    elif skill_table is not None:
+        raise ValueError("skill table is only used in hybrid input mode")
+    params = init_recurrent(rng, "lstm", config.hidden, width)
+    params["out_w"] = uniform_weights(rng, n, config.hidden)
+    params["out_b"] = np.zeros(n)
+    if config.input_mode == "hybrid":
+        params["skill_table"] = table
     return params
 
 
 class DktModel:
-    """Trainer-facing wrapper. In hybrid mode the skill table is data, not
-    a parameter: gradients never touch it."""
+    """Trainer-facing wrapper. skill_table, the frozen table of a hybrid
+    model, is read only by init_params; forward reads the copy held in the
+    parameters, so DktModel(config) scores any checkpoint of that config."""
 
     name = "dkt"
 
-    def __init__(self, config: DktConfig, skill_table: Optional[np.ndarray] = None):
+    def __init__(self, config: DktConfig, skill_table=None):
         self.config = config
-        if config.input_mode == "hybrid":
-            if skill_table is None:
-                raise ValueError("hybrid input mode needs a skill-vector table")
-            table = np.asarray(skill_table, dtype=float)
-            if table.ndim != 2 or table.shape[0] != config.num_skills:
-                raise ValueError(
-                    f"skill table must have {config.num_skills} rows, got shape {table.shape}"
-                )
-            self.skill_table = table.copy()
-        else:
-            if skill_table is not None:
-                raise ValueError("skill table is only used in hybrid input mode")
-            self.skill_table = None
-
-    @property
-    def input_dim(self) -> int:
-        if self.config.input_mode == "onehot":
-            return 2 * self.config.num_skills
-        return self.config.num_skills + self.skill_table.shape[1]
+        self.skill_table = skill_table
 
     def init_params(self, rng: np.random.Generator) -> Params:
-        return init_params(self.config, self.input_dim, rng)
+        return init_params(self.config, rng, self.skill_table)
 
-    def step_inputs(self, skills, corrects):
+    def step_inputs(self, params, skills, corrects):
         """Step-input builder: the one-hot response encoding, or in hybrid
         mode a correctness block (the flag, or +/-1 when signed, at index
-        skill-1) followed by the frozen skill vector."""
+        skill-1) followed by the skill's row of params["skill_table"]."""
         cfg = self.config
         n = cfg.num_skills
         if cfg.input_mode == "onehot":
             return onehot_inputs(skills, corrects, n)
         signed = cfg.hybrid_encoding == "signed"
+        table = params["skill_table"]
 
         def step(j, rows):
-            x = np.zeros((skills.shape[0], self.input_dim))
+            x = np.zeros((skills.shape[0], n + table.shape[1]))
             e = skills[rows, j]
             c = corrects[rows, j]
             x[rows, e - 1] = 2.0 * c - 1.0 if signed else c
-            x[rows, n:] = self.skill_table[e - 1]
+            x[rows, n:] = table[e - 1]
             return x
 
         return step
@@ -137,7 +121,8 @@ class DktModel:
         cfg = self.config
         check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
         hd, scan_cache = scan(
-            params, "lstm", self.step_inputs(skills, corrects), lengths, cfg.keep_prob, mode, rng
+            params, "lstm", self.step_inputs(params, skills, corrects), lengths, cfg.keep_prob,
+            mode, rng,
         )
         q = next_trials(skills, hd.shape[0])
         out = hd @ params["out_w"].T + params["out_b"]
@@ -146,6 +131,7 @@ class DktModel:
         return BatchForward.from_logits(logits, corrects, lengths, cache)
 
     def backward(self, params, fwd: BatchForward) -> Params:
+        """Gradients of every parameter but the frozen skill_table."""
         if fwd.cache is None:
             raise ValueError("backward needs a forward pass run with mode='train'")
         cache = fwd.cache

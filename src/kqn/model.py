@@ -45,44 +45,62 @@ class ModelConfig:
     keep_prob: float = 0.6
 
     def __post_init__(self):
-        if self.num_skills < 2:
-            raise ValueError(f"num_skills must be >= 2, got {self.num_skills}")
-        if self.dim < 1 or self.rnn_hidden < 1 or self.mlp_hidden < 1:
-            raise ValueError("dim, rnn_hidden and mlp_hidden must be positive")
-        if self.rnn_kind not in RNN_KINDS:
-            raise ValueError(f"rnn_kind must be one of {RNN_KINDS}, got {self.rnn_kind!r}")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        check_config(self, rnn_kind=RNN_KINDS)
+
+
+def check_config(config, **choices) -> None:
+    """The value checks every model config shares: each field named in
+    choices is one of its choices, keep_prob is in (0, 1], num_skills is
+    at least 2 and every other field, a width, is positive."""
+    for name, value in vars(config).items():
+        if name in choices:
+            ok, rule = value in choices[name], f"one of {choices[name]}"
+        elif name == "keep_prob":
+            ok, rule = 0.0 < value <= 1.0, "in (0, 1]"
+        else:
+            low = 2 if name == "num_skills" else 1
+            ok, rule = value >= low, f">= {low}"
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def uniform_weights(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) weight matrix drawn from Uniform(-1/sqrt(cols),
+    +1/sqrt(cols)), cols being its fan-in."""
+    lim = 1.0 / np.sqrt(cols)
+    return rng.uniform(-lim, lim, size=(rows, cols))
+
+
+def init_recurrent(rng: np.random.Generator, rnn_kind: str, hidden: int, input_dim: int) -> Params:
+    """rnn_wx, rnn_wh and rnn_b of a recurrent cell, the weights drawn in
+    that order by uniform_weights and the biases zero, except that the
+    LSTM forget-gate bias starts at +1 so early training does not erase
+    state before the gates have learned anything."""
+    rows = _GATES[rnn_kind] * hidden
+    params: Params = {
+        "rnn_wx": uniform_weights(rng, rows, input_dim),
+        "rnn_wh": uniform_weights(rng, rows, hidden),
+        "rnn_b": np.zeros(rows),
+    }
+    if rnn_kind == "lstm":
+        params["rnn_b"][hidden : 2 * hidden] = 1.0
+    return params
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases.
-
-    The LSTM forget-gate bias starts at +1 so early training does not
-    erase state before the gates have learned anything.
-    """
+    """The recurrent block of init_recurrent over the 2N one-hot inputs,
+    then the projection and the skill encoder, drawn in that order."""
     n, d = config.num_skills, config.dim
     h, m = config.rnn_hidden, config.mlp_hidden
-    g = _GATES[config.rnn_kind]
-
-    def uniform(rows, cols):
-        lim = 1.0 / np.sqrt(cols)
-        return rng.uniform(-lim, lim, size=(rows, cols))
-
-    params: Params = {
-        "rnn_wx": uniform(g * h, 2 * n),
-        "rnn_wh": uniform(g * h, h),
-        "rnn_b": np.zeros(g * h),
-        "proj_w": uniform(d, h),
+    return {
+        **init_recurrent(rng, config.rnn_kind, h, 2 * n),
+        "proj_w": uniform_weights(rng, d, h),
         "proj_b": np.zeros(d),
-        "mlp_w0": uniform(m, n),
+        "mlp_w0": uniform_weights(rng, m, n),
         "mlp_b0": np.zeros(m),
-        "mlp_w1": uniform(d, m),
+        "mlp_w1": uniform_weights(rng, d, m),
         "mlp_b1": np.zeros(d),
     }
-    if config.rnn_kind == "lstm":
-        params["rnn_b"][h : 2 * h] = 1.0
-    return params
 
 
 # ---------------------------------------------------------------------------

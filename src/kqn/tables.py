@@ -1,10 +1,12 @@
-"""The CSV format of every table artifact: a header line, then one line per
-row, cells separated by commas and every line ended by "\\n". Column 0 of
-a row is an integer id: a skill id, a merged cluster id or an epoch.
+"""The one module that writes files, and the CSV format of every table
+artifact: a header line, then one line per row, cells separated by commas
+and every line ended by "\\n". Column 0 of a row is an integer id: a
+skill id, a merged cluster id or an epoch.
 """
 from __future__ import annotations
 
 import csv
+import json
 import os
 from pathlib import Path
 
@@ -23,6 +25,12 @@ def write_text(path, text: str) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, doc, indent: int = 2, sort_keys: bool = False) -> None:
+    """Write doc as indented JSON text ended by a newline, through
+    write_text."""
+    write_text(path, json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n")
 
 
 def write_table(path, header, rows) -> None:

@@ -153,7 +153,7 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
     kind = cfg.rnn_kind if kqn else "lstm"
     step_input = (
         onehot_inputs(skills, corrects, cfg.num_skills) if kqn
-        else model.step_inputs(skills, corrects)
+        else model.step_inputs(params, skills, corrects)
     )
     bsz, hh = len(lengths), params["rnn_wh"].shape[1]
     s_steps = int(lengths.max()) - 1
@@ -183,7 +183,8 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
     targets = corrects[:, 1:].T
     valid = np.arange(s_steps)[:, None] < lengths - 1
     dy = np.where(valid, probs - targets, 0.0)
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    # A hybrid DKT model's skill_table is frozen: it gets no gradient.
+    grads = {k: np.zeros_like(v) for k, v in params.items() if k != "skill_table"}
     d_table = np.zeros_like(table) if kqn else None
     dh_rec, dc_rec = np.zeros((bsz, hh)), np.zeros((bsz, hh))
     for j in reversed(range(s_steps)):

@@ -14,6 +14,40 @@ and with it projected out ARI stays near 0. Next-response prediction
 gains only about 0.02 test AUC from concept structure at this scale, so
 the training signal for it is weak. The test asserts the stated bar
 anyway and fails.
+
+Measured negatives. Program-side levers, each an uncommitted prototype on the
+desk split (training seeds as a diagnostic only; fixture, bar and seed
+unchanged), did not move the ARI:
+
+    lever                                         desk ARI                 desk test AUC
+    fixture model (d=16), seeds 1-3               +0.001, -0.031, +0.003   0.703, 0.701, 0.702
+    step input tied to the skill vector,          -0.033, -0.026, +0.010   0.707, 0.706, 0.707
+      [c*s_e, (1-c)*s_e]
+    tied input, 60 epochs, no early stopping      <= +0.001 at every       validation peak 0.712
+      (seed 1)                                      5th epoch                at epoch 30
+    loss on the next 10 trials from each state    -0.034                   0.703
+      (seed 1)
+    decoupled weight decay (AdamW), weights       -0.043 to -0.001         <= 0.703
+      shrunk by 1 or 10 x alpha per step,
+      40 epochs (seed 1)
+    4x and 8x the students, desk config with      -0.028, +0.028           not measured
+      early stopping (seed 1)                       (model-free: 0.754,
+                                                    0.948)
+    8x the students, no early stopping,           reaches 0.083 only as    not measured
+      40 epochs (seed 1)                            validation AUC falls
+                                                    from 0.723 to 0.693
+
+With one trial ahead the multi-step prototype reproduces the fixture
+exactly (ARI 0.0009, test AUC 0.7028). Why, measured on the fixture model:
+one direction holds 89% of the knowledge states' variance and the next 9%,
+so the state tracks one global ability, not five concept abilities; the
+per-skill mean explains 91% of the logit variance (difficulty), and the
+skill table's first principal component has |r| 0.959 with the per-skill
+training base rate; clustering skills by how their logits correlate
+across states gives ARI between -0.03 and 0 over seeds 1-3, as does a
+state-covariance (Mahalanobis) distance, so the concept signal is absent
+from the model's dynamics and the geometry does not hide it; and DKT at
+desk is no different, its output rows clustering at ARI -0.017.
 """
 import time
 

@@ -90,6 +90,13 @@ class TestPairwiseDistances:
             with pytest.raises(ValueError, match="unit"):
                 pairwise_distances(v, kind)
 
+    def test_nan_rows_rejected(self):
+        # A nan norm compares false with any tolerance, so it needs its own test.
+        v = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, 1.0]])
+        for kind in ("cosine", "euclidean"):
+            with pytest.raises(ValueError, match="unit length; row 1 has norm nan"):
+                pairwise_distances(v, kind)
+
     def test_unknown_kind_rejected(self):
         v = random_unit_vectors(3, 4, np.random.default_rng(2))
         with pytest.raises(ValueError):

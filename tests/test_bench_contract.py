@@ -1,9 +1,11 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps kqn functions by
 module and attribute name. Every name it patches must stay bound where it
-looks, or a traced benchmark run fails before it starts."""
+looks, or a traced benchmark run fails before it starts. Its output checks
+(perfbench/checks.py) read the artifacts' layout, pinned here as well."""
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +16,18 @@ from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
 from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("ops", "metrics", "model", "dkt", "data", "checkpoint", "training", "analysis", "cli")
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load_perfbench("tracing")
 
 
 def kqn_modules():
@@ -103,3 +105,24 @@ def test_install_traces_dkt_through_the_shared_scan():
     assert not names & {"dkt.lstm_cell", "dkt.lstm_cell_backward"}
     for (home, attr), original in before.items():
         assert getattr(modules[home], attr) is original
+
+
+def test_fit_reports_have_the_layout_the_checks_read(tmp_path):
+    # checks.fit reads a train run's test scores from repeats[0] of its
+    # eval.json and a dkt run's from the top level.
+    checks = load_perfbench("checks")
+    main = kqn.cli.main
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--students", "24", "--skills", "4",
+                 "--concepts", "2", "--steps", "8", "--seed", "1"]) == 0
+    assert main(["split", "--out", str(tmp_path / "split"),
+                 "--data", str(tmp_path / "synth" / "data.txt")]) == 0
+    parts = [f"--{p}={tmp_path / 'split' / p}.txt" for p in ("train", "valid", "test")]
+    fit = [*parts, "--epochs", "2", "--batch-size", "8", "--keep-prob", "1"]
+    assert main(["train", "--out", str(tmp_path / "train"), *fit, "--dim", "3",
+                 "--rnn-hidden", "4", "--mlp-hidden", "4"]) == 0
+    assert main(["dkt", "--out", str(tmp_path / "dkt"), *fit, "--hidden", "4"]) == 0
+    for command in ("train", "dkt"):
+        report = json.loads((tmp_path / command / "eval.json").read_text())
+        scores = report["repeats"][0] if command == "train" else report
+        assert {"best_epoch", "valid_auc", "test_auc", "test_loss", "test_trials"} <= set(scores)
+        assert checks.fit(tmp_path / command, command, 2) == scores["test_auc"]

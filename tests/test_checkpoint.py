@@ -208,12 +208,15 @@ class TestDocumentChecks:
         assert config.keep_prob == 1
 
     def test_hybrid_dkt_keeps_its_table_width(self, tmp_path):
+        # The stored skill table gives the input width.
+        table = np.eye(4)[:, :2]
         config = DktConfig(num_skills=4, hidden=3, input_mode="hybrid")
-        model = DktModel(config, skill_table=np.eye(4)[:, :2])
-        params = model.init_params(np.random.default_rng(1))
+        params = DktModel(config, skill_table=table).init_params(np.random.default_rng(1))
         path = tmp_path / "dkt.json"
         save_checkpoint(path, "dkt", config, params)
-        assert load_checkpoint(path)[2]["rnn_wx"].shape == (12, 6)
+        loaded = load_checkpoint(path)[2]
+        assert loaded["rnn_wx"].shape == (12, 6)
+        assert loaded["skill_table"].tobytes() == table.tobytes()
         doc = json.loads(path.read_text())
         doc["params"]["rnn_wx"] = _encode(params["rnn_wx"][:, :4])
         with pytest.raises(ValueError, match=r"'rnn_wx' has shape \(12, 4\), the config gives"):
@@ -230,6 +233,13 @@ class TestSkillVectorCsv:
         assert ids.tolist() == [1, 2, 3, 4, 5, 6]
         assert np.array_equal(back, table)
         assert path.read_text().splitlines()[0] == "skill,x1,x2,x3"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "vectors.csv"
+        path.write_text(f"skill,x1,x2\n1,0.6,0.8\n7,1.0,{cell}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: skill 7 has a non-finite"):
+            load_skill_vectors(path)
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "junk.csv"

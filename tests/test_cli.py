@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line front end, run in process."""
+import base64
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from kqn.analysis import (
     sensitivity_stats,
     write_heatmap_csv,
 )
-from kqn.checkpoint import load_checkpoint, load_skill_vectors
+from kqn.checkpoint import _encode, load_checkpoint, load_skill_vectors
 from kqn.cli import _list_option, _resolve, build_parser, main
 from kqn.data import (
     ResponseSequence,
@@ -32,6 +33,8 @@ from kqn.training import evaluate, split_data
 
 # A symmetric distance file with one non-finite pair.
 NAN_DISTANCES = "skill,1,2,3\n1,0.0,nan,2.0\n2,nan,0.0,1.0\n3,2.0,1.0,0.0\n"
+# A skill-vector file with one non-finite coordinate, for skill 2.
+NAN_VECTORS = "skill,x1,x2\n1,0.6,0.8\n2,nan,0.0\n3,1.0,0.0\n4,0.0,1.0\n5,0.8,0.6\n6,1.0,0.0\n"
 
 
 def run(*argv):
@@ -55,12 +58,14 @@ def ws(tmp_path_factory):
               "--alpha", 0.003, "--seed", 1]
     run("train", "--out", root / "kqn4", "--dim", 4, *common)
     run("train", "--out", root / "kqn3", "--dim", 3, *common)
-    run("dkt", "--out", root / "dkt",
-        "--train", root / "split" / "train.txt",
-        "--valid", root / "split" / "valid.txt",
-        "--test", root / "split" / "test.txt",
-        "--hidden", 4, "--keep-prob", 0.8, "--batch-size", 8,
-        "--epochs", 2, "--alpha", 0.003, "--seed", 1)
+    dkt = ["--train", root / "split" / "train.txt",
+           "--valid", root / "split" / "valid.txt",
+           "--test", root / "split" / "test.txt",
+           "--hidden", 4, "--keep-prob", 0.8, "--batch-size", 8,
+           "--epochs", 2, "--alpha", 0.003, "--seed", 1]
+    run("dkt", "--out", root / "dkt", *dkt)
+    run("dkt", "--out", root / "hybrid", *dkt,
+        "--mode", "hybrid", "--skill-vectors", root / "kqn4" / "skill_vectors.csv")
     return root
 
 
@@ -264,6 +269,33 @@ class TestEvaluate:
         assert report["model"] == "dkt"
         assert 0.0 <= report["auc"] <= 1.0
 
+    def test_hybrid_checkpoint_needs_no_other_input(self, ws, tmp_path):
+        # The checkpoint holds the skill table the model was trained with.
+        run("evaluate", "--out", tmp_path, "--checkpoint", ws / "hybrid" / "checkpoint.json",
+            "--data", ws / "split" / "test.txt", "--batch-size", 8)
+        report = json.loads((tmp_path / "eval.json").read_text())
+        fit = json.loads((ws / "hybrid" / "eval.json").read_text())
+        assert (report["auc"], report["loss"], report["trials"]) == \
+            (fit["test_auc"], fit["test_loss"], fit["test_trials"])
+        _, table = load_skill_vectors(ws / "kqn4" / "skill_vectors.csv")
+        _, _, params = load_checkpoint(ws / "hybrid" / "checkpoint.json")
+        assert params["skill_table"].tobytes() == table.tobytes()
+
+
+def stored(doc, key):
+    """A parameter of a checkpoint document as an array."""
+    entry = doc["params"][key]
+    return np.frombuffer(base64.b64decode(entry["data"]), "<f8").reshape(entry["shape"])
+
+
+def with_param(doc, key, value):
+    """The document with parameter key set to value, or without it when
+    value is None."""
+    params = {k: v for k, v in doc["params"].items() if k != key}
+    if value is not None:
+        params[key] = _encode(value)
+    return {**doc, "params": params}
+
 
 # Each edit of a trained checkpoint and the one stderr line that evaluate
 # then prints after "error: <path>: ".
@@ -282,6 +314,16 @@ MALFORMED = {
         "parameter 'proj_w' has shape (2, 8), the config gives (4, 4)"),
     "dim_above_the_parameters": ("kqn3", lambda d: {**d, "config": {**d["config"], "dim": 4}},
                                  "parameter 'proj_w' has shape (3, 4), the config gives (4, 4)"),
+    "table_of_the_wrong_row_count": (
+        "hybrid", lambda d: with_param(d, "skill_table", stored(d, "skill_table")[:5]),
+        "skill table must have 6 rows, got shape (5, 4)"),
+    "table_narrower_than_rnn_wx": (
+        "hybrid", lambda d: with_param(d, "skill_table", stored(d, "skill_table")[:, :3]),
+        "parameter 'rnn_wx' has shape (16, 10), the config gives (16, 9)"),
+    "hybrid_without_a_table": ("hybrid", lambda d: with_param(d, "skill_table", None),
+                               "hybrid input mode needs a skill-vector table"),
+    "onehot_with_a_table": ("dkt", lambda d: with_param(d, "skill_table", np.eye(6)),
+                            "skill table is only used in hybrid input mode"),
 }
 
 
@@ -296,26 +338,6 @@ class TestMalformedCheckpoint:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out" / "eval.json").exists()
-
-    def test_hybrid_skill_vectors_of_the_wrong_width(self, ws, tmp_path, capsys):
-        run("dkt", "--out", tmp_path / "dkt",
-            "--train", ws / "split" / "train.txt",
-            "--valid", ws / "split" / "valid.txt",
-            "--mode", "hybrid", "--skill-vectors", ws / "kqn4" / "skill_vectors.csv",
-            "--hidden", 4, "--epochs", 1, "--batch-size", 8, "--seed", 2)
-        checkpoint = tmp_path / "dkt" / "checkpoint.json"
-        run("evaluate", "--out", tmp_path / "right", "--checkpoint", checkpoint,
-            "--skill-vectors", ws / "kqn4" / "skill_vectors.csv",
-            "--data", ws / "split" / "test.txt")
-        narrow = ws / "kqn3" / "skill_vectors.csv"
-        rc = main(["evaluate", "--out", str(tmp_path / "wrong"), "--checkpoint", str(checkpoint),
-                   "--skill-vectors", str(narrow), "--data", str(ws / "split" / "test.txt")])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            f"error: {checkpoint}: parameter 'rnn_wx' takes 10 inputs, "
-            f"the skill vectors in {narrow} give 9\n"
-        )
-        assert not (tmp_path / "wrong" / "eval.json").exists()
 
 
 class TestHeatmap:
@@ -456,6 +478,14 @@ class TestMantelSensitivity:
         assert capsys.readouterr().err == f"error: {bad}: distance matrix entries must be finite\n"
         assert not (tmp_path / "m" / "mantel.json").exists()
 
+    def test_nan_skill_vector_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(NAN_VECTORS)
+        rc = main(["distances", "--out", str(tmp_path / "d"), "--skill-vectors", str(bad)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: skill 2 has a non-finite coordinate\n"
+        assert not (tmp_path / "d" / "distances.csv").exists()
+
     def test_sensitivity_matches_library(self, ws, tmp_path):
         run("sensitivity", "--out", tmp_path,
             "--vectors", ws / "kqn4" / "skill_vectors.csv",
@@ -506,6 +536,17 @@ class TestDkt:
                    "--mode", "hybrid", "--epochs", "1"])
         assert rc == 1
         assert "skill-vectors" in capsys.readouterr().err
+
+    def test_hybrid_refuses_nan_vectors(self, ws, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(NAN_VECTORS)
+        rc = main(["dkt", "--out", str(tmp_path / "out"),
+                   "--train", str(ws / "split" / "train.txt"),
+                   "--valid", str(ws / "split" / "valid.txt"),
+                   "--mode", "hybrid", "--skill-vectors", str(bad), "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: skill 2 has a non-finite coordinate\n"
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
 
     def test_hybrid_trains_with_vectors(self, ws, tmp_path):
         run("dkt", "--out", tmp_path,
@@ -589,6 +630,16 @@ class TestOptionHandling:
         assert doc["options"]["skills"] == 4
         assert doc["seed"] == 1
 
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text('{"dim": 3,}')
+        rc = main(["train", "--out", str(tmp_path / "out"),
+                   "--config", str(tmp_path / "cfg.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'cfg.json'}: Expecting property name enclosed in double "
+            "quotes: line 1 column 11 (char 10)\n"
+        )
+
     def test_unknown_config_key(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"bogus": 1}))
         rc = main(["synth", "--out", str(tmp_path / "out"),
@@ -644,8 +695,7 @@ CLI_DEFAULTS = {
               "rnn": "lstm", "rnn_hidden": 32, "mlp_hidden": 32, "keep_prob": 0.6,
               "batch_size": 128, "epochs": 50, "alpha": 0.001, "patience": 5,
               "repeats": 1, "seed": 0},
-    "evaluate": {"out": None, "checkpoint": None, "data": None, "skill_vectors": None,
-                 "batch_size": 128, "seed": 0},
+    "evaluate": {"out": None, "checkpoint": None, "data": None, "batch_size": 128, "seed": 0},
     "gridsearch": {"out": None, "train": None, "valid": None, "kinds": "lstm,gru",
                    "dims": "32,64,128", "rnn_hiddens": "32,64,128",
                    "mlp_hiddens": "32,64,128", "keep_prob": 0.6, "batch_size": 128,

@@ -35,7 +35,9 @@ def dkt_kqn_input(response, encoding="correctness"):
     """Hybrid input vector of one (skill, correct) response, through the
     batched step input."""
     skill, correct = response
-    step = hybrid_model(encoding).step_inputs(np.array([[skill]]), np.array([[correct]]))
+    model = hybrid_model(encoding)
+    params = model.init_params(np.random.default_rng(0))
+    step = model.step_inputs(params, np.array([[skill]]), np.array([[correct]]))
     return step(0, np.array([0]))[0]
 
 
@@ -76,33 +78,54 @@ class TestDktConfig:
             DktConfig(num_skills=3, hybrid_encoding="plusminus")
 
     def test_table_requirements(self):
+        # init_params is the one place that checks the table.
         onehot = DktConfig(num_skills=2, input_mode="onehot")
         hybrid = DktConfig(num_skills=2, input_mode="hybrid")
-        with pytest.raises(ValueError):
-            DktModel(onehot, skill_table=TABLE_2X2)
-        with pytest.raises(ValueError):
-            DktModel(hybrid)
-        with pytest.raises(ValueError):
-            DktModel(hybrid, skill_table=np.zeros((3, 2)))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="only used in hybrid"):
+            init_params(onehot, rng, TABLE_2X2)
+        with pytest.raises(ValueError, match="needs a skill-vector table"):
+            DktModel(hybrid).init_params(rng)
+        with pytest.raises(ValueError, match=r"2 rows, got shape \(3, 2\)"):
+            init_params(hybrid, rng, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"2 rows, got shape \(2,\)"):
+            init_params(hybrid, rng, np.zeros(2))
 
     def test_input_dims(self):
-        assert DktModel(DktConfig(num_skills=2)).input_dim == 4
-        model = DktModel(DktConfig(num_skills=2, input_mode="hybrid"), skill_table=TABLE_2X2)
-        assert model.input_dim == 4
+        # The input width follows the table.
+        rng = np.random.default_rng(0)
+        assert init_params(DktConfig(num_skills=2), rng)["rnn_wx"].shape == (128, 4)
+        hybrid = DktConfig(num_skills=2, input_mode="hybrid")
+        assert init_params(hybrid, rng, TABLE_2X2)["rnn_wx"].shape == (128, 4)
+        assert init_params(hybrid, rng, np.ones((2, 5)))["rnn_wx"].shape == (128, 7)
 
 
 class TestFrozenSkillTable:
-    def test_table_is_copied_at_construction(self):
+    def test_table_is_a_copied_parameter(self):
         source = TABLE_2X2.copy()
         model = DktModel(DktConfig(num_skills=2, input_mode="hybrid", keep_prob=1.0),
                          skill_table=source)
         params = model.init_params(np.random.default_rng(0))
+        assert list(params) == ["rnn_wx", "rnn_wh", "rnn_b", "out_w", "out_b", "skill_table"]
         seqs = random_sequences(np.random.default_rng(1), 3, 2)
         skills, corrects, lengths = batch_arrays(seqs)
         before = model.forward(params, skills, corrects, lengths).probs
         source[:] = 99.0
         after = model.forward(params, skills, corrects, lengths).probs
         assert np.array_equal(before, after)
+        assert np.array_equal(params["skill_table"], TABLE_2X2)
+
+    def test_forward_reads_the_table_from_the_parameters(self):
+        # A model built from the config alone, as evaluate builds it from
+        # a checkpoint, scores the same as the one that was trained.
+        config = DktConfig(num_skills=2, input_mode="hybrid", keep_prob=1.0)
+        params = DktModel(config, skill_table=TABLE_2X2).init_params(np.random.default_rng(0))
+        arrays = batch_arrays(random_sequences(np.random.default_rng(1), 3, 2))
+        trained = DktModel(config, skill_table=TABLE_2X2).forward(params, *arrays).probs
+        probs = DktModel(config).forward(params, *arrays).probs
+        assert probs.tobytes() == trained.tobytes()
+        swapped = dict(params, skill_table=TABLE_2X2[::-1].copy())
+        assert not np.array_equal(DktModel(config).forward(swapped, *arrays).probs, probs)
 
     def test_gradients_never_touch_the_table(self):
         model = DktModel(DktConfig(num_skills=2, input_mode="hybrid", keep_prob=1.0),
@@ -112,8 +135,8 @@ class TestFrozenSkillTable:
         skills, corrects, lengths = batch_arrays(seqs)
         fwd = model.forward(params, skills, corrects, lengths, mode="train")
         grads = model.backward(params, fwd)
-        assert set(grads) == set(params)
-        assert np.array_equal(model.skill_table, TABLE_2X2)
+        assert set(grads) == set(params) - {"skill_table"}
+        assert np.array_equal(params["skill_table"], TABLE_2X2)
 
 
 class TestDktForward:
@@ -198,7 +221,8 @@ class TestDktGradients:
 
         fwd = model.forward(params, skills, corrects, lengths, mode="train")
         grads = model.backward(params, fwd)
-        for key in sorted(params):
+        assert set(grads) == set(params) - {"skill_table"}
+        for key in sorted(grads):
             def loss_with(arr, k=key):
                 p2 = dict(params)
                 p2[k] = arr
@@ -209,12 +233,23 @@ class TestDktGradients:
 
     def test_init_shapes(self):
         config = DktConfig(num_skills=6, hidden=5)
-        params = init_params(config, 12, np.random.default_rng(12))
+        params = init_params(config, np.random.default_rng(12))
         assert params["rnn_wx"].shape == (20, 12)
         assert params["rnn_wh"].shape == (20, 5)
         assert params["out_w"].shape == (6, 5)
         assert params["out_b"].shape == (6,)
         assert_allclose(params["rnn_b"][5:10], np.ones(5))
+
+    def test_draw_and_key_order(self):
+        # Fits and checkpoints depend on this order: the recurrent block
+        # first, then the output layer.
+        config = DktConfig(num_skills=6, hidden=5)
+        params = init_params(config, np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        for key, shape in (("rnn_wx", (20, 12)), ("rnn_wh", (20, 5)), ("out_w", (6, 5))):
+            lim = 1.0 / np.sqrt(shape[1])
+            assert params[key].tobytes() == rng.uniform(-lim, lim, size=shape).tobytes(), key
+        assert list(params) == ["rnn_wx", "rnn_wh", "rnn_b", "out_w", "out_b"]
 
 
 class TestDktTraining:
@@ -238,4 +273,4 @@ class TestDktTraining:
         result = train(model, tiny_synthetic.dataset.sequences[:30],
                        tiny_synthetic.dataset.sequences[30:40], cfg)
         assert len(result.metrics.epochs) == 2
-        assert np.array_equal(model.skill_table, table)
+        assert result.params["skill_table"].tobytes() == table.tobytes()

@@ -42,3 +42,48 @@ def test_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def direct_writes(source: str) -> list[str]:
+    """Calls that write a file themselves: .write_text(, .write_bytes(, or
+    open( / .open( in a mode that writes (w, a, x or +), or in a mode
+    that is not a literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            found.append(f"line {node.lineno}: .{func.attr}(")
+            continue
+        builtin = isinstance(func, ast.Name) and func.id == "open"
+        if not builtin and not (isinstance(func, ast.Attribute) and func.attr == "open"):
+            continue
+        # open(file, mode) and Path.open(mode); the default mode reads.
+        args = node.args[1:] if builtin else node.args
+        mode = args[0] if args else None
+        mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+        text = mode.value if isinstance(mode, ast.Constant) else "r" if mode is None else "?"
+        if not isinstance(text, str) or set(text) - set("rbt"):
+            found.append(f"line {node.lineno}: open( in mode {text!r}")
+    return found
+
+
+def test_finds_a_direct_write():
+    source = (
+        "p.write_text('x')\nopen(p)\nopen(p, 'rb')\nopen(p, 'w')\n"
+        "p.open(mode='a')\np.open()\nopen(p, m)\nwrite_text(p, 'x')\n"
+    )
+    assert direct_writes(source) == [
+        "line 1: .write_text(", "line 4: open( in mode 'w'", "line 5: open( in mode 'a'",
+        "line 7: open( in mode '?'",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "tables.py"), ids=lambda p: p.name
+)
+def test_only_tables_writes_files(path):
+    # kqn.tables.write_text writes through a temp file and os.replace, so
+    # an interrupted write never leaves part of an artifact behind.
+    assert direct_writes(path.read_text()) == []

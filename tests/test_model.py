@@ -446,6 +446,22 @@ class TestInitParams:
         assert np.max(np.abs(params["mlp_w0"])) <= 1.0 / np.sqrt(5)
 
 
+    @pytest.mark.parametrize("rnn_kind", ["lstm", "gru"])
+    def test_draw_and_key_order(self, rnn_kind):
+        # Fits and checkpoints depend on this order: the recurrent block
+        # first, then the projection and the two encoder layers.
+        config = ModelConfig(num_skills=5, dim=4, rnn_kind=rnn_kind, rnn_hidden=6, mlp_hidden=7)
+        params = init_params(config, np.random.default_rng(30))
+        rows = (4 if rnn_kind == "lstm" else 3) * 6
+        rng = np.random.default_rng(30)
+        for key, shape in (("rnn_wx", (rows, 10)), ("rnn_wh", (rows, 6)), ("proj_w", (4, 6)),
+                           ("mlp_w0", (7, 5)), ("mlp_w1", (4, 7))):
+            lim = 1.0 / np.sqrt(shape[1])
+            assert params[key].tobytes() == rng.uniform(-lim, lim, size=shape).tobytes(), key
+        assert list(params) == ["rnn_wx", "rnn_wh", "rnn_b", "proj_w", "proj_b",
+                                "mlp_w0", "mlp_b0", "mlp_w1", "mlp_b1"]
+
+
 class TestFullGradient:
     def test_lstm_gradients_match_finite_differences(self):
         errors = kqn_gradient_errors("lstm")

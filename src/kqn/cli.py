@@ -531,6 +531,12 @@ def cmd_sensitivity(opts) -> int:
 
 
 def cmd_dkt(opts) -> int:
+    hybrid = opts["mode"] == "hybrid"
+    if hybrid != bool(opts["skill_vectors"]):
+        raise ValueError(
+            "hybrid mode needs --skill-vectors" if hybrid
+            else "--skill-vectors is only used in hybrid mode"
+        )
     outdir = _outdir(opts)
     *parts, num_skills = _load_parts(opts)
     config = DktConfig(
@@ -540,11 +546,7 @@ def cmd_dkt(opts) -> int:
         input_mode=opts["mode"],
         hybrid_encoding=opts["encoding"],
     )
-    table = None
-    if opts["mode"] == "hybrid":
-        if not opts["skill_vectors"]:
-            raise ValueError("hybrid mode needs --skill-vectors")
-        _, table = load_skill_vectors(opts["skill_vectors"])
+    table = load_skill_vectors(opts["skill_vectors"])[1] if hybrid else None
     model = DktModel(config, skill_table=table)
     params, report = _fit(opts, model, parts, opts["seed"], outdir / "metrics.csv", "dkt")
     save_checkpoint(outdir / "checkpoint.json", "dkt", config, params)

@@ -108,11 +108,11 @@ class DktModel:
         table = params["skill_table"]
 
         def step(j, rows):
-            x = np.zeros((skills.shape[0], n + table.shape[1]))
+            x = np.zeros((len(rows), n + table.shape[1]))
             e = skills[rows, j]
             c = corrects[rows, j]
-            x[rows, e - 1] = 2.0 * c - 1.0 if signed else c
-            x[rows, n:] = table[e - 1]
+            x[np.arange(len(rows)), e - 1] = 2.0 * c - 1.0 if signed else c
+            x[:, n:] = table[e - 1]
             return x
 
         return step
@@ -125,8 +125,8 @@ class DktModel:
             mode, rng,
         )
         q = next_trials(skills, hd.shape[0])
-        out = hd @ params["out_w"].T + params["out_b"]
-        logits = np.take_along_axis(out, q[..., None] - 1, axis=2)[..., 0]
+        # Each cell reads one output unit, the next skill's row of out_w.
+        logits = np.einsum("sbh,sbh->sb", hd, params["out_w"][q - 1]) + params["out_b"][q - 1]
         cache = {"scan": scan_cache, "hd": hd, "q": q} if mode == "train" else None
         return BatchForward.from_logits(logits, corrects, lengths, cache)
 

@@ -211,9 +211,10 @@ class BatchForward:
 
     logits, probs = sigmoid(logits), targets and valid are (S, B); position
     (j, b) is student b's prediction for trial j+1. The loss and its
-    gradient read the logits. knowledge_states (S, B, d) and skill_table
-    (N, d) are filled by the query model and None for DKT. cache is
-    populated only in train mode.
+    gradient read the logits; where valid is False they are the head
+    applied to a zero recurrent output. knowledge_states (S, B, d) and
+    skill_table (N, d) are filled by the query model and None for DKT.
+    cache is populated only in train mode.
     """
 
     logits: np.ndarray
@@ -298,60 +299,74 @@ def onehot_inputs(skills, corrects, num_skills: int):
     hot = skills - 1 + corrects * num_skills
 
     def step(j, rows):
-        x = np.zeros((skills.shape[0], 2 * num_skills))
-        x[rows, hot[rows, j]] = 1.0
+        x = np.zeros((len(rows), 2 * num_skills))
+        x[np.arange(len(rows)), hot[rows, j]] = 1.0
         return x
 
     return step
 
 
 def scan(params: Params, rnn_kind: str, step_input, lengths, keep_prob: float, mode: str, rng):
-    """Run the recurrent cell over every step of a padded batch.
+    """Run the recurrent cell over a padded batch, packed: each step runs
+    only the students that still predict a trial.
 
-    step_input(j, rows) builds the (B, D) input of step j, where rows are
-    the students that still predict a trial; other rows must stay zero.
-    Returns (out, cache): out is the (S, B, H) recurrent output, dropped
-    out in train mode, and cache feeds scan_backward (None in eval mode).
+    The rows are sorted by length, longest first (a stable sort), so step j
+    runs the cell on the first k_j sorted rows, k_j being the number of
+    students with j < length - 1; k_j never grows with j. step_input(j,
+    rows) returns the (len(rows), D) inputs of step j, one row per student
+    in rows, in that order. Returns (out, cache): out is the (S, B, H)
+    recurrent output in the batch's own row order, zero where a student
+    has nothing left to predict and dropped out in train mode with one
+    (S, B, H) mask; cache feeds scan_backward (None in eval mode).
     """
     wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
     bsz, hh = len(lengths), wh.shape[1]
     train = mode == "train"
-    out = np.zeros((max(int(lengths.max()) - 1, 0) if bsz else 0, bsz, hh))
+    s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
+    order = np.argsort(-lengths, kind="stable")
+    active = np.sum(np.arange(s_steps)[:, None] < lengths - 1, axis=1)
+    out = np.zeros((s_steps, bsz, hh))
     cells = []
     h = np.zeros((bsz, hh))
     c = np.zeros((bsz, hh))
-    for j in range(out.shape[0]):
-        x = step_input(j, np.flatnonzero(j < lengths - 1))
+    for j, k in enumerate(active):
+        rows = order[:k]
+        x = step_input(j, rows)
         if rnn_kind == "lstm":
-            h, c, cell = lstm_cell(x, h, c, wx, wh, b)
+            h, c, cell = lstm_cell(x, h[:k], c[:k], wx, wh, b)
         else:
-            h, cell = gru_cell(x, h, wx, wh, b)
-        out[j] = h
+            h, cell = gru_cell(x, h[:k], wx, wh, b)
+        out[j, rows] = h
         if train:
             cells.append(cell)
     if not train:
         return out, None
     mask = dropout_mask(out.shape, keep_prob, rng)
     out *= mask
-    return out, {"rnn_kind": rnn_kind, "cells": cells, "mask": mask}
+    return out, {"rnn_kind": rnn_kind, "cells": cells, "mask": mask, "order": order,
+                 "active": active}
 
 
 def scan_backward(d_out: np.ndarray, cache: dict, params: Params) -> Params:
     """Gradients of rnn_wx, rnn_wh and rnn_b given d_out, the (S, B, H)
-    gradient on scan's outputs."""
+    gradient on scan's outputs, walking scan's packed steps in reverse."""
     wx, wh = params["rnn_wx"], params["rnn_wh"]
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wx", "rnn_wh", "rnn_b")}
+    # Packed-order gradients on the recurrent state; rows a later step did
+    # not run stay zero.
     dh_rec = np.zeros(d_out.shape[1:])
     dc_rec = np.zeros(d_out.shape[1:])
     d_h = d_out * cache["mask"]
+    order = cache["order"]
     for j in reversed(range(d_out.shape[0])):
-        dh = d_h[j] + dh_rec
+        k = cache["active"][j]
+        dh = d_h[j, order[:k]] + dh_rec[:k]
         if cache["rnn_kind"] == "lstm":
-            dh_rec, dc_rec, dwx, dwh, db = lstm_cell_backward(
-                dh, dc_rec, cache["cells"][j], wx, wh
+            dh_rec[:k], dc_rec[:k], dwx, dwh, db = lstm_cell_backward(
+                dh, dc_rec[:k], cache["cells"][j], wx, wh
             )
         else:
-            dh_rec, dwx, dwh, db = gru_cell_backward(dh, cache["cells"][j], wx, wh)
+            dh_rec[:k], dwx, dwh, db = gru_cell_backward(dh, cache["cells"][j], wx, wh)
         grads["rnn_wx"] += dwx
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db

@@ -300,6 +300,16 @@ class TestAri:
         a2 = np.array([remap[x] for x in a])
         assert_allclose(ari(a, b), ari(a2, b), rtol=1e-12)
 
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=2, max_size=40),
+           st.permutations(range(1, 6)), st.permutations(range(1, 6)))
+    def test_symmetric_and_invariant_under_label_permutation(self, pairs, perm_a, perm_b):
+        a, b = (np.array(col) for col in zip(*pairs))
+        value = ari(a, b)
+        assert_allclose(ari(b, a), value, rtol=1e-12, atol=1e-15)
+        relabel_a, relabel_b = np.array([0, *perm_a]), np.array([0, *perm_b])
+        assert_allclose(ari(relabel_a[a], b), value, rtol=1e-12, atol=1e-15)
+        assert_allclose(ari(a, relabel_b[b]), value, rtol=1e-12, atol=1e-15)
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             ari([1, 2], [1, 2, 3])

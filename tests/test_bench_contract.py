@@ -126,3 +126,42 @@ def test_fit_reports_have_the_layout_the_checks_read(tmp_path):
         scores = report["repeats"][0] if command == "train" else report
         assert {"best_epoch", "valid_auc", "test_auc", "test_loss", "test_trials"} <= set(scores)
         assert checks.fit(tmp_path / command, command, 2) == scores["test_auc"]
+
+
+def test_evaluate_passes_the_evaluation_check_on_skewed_lengths(tmp_path):
+    # checks.evaluation compares evaluate's eval.json with a fresh forward's
+    # (S, B) probs[valid] and requires the fit's test AUC at one batch size
+    # to equal evaluate's at another. Lengths from 2 to 12 make every batch
+    # run a shrinking set of students per step.
+    checks = load_perfbench("checks")
+    main = importlib.import_module("kqn.cli").main
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--students", "60", "--skills", "5",
+                 "--concepts", "2", "--steps", "12", "--seed", "4"]) == 0
+    assert main(["split", "--out", str(tmp_path / "split"),
+                 "--data", str(tmp_path / "synth" / "data.txt")]) == 0
+    rng = np.random.default_rng(5)
+    parts = []
+    for part in ("train", "valid", "test"):
+        path = tmp_path / "split" / f"{part}.txt"
+        ds = kqn.data.load_dataset(path)
+        cut = [
+            ResponseSequence(s.student_id, s.responses[: int(rng.integers(2, 13))])
+            for s in ds.sequences
+        ]
+        kqn.data.save_dataset(kqn.data.Dataset(ds.name, ds.num_skills, tuple(cut)), path)
+        parts.append(f"--{part}={path}")
+    lengths = [len(s.responses) for s in cut]
+    assert min(lengths) == 2 and max(lengths) > 8
+    fit = [*parts, "--epochs", "2", "--batch-size", "8"]
+    assert main(["train", "--out", str(tmp_path / "train"), *fit, "--dim", "3",
+                 "--rnn-hidden", "4", "--mlp-hidden", "4"]) == 0
+    assert main(["dkt", "--out", str(tmp_path / "dkt"), *fit, "--hidden", "4"]) == 0
+    for command in ("train", "dkt"):
+        fit_auc = checks.fit(tmp_path / command, command, 2)
+        checkpoint = tmp_path / command / "checkpoint.json"
+        assert main(["evaluate", "--out", str(tmp_path / f"eval_{command}"),
+                     "--checkpoint", str(checkpoint), "--data", str(tmp_path / "split" / "test.txt"),
+                     "--batch-size", "3"]) == 0
+        trials = checks.evaluation(tmp_path / f"eval_{command}", checkpoint,
+                                   tmp_path / "split" / "test.txt", 3, fit_auc)
+        assert trials == sum(lengths) - len(lengths)

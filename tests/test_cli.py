@@ -537,6 +537,18 @@ class TestDkt:
         assert rc == 1
         assert "skill-vectors" in capsys.readouterr().err
 
+    def test_onehot_refuses_vectors(self, ws, tmp_path, capsys):
+        # Refused before anything is read or written, even for a missing file.
+        rc = main(["dkt", "--out", str(tmp_path / "out"),
+                   "--train", str(ws / "split" / "train.txt"),
+                   "--valid", str(ws / "split" / "valid.txt"),
+                   "--skill-vectors", str(tmp_path / "missing.csv"), "--epochs", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --skill-vectors is only used in hybrid mode\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_hybrid_refuses_nan_vectors(self, ws, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(NAN_VECTORS)

@@ -8,7 +8,7 @@ from kqn.model import batch_arrays, lstm_cell
 from kqn.ops import sigmoid
 from kqn.training import TrainConfig, train
 
-from helpers import finite_diff, max_rel_err, reference_step_loop
+from helpers import assert_matches_step_loop, finite_diff, max_rel_err
 
 TABLE_2X2 = np.array([[0.6, 0.8], [1.0, 0.0]])
 
@@ -169,13 +169,7 @@ class TestDktForward:
         model = DktModel(config, skill_table=table if mode == "hybrid" else None)
         params = model.init_params(np.random.default_rng(15))
         arrays = batch_arrays(random_sequences(np.random.default_rng(16), 6, 4, 2, 11))
-        fwd = model.forward(params, *arrays, mode="train", rng=np.random.default_rng(17))
-        grads = model.backward(params, fwd)
-        probs, ref = reference_step_loop(model, params, *arrays, np.random.default_rng(17))
-        assert fwd.probs.tobytes() == probs.tobytes()
-        assert set(grads) == set(ref)
-        for key in ref:
-            assert grads[key].tobytes() == ref[key].tobytes(), key
+        assert_matches_step_loop(model, params, arrays, 17)
 
     def test_skill_range_validated(self):
         config = DktConfig(num_skills=2, keep_prob=1.0)

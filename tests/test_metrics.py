@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,6 +21,14 @@ class TestAuc:
             # coarse grid scores force plenty of ties
             scores = np.round(rng.random(n), 1)
             assert_allclose(auc_scores(scores, labels), auc_pairs(scores, labels), rtol=1e-12)
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 1)), min_size=2, max_size=60))
+    def test_matches_pair_counting_on_tied_scores(self, cells):
+        # Seven score levels over up to 60 trials: most scores are tied.
+        scores, labels = (np.array(col) for col in zip(*cells))
+        assume(0 < labels.sum() < len(labels))
+        assert_allclose(auc_scores(scores / 7.0, labels), auc_pairs(scores / 7.0, labels),
+                        rtol=1e-12)
 
     def test_perfect_separation(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])

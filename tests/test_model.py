@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from kqn.analysis import odds_ratio_identity
 from kqn.data import ResponseSequence
+from kqn.dkt import DktConfig, DktModel
 from kqn.model import (
     BatchForward,
     KqnModel,
@@ -24,11 +25,11 @@ from kqn.model import (
 from kqn.ops import sigmoid
 
 from helpers import (
+    assert_matches_step_loop,
     batch_arrays_loop,
     finite_diff,
     kqn_gradient_errors,
     max_rel_err,
-    reference_step_loop,
 )
 
 
@@ -67,14 +68,16 @@ class TestEncodeResponse:
             with pytest.raises(ValueError, match="outside 1..2"):
                 forward_batch(*batch_arrays([seq]), params, config)
 
-    def test_rows_past_the_last_scored_step_stay_zero(self):
+    def test_one_input_row_per_given_row_in_order(self):
         seqs = [
             ResponseSequence(0, ((2, 1), (1, 0))),
             ResponseSequence(1, ((1, 0),) * 3),
         ]
         skills, corrects, _ = batch_arrays(seqs)
-        x = onehot_inputs(skills, corrects, 2)(1, np.array([1]))
-        assert_allclose(x, [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        step = onehot_inputs(skills, corrects, 2)
+        assert_allclose(step(0, np.array([1, 0])), [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        assert_allclose(step(1, np.array([1])), [[1.0, 0.0, 0.0, 0.0]])
+        assert step(1, np.array([], dtype=int)).shape == (0, 4)
 
 
 class TestLstmCell:
@@ -332,13 +335,34 @@ class TestForwardBatch:
         params = model.init_params(np.random.default_rng(28))
         seqs = random_sequences(np.random.default_rng(29), 7, 5, 2, 12)
         arrays = batch_arrays(seqs)
-        fwd = model.forward(params, *arrays, mode="train", rng=np.random.default_rng(30))
-        grads = model.backward(params, fwd)
-        probs, ref = reference_step_loop(model, params, *arrays, np.random.default_rng(30))
-        assert fwd.probs.tobytes() == probs.tobytes()
-        assert set(grads) == set(ref)
-        for key in ref:
-            assert grads[key].tobytes() == ref[key].tobytes(), key
+        assert_matches_step_loop(model, params, arrays, 30)
+
+    @pytest.mark.parametrize("variant", ["lstm", "gru", "hybrid"])
+    def test_packed_scan_with_longest_row_not_first(self, variant):
+        # Sorting puts rows 1 and 3 (tied, longest) first and row 2 last;
+        # each step then runs on a shrinking prefix of that order.
+        if variant == "hybrid":
+            table = np.random.default_rng(31).random((5, 3))
+            model = DktModel(DktConfig(num_skills=5, hidden=6, keep_prob=0.6,
+                                       input_mode="hybrid"), skill_table=table)
+        else:
+            model = KqnModel(self.make(variant, keep_prob=0.6))
+        params = model.init_params(np.random.default_rng(32))
+        rng = np.random.default_rng(33)
+        seqs = [
+            ResponseSequence(b, tuple((int(rng.integers(1, 6)), int(rng.integers(0, 2)))
+                                      for _ in range(n)))
+            for b, n in enumerate((4, 9, 2, 9, 6))
+        ]
+        arrays = batch_arrays(seqs)
+        assert_matches_step_loop(model, params, arrays, 34)
+        # Each column is the student's own: reordering the batch reorders
+        # the columns of the eval-mode probabilities and nothing else.
+        fwd = model.forward(params, *arrays)
+        perm = [4, 2, 0, 3, 1]
+        moved = model.forward(params, *batch_arrays([seqs[b] for b in perm]))
+        assert_allclose(moved.probs[moved.valid], fwd.probs[:, perm][fwd.valid[:, perm]],
+                        rtol=1e-12)
 
     def test_valid_mask_counts(self):
         config = self.make()

@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Every subcommand is scriptable (no prompts), takes an optional --config
-JSON file whose keys are the flag names with dashes as underscores, lets
-explicit flags override the file, and writes a manifest.json echoing the
-fully resolved options next to its artifacts. All randomness flows from
-the resolved seed.
+JSON file whose keys are the flag names with dashes as underscores, and
+lets explicit flags override the file. All randomness flows from the
+resolved seed.
+
+A command only writes its artifacts under --out; main then writes
+manifest.json there, echoing the resolved options, and returns 0. On an
+error it prints one "error:" line, writes no manifest and returns 1.
 
 Two tables drive the parser and the option resolution: _OPTIONS gives the
 type, default and choices of every option, and _COMMANDS gives each
@@ -204,22 +207,6 @@ def _json_object(path, what: str) -> dict:
     return doc
 
 
-def _write_manifest(outdir: Path, command: str, options: dict) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "options": options,
-        "seed": options.get("seed"),
-    }
-    write_json(outdir / "manifest.json", doc, sort_keys=True)
-
-
-def _outdir(opts: dict) -> Path:
-    path = Path(opts["out"])
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _load_parts(opts: dict):
     """The train, valid and (when given) test datasets, and the largest
     num_skills among them."""
@@ -266,8 +253,7 @@ def _train_config(opts: dict, seed: int) -> TrainConfig:
 # Commands
 
 
-def cmd_synth(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_synth(opts: dict, outdir: Path) -> None:
     spec = SyntheticSpec(
         num_students=opts["students"],
         num_skills=opts["skills"],
@@ -286,16 +272,13 @@ def cmd_synth(opts) -> int:
     save_dataset(dataset, outdir / "data.txt", extra=extra)
     skill_ids = sorted(concepts)
     write_clusters_csv(outdir / "concepts.csv", [concepts[e] for e in skill_ids], skill_ids)
-    _write_manifest(outdir, "synth", opts)
     print(
         f"generated {dataset.num_students} students, {dataset.num_skills} skills, "
         f"{dataset.num_responses} responses -> {outdir / 'data.txt'}"
     )
-    return 0
 
 
-def cmd_split(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_split(opts: dict, outdir: Path) -> None:
     dataset = load_dataset(opts["data"])
     split = split_data(dataset.sequences, opts["train_ratio"], opts["tv_ratio"], opts["seed"])
     # The parts carry the source's generator metadata (concepts, parameters).
@@ -306,19 +289,16 @@ def cmd_split(opts) -> int:
             dataset, name=f"{dataset.name}-{part}", sequences=tuple(seqs)
         )
         save_dataset(subset, outdir / f"{part}.txt", extra=extra)
-    _write_manifest(outdir, "split", opts)
     print(
         f"split {dataset.num_students} students into "
         f"{len(split.train)}/{len(split.valid)}/{len(split.test)} "
         f"(train/valid/test) under {outdir}"
     )
-    return 0
 
 
-def cmd_train(opts) -> int:
+def cmd_train(opts: dict, outdir: Path) -> None:
     if opts["repeats"] < 1:
         raise ValueError(f"repeats must be at least 1, got {opts['repeats']}")
-    outdir = _outdir(opts)
     *parts, num_skills = _load_parts(opts)
     config = ModelConfig(
         num_skills=num_skills,
@@ -344,12 +324,9 @@ def cmd_train(opts) -> int:
         report["test_auc_mean"] = float(np.mean(test_aucs))
         report["test_auc_std"] = float(np.std(test_aucs))
     write_json(outdir / "eval.json", report)
-    _write_manifest(outdir, "train", opts)
-    return 0
 
 
-def cmd_evaluate(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_evaluate(opts: dict, outdir: Path) -> None:
     kind, config, params = load_checkpoint(opts["checkpoint"])
     model = KqnModel(config) if kind == "kqn" else DktModel(config)
     dataset = load_dataset(opts["data"])
@@ -358,13 +335,10 @@ def cmd_evaluate(opts) -> int:
     )
     report = {"model": kind, "auc": auc_value, "loss": loss_value, "trials": n_trials}
     write_json(outdir / "eval.json", report)
-    _write_manifest(outdir, "evaluate", opts)
     print(f"{kind} AUC {auc_value:.4f} loss {loss_value:.4f} over {n_trials} trials")
-    return 0
 
 
-def cmd_gridsearch(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_gridsearch(opts: dict, outdir: Path) -> None:
     train_ds, valid_ds, _, num_skills = _load_parts(opts)
     grid = GridSpec(
         rnn_kinds=_list_option(opts, "kinds"),
@@ -403,38 +377,38 @@ def cmd_gridsearch(opts) -> int:
             "valid_auc": result.best.valid_auc,
         },
     )
-    _write_manifest(outdir, "gridsearch", opts)
     print(
         f"best: {best.rnn_kind} d={best.dim} rnn={best.rnn_hidden} "
         f"mlp={best.mlp_hidden} (valid AUC {result.best.valid_auc:.4f})"
     )
-    return 0
 
 
-def cmd_heatmap(opts) -> int:
-    outdir = _outdir(opts)
-    kind, config, params = load_checkpoint(opts["checkpoint"])
-    if kind != "kqn":
-        raise ValueError("heatmap needs a knowledge-query checkpoint")
+def cmd_heatmap(opts: dict, outdir: Path) -> None:
+    config, params = _kqn_checkpoint(opts["checkpoint"])
     dataset = load_dataset(opts["data"])
     idx = opts["student"]
     if not 0 <= idx < dataset.num_students:
         raise ValueError(f"student index {idx} outside 0..{dataset.num_students - 1}")
     hm = heatmap_matrix(params, config, dataset.sequences[idx])
     write_heatmap_csv(outdir / "heatmap.csv", hm)
-    _write_manifest(outdir, "heatmap", opts)
     print(
         f"heatmap for student {idx}: {hm.percent.shape[0]} skills x "
         f"{hm.percent.shape[1]} steps -> {outdir / 'heatmap.csv'}"
     )
-    return 0
+
+
+def _kqn_checkpoint(path):
+    """The config and parameters of a knowledge-query checkpoint; a DKT
+    checkpoint holds no skill geometry and is refused."""
+    kind, config, params = load_checkpoint(path)
+    if kind != "kqn":
+        raise ValueError(f"{path} is a {kind} checkpoint, not a knowledge-query one")
+    return config, params
 
 
 def _table_from_opts(opts):
     if opts["checkpoint"]:
-        kind, config, params = load_checkpoint(opts["checkpoint"])
-        if kind != "kqn":
-            raise ValueError("skill vectors come from a knowledge-query checkpoint")
+        config, params = _kqn_checkpoint(opts["checkpoint"])
         table, _ = encode_skill_table(params)
         ids = list(range(1, config.num_skills + 1))
         return table, ids
@@ -444,18 +418,14 @@ def _table_from_opts(opts):
     raise ValueError("need --checkpoint or --skill-vectors")
 
 
-def cmd_distances(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_distances(opts: dict, outdir: Path) -> None:
     table, ids = _table_from_opts(opts)
     dmat = pairwise_distances(table, opts["kind"])
     write_distance_csv(outdir / "distances.csv", dmat, ids)
-    _write_manifest(outdir, "distances", opts)
     print(f"{opts['kind']} distances for {dmat.n} skills -> {outdir / 'distances.csv'}")
-    return 0
 
 
-def cmd_cluster(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_cluster(opts: dict, outdir: Path) -> None:
     if opts["distances"]:
         dmat, ids = read_distance_csv(opts["distances"], kind=opts["distance"])
     else:
@@ -465,17 +435,14 @@ def cmd_cluster(opts) -> int:
     labels = flat_clusters(dend, opts["n"])
     write_dendrogram_csv(outdir / "dendrogram.csv", dend)
     write_clusters_csv(outdir / "clusters.csv", labels, ids)
-    _write_manifest(outdir, "cluster", opts)
     sizes = np.bincount(labels)[1:]
     print(
         f"{opts['linkage']}/{opts['distance']} cut at n={opts['n']}: "
         f"cluster sizes {sizes.tolist()}"
     )
-    return 0
 
 
-def cmd_ari(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_ari(opts: dict, outdir: Path) -> None:
     ids_a, labels_a = read_clusters_csv(opts["labels_a"])
     ids_b, labels_b = read_clusters_csv(opts["labels_b"])
     if sorted(ids_a) != sorted(ids_b):
@@ -484,13 +451,10 @@ def cmd_ari(opts) -> int:
     order_b = np.argsort(ids_b)
     value = ari(labels_a[order_a], labels_b[order_b])
     write_json(outdir / "ari.json", {"ari": value})
-    _write_manifest(outdir, "ari", opts)
     print(f"ARI {value:.6f}")
-    return 0
 
 
-def cmd_mantel(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_mantel(opts: dict, outdir: Path) -> None:
     d1, _ = read_distance_csv(opts["distances_a"])
     d2, _ = read_distance_csv(opts["distances_b"])
     result = mantel(d1, d2, permutations=opts["permutations"], rng=opts["seed"])
@@ -500,16 +464,13 @@ def cmd_mantel(opts) -> int:
         "permutations": result.permutations,
     }
     write_json(outdir / "mantel.json", report)
-    _write_manifest(outdir, "mantel", opts)
     print(f"mantel rho {result.rho:.6f} p {result.p_value:.6g}")
-    return 0
 
 
-def cmd_sensitivity(opts) -> int:
+def cmd_sensitivity(opts: dict, outdir: Path) -> None:
     paths = _list_option(opts, "vectors")
     if len(paths) < 2:
         raise ValueError("sensitivity needs at least two skill-vector files")
-    outdir = _outdir(opts)
     sets = {}
     for path in paths:
         _, table = load_skill_vectors(path)
@@ -524,20 +485,17 @@ def cmd_sensitivity(opts) -> int:
         "xi": {f"{a},{b}": v for (a, b), v in report.xi.items()},
     }
     write_json(outdir / "sensitivity.json", doc)
-    _write_manifest(outdir, "sensitivity", opts)
     for (a, b), v in report.xi.items():
         print(f"xi[{a},{b}] {v:.6f} (eta[{a}] {report.eta[a]:.6f}, eta[{b}] {report.eta[b]:.6f})")
-    return 0
 
 
-def cmd_dkt(opts) -> int:
+def cmd_dkt(opts: dict, outdir: Path) -> None:
     hybrid = opts["mode"] == "hybrid"
     if hybrid != bool(opts["skill_vectors"]):
         raise ValueError(
             "hybrid mode needs --skill-vectors" if hybrid
             else "--skill-vectors is only used in hybrid mode"
         )
-    outdir = _outdir(opts)
     *parts, num_skills = _load_parts(opts)
     config = DktConfig(
         num_skills=num_skills,
@@ -551,22 +509,17 @@ def cmd_dkt(opts) -> int:
     params, report = _fit(opts, model, parts, opts["seed"], outdir / "metrics.csv", "dkt")
     save_checkpoint(outdir / "checkpoint.json", "dkt", config, params)
     write_json(outdir / "eval.json", report)
-    _write_manifest(outdir, "dkt", opts)
-    return 0
 
 
-def cmd_relabel(opts) -> int:
-    outdir = _outdir(opts)
+def cmd_relabel(opts: dict, outdir: Path) -> None:
     dataset = load_dataset(opts["data"])
     mapping = {int(k): int(v) for k, v in _json_object(opts["mapping"], "mapping").items()}
     relabeled = relabel_skills(dataset, mapping)
     save_dataset(relabeled, outdir / "data.txt", extra={"relabeled_from": str(opts["data"])})
-    _write_manifest(outdir, "relabel", opts)
     print(
         f"relabeled {dataset.num_skills} skills down to {relabeled.num_skills} "
         f"-> {outdir / 'data.txt'}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +582,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](_resolve(args))
+        opts = _resolve(args)
+        outdir = Path(opts["out"])
+        _COMMANDS[args.command][0](opts, outdir)
+        manifest = {"command": args.command, "version": __version__, "options": opts,
+                    "seed": opts["seed"]}
+        write_json(outdir / "manifest.json", manifest, sort_keys=True)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

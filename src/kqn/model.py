@@ -11,7 +11,7 @@ which supplies only its own input encoding and output head.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -49,10 +49,14 @@ class ModelConfig:
 
 
 def check_config(config, **choices) -> None:
-    """The value checks every model config shares: each field named in
-    choices is one of its choices, keep_prob is in (0, 1], num_skills is
-    at least 2 and every other field, a width, is positive."""
-    for name, value in vars(config).items():
+    """The checks every model config shares: each field has its annotated
+    type (a bool is not an int, and an int serves for a float), each field
+    named in choices is one of its choices, keep_prob is in (0, 1],
+    num_skills is at least 2 and every other field, a width, is positive."""
+    for name, kind in get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise ValueError(f"config field {name!r} must be of type {kind.__name__}, got {value!r}")
         if name in choices:
             ok, rule = value in choices[name], f"one of {choices[name]}"
         elif name == "keep_prob":

@@ -1,7 +1,9 @@
-"""The one module that writes files, and the CSV format of every table
-artifact: a header line, then one line per row, cells separated by commas
-and every line ended by "\\n". Column 0 of a row is an integer id: a
-skill id, a merged cluster id or an epoch.
+"""The one module that writes files or makes directories, and the CSV
+format of every table artifact. write_text creates the parent directory of
+the path it writes, so a directory such as a command's --out appears only
+with its first file. A table artifact is a header line, then one line
+per row, cells separated by commas and every line ended by "\\n". Column 0
+of a row is an integer id: a skill id, a merged cluster id or an epoch.
 """
 from __future__ import annotations
 
@@ -17,8 +19,10 @@ def write_text(path, text: str) -> None:
     """Write text to a temp file beside path, then move it over path with
     os.replace, so a write cut short by an error or an interrupt leaves the
     old file or no file under path, never part of the new one. (It does not
-    fsync, so it does not guard against a power loss.)"""
+    fsync, so it does not guard against a power loss.) Missing parent
+    directories are created first."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)

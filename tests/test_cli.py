@@ -361,11 +361,14 @@ class TestHeatmap:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_rejects_baseline_checkpoint(self, ws, tmp_path, capsys):
-        rc = main(["heatmap", "--out", str(tmp_path), "--checkpoint",
-                   str(ws / "dkt" / "checkpoint.json"),
+        checkpoint = ws / "dkt" / "checkpoint.json"
+        rc = main(["heatmap", "--out", str(tmp_path / "out"), "--checkpoint", str(checkpoint),
                    "--data", str(ws / "split" / "test.txt"), "--student", "0"])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint} is a dkt checkpoint, not a knowledge-query one\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestDistancesClusterAri:
@@ -415,6 +418,16 @@ class TestDistancesClusterAri:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bad}: distance matrix entries must be finite\n"
         assert not (tmp_path / "c" / "dendrogram.csv").exists()
+
+    @pytest.mark.parametrize("command", ["distances", "cluster"])
+    def test_rejects_baseline_checkpoint(self, ws, tmp_path, capsys, command):
+        # The same check as heatmap's.
+        checkpoint = ws / "dkt" / "checkpoint.json"
+        rc = main([command, "--out", str(tmp_path / "out"), "--checkpoint", str(checkpoint)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {checkpoint} is a dkt checkpoint, not a knowledge-query one\n"
+        )
 
     def test_cluster_direct_from_checkpoint(self, ws, tmp_path):
         run("cluster", "--out", tmp_path, "--checkpoint",
@@ -694,6 +707,60 @@ class TestOptionHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert kqn.__version__ in capsys.readouterr().out
+
+
+# Each command with its input options pointing at files that do not exist.
+MISSING_INPUTS = {
+    "evaluate": ("--checkpoint", "missing.json", "--data", "missing.txt"),
+    "heatmap": ("--checkpoint", "missing.json", "--data", "missing.txt"),
+    "distances": ("--checkpoint", "missing.json"),
+    "cluster": ("--distances", "missing.csv"),
+    "split": ("--data", "missing.txt"),
+    "relabel": ("--data", "missing.txt", "--mapping", "missing.json"),
+    "train": ("--train", "missing.txt", "--valid", "missing.txt"),
+    "dkt": ("--train", "missing.txt", "--valid", "missing.txt"),
+    "ari": ("--labels-a", "missing.csv", "--labels-b", "missing.csv"),
+    "mantel": ("--distances-a", "missing.csv", "--distances-b", "missing.csv"),
+    "sensitivity": ("--vectors", "missing_a.csv", "--vectors", "missing_b.csv"),
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", list(MISSING_INPUTS))
+    def test_refused_command_leaves_no_out_directory(self, tmp_path, capsys, command):
+        argv = [command, "--out", str(tmp_path / "out")]
+        argv += [str(tmp_path / a) if a.startswith("missing") else a
+                 for a in MISSING_INPUTS[command]]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_names_each_quick_start_command(self, ws, tmp_path):
+        run("distances", "--out", tmp_path / "dist4", "--checkpoint",
+            ws / "kqn4" / "checkpoint.json")
+        run("distances", "--out", tmp_path / "dist3", "--checkpoint",
+            ws / "kqn3" / "checkpoint.json")
+        run("cluster", "--out", tmp_path / "clust", "--distances",
+            tmp_path / "dist4" / "distances.csv", "--n", 2)
+        run("ari", "--out", tmp_path / "ari", "--labels-a", ws / "synth" / "concepts.csv",
+            "--labels-b", tmp_path / "clust" / "clusters.csv")
+        run("mantel", "--out", tmp_path / "mantel", "--distances-a",
+            tmp_path / "dist4" / "distances.csv", "--distances-b",
+            tmp_path / "dist3" / "distances.csv", "--permutations", 9)
+        run("sensitivity", "--out", tmp_path / "sens",
+            "--vectors", ws / "kqn4" / "skill_vectors.csv",
+            "--vectors", ws / "kqn3" / "skill_vectors.csv")
+        run("heatmap", "--out", tmp_path / "hm", "--checkpoint",
+            ws / "kqn4" / "checkpoint.json", "--data", ws / "split" / "test.txt")
+        outs = {"synth": ws / "synth", "split": ws / "split", "train": ws / "kqn4",
+                "dkt": ws / "dkt", "distances": tmp_path / "dist4",
+                "cluster": tmp_path / "clust", "ari": tmp_path / "ari",
+                "mantel": tmp_path / "mantel", "sensitivity": tmp_path / "sens",
+                "heatmap": tmp_path / "hm"}
+        for command, outdir in outs.items():
+            doc = json.loads((outdir / "manifest.json").read_text())
+            assert doc["command"] == command
 
 
 # Every command's defaults and the options it requires besides --out,

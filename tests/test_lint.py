@@ -45,16 +45,20 @@ def test_no_unused_imports(path):
 
 
 def direct_writes(source: str) -> list[str]:
-    """Calls that write a file themselves: .write_text(, .write_bytes(, or
-    open( / .open( in a mode that writes (w, a, x or +), or in a mode
-    that is not a literal."""
+    """Calls that write a file or make a directory themselves:
+    .write_text(, .write_bytes(, .mkdir(, os.makedirs(, or open( / .open(
+    in a mode that writes (w, a, x or +), or in a mode that is not a
+    literal."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes", "mkdir"):
             found.append(f"line {node.lineno}: .{func.attr}(")
+            continue
+        if isinstance(func, ast.Attribute) and func.attr == "makedirs":
+            found.append(f"line {node.lineno}: os.makedirs(")
             continue
         builtin = isinstance(func, ast.Name) and func.id == "open"
         if not builtin and not (isinstance(func, ast.Attribute) and func.attr == "open"):
@@ -73,10 +77,11 @@ def test_finds_a_direct_write():
     source = (
         "p.write_text('x')\nopen(p)\nopen(p, 'rb')\nopen(p, 'w')\n"
         "p.open(mode='a')\np.open()\nopen(p, m)\nwrite_text(p, 'x')\n"
+        "p.parent.mkdir(parents=True)\nos.makedirs(p)\n"
     )
     assert direct_writes(source) == [
         "line 1: .write_text(", "line 4: open( in mode 'w'", "line 5: open( in mode 'a'",
-        "line 7: open( in mode '?'",
+        "line 7: open( in mode '?'", "line 9: .mkdir(", "line 10: os.makedirs(",
     ]
 
 
@@ -85,5 +90,6 @@ def test_finds_a_direct_write():
 )
 def test_only_tables_writes_files(path):
     # kqn.tables.write_text writes through a temp file and os.replace, so
-    # an interrupted write never leaves part of an artifact behind.
+    # an interrupted write never leaves part of an artifact behind, and it
+    # makes the directory it writes into, so nothing else makes one.
     assert direct_writes(path.read_text()) == []

@@ -51,6 +51,33 @@ def encode_response(skill, correct, num_skills):
     return step(0, np.array([0]))[0]
 
 
+class TestConfigTypes:
+    # Each config refuses a wrongly typed field itself, before init_params
+    # or save_checkpoint would meet it.
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ModelConfig(num_skills=5, dim=4, keep_prob=True),
+         "config field 'keep_prob' must be of type float, got True"),
+        (lambda: ModelConfig(num_skills=5, dim=True),
+         "config field 'dim' must be of type int, got True"),
+        (lambda: ModelConfig(num_skills=np.int64(5), dim=4),
+         "config field 'num_skills' must be of type int, got np.int64(5)"),
+        (lambda: ModelConfig(num_skills=5, dim=4, rnn_kind=1),
+         "config field 'rnn_kind' must be of type str, got 1"),
+        (lambda: DktConfig(num_skills=5, hidden=2.5),
+         "config field 'hidden' must be of type int, got 2.5"),
+        (lambda: DktConfig(num_skills=5, hidden=True),
+         "config field 'hidden' must be of type int, got True"),
+    ])
+    def test_wrong_type_is_refused(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_an_int_serves_for_a_float(self):
+        assert ModelConfig(num_skills=5, dim=4, keep_prob=1).keep_prob == 1
+        assert DktConfig(num_skills=5, keep_prob=1).keep_prob == 1
+
+
 class TestEncodeResponse:
     def test_wrong_answer_sets_low_half(self):
         assert_allclose(encode_response(1, 0, 2), [1.0, 0.0, 0.0, 0.0])

@@ -52,7 +52,7 @@ class TestAdam:
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(1)
-        cfg = TrainConfig(adam_alpha=0.01, adam_beta1=0.8, adam_beta2=0.95, adam_eps=1e-7)
+        cfg = TrainConfig(adam_alpha=0.01)
         params = {"w": rng.normal(size=(3, 2))}
         ref = {k: v.copy() for k, v in params.items()}
         m = np.zeros((3, 2))
@@ -61,11 +61,11 @@ class TestAdam:
         for t in range(1, 11):
             g = rng.normal(size=(3, 2))
             adam_step(params, {"w": g}, state, cfg)
-            m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * g
-            v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * g * g
-            mhat = m / (1 - cfg.adam_beta1 ** t)
-            vhat = v / (1 - cfg.adam_beta2 ** t)
-            ref["w"] = ref["w"] - cfg.adam_alpha * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g * g
+            mhat = m / (1 - 0.9 ** t)
+            vhat = v / (1 - 0.999 ** t)
+            ref["w"] = ref["w"] - cfg.adam_alpha * mhat / (np.sqrt(vhat) + 1e-8)
             assert_allclose(params["w"], ref["w"], rtol=1e-12)
         assert state.t == 10
 
@@ -74,8 +74,6 @@ class TestAdam:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(adam_alpha=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
 

@@ -6,8 +6,10 @@ lets explicit flags override the file. All randomness flows from the
 resolved seed.
 
 A command only writes its artifacts under --out; main then writes
-manifest.json there, echoing the resolved options, and returns 0. On an
-error it prints one "error:" line, writes no manifest and returns 1.
+manifest.json there, echoing the resolved options and recording the
+environment (Python, NumPy, BLAS and the BLAS thread variables), and
+returns 0. On an error it prints one "error:" line, writes no manifest and
+returns 1.
 
 Two tables drive the parser and the option resolution: _OPTIONS gives the
 type, default and choices of every option, and _COMMANDS gives each
@@ -18,6 +20,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import platform
 import sys
 import typing
 from pathlib import Path
@@ -578,6 +582,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _environment() -> dict:
+    """The builds and thread settings a run's numbers depend on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -586,7 +604,7 @@ def main(argv=None) -> int:
         outdir = Path(opts["out"])
         _COMMANDS[args.command][0](opts, outdir)
         manifest = {"command": args.command, "version": __version__, "options": opts,
-                    "seed": opts["seed"]}
+                    "seed": opts["seed"], "environment": _environment()}
         write_json(outdir / "manifest.json", manifest, sort_keys=True)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,15 @@
 whose input concatenates a correctness encoding with frozen skill vectors
 learned elsewhere.
 
-The recurrent scan, batch checks and loss are the query model's (see
-model.py); this module adds only the input encodings and the output layer,
-which maps the recurrent output to one logit per skill so that trial t
-scores element e_{t+1} of that vector against c_{t+1}. A hybrid model
-holds its frozen table as the parameter "skill_table", which no gradient
-reaches, so its config and parameters describe it fully and a checkpoint
-carries the table it was trained with.
+The recurrent scan, the one-hot input encoding, batch checks and loss are
+the query model's (see model.py); this module adds only the hybrid input
+encoding and the output layer, which maps the recurrent output to one logit
+per skill so that trial t scores element e_{t+1} of that vector against
+c_{t+1}. Like the query head, it runs on the valid cells only and reads
+just the e_{t+1} row of the layer. A hybrid model holds its frozen table
+as the parameter "skill_table", which no gradient reaches, so its config
+and parameters describe it fully and a checkpoint carries the table it was
+trained with.
 """
 from __future__ import annotations
 
@@ -18,15 +20,14 @@ import numpy as np
 
 from .model import (
     BatchForward,
+    OneHotInputs,
     Params,
     check_batch,
     check_config,
     init_recurrent,
-    next_trials,
-    onehot_inputs,
     scan,
     scan_backward,
-    scatter_steps,
+    scored_cells,
     uniform_weights,
 )
 
@@ -97,25 +98,15 @@ class DktModel:
         return init_params(self.config, rng, self.skill_table)
 
     def step_inputs(self, params, skills, corrects):
-        """Step-input builder: the one-hot response encoding, or in hybrid
-        mode a correctness block (the flag, or +/-1 when signed, at index
-        skill-1) followed by the skill's row of params["skill_table"]."""
+        """The step-input encoding (see model.OneHotInputs): the one-hot
+        response encoding, or in hybrid mode HybridInputs over
+        params["skill_table"]."""
         cfg = self.config
-        n = cfg.num_skills
         if cfg.input_mode == "onehot":
-            return onehot_inputs(skills, corrects, n)
-        signed = cfg.hybrid_encoding == "signed"
-        table = params["skill_table"]
-
-        def step(j, rows):
-            x = np.zeros((len(rows), n + table.shape[1]))
-            e = skills[rows, j]
-            c = corrects[rows, j]
-            x[np.arange(len(rows)), e - 1] = 2.0 * c - 1.0 if signed else c
-            x[:, n:] = table[e - 1]
-            return x
-
-        return step
+            return OneHotInputs(skills, corrects, cfg.num_skills)
+        return HybridInputs(
+            skills, corrects, params["skill_table"], cfg.hybrid_encoding == "signed"
+        )
 
     def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> BatchForward:
         cfg = self.config
@@ -124,23 +115,45 @@ class DktModel:
             params, "lstm", self.step_inputs(params, skills, corrects), lengths, cfg.keep_prob,
             mode, rng,
         )
-        q = next_trials(skills, hd.shape[0])
-        # Each cell reads one output unit, the next skill's row of out_w.
-        logits = np.einsum("sbh,sbh->sb", hd, params["out_w"][q - 1]) + params["out_b"][q - 1]
-        cache = {"scan": scan_cache, "hd": hd, "q": q} if mode == "train" else None
-        return BatchForward.from_logits(logits, corrects, lengths, cache)
+        valid, q = scored_cells(skills, lengths, hd.shape[0])
+        hv = hd[valid]
+        # Each valid cell reads one output unit, the next skill's row of out_w.
+        logits = np.einsum("nh,nh->n", hv, params["out_w"][q - 1]) + params["out_b"][q - 1]
+        cache = {"scan": scan_cache, "hv": hv, "q": q} if mode == "train" else None
+        return BatchForward.from_valid(logits, valid, corrects, cache)
 
     def backward(self, params, fwd: BatchForward) -> Params:
         """Gradients of every parameter but the frozen skill_table."""
         if fwd.cache is None:
             raise ValueError("backward needs a forward pass run with mode='train'")
         cache = fwd.cache
-        dy = fwd.logit_grad()
-        grads = scan_backward(
-            dy[..., None] * params["out_w"][cache["q"] - 1], cache["scan"], params
-        )
+        dy = fwd.logit_grad()[fwd.valid]
+        d_out = np.zeros(fwd.valid.shape + cache["hv"].shape[1:])
+        d_out[fwd.valid] = dy[:, None] * params["out_w"][cache["q"] - 1]
+        grads = scan_backward(d_out, cache["scan"], params)
         grads["out_w"] = np.zeros_like(params["out_w"])
         grads["out_b"] = np.zeros_like(params["out_b"])
-        scatter_steps(grads["out_w"], cache["q"], dy[..., None] * cache["hd"])
-        scatter_steps(grads["out_b"], cache["q"], dy)
+        np.add.at(grads["out_w"], cache["q"] - 1, dy[:, None] * cache["hv"])
+        np.add.at(grads["out_b"], cache["q"] - 1, dy)
         return grads
+
+
+class HybridInputs:
+    """Hybrid step inputs: a correctness block (the flag, or +/-1 when
+    signed, at index skill-1) followed by the skill's row of the frozen
+    table. x and project follow model.OneHotInputs; project builds x."""
+
+    def __init__(self, skills, corrects, table, signed: bool):
+        self.skills, self.corrects, self.table, self.signed = skills, corrects, table, signed
+
+    def x(self, j, rows):
+        n = len(self.table)
+        x = np.zeros((len(rows), n + self.table.shape[1]))
+        e = self.skills[rows, j]
+        c = self.corrects[rows, j]
+        x[np.arange(len(rows)), e - 1] = 2.0 * c - 1.0 if self.signed else c
+        x[:, n:] = self.table[e - 1]
+        return x
+
+    def project(self, wx, j, rows):
+        return self.x(j, rows) @ wx.T

@@ -5,8 +5,14 @@ the unit sphere, and their dot product is the logit for the next response.
 All forward passes are batched over students with explicit validity masks;
 backward passes are hand-derived and exact for the masked objective (the
 cross-entropy summed over valid trials). The batched recurrent scan, its
-backward pass and the forward result are shared with the DKT baseline,
-which supplies only its own input encoding and output head.
+backward pass, the one-hot input encoding and the forward result are shared
+with the DKT baseline, which supplies only its hybrid input encoding and
+its output head.
+
+Only work a scored trial needs is done: each scan step runs the cell on the
+students still predicting, the cell takes its input as the projection
+x @ rnn_wx.T (a row gather for one-hot inputs), and the heads run on the
+valid cells alone.
 """
 from __future__ import annotations
 
@@ -108,31 +114,32 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 
 
 # ---------------------------------------------------------------------------
-# Recurrent cells (batched: x is (B, 2N), states are (B, H))
+# Recurrent cells (batched over k rows: a is the (k, G*H) input projection
+# x @ wx.T of the step's inputs, states are (k, H))
 
 
-def lstm_cell(x, h_prev, c_prev, wx, wh, b):
+def lstm_cell(a, h_prev, c_prev, wh, b):
     """One LSTM step. Gate order along the stacked axis is i, f, g, o."""
     hh = h_prev.shape[1]
-    pre = x @ wx.T + h_prev @ wh.T + b
+    pre = a + h_prev @ wh.T + b
     i = sigmoid(pre[:, :hh])
     f = sigmoid(pre[:, hh : 2 * hh])
     g = np.tanh(pre[:, 2 * hh : 3 * hh])
     o = sigmoid(pre[:, 3 * hh :])
     c = f * c_prev + i * g
     h = o * np.tanh(c)
-    cache = (x, h_prev, c_prev, i, f, g, o, c)
+    cache = (h_prev, c_prev, i, f, g, o, c)
     return h, c, cache
 
 
-def lstm_cell_backward(dh, dc_next, cache, wx, wh):
+def lstm_cell_backward(dh, dc_next, cache, wh):
     """Backward through one LSTM step.
 
-    Returns (dh_prev, dc_prev, dwx, dwh, db). dh is the gradient arriving
-    at h from this step's output, dc_next the one arriving at c from the
-    following step.
+    Returns (dh_prev, dc_prev, dpre, dwh, db), dpre being the gradient on
+    the input projection a. dh is the gradient arriving at h from this
+    step's output, dc_next the one arriving at c from the following step.
     """
-    x, h_prev, c_prev, i, f, g, o, c = cache
+    h_prev, c_prev, i, f, g, o, c = cache
     tc = np.tanh(c)
     do = dh * tc
     dc = dc_next + dh * o * (1.0 - tc * tc)
@@ -149,33 +156,33 @@ def lstm_cell_backward(dh, dc_next, cache, wx, wh):
         ],
         axis=1,
     )
-    dwx = dpre.T @ x
     dwh = dpre.T @ h_prev
     db = dpre.sum(axis=0)
     dh_prev = dpre @ wh
-    return dh_prev, dc_prev, dwx, dwh, db
+    return dh_prev, dc_prev, dpre, dwh, db
 
 
-def gru_cell(x, h_prev, wx, wh, b):
+def gru_cell(a, h_prev, wh, b):
     """One GRU step, candidate gated as tanh(Wx + U(r*h_prev)).
 
     Gate order along the stacked axis is r, z, n, and the new state is
     z*h_prev + (1-z)*n.
     """
     hh = h_prev.shape[1]
-    a = x @ wx.T + b
+    a = a + b
     r = sigmoid(a[:, :hh] + h_prev @ wh[:hh].T)
     z = sigmoid(a[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)
     rh = r * h_prev
     n = np.tanh(a[:, 2 * hh :] + rh @ wh[2 * hh :].T)
     h = z * h_prev + (1.0 - z) * n
-    cache = (x, h_prev, r, z, n)
+    cache = (h_prev, r, z, n)
     return h, cache
 
 
-def gru_cell_backward(dh, cache, wx, wh):
-    """Backward through one GRU step. Returns (dh_prev, dwx, dwh, db)."""
-    x, h_prev, r, z, n = cache
+def gru_cell_backward(dh, cache, wh):
+    """Backward through one GRU step. Returns (dh_prev, dpre, dwh, db),
+    dpre being the gradient on the input projection a."""
+    h_prev, r, z, n = cache
     hh = h_prev.shape[1]
     dz = dh * (h_prev - n)
     dn = dh * (1.0 - z)
@@ -195,10 +202,9 @@ def gru_cell_backward(dh, cache, wx, wh):
     dh_prev = dh_prev + dar @ wh[:hh] + daz @ wh[hh : 2 * hh]
 
     dpre = np.concatenate([dar, daz, dan], axis=1)
-    dwx = dpre.T @ x
     dwh = np.concatenate([dwh_r, dwh_z, dwh_n], axis=0)
     db = dpre.sum(axis=0)
-    return dh_prev, dwx, dwh, db
+    return dh_prev, dpre, dwh, db
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +220,11 @@ class BatchForward:
     """Everything produced by one batched forward pass.
 
     logits, probs = sigmoid(logits), targets and valid are (S, B); position
-    (j, b) is student b's prediction for trial j+1. The loss and its
-    gradient read the logits; where valid is False they are the head
-    applied to a zero recurrent output. knowledge_states (S, B, d) and
-    skill_table (N, d) are filled by the query model and None for DKT.
-    cache is populated only in train mode.
+    (j, b) is student b's prediction for trial j+1. The heads score only
+    the valid cells: elsewhere the logits and knowledge states are 0 (so
+    the probs 0.5), and the loss and its gradient never read them.
+    knowledge_states (S, B, d) and skill_table (N, d) are filled by the
+    query model and None for DKT. cache is populated only in train mode.
     """
 
     logits: np.ndarray
@@ -230,14 +236,16 @@ class BatchForward:
     cache: Optional[dict] = field(default=None, repr=False)
 
     @classmethod
-    def from_logits(cls, logits, corrects, lengths, cache, **head) -> "BatchForward":
-        """Wrap a head's (S, B) logits with their targets and validity mask."""
-        s_steps = logits.shape[0]
+    def from_valid(cls, scored, valid, corrects, cache, **head) -> "BatchForward":
+        """Wrap a head's logits on the valid cells, in the row-major order
+        of the (S, B) mask valid, with their targets."""
+        logits = np.zeros(valid.shape)
+        logits[valid] = scored
         return cls(
             logits=logits,
             probs=sigmoid(logits),
-            targets=next_trials(corrects, s_steps).astype(float),
-            valid=np.arange(s_steps)[:, None] < lengths - 1,
+            targets=next_trials(corrects, len(valid)).astype(float),
+            valid=valid,
             cache=cache,
             **head,
         )
@@ -297,31 +305,51 @@ def next_trials(a: np.ndarray, s_steps: int) -> np.ndarray:
     return np.ascontiguousarray(a[:, 1 : s_steps + 1].T)
 
 
-def onehot_inputs(skills, corrects, num_skills: int):
-    """Step inputs for the 2N one-hot response encoding: position skill-1
-    flags a wrong answer, position skill-1+N a correct one."""
-    hot = skills - 1 + corrects * num_skills
+def scored_cells(skills, lengths, s_steps: int):
+    """(valid, q): the (S, B) mask of the cells that predict a trial, and
+    the skill id each of them queries, in the mask's row-major order."""
+    valid = np.arange(s_steps)[:, None] < lengths - 1
+    return valid, next_trials(skills, s_steps)[valid]
 
-    def step(j, rows):
-        x = np.zeros((len(rows), 2 * num_skills))
-        x[np.arange(len(rows)), hot[rows, j]] = 1.0
+
+class OneHotInputs:
+    """Step inputs for the 2N one-hot response encoding: position skill-1
+    flags a wrong answer, position skill-1+N a correct one.
+
+    Like every step-input encoding, x(j, rows) is step j's (len(rows), D)
+    input, one row per given row in that order, and project(wx, j, rows)
+    is x(j, rows) @ wx.T. Here that product is the row gather
+    wx.T[hot]: a one-hot row adds only exact zeros to the weight it
+    selects, so the two agree bit for bit, and only scan_backward builds
+    x, for rnn_wx's gradient.
+    """
+
+    def __init__(self, skills, corrects, num_skills: int):
+        self.hot = skills - 1 + corrects * num_skills
+        self.width = 2 * num_skills
+
+    def x(self, j, rows):
+        x = np.zeros((len(rows), self.width))
+        x[np.arange(len(rows)), self.hot[rows, j]] = 1.0
         return x
 
-    return step
+    def project(self, wx, j, rows):
+        return wx.T[self.hot[rows, j]]
 
 
-def scan(params: Params, rnn_kind: str, step_input, lengths, keep_prob: float, mode: str, rng):
+def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode: str, rng):
     """Run the recurrent cell over a padded batch, packed: each step runs
     only the students that still predict a trial.
 
     The rows are sorted by length, longest first (a stable sort), so step j
     runs the cell on the first k_j sorted rows, k_j being the number of
-    students with j < length - 1; k_j never grows with j. step_input(j,
-    rows) returns the (len(rows), D) inputs of step j, one row per student
-    in rows, in that order. Returns (out, cache): out is the (S, B, H)
-    recurrent output in the batch's own row order, zero where a student
-    has nothing left to predict and dropped out in train mode with one
-    (S, B, H) mask; cache feeds scan_backward (None in eval mode).
+    students with j < length - 1; k_j never grows with j. inputs is a
+    step-input encoding such as OneHotInputs: the cell takes the input
+    projection inputs.project(rnn_wx, j, rows) of the k_j rows, one row
+    per student in rows, in that order. Returns (out, cache): out is the
+    (S, B, H) recurrent output in the batch's own row order, zero where a
+    student has nothing left to predict and dropped out in train mode with
+    one (S, B, H) mask; cache feeds scan_backward (None in eval mode).
     """
     wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
     bsz, hh = len(lengths), wh.shape[1]
@@ -335,11 +363,11 @@ def scan(params: Params, rnn_kind: str, step_input, lengths, keep_prob: float, m
     c = np.zeros((bsz, hh))
     for j, k in enumerate(active):
         rows = order[:k]
-        x = step_input(j, rows)
+        a = inputs.project(wx, j, rows)
         if rnn_kind == "lstm":
-            h, c, cell = lstm_cell(x, h[:k], c[:k], wx, wh, b)
+            h, c, cell = lstm_cell(a, h[:k], c[:k], wh, b)
         else:
-            h, cell = gru_cell(x, h[:k], wx, wh, b)
+            h, cell = gru_cell(a, h[:k], wh, b)
         out[j, rows] = h
         if train:
             cells.append(cell)
@@ -347,14 +375,16 @@ def scan(params: Params, rnn_kind: str, step_input, lengths, keep_prob: float, m
         return out, None
     mask = dropout_mask(out.shape, keep_prob, rng)
     out *= mask
-    return out, {"rnn_kind": rnn_kind, "cells": cells, "mask": mask, "order": order,
-                 "active": active}
+    return out, {"rnn_kind": rnn_kind, "inputs": inputs, "cells": cells, "mask": mask,
+                 "order": order, "active": active}
 
 
 def scan_backward(d_out: np.ndarray, cache: dict, params: Params) -> Params:
     """Gradients of rnn_wx, rnn_wh and rnn_b given d_out, the (S, B, H)
-    gradient on scan's outputs, walking scan's packed steps in reverse."""
-    wx, wh = params["rnn_wx"], params["rnn_wh"]
+    gradient on scan's outputs, walking scan's packed steps in reverse.
+    Step j adds dpre.T @ x to rnn_wx's gradient, dpre being the gradient
+    on its input projection and x its (k_j, D) inputs, built here."""
+    wh = params["rnn_wh"]
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wx", "rnn_wh", "rnn_b")}
     # Packed-order gradients on the recurrent state; rows a later step did
     # not run stay zero.
@@ -366,27 +396,15 @@ def scan_backward(d_out: np.ndarray, cache: dict, params: Params) -> Params:
         k = cache["active"][j]
         dh = d_h[j, order[:k]] + dh_rec[:k]
         if cache["rnn_kind"] == "lstm":
-            dh_rec[:k], dc_rec[:k], dwx, dwh, db = lstm_cell_backward(
-                dh, dc_rec[:k], cache["cells"][j], wx, wh
+            dh_rec[:k], dc_rec[:k], dpre, dwh, db = lstm_cell_backward(
+                dh, dc_rec[:k], cache["cells"][j], wh
             )
         else:
-            dh_rec[:k], dwx, dwh, db = gru_cell_backward(dh, cache["cells"][j], wx, wh)
-        grads["rnn_wx"] += dwx
+            dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
+        grads["rnn_wx"] += dpre.T @ cache["inputs"].x(j, order[:k])
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
     return grads
-
-
-def sum_steps(terms: np.ndarray) -> np.ndarray:
-    """Sum (S, ...) per-step terms from the last step to the first, the
-    order in which backpropagation through time reaches them."""
-    return terms[::-1].sum(axis=0)
-
-
-def scatter_steps(target: np.ndarray, q: np.ndarray, terms: np.ndarray) -> None:
-    """target[q - 1] += terms for (S, B) skill ids q, in place, from the
-    last step to the first."""
-    np.add.at(target, q[::-1].reshape(-1) - 1, terms[::-1].reshape(-1, *terms.shape[2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +461,28 @@ def forward_batch(
     """Run the recurrent encoder over a padded batch and query every
     next-trial skill.
 
-    Student b contributes predictions for j in 0..lengths[b]-2; all other
-    positions are masked out by `valid` and excluded from loss and
-    gradients.
+    Student b contributes predictions for j in 0..lengths[b]-2; the head
+    runs on those valid cells only, and all other positions are masked out
+    by `valid` and excluded from loss and gradients.
     """
     check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
     table, skill_cache = encode_skill_table(params)
     hd, scan_cache = scan(
-        params, config.rnn_kind, onehot_inputs(skills, corrects, config.num_skills),
+        params, config.rnn_kind, OneHotInputs(skills, corrects, config.num_skills),
         lengths, config.keep_prob, mode, rng,
     )
-    q = next_trials(skills, hd.shape[0])
-    kstates = hd @ params["proj_w"].T + params["proj_b"]
-    s_sel = table[q - 1]
-    logits = np.sum(kstates * s_sel, axis=2)
+    valid, q = scored_cells(skills, lengths, hd.shape[0])
+    hv = hd[valid]
+    kv = hv @ params["proj_w"].T + params["proj_b"]
+    sv = table[q - 1]
+    kstates = np.zeros(valid.shape + kv.shape[1:])
+    kstates[valid] = kv
     cache = None
     if mode == "train":
-        cache = {"scan": scan_cache, "skill": skill_cache, "hd": hd, "q": q, "s_sel": s_sel}
-    return BatchForward.from_logits(
-        logits, corrects, lengths, cache, knowledge_states=kstates, skill_table=table
+        cache = {"scan": scan_cache, "skill": skill_cache, "hv": hv, "kv": kv, "q": q, "sv": sv}
+    return BatchForward.from_valid(
+        np.sum(kv * sv, axis=1), valid, corrects, cache, knowledge_states=kstates,
+        skill_table=table,
     )
 
 
@@ -470,13 +491,15 @@ def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Pa
     if fwd.cache is None:
         raise ValueError("backward needs a forward pass run with mode='train'")
     cache = fwd.cache
-    dy = fwd.logit_grad()[..., None]
-    dks = dy * cache["s_sel"]
+    dy = fwd.logit_grad()[fwd.valid][:, None]
+    dks = dy * cache["sv"]
     d_table = np.zeros_like(fwd.skill_table)
-    scatter_steps(d_table, cache["q"], dy * fwd.knowledge_states)
-    grads = scan_backward(dks @ params["proj_w"], cache["scan"], params)
-    grads["proj_w"] = sum_steps(np.matmul(dks.transpose(0, 2, 1), cache["hd"]))
-    grads["proj_b"] = sum_steps(dks.sum(axis=1))
+    np.add.at(d_table, cache["q"] - 1, dy * cache["kv"])
+    d_out = np.zeros(fwd.valid.shape + cache["hv"].shape[1:])
+    d_out[fwd.valid] = dks @ params["proj_w"]
+    grads = scan_backward(d_out, cache["scan"], params)
+    grads["proj_w"] = dks.T @ cache["hv"]
+    grads["proj_b"] = dks.sum(axis=0)
     grads.update(skill_table_backward(d_table, cache["skill"], params))
     return grads
 

@@ -41,14 +41,18 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        _check_batch_size(self.batch_size)
         if self.epochs_validation < 1:
             raise ValueError("epochs_validation must be positive")
         if self.adam_alpha <= 0:
             raise ValueError("adam_alpha must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
+
+
+def _check_batch_size(size: int) -> None:
+    if size < 1:
+        raise ValueError(f"batch_size must be positive, got {size}")
 
 
 @dataclass
@@ -229,6 +233,7 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
 def evaluate(model, params: Params, sequences, batch_size: int = 128):
     """Score sequences in eval mode; returns (auc, mean_loss, n_trials)."""
+    _check_batch_size(batch_size)
     kept, _ = _scoreable(sequences)
     if not kept:
         raise ValueError("no scoreable sequences to evaluate")

@@ -136,13 +136,15 @@ def kqn_gradient_errors(rnn_kind):
 
 # ---------------------------------------------------------------------------
 # Step-at-a-time reference for the packed scan: every step runs on the whole
-# padded batch, finished students getting a zero input, every head runs
-# inside the time loop, one dropout mask is drawn per step and every gradient
-# is accumulated step by step. The packed path keeps the per-cell arithmetic,
-# so on the tests' batches probabilities on valid cells agree bit for bit (a
-# product over one or two rows can take another BLAS kernel and differ in the
-# last bit). Its weight gradients sum over the running rows only, not over
-# zero rows as well, so they agree to a relative SCAN_GRAD_RTOL.
+# padded batch, finished students getting a zero input, the input projection
+# is the dense product x @ wx.T, every head runs inside the time loop on all
+# B cells of its step, one dropout mask is drawn per step and every gradient
+# is accumulated step by step. The packed path keeps the per-cell arithmetic
+# (its one-hot gather equals the dense product bit for bit), so on the
+# tests' batches probabilities on valid cells agree bit for bit (a product
+# over one or two rows can take another BLAS kernel and differ in the last
+# bit). Its weight gradients sum over the running rows and valid cells only,
+# in another order, so they agree to a relative SCAN_GRAD_RTOL.
 
 SCAN_GRAD_RTOL = 1e-13
 
@@ -150,15 +152,15 @@ SCAN_GRAD_RTOL = 1e-13
 def reference_step_loop(model, params, skills, corrects, lengths, rng):
     """Train-mode (probs, grads) of a KqnModel or DktModel, one step at a
     time."""
-    from kqn.model import encode_skill_table, gru_cell, gru_cell_backward, lstm_cell
-    from kqn.model import lstm_cell_backward, onehot_inputs, skill_table_backward
+    from kqn.model import OneHotInputs, encode_skill_table, gru_cell, gru_cell_backward
+    from kqn.model import lstm_cell, lstm_cell_backward, skill_table_backward
     from kqn.ops import dropout_mask, sigmoid
 
     cfg = model.config
     kqn = model.name == "kqn"
     kind = cfg.rnn_kind if kqn else "lstm"
-    step_input = (
-        onehot_inputs(skills, corrects, cfg.num_skills) if kqn
+    inputs = (
+        OneHotInputs(skills, corrects, cfg.num_skills) if kqn
         else model.step_inputs(params, skills, corrects)
     )
     bsz, hh = len(lengths), params["rnn_wh"].shape[1]
@@ -171,11 +173,11 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
     for j in range(s_steps):
         rows = np.flatnonzero(j < lengths - 1)
         x = np.zeros((bsz, wx.shape[1]))
-        x[rows] = step_input(j, rows)
+        x[rows] = inputs.x(j, rows)
         if kind == "lstm":
-            h, c, cell = lstm_cell(x, h, c, wx, wh, b)
+            h, c, cell = lstm_cell(x @ wx.T, h, c, wh, b)
         else:
-            h, cell = gru_cell(x, h, wx, wh, b)
+            h, cell = gru_cell(x @ wx.T, h, wh, b)
         mask = dropout_mask((bsz, hh), cfg.keep_prob, rng)
         hd = h * mask
         q = skills[:, j + 1]
@@ -186,7 +188,7 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
             ks = None
             y = np.einsum("bh,bh->b", hd, params["out_w"][q - 1]) + params["out_b"][q - 1]
         probs[j] = sigmoid(y)
-        steps.append((cell, mask, hd, q, ks))
+        steps.append((cell, x, mask, hd, q, ks))
 
     targets = corrects[:, 1:].T
     valid = np.arange(s_steps)[:, None] < lengths - 1
@@ -196,7 +198,7 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
     d_table = np.zeros_like(table) if kqn else None
     dh_rec, dc_rec = np.zeros((bsz, hh)), np.zeros((bsz, hh))
     for j in reversed(range(s_steps)):
-        cell, mask, hd, q, ks = steps[j]
+        cell, x, mask, hd, q, ks = steps[j]
         dyj = dy[j][:, None]
         if kqn:
             dks = dyj * table[q - 1]
@@ -210,10 +212,10 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
             dhd = dyj * params["out_w"][q - 1]
         dh = dhd * mask + dh_rec
         if kind == "lstm":
-            dh_rec, dc_rec, dwx, dwh, db = lstm_cell_backward(dh, dc_rec, cell, wx, wh)
+            dh_rec, dc_rec, dpre, dwh, db = lstm_cell_backward(dh, dc_rec, cell, wh)
         else:
-            dh_rec, dwx, dwh, db = gru_cell_backward(dh, cell, wx, wh)
-        grads["rnn_wx"] += dwx
+            dh_rec, dpre, dwh, db = gru_cell_backward(dh, cell, wh)
+        grads["rnn_wx"] += dpre.T @ x
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
     if kqn:

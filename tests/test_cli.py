@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line front end, run in process."""
 import base64
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -91,12 +93,23 @@ class TestSynth:
 
     def test_manifest_shape(self, ws):
         doc = json.loads((ws / "synth" / "manifest.json").read_text())
-        assert set(doc) == {"command", "version", "options", "seed"}
+        assert set(doc) == {"command", "version", "options", "seed", "environment"}
         assert doc["command"] == "synth"
         assert doc["version"] == kqn.__version__
         assert doc["seed"] == 3
         assert doc["options"]["students"] == 30
         assert doc["options"]["skills"] == 6
+
+    def test_manifest_records_the_environment(self, ws):
+        env = json.loads((ws / "synth" / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
+        for var, value in env["threads"].items():
+            assert value == os.environ.get(var)
 
 
 class TestSplit:
@@ -224,6 +237,15 @@ class TestEvaluate:
         assert report["loss"] == loss_value
         assert report["trials"] == n_trials == sum(
             len(seq.responses) - 1 for seq in test_ds.sequences)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_batch_size_must_be_positive(self, ws, tmp_path, capsys, size):
+        rc = main(["evaluate", "--out", str(tmp_path / "out"), "--checkpoint",
+                   str(ws / "kqn4" / "checkpoint.json"), "--data", str(ws / "split" / "test.txt"),
+                   "--batch-size", str(size)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: batch_size must be positive, got {size}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_binary_flag_is_a_line_numbered_error(self, ws, tmp_path, capsys):
         # Before flags were checked, the third record was dropped without a

@@ -37,8 +37,8 @@ def dkt_kqn_input(response, encoding="correctness"):
     skill, correct = response
     model = hybrid_model(encoding)
     params = model.init_params(np.random.default_rng(0))
-    step = model.step_inputs(params, np.array([[skill]]), np.array([[correct]]))
-    return step(0, np.array([0]))[0]
+    inputs = model.step_inputs(params, np.array([[skill]]), np.array([[correct]]))
+    return inputs.x(0, np.array([0]))[0]
 
 
 class TestHybridInput:
@@ -152,7 +152,8 @@ class TestDktForward:
         for j, (skill, correct) in enumerate(seq.responses[:-1]):
             x = np.zeros((1, 6))
             x[0, skill - 1 + correct * 3] = 1.0
-            h, c, _ = lstm_cell(x, h, c, params["rnn_wx"], params["rnn_wh"], params["rnn_b"])
+            proj = x @ params["rnn_wx"].T
+            h, c, _ = lstm_cell(proj, h, c, params["rnn_wh"], params["rnn_b"])
             a = h @ params["out_w"].T + params["out_b"]
             next_skill, next_correct = seq.responses[j + 1]
             assert_allclose(fwd.probs[j, 0], sigmoid(float(a[0, next_skill - 1])), rtol=1e-12)

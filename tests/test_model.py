@@ -11,6 +11,7 @@ from kqn.model import (
     BatchForward,
     KqnModel,
     ModelConfig,
+    OneHotInputs,
     batch_arrays,
     encode_skill_table,
     forward_batch,
@@ -19,7 +20,6 @@ from kqn.model import (
     init_params,
     lstm_cell,
     lstm_cell_backward,
-    onehot_inputs,
     skill_table_backward,
 )
 from kqn.ops import sigmoid
@@ -47,8 +47,8 @@ def random_sequences(rng, count, num_skills, min_len=2, max_len=9):
 
 def encode_response(skill, correct, num_skills):
     """One response through the batched one-hot step input."""
-    step = onehot_inputs(np.array([[skill]]), np.array([[correct]]), num_skills)
-    return step(0, np.array([0]))[0]
+    inputs = OneHotInputs(np.array([[skill]]), np.array([[correct]]), num_skills)
+    return inputs.x(0, np.array([0]))[0]
 
 
 class TestConfigTypes:
@@ -101,24 +101,48 @@ class TestEncodeResponse:
             ResponseSequence(1, ((1, 0),) * 3),
         ]
         skills, corrects, _ = batch_arrays(seqs)
-        step = onehot_inputs(skills, corrects, 2)
-        assert_allclose(step(0, np.array([1, 0])), [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        assert_allclose(step(1, np.array([1])), [[1.0, 0.0, 0.0, 0.0]])
-        assert step(1, np.array([], dtype=int)).shape == (0, 4)
+        inputs = OneHotInputs(skills, corrects, 2)
+        assert_allclose(inputs.x(0, np.array([1, 0])),
+                        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        assert_allclose(inputs.x(1, np.array([1])), [[1.0, 0.0, 0.0, 0.0]])
+        assert inputs.x(1, np.array([], dtype=int)).shape == (0, 4)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_projection_gather_equals_dense_product_bit_for_bit(self, data):
+        # The row gather that scan takes for x @ wx.T, over k = 1 and up,
+        # repeated skills and responses included, at gate widths up to the
+        # paper-size LSTM's 512.
+        n = data.draw(st.integers(1, 130), label="num_skills")
+        gates = data.draw(st.sampled_from([3, 4, 12, 96, 512]), label="gate width")
+        k = data.draw(st.integers(1, 40), label="rows")
+        distinct = data.draw(st.integers(1, n), label="skills drawn from")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        skills = rng.integers(1, distinct + 1, size=(k, 2))
+        corrects = rng.integers(0, 2, size=(k, 2))
+        # Every other student repeats the first one's responses.
+        skills[::2], corrects[::2] = skills[0], corrects[0]
+        wx = rng.normal(size=(gates, 2 * n))
+        inputs = OneHotInputs(skills, corrects, n)
+        rows = rng.permutation(k)
+        for j in range(2):
+            for given in (rows, rows[:1]):
+                want = inputs.x(j, given) @ wx.T
+                assert inputs.project(wx, j, given).tobytes() == want.tobytes()
 
 
 class TestLstmCell:
     def test_matches_reference_gate_formulas(self):
         rng = np.random.default_rng(0)
-        bsz, nin, hh = 3, 4, 5
-        x = rng.normal(size=(bsz, nin))
+        bsz, hh = 3, 5
+        a = rng.normal(size=(bsz, 4 * hh))
         h_prev = rng.normal(size=(bsz, hh))
         c_prev = rng.normal(size=(bsz, hh))
-        wx = rng.normal(size=(4 * hh, nin))
         wh = rng.normal(size=(4 * hh, hh))
         b = rng.normal(size=4 * hh)
 
-        pre = x @ wx.T + h_prev @ wh.T + b
+        pre = a + h_prev @ wh.T + b
         i = 1.0 / (1.0 + np.exp(-pre[:, :hh]))
         f = 1.0 / (1.0 + np.exp(-pre[:, hh : 2 * hh]))
         g = np.tanh(pre[:, 2 * hh : 3 * hh])
@@ -126,35 +150,35 @@ class TestLstmCell:
         c_ref = f * c_prev + i * g
         h_ref = o * np.tanh(c_ref)
 
-        h, c, _ = lstm_cell(x, h_prev, c_prev, wx, wh, b)
+        h, c, _ = lstm_cell(a, h_prev, c_prev, wh, b)
         assert_allclose(h, h_ref, rtol=1e-12)
         assert_allclose(c, c_ref, rtol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(1)
-        bsz, nin, hh = 2, 3, 4
-        x = rng.normal(size=(bsz, nin))
+        bsz, hh = 2, 4
+        a = rng.normal(size=(bsz, 4 * hh))
         h_prev = rng.normal(size=(bsz, hh))
         c_prev = rng.normal(size=(bsz, hh))
-        wx = rng.normal(size=(4 * hh, nin)) * 0.5
         wh = rng.normal(size=(4 * hh, hh)) * 0.5
         b = rng.normal(size=4 * hh) * 0.5
         ph = rng.normal(size=(bsz, hh))
         pc = rng.normal(size=(bsz, hh))
 
-        def loss(x_, h_, c_, wx_, wh_, b_):
-            h, c, _ = lstm_cell(x_, h_, c_, wx_, wh_, b_)
+        def loss(a_, h_, c_, wh_, b_):
+            h, c, _ = lstm_cell(a_, h_, c_, wh_, b_)
             return float(np.sum(h * ph) + np.sum(c * pc))
 
-        h, c, cache = lstm_cell(x, h_prev, c_prev, wx, wh, b)
-        dh_prev, dc_prev, dwx, dwh, db = lstm_cell_backward(ph, pc, cache, wx, wh)
-        # dh_prev/dc_prev cover the state path; weight grads the parameters
+        h, c, cache = lstm_cell(a, h_prev, c_prev, wh, b)
+        dh_prev, dc_prev, dpre, dwh, db = lstm_cell_backward(ph, pc, cache, wh)
+        # dpre/dh_prev/dc_prev cover the input and state paths; dwh/db the
+        # parameters
         pairs = [
-            (dh_prev, finite_diff(lambda a: loss(x, a, c_prev, wx, wh, b), h_prev)),
-            (dc_prev, finite_diff(lambda a: loss(x, h_prev, a, wx, wh, b), c_prev)),
-            (dwx, finite_diff(lambda a: loss(x, h_prev, c_prev, a, wh, b), wx)),
-            (dwh, finite_diff(lambda a: loss(x, h_prev, c_prev, wx, a, b), wh)),
-            (db, finite_diff(lambda a: loss(x, h_prev, c_prev, wx, wh, a), b)),
+            (dpre, finite_diff(lambda v: loss(v, h_prev, c_prev, wh, b), a)),
+            (dh_prev, finite_diff(lambda v: loss(a, v, c_prev, wh, b), h_prev)),
+            (dc_prev, finite_diff(lambda v: loss(a, h_prev, v, wh, b), c_prev)),
+            (dwh, finite_diff(lambda v: loss(a, h_prev, c_prev, v, b), wh)),
+            (db, finite_diff(lambda v: loss(a, h_prev, c_prev, wh, v), b)),
         ]
         for analytic, numeric in pairs:
             assert max_rel_err(numeric, analytic) < 1e-6
@@ -163,50 +187,47 @@ class TestLstmCell:
 class TestGruCell:
     def test_matches_reference_gate_formulas(self):
         rng = np.random.default_rng(2)
-        bsz, nin, hh = 3, 4, 5
-        x = rng.normal(size=(bsz, nin))
+        bsz, hh = 3, 5
+        a = rng.normal(size=(bsz, 3 * hh))
         h_prev = rng.normal(size=(bsz, hh))
-        wx = rng.normal(size=(3 * hh, nin))
         wh = rng.normal(size=(3 * hh, hh))
         b = rng.normal(size=3 * hh)
 
-        a = x @ wx.T + b
-        r = 1.0 / (1.0 + np.exp(-(a[:, :hh] + h_prev @ wh[:hh].T)))
-        z = 1.0 / (1.0 + np.exp(-(a[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)))
-        n = np.tanh(a[:, 2 * hh :] + (r * h_prev) @ wh[2 * hh :].T)
+        ab = a + b
+        r = 1.0 / (1.0 + np.exp(-(ab[:, :hh] + h_prev @ wh[:hh].T)))
+        z = 1.0 / (1.0 + np.exp(-(ab[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)))
+        n = np.tanh(ab[:, 2 * hh :] + (r * h_prev) @ wh[2 * hh :].T)
         h_ref = z * h_prev + (1.0 - z) * n
 
-        h, _ = gru_cell(x, h_prev, wx, wh, b)
+        h, _ = gru_cell(a, h_prev, wh, b)
         assert_allclose(h, h_ref, rtol=1e-12)
 
     def test_all_zero_parameters_halve_the_state(self):
         rng = np.random.default_rng(3)
         h_prev = rng.normal(size=(2, 4))
-        x = rng.normal(size=(2, 6))
-        h, _ = gru_cell(x, h_prev, np.zeros((12, 6)), np.zeros((12, 4)), np.zeros(12))
+        h, _ = gru_cell(np.zeros((2, 12)), h_prev, np.zeros((12, 4)), np.zeros(12))
         assert_allclose(h, 0.5 * h_prev, rtol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        bsz, nin, hh = 2, 3, 4
-        x = rng.normal(size=(bsz, nin))
+        bsz, hh = 2, 4
+        a = rng.normal(size=(bsz, 3 * hh))
         h_prev = rng.normal(size=(bsz, hh))
-        wx = rng.normal(size=(3 * hh, nin)) * 0.5
         wh = rng.normal(size=(3 * hh, hh)) * 0.5
         b = rng.normal(size=3 * hh) * 0.5
         ph = rng.normal(size=(bsz, hh))
 
-        def loss(x_, h_, wx_, wh_, b_):
-            h, _ = gru_cell(x_, h_, wx_, wh_, b_)
+        def loss(a_, h_, wh_, b_):
+            h, _ = gru_cell(a_, h_, wh_, b_)
             return float(np.sum(h * ph))
 
-        _, cache = gru_cell(x, h_prev, wx, wh, b)
-        dh_prev, dwx, dwh, db = gru_cell_backward(ph, cache, wx, wh)
+        _, cache = gru_cell(a, h_prev, wh, b)
+        dh_prev, dpre, dwh, db = gru_cell_backward(ph, cache, wh)
         pairs = [
-            (dh_prev, finite_diff(lambda a: loss(x, a, wx, wh, b), h_prev)),
-            (dwx, finite_diff(lambda a: loss(x, h_prev, a, wh, b), wx)),
-            (dwh, finite_diff(lambda a: loss(x, h_prev, wx, a, b), wh)),
-            (db, finite_diff(lambda a: loss(x, h_prev, wx, wh, a), b)),
+            (dpre, finite_diff(lambda v: loss(v, h_prev, wh, b), a)),
+            (dh_prev, finite_diff(lambda v: loss(a, v, wh, b), h_prev)),
+            (dwh, finite_diff(lambda v: loss(a, h_prev, v, b), wh)),
+            (db, finite_diff(lambda v: loss(a, h_prev, wh, v), b)),
         ]
         for analytic, numeric in pairs:
             assert max_rel_err(numeric, analytic) < 1e-6
@@ -308,8 +329,8 @@ class TestQuery:
 
 class TestBatchForward:
     def test_confidently_wrong_trial_keeps_its_gradient(self):
-        fwd = BatchForward.from_logits(
-            np.array([[-40.0]]), np.array([[0, 1]]), np.array([2]), cache=None
+        fwd = BatchForward.from_valid(
+            np.array([-40.0]), np.array([[True]]), np.array([[0, 1]]), cache=None
         )
         assert_allclose(fwd.logit_grad(), [[-1.0]], rtol=1e-12)
         assert_allclose(fwd.loss_sum(), 40.0, rtol=1e-12)
@@ -390,6 +411,29 @@ class TestForwardBatch:
         moved = model.forward(params, *batch_arrays([seqs[b] for b in perm]))
         assert_allclose(moved.probs[moved.valid], fwd.probs[:, perm][fwd.valid[:, perm]],
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["lstm", "gru", "dkt"])
+    def test_invalid_cells_hold_zero(self, variant):
+        # Nonzero output biases: a head run on a padded cell's zero
+        # recurrent output would give it a nonzero logit.
+        if variant == "dkt":
+            model = DktModel(DktConfig(num_skills=5, hidden=6, keep_prob=0.6))
+        else:
+            model = KqnModel(self.make(variant, keep_prob=0.6))
+        params = model.init_params(np.random.default_rng(35))
+        bias = "out_b" if variant == "dkt" else "proj_b"
+        params[bias] = np.random.default_rng(36).normal(size=params[bias].shape)
+        arrays = batch_arrays(random_sequences(np.random.default_rng(37), 6, 5, 2, 10))
+        for mode in ("eval", "train"):
+            fwd = model.forward(params, *arrays, mode=mode, rng=np.random.default_rng(38))
+            padded = ~fwd.valid
+            assert padded.any() and np.all(fwd.logits[fwd.valid] != 0.0)
+            assert np.all(fwd.logits[padded] == 0.0)
+            assert np.array_equal(fwd.probs, sigmoid(fwd.logits))
+            if variant == "dkt":
+                assert fwd.knowledge_states is None
+            else:
+                assert np.all(fwd.knowledge_states[padded] == 0.0)
 
     def test_valid_mask_counts(self):
         config = self.make()

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import platform
+import re
 import sys
 import typing
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ from .data import (
 )
 from .dkt import HYBRID_ENCODINGS, INPUT_MODES, DktConfig, DktModel
 from .model import RNN_KINDS, KqnModel, ModelConfig, encode_skill_table
-from .tables import write_json, write_table
+from .tables import has_type, read_json_object, write_json, write_table
 from .training import (
     GridSpec,
     TrainConfig,
@@ -133,12 +134,6 @@ def _item_type(kind):
     return typing.get_args(kind)[0] if typing.get_origin(kind) is list else None
 
 
-def _is(value, kind) -> bool:
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
 def _check_config_value(key: str, value) -> None:
     """A config value has its option's type (an int also serves for a
     float) and one of its choices; null only where the default is null.
@@ -149,9 +144,9 @@ def _check_config_value(key: str, value) -> None:
         ok = default is None
     elif item is not None:
         items = value if isinstance(value, list) else [value]
-        ok = isinstance(value, str) or all(_is(v, item) for v in items)
+        ok = isinstance(value, str) or all(has_type(v, item) for v in items)
     else:
-        ok = _is(value, kind)
+        ok = has_type(value, kind)
     if not ok:
         expected = kind.__name__ if item is None else f"list of {item.__name__}"
         raise ValueError(f"config key {key!r} must be of type {expected}, got {value!r}")
@@ -182,7 +177,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     names = _option_names(args.command)
     opts = {name: _OPTIONS[name][1] for name in names}
     if args.config:
-        loaded = _json_object(args.config, "config")
+        loaded = read_json_object(args.config, "config")
         unknown = set(loaded) - set(opts)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -197,18 +192,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     if missing:
         raise ValueError(f"missing required options: {', '.join(missing)}")
     return opts
-
-
-def _json_object(path, what: str) -> dict:
-    """The JSON object a file holds; malformed JSON or any other value is
-    an error naming the file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} file {path} must hold a JSON object")
-    return doc
 
 
 def _load_parts(opts: dict):
@@ -446,22 +429,34 @@ def cmd_cluster(opts: dict, outdir: Path) -> None:
     )
 
 
+def _aligned(path_a, ids_a, path_b, ids_b) -> np.ndarray:
+    """The row order that lists the second file's rows in the first file's
+    skill-id order. The two files must cover the same skill ids, each
+    once; else this is an error naming the file at fault."""
+    for path, ids in ((path_a, ids_a), (path_b, ids_b)):
+        repeated = [sid for sid, n in Counter(ids).items() if n > 1]
+        if repeated:
+            raise ValueError(f"{path}: skill id {repeated[0]} appears more than once")
+    row = {sid: r for r, sid in enumerate(ids_b)}
+    if row.keys() != set(ids_a):
+        raise ValueError(f"{path_a} and {path_b} cover different skill sets")
+    return np.array([row[sid] for sid in ids_a], dtype=int)
+
+
 def cmd_ari(opts: dict, outdir: Path) -> None:
     ids_a, labels_a = read_clusters_csv(opts["labels_a"])
     ids_b, labels_b = read_clusters_csv(opts["labels_b"])
-    if sorted(ids_a) != sorted(ids_b):
-        raise ValueError("label files cover different skill sets")
-    order_a = np.argsort(ids_a)
-    order_b = np.argsort(ids_b)
-    value = ari(labels_a[order_a], labels_b[order_b])
+    value = ari(labels_a, labels_b[_aligned(opts["labels_a"], ids_a, opts["labels_b"], ids_b)])
     write_json(outdir / "ari.json", {"ari": value})
     print(f"ARI {value:.6f}")
 
 
 def cmd_mantel(opts: dict, outdir: Path) -> None:
-    d1, _ = read_distance_csv(opts["distances_a"])
-    d2, _ = read_distance_csv(opts["distances_b"])
-    result = mantel(d1, d2, permutations=opts["permutations"], rng=opts["seed"])
+    d1, ids_a = read_distance_csv(opts["distances_a"])
+    d2, ids_b = read_distance_csv(opts["distances_b"])
+    rows = _aligned(opts["distances_a"], ids_a, opts["distances_b"], ids_b)
+    result = mantel(d1, d2.values[np.ix_(rows, rows)], permutations=opts["permutations"],
+                    rng=opts["seed"])
     report = {
         "rho": result.rho,
         "p_value": result.p_value,
@@ -475,13 +470,14 @@ def cmd_sensitivity(opts: dict, outdir: Path) -> None:
     paths = _list_option(opts, "vectors")
     if len(paths) < 2:
         raise ValueError("sensitivity needs at least two skill-vector files")
+    loaded = [(path, *load_skill_vectors(path)) for path in paths]
+    first, first_ids, _ = loaded[0]
     sets = {}
-    for path in paths:
-        _, table = load_skill_vectors(path)
+    for path, ids, table in loaded:
         dim = table.shape[1]
         if dim in sets:
             raise ValueError(f"two vector files share dimension {dim}")
-        sets[dim] = table
+        sets[dim] = table[_aligned(first, first_ids, path, ids)]
     report = sensitivity_stats(sets, opts["kind"])
     doc = {
         "kind": report.kind,
@@ -517,8 +513,13 @@ def cmd_dkt(opts: dict, outdir: Path) -> None:
 
 def cmd_relabel(opts: dict, outdir: Path) -> None:
     dataset = load_dataset(opts["data"])
-    mapping = {int(k): int(v) for k, v in _json_object(opts["mapping"], "mapping").items()}
-    relabeled = relabel_skills(dataset, mapping)
+    path = opts["mapping"]
+    doc = read_json_object(path, "mapping")
+    for key, value in doc.items():
+        if not (re.fullmatch(r"-?[0-9]+", key) and has_type(value, int)):
+            raise ValueError(f"{path}: mapping keys must be integer strings and its values "
+                             f"ints, got {key!r}: {value!r}")
+    relabeled = relabel_skills(dataset, {int(k): v for k, v in doc.items()})
     save_dataset(relabeled, outdir / "data.txt", extra={"relabeled_from": str(opts["data"])})
     print(
         f"relabeled {dataset.num_skills} skills down to {relabeled.num_skills} "

@@ -12,7 +12,6 @@ with skills as positive integers and correctness flags in {0, 1}.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -20,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ops import sigmoid
-from .tables import write_json, write_text
+from .tables import has_type, read_json_object, write_json, write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +136,19 @@ def _sidecar_path(path: Path) -> Path:
 
 
 def read_sidecar(path) -> dict:
-    """The JSON sidecar written next to a dataset file, or {} if none."""
+    """The JSON sidecar written next to a dataset file, or {} if none. Its
+    num_skills, when given, is an int of at least 1 and its name a str;
+    any other sidecar is an error naming it."""
     sidecar = _sidecar_path(Path(path))
-    return json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    if not sidecar.exists():
+        return {}
+    meta = read_json_object(sidecar, "sidecar")
+    num_skills, name = meta.get("num_skills", 1), meta.get("name", "")
+    if not (has_type(num_skills, int) and num_skills >= 1):
+        raise ValueError(f"{sidecar}: num_skills must be an int of at least 1, got {num_skills!r}")
+    if not has_type(name, str):
+        raise ValueError(f"{sidecar}: name must be a str, got {name!r}")
+    return meta
 
 
 def save_dataset(dataset: Dataset, path, extra: Optional[dict] = None) -> None:
@@ -163,7 +172,7 @@ def load_dataset(path) -> Dataset:
     path = Path(path)
     meta = read_sidecar(path)
     dataset = parse_triplets(path.read_text(), name=meta.get("name", path.stem))
-    num_skills = int(meta.get("num_skills", dataset.num_skills))
+    num_skills = meta.get("num_skills", dataset.num_skills)
     if dataset.num_skills > num_skills:
         raise ValueError(f"skill id {dataset.num_skills} exceeds sidecar num_skills={num_skills}")
     return Dataset(name=dataset.name, num_skills=num_skills, sequences=dataset.sequences)

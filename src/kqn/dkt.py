@@ -25,9 +25,9 @@ from .model import (
     check_batch,
     check_config,
     init_recurrent,
+    next_trials,
     scan,
     scan_backward,
-    scored_cells,
     uniform_weights,
 )
 
@@ -111,12 +111,11 @@ class DktModel:
     def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> BatchForward:
         cfg = self.config
         check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
-        hd, scan_cache = scan(
+        hv, valid, scan_cache = scan(
             params, "lstm", self.step_inputs(params, skills, corrects), lengths, cfg.keep_prob,
             mode, rng,
         )
-        valid, q = scored_cells(skills, lengths, hd.shape[0])
-        hv = hd[valid]
+        q = next_trials(skills, len(valid))[valid]
         # Each valid cell reads one output unit, the next skill's row of out_w.
         logits = np.einsum("nh,nh->n", hv, params["out_w"][q - 1]) + params["out_b"][q - 1]
         cache = {"scan": scan_cache, "hv": hv, "q": q} if mode == "train" else None
@@ -127,10 +126,8 @@ class DktModel:
         if fwd.cache is None:
             raise ValueError("backward needs a forward pass run with mode='train'")
         cache = fwd.cache
-        dy = fwd.logit_grad()[fwd.valid]
-        d_out = np.zeros(fwd.valid.shape + cache["hv"].shape[1:])
-        d_out[fwd.valid] = dy[:, None] * params["out_w"][cache["q"] - 1]
-        grads = scan_backward(d_out, cache["scan"], params)
+        dy = fwd.logit_grad()
+        grads = scan_backward(dy[:, None] * params["out_w"][cache["q"] - 1], cache["scan"], params)
         grads["out_w"] = np.zeros_like(params["out_w"])
         grads["out_b"] = np.zeros_like(params["out_b"])
         np.add.at(grads["out_w"], cache["q"] - 1, dy[:, None] * cache["hv"])

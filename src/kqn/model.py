@@ -11,8 +11,8 @@ its output head.
 
 Only work a scored trial needs is done: each scan step runs the cell on the
 students still predicting, the cell takes its input as the projection
-x @ rnn_wx.T (a row gather for one-hot inputs), and the heads run on the
-valid cells alone.
+x @ rnn_wx.T (a row gather for one-hot inputs), and scan hands the heads
+one row of recurrent output per scored cell, no padded (S, B, H) block.
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .metrics import binary_cross_entropy
 from .ops import dropout_mask, l2_normalize_rows, l2_normalize_rows_backward, sigmoid
+from .tables import has_type
 
 Params = dict[str, np.ndarray]
 
@@ -61,7 +62,7 @@ def check_config(config, **choices) -> None:
     num_skills is at least 2 and every other field, a width, is positive."""
     for name, kind in get_type_hints(type(config)).items():
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        if not has_type(value, kind):
             raise ValueError(f"config field {name!r} must be of type {kind.__name__}, got {value!r}")
         if name in choices:
             ok, rule = value in choices[name], f"one of {choices[name]}"
@@ -261,8 +262,9 @@ class BatchForward:
         )
 
     def logit_grad(self) -> np.ndarray:
-        """Gradient of loss_sum() with respect to each (S, B) logit."""
-        return np.where(self.valid, self.probs - self.targets, 0.0)
+        """Gradient of loss_sum() with respect to the valid logits, an (n,)
+        array in the row-major order of valid."""
+        return self.probs[self.valid] - self.targets[self.valid]
 
 
 def batch_arrays(sequences):
@@ -305,13 +307,6 @@ def next_trials(a: np.ndarray, s_steps: int) -> np.ndarray:
     return np.ascontiguousarray(a[:, 1 : s_steps + 1].T)
 
 
-def scored_cells(skills, lengths, s_steps: int):
-    """(valid, q): the (S, B) mask of the cells that predict a trial, and
-    the skill id each of them queries, in the mask's row-major order."""
-    valid = np.arange(s_steps)[:, None] < lengths - 1
-    return valid, next_trials(skills, s_steps)[valid]
-
-
 class OneHotInputs:
     """Step inputs for the 2N one-hot response encoding: position skill-1
     flags a wrong answer, position skill-1+N a correct one.
@@ -346,18 +341,23 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
     students with j < length - 1; k_j never grows with j. inputs is a
     step-input encoding such as OneHotInputs: the cell takes the input
     projection inputs.project(rnn_wx, j, rows) of the k_j rows, one row
-    per student in rows, in that order. Returns (out, cache): out is the
-    (S, B, H) recurrent output in the batch's own row order, zero where a
-    student has nothing left to predict and dropped out in train mode with
-    one (S, B, H) mask; cache feeds scan_backward (None in eval mode).
+    per student in rows, in that order.
+
+    Returns (hv, valid, cache): valid is the (S, B) mask of the cells that
+    predict a trial, hv the (n, H) recurrent output of its n cells in the
+    mask's row-major order, dropped out in train mode with the valid cells
+    of one (S, B, H) mask; cache feeds scan_backward (None in eval mode).
     """
     wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
     bsz, hh = len(lengths), wh.shape[1]
     train = mode == "train"
     s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
+    valid = np.arange(s_steps)[:, None] < lengths - 1
+    # at[j, b] is the row of hv that holds valid cell (j, b).
+    at = np.cumsum(valid).reshape(valid.shape) - 1
     order = np.argsort(-lengths, kind="stable")
-    active = np.sum(np.arange(s_steps)[:, None] < lengths - 1, axis=1)
-    out = np.zeros((s_steps, bsz, hh))
+    active = np.sum(valid, axis=1)
+    hv = np.empty((int(valid.sum()), hh))
     cells = []
     h = np.zeros((bsz, hh))
     c = np.zeros((bsz, hh))
@@ -368,33 +368,33 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
             h, c, cell = lstm_cell(a, h[:k], c[:k], wh, b)
         else:
             h, cell = gru_cell(a, h[:k], wh, b)
-        out[j, rows] = h
+        hv[at[j, rows]] = h
         if train:
             cells.append(cell)
     if not train:
-        return out, None
-    mask = dropout_mask(out.shape, keep_prob, rng)
-    out *= mask
-    return out, {"rnn_kind": rnn_kind, "inputs": inputs, "cells": cells, "mask": mask,
-                 "order": order, "active": active}
+        return hv, valid, None
+    mask = dropout_mask(valid.shape + (hh,), keep_prob, rng)[valid]
+    hv *= mask
+    return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "cells": cells, "mask": mask,
+                       "order": order, "active": active, "at": at}
 
 
-def scan_backward(d_out: np.ndarray, cache: dict, params: Params) -> Params:
-    """Gradients of rnn_wx, rnn_wh and rnn_b given d_out, the (S, B, H)
-    gradient on scan's outputs, walking scan's packed steps in reverse.
+def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
+    """Gradients of rnn_wx, rnn_wh and rnn_b given d_hv, the (n, H)
+    gradient on scan's output hv, walking scan's packed steps in reverse.
     Step j adds dpre.T @ x to rnn_wx's gradient, dpre being the gradient
     on its input projection and x its (k_j, D) inputs, built here."""
     wh = params["rnn_wh"]
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wx", "rnn_wh", "rnn_b")}
+    order, at = cache["order"], cache["at"]
     # Packed-order gradients on the recurrent state; rows a later step did
     # not run stay zero.
-    dh_rec = np.zeros(d_out.shape[1:])
-    dc_rec = np.zeros(d_out.shape[1:])
-    d_h = d_out * cache["mask"]
-    order = cache["order"]
-    for j in reversed(range(d_out.shape[0])):
+    dh_rec = np.zeros((len(order), wh.shape[1]))
+    dc_rec = np.zeros_like(dh_rec)
+    d_h = d_hv * cache["mask"]
+    for j in reversed(range(len(cache["active"]))):
         k = cache["active"][j]
-        dh = d_h[j, order[:k]] + dh_rec[:k]
+        dh = d_h[at[j, order[:k]]] + dh_rec[:k]
         if cache["rnn_kind"] == "lstm":
             dh_rec[:k], dc_rec[:k], dpre, dwh, db = lstm_cell_backward(
                 dh, dc_rec[:k], cache["cells"][j], wh
@@ -467,12 +467,11 @@ def forward_batch(
     """
     check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
     table, skill_cache = encode_skill_table(params)
-    hd, scan_cache = scan(
+    hv, valid, scan_cache = scan(
         params, config.rnn_kind, OneHotInputs(skills, corrects, config.num_skills),
         lengths, config.keep_prob, mode, rng,
     )
-    valid, q = scored_cells(skills, lengths, hd.shape[0])
-    hv = hd[valid]
+    q = next_trials(skills, len(valid))[valid]
     kv = hv @ params["proj_w"].T + params["proj_b"]
     sv = table[q - 1]
     kstates = np.zeros(valid.shape + kv.shape[1:])
@@ -491,13 +490,11 @@ def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Pa
     if fwd.cache is None:
         raise ValueError("backward needs a forward pass run with mode='train'")
     cache = fwd.cache
-    dy = fwd.logit_grad()[fwd.valid][:, None]
+    dy = fwd.logit_grad()[:, None]
     dks = dy * cache["sv"]
     d_table = np.zeros_like(fwd.skill_table)
     np.add.at(d_table, cache["q"] - 1, dy * cache["kv"])
-    d_out = np.zeros(fwd.valid.shape + cache["hv"].shape[1:])
-    d_out[fwd.valid] = dks @ params["proj_w"]
-    grads = scan_backward(d_out, cache["scan"], params)
+    grads = scan_backward(dks @ params["proj_w"], cache["scan"], params)
     grads["proj_w"] = dks.T @ cache["hv"]
     grads["proj_b"] = dks.sum(axis=0)
     grads.update(skill_table_backward(d_table, cache["skill"], params))

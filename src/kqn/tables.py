@@ -1,9 +1,10 @@
-"""The one module that writes files or makes directories, and the CSV
-format of every table artifact. write_text creates the parent directory of
-the path it writes, so a directory such as a command's --out appears only
-with its first file. A table artifact is a header line, then one line
-per row, cells separated by commas and every line ended by "\\n". Column 0
-of a row is an integer id: a skill id, a merged cluster id or an epoch.
+"""The one module that writes files or makes directories, the one reader
+of a JSON-object input file, and the CSV format of every table artifact.
+write_text creates the parent directory of the path it writes, so a
+directory such as a command's --out appears only with its first file. A
+table artifact is a header line, then one line per row, cells separated by
+commas and every line ended by "\\n". Column 0 of a row is an integer id:
+a skill id, a merged cluster id or an epoch.
 """
 from __future__ import annotations
 
@@ -44,6 +45,26 @@ def write_table(path, header, rows) -> None:
     lines = [",".join(f'"{c}"' if "," in c else c for c in map(str, header))]
     lines += [",".join(map(str, row)) for row in rows]
     write_text(path, "\n".join(lines) + "\n")
+
+
+def has_type(value, kind) -> bool:
+    """The one type rule for values read from JSON or set in a config: a
+    bool is not an int, and an int serves for a float."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object a file holds; undecodable bytes, malformed JSON or
+    any other value is an error naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file {path} must hold a JSON object")
+    return doc
 
 
 def read_table(path, what: str, header, dtype=float):

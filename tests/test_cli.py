@@ -485,6 +485,67 @@ class TestDistancesClusterAri:
         assert "different skill sets" in capsys.readouterr().err
 
 
+# The pairwise distances 1, 2 and 3 of skills 1, 2 and 3.
+DISTANCES_123 = "skill,1,2,3\n1,0.0,1.0,2.0\n2,1.0,0.0,3.0\n3,2.0,3.0,0.0\n"
+
+
+class TestSkillIdAlignment:
+    """ari, mantel and sensitivity pair the two files' rows by skill id."""
+
+    def test_mantel_reads_reordered_ids(self, tmp_path):
+        (tmp_path / "a.csv").write_text(DISTANCES_123)
+        (tmp_path / "b.csv").write_text(
+            "skill,3,2,1\n3,0.0,3.0,2.0\n2,3.0,0.0,1.0\n1,2.0,1.0,0.0\n")
+        run("mantel", "--out", tmp_path / "m", "--distances-a", tmp_path / "a.csv",
+            "--distances-b", tmp_path / "b.csv", "--permutations", 9)
+        rho = json.loads((tmp_path / "m" / "mantel.json").read_text())["rho"]
+        assert rho == pytest.approx(1.0, abs=1e-12)
+
+    def test_mantel_refuses_different_skill_sets(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text(DISTANCES_123)
+        (tmp_path / "b.csv").write_text(
+            "skill,7,8,9\n7,0.0,1.0,2.0\n8,1.0,0.0,3.0\n9,2.0,3.0,0.0\n")
+        rc = main(["mantel", "--out", str(tmp_path / "m"), "--distances-a",
+                   str(tmp_path / "a.csv"), "--distances-b", str(tmp_path / "b.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'a.csv'} and {tmp_path / 'b.csv'} cover different skill sets\n"
+        )
+        assert not (tmp_path / "m").exists()
+
+    def test_sensitivity_refuses_different_skill_sets(self, tmp_path, capsys):
+        (tmp_path / "a.csv").write_text("skill,x1,x2\n1,0.6,0.8\n2,1.0,0.0\n")
+        (tmp_path / "b.csv").write_text("skill,x1,x2,x3\n5,0.6,0.8,0.0\n6,1.0,0.0,0.0\n")
+        rc = main(["sensitivity", "--out", str(tmp_path / "s"), "--vectors",
+                   str(tmp_path / "a.csv"), "--vectors", str(tmp_path / "b.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'a.csv'} and {tmp_path / 'b.csv'} cover different skill sets\n"
+        )
+        assert not (tmp_path / "s").exists()
+
+    def test_sensitivity_reads_reordered_ids(self, tmp_path):
+        rows = {1: "0.6,0.8,0.0", 2: "1.0,0.0,0.0", 3: "0.0,0.0,1.0"}
+        (tmp_path / "a.csv").write_text("skill,x1,x2\n1,0.6,0.8\n2,1.0,0.0\n3,0.0,1.0\n")
+        for name, order in (("b.csv", (1, 2, 3)), ("c.csv", (3, 1, 2))):
+            (tmp_path / name).write_text(
+                "skill,x1,x2,x3\n" + "".join(f"{sid},{rows[sid]}\n" for sid in order))
+        for name in ("b.csv", "c.csv"):
+            run("sensitivity", "--out", tmp_path / name[0], "--vectors", tmp_path / "a.csv",
+                "--vectors", tmp_path / name)
+        assert (tmp_path / "b" / "sensitivity.json").read_bytes() == \
+            (tmp_path / "c" / "sensitivity.json").read_bytes()
+
+    def test_ari_refuses_a_repeated_id(self, ws, tmp_path, capsys):
+        (tmp_path / "twice.csv").write_text("skill,label\n1,1\n2,2\n1,2\n")
+        rc = main(["ari", "--out", str(tmp_path / "a"), "--labels-a",
+                   str(ws / "synth" / "concepts.csv"), "--labels-b", str(tmp_path / "twice.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'twice.csv'}: skill id 1 appears more than once\n"
+        )
+
+
 class TestMantelSensitivity:
     def test_mantel_matches_library(self, ws, tmp_path):
         run("distances", "--out", tmp_path / "a", "--checkpoint",
@@ -662,6 +723,20 @@ class TestRelabel:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must hold a JSON object" in err
 
+    @pytest.mark.parametrize("mapping", [{"1": 1.7}, {"1": True}, {"x": 1}, {"1.0": 1}],
+                             ids=["float_value", "bool_value", "word_key", "float_key"])
+    def test_mapping_takes_integer_strings_to_ints(self, ws, tmp_path, capsys, mapping):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({str(k): 1 for k in range(1, 7)} | mapping))
+        rc = main(["relabel", "--out", str(tmp_path / "out"), "--data",
+                   str(ws / "synth" / "data.txt"), "--mapping", str(path)])
+        assert rc == 1
+        key, value = next(iter(mapping.items()))
+        assert capsys.readouterr().err == (
+            f"error: {path}: mapping keys must be integer strings and its values ints, "
+            f"got {key!r}: {value!r}\n"
+        )
+
 
 class TestOptionHandling:
     def test_config_file_merges_under_flags(self, tmp_path):
@@ -747,15 +822,55 @@ MISSING_INPUTS = {
 }
 
 
+# What a garbage input file holds; None leaves it missing.
+GARBAGE = {"missing": None, "empty": b"", "list": b"[1]", "open_brace": b"{",
+           "null": b"null", "not_utf8": b"\xff\xfe\x80"}
+
+# The inputs of a command whose dataset file, data.txt, has a garbage sidecar.
+SIDECAR_INPUTS = {
+    "split": lambda ws, data: ["--data", data],
+    "train": lambda ws, data: ["--train", data, "--valid", data],
+    "evaluate": lambda ws, data: ["--checkpoint", ws / "kqn4" / "checkpoint.json",
+                                  "--data", data],
+}
+
+# (command, content, sidecar): every input of the command holds `content`,
+# or, with sidecar set, only its dataset's sidecar does. The missing-file
+# cases keep the command as their id.
+REFUSED = [
+    pytest.param(command, content, False,
+                 id=command if content == "missing" else f"{command}-{content}")
+    for command in MISSING_INPUTS for content in GARBAGE
+] + [
+    pytest.param(command, content, True, id=f"{command}-sidecar-{content}")
+    for command in SIDECAR_INPUTS for content in GARBAGE if content != "missing"
+]
+
+
 class TestRunner:
-    @pytest.mark.parametrize("command", list(MISSING_INPUTS))
-    def test_refused_command_leaves_no_out_directory(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, content, sidecar", REFUSED)
+    def test_refused_command_leaves_no_out_directory(self, request, tmp_path, capsys,
+                                                     command, content, sidecar):
+        garbage = GARBAGE[content]
         argv = [command, "--out", str(tmp_path / "out")]
-        argv += [str(tmp_path / a) if a.startswith("missing") else a
-                 for a in MISSING_INPUTS[command]]
+        if sidecar:
+            ws = request.getfixturevalue("ws")
+            data = tmp_path / "data.txt"
+            data.write_bytes((ws / "split" / "test.txt").read_bytes())
+            (tmp_path / "data.txt.meta.json").write_bytes(garbage)
+            argv += map(str, SIDECAR_INPUTS[command](ws, data))
+        else:
+            for arg in MISSING_INPUTS[command]:
+                if arg.startswith("missing"):
+                    arg = tmp_path / arg
+                    if garbage is not None:
+                        arg.write_bytes(garbage)
+                argv.append(str(arg))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        if sidecar:
+            assert str(tmp_path / "data.txt.meta.json") in err
         assert not (tmp_path / "out").exists()
 
     def test_manifest_names_each_quick_start_command(self, ws, tmp_path):

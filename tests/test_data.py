@@ -113,6 +113,25 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match="exceeds"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "sidecar file .* must hold a JSON object"),
+        ("null", "sidecar file .* must hold a JSON object"),
+        ('{"num_skills": 3,}', "Expecting property name"),
+        ('{"num_skills": "x"}', "num_skills must be an int of at least 1, got 'x'"),
+        ('{"num_skills": 2.5}', "num_skills must be an int of at least 1, got 2.5"),
+        ('{"num_skills": true}', "num_skills must be an int of at least 1, got True"),
+        ('{"num_skills": 0}', "num_skills must be an int of at least 1, got 0"),
+        ('{"name": 3}', "name must be a str, got 3"),
+    ], ids=["list", "null", "malformed", "str_count", "float_count", "bool_count", "zero_count",
+            "int_name"])
+    def test_malformed_sidecar_is_an_error_naming_it(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("2\n1,2\n1,0\n")
+        (tmp_path / "bad.txt.meta.json").write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_dataset(path)
+        assert str(tmp_path / "bad.txt.meta.json") in str(exc.value)
+
     def test_extra_metadata_written(self, tmp_path):
         ds = parse_triplets(SAMPLE)
         path = tmp_path / "meta.txt"

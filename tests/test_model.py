@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,7 +334,7 @@ class TestBatchForward:
         fwd = BatchForward.from_valid(
             np.array([-40.0]), np.array([[True]]), np.array([[0, 1]]), cache=None
         )
-        assert_allclose(fwd.logit_grad(), [[-1.0]], rtol=1e-12)
+        assert_allclose(fwd.logit_grad(), [-1.0], rtol=1e-12)
         assert_allclose(fwd.loss_sum(), 40.0, rtol=1e-12)
 
 
@@ -565,3 +567,39 @@ class TestFullGradient:
     def test_gru_gradients_match_finite_differences(self):
         errors = kqn_gradient_errors("gru")
         assert max(errors.values()) <= 1e-4, errors
+
+
+class TestScanMemory:
+    """scan hands the heads one row per scored cell. On a skewed batch, one
+    student of 200 trials and 63 of 3, the padded (S, B, H) block at H=64
+    would be 6.5 MB, 97% of it padding; no pass may need one, except the
+    dropout draw of a train-mode forward."""
+
+    MODELS = {
+        "kqn_lstm": lambda: KqnModel(ModelConfig(num_skills=10, dim=8, rnn_kind="lstm",
+                                                 rnn_hidden=64, mlp_hidden=8)),
+        "kqn_gru": lambda: KqnModel(ModelConfig(num_skills=10, dim=8, rnn_kind="gru",
+                                                rnn_hidden=64, mlp_hidden=8)),
+        "dkt_onehot": lambda: DktModel(DktConfig(num_skills=10, hidden=64)),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_no_pass_holds_a_padded_block(self, name):
+        model = self.MODELS[name]()
+        params = model.init_params(np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        seqs = [ResponseSequence(b, np.column_stack((rng.integers(1, 11, n), rng.integers(0, 2, n))))
+                for b, n in enumerate([200] + [3] * 63)]
+        batch = batch_arrays(seqs)
+        block = 199 * 64 * 64 * 8
+        tracemalloc.start()
+        try:
+            model.forward(params, *batch)
+            eval_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            model.backward(params, model.forward(params, *batch, mode="train", rng=rng))
+            train_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eval_peak < block, eval_peak
+        assert train_peak < 2 * block, train_peak

@@ -138,7 +138,8 @@ class DktModel:
 class HybridInputs:
     """Hybrid step inputs: a correctness block (the flag, or +/-1 when
     signed, at index skill-1) followed by the skill's row of the frozen
-    table. x and project follow model.OneHotInputs; project builds x."""
+    table. x, project and project_grad follow model.OneHotInputs; here
+    both passes build x and take the dense product."""
 
     def __init__(self, skills, corrects, table, signed: bool):
         self.skills, self.corrects, self.table, self.signed = skills, corrects, table, signed
@@ -152,5 +153,8 @@ class HybridInputs:
         x[:, n:] = self.table[e - 1]
         return x
 
-    def project(self, wx, j, rows):
-        return self.x(j, rows) @ wx.T
+    def project(self, wxT, j, rows):
+        return self.x(j, rows) @ wxT
+
+    def project_grad(self, d_wxT, dpre, j, rows):
+        d_wxT += self.x(j, rows).T @ dpre

@@ -11,8 +11,11 @@ its output head.
 
 Only work a scored trial needs is done: each scan step runs the cell on the
 students still predicting, the cell takes its input as the projection
-x @ rnn_wx.T (a row gather for one-hot inputs), and scan hands the heads
-one row of recurrent output per scored cell, no padded (S, B, H) block.
+x @ rnn_wx.T (a row gather for one-hot inputs, whose gradient is a
+scatter-add of the same rows), the gates use the tanh form of the
+logistic function, dropout draws only the scored cells, and scan hands
+the heads one row of recurrent output per scored cell, no padded
+(S, B, H) block.
 """
 from __future__ import annotations
 
@@ -119,14 +122,25 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 # x @ wx.T of the step's inputs, states are (k, H))
 
 
+def _gate(u):
+    """The logistic function as 0.5 + 0.5*tanh(u/2): one transcendental per
+    entry, in [0, 1] and within 2**-52 of ops.sigmoid, absolutely (below
+    about -38 it is exactly 0). The gates use it; the probabilities, which
+    AUC ranks, keep ops.sigmoid."""
+    t = np.tanh(0.5 * u)
+    t *= 0.5
+    t += 0.5
+    return t
+
+
 def lstm_cell(a, h_prev, c_prev, wh, b):
     """One LSTM step. Gate order along the stacked axis is i, f, g, o."""
     hh = h_prev.shape[1]
     pre = a + h_prev @ wh.T + b
-    i = sigmoid(pre[:, :hh])
-    f = sigmoid(pre[:, hh : 2 * hh])
+    i_f = _gate(pre[:, : 2 * hh])
+    i, f = i_f[:, :hh], i_f[:, hh:]
     g = np.tanh(pre[:, 2 * hh : 3 * hh])
-    o = sigmoid(pre[:, 3 * hh :])
+    o = _gate(pre[:, 3 * hh :])
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     cache = (h_prev, c_prev, i, f, g, o, c)
@@ -171,8 +185,8 @@ def gru_cell(a, h_prev, wh, b):
     """
     hh = h_prev.shape[1]
     a = a + b
-    r = sigmoid(a[:, :hh] + h_prev @ wh[:hh].T)
-    z = sigmoid(a[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)
+    r = _gate(a[:, :hh] + h_prev @ wh[:hh].T)
+    z = _gate(a[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)
     rh = r * h_prev
     n = np.tanh(a[:, 2 * hh :] + rh @ wh[2 * hh :].T)
     h = z * h_prev + (1.0 - z) * n
@@ -312,11 +326,15 @@ class OneHotInputs:
     flags a wrong answer, position skill-1+N a correct one.
 
     Like every step-input encoding, x(j, rows) is step j's (len(rows), D)
-    input, one row per given row in that order, and project(wx, j, rows)
-    is x(j, rows) @ wx.T. Here that product is the row gather
-    wx.T[hot]: a one-hot row adds only exact zeros to the weight it
-    selects, so the two agree bit for bit, and only scan_backward builds
-    x, for rnn_wx's gradient.
+    input, one row per given row in that order; given wxT, the contiguous
+    (D, G*H) transpose of rnn_wx, project(wxT, j, rows) is x(j, rows) @ wxT
+    and project_grad(d_wxT, dpre, j, rows) adds x(j, rows).T @ dpre to the
+    (D, G*H) gradient d_wxT. Here rnn_wx is an embedding table: project is
+    the row gather wxT[hot], equal to the dense product bit for bit (a
+    one-hot row adds only exact zeros), and project_grad scatter-adds the
+    rows of dpre into the rows they were gathered from, repeated responses
+    accumulating. No runtime path builds x; the tests use it as the
+    reference.
     """
 
     def __init__(self, skills, corrects, num_skills: int):
@@ -328,8 +346,15 @@ class OneHotInputs:
         x[np.arange(len(rows)), self.hot[rows, j]] = 1.0
         return x
 
-    def project(self, wx, j, rows):
-        return wx.T[self.hot[rows, j]]
+    def project(self, wxT, j, rows):
+        return wxT[self.hot[rows, j]]
+
+    def project_grad(self, d_wxT, dpre, j, rows):
+        # One flat add.at (1-d indices take NumPy's fast path): entry
+        # (hot, g) of the table is element hot * G*H + g.
+        gh = dpre.shape[1]
+        at = (self.hot[rows, j] * gh)[:, None] + np.arange(gh)
+        np.add.at(d_wxT.reshape(-1), at.ravel(), dpre.ravel())
 
 
 def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode: str, rng):
@@ -340,15 +365,18 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
     runs the cell on the first k_j sorted rows, k_j being the number of
     students with j < length - 1; k_j never grows with j. inputs is a
     step-input encoding such as OneHotInputs: the cell takes the input
-    projection inputs.project(rnn_wx, j, rows) of the k_j rows, one row
-    per student in rows, in that order.
+    projection inputs.project(wxT, j, rows) of the k_j rows, one row per
+    student in rows, in that order, wxT being one contiguous copy of
+    rnn_wx.T made per call.
 
     Returns (hv, valid, cache): valid is the (S, B) mask of the cells that
     predict a trial, hv the (n, H) recurrent output of its n cells in the
-    mask's row-major order, dropped out in train mode with the valid cells
-    of one (S, B, H) mask; cache feeds scan_backward (None in eval mode).
+    mask's row-major order, dropped out in train mode with an (n, H) mask
+    drawn in that order, so only scored cells consume the generator;
+    cache feeds scan_backward (None in eval mode).
     """
-    wx, wh, b = params["rnn_wx"], params["rnn_wh"], params["rnn_b"]
+    wh, b = params["rnn_wh"], params["rnn_b"]
+    wxT = np.ascontiguousarray(params["rnn_wx"].T)
     bsz, hh = len(lengths), wh.shape[1]
     train = mode == "train"
     s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
@@ -363,7 +391,7 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
     c = np.zeros((bsz, hh))
     for j, k in enumerate(active):
         rows = order[:k]
-        a = inputs.project(wx, j, rows)
+        a = inputs.project(wxT, j, rows)
         if rnn_kind == "lstm":
             h, c, cell = lstm_cell(a, h[:k], c[:k], wh, b)
         else:
@@ -373,7 +401,7 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
             cells.append(cell)
     if not train:
         return hv, valid, None
-    mask = dropout_mask(valid.shape + (hh,), keep_prob, rng)[valid]
+    mask = dropout_mask(hv.shape, keep_prob, rng)
     hv *= mask
     return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "cells": cells, "mask": mask,
                        "order": order, "active": active, "at": at}
@@ -382,10 +410,12 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
 def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
     """Gradients of rnn_wx, rnn_wh and rnn_b given d_hv, the (n, H)
     gradient on scan's output hv, walking scan's packed steps in reverse.
-    Step j adds dpre.T @ x to rnn_wx's gradient, dpre being the gradient
-    on its input projection and x its (k_j, D) inputs, built here."""
+    Step j hands dpre, the gradient on its input projection, to
+    inputs.project_grad, which adds x.T @ dpre to a (D, G*H) table;
+    rnn_wx's gradient is that table's transpose."""
     wh = params["rnn_wh"]
-    grads = {k: np.zeros_like(params[k]) for k in ("rnn_wx", "rnn_wh", "rnn_b")}
+    d_wxT = np.zeros(params["rnn_wx"].shape[::-1])
+    grads = {k: np.zeros_like(params[k]) for k in ("rnn_wh", "rnn_b")}
     order, at = cache["order"], cache["at"]
     # Packed-order gradients on the recurrent state; rows a later step did
     # not run stay zero.
@@ -401,10 +431,10 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
             )
         else:
             dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
-        grads["rnn_wx"] += dpre.T @ cache["inputs"].x(j, order[:k])
+        cache["inputs"].project_grad(d_wxT, dpre, j, order[:k])
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
-    return grads
+    return {"rnn_wx": np.ascontiguousarray(d_wxT.T), **grads}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .metrics import auc_scores
+from .metrics import auc_scores, binary_cross_entropy
 from .model import KqnModel, ModelConfig, Params, batch_arrays
 from .tables import read_table, write_table
 
@@ -44,6 +44,8 @@ class TrainConfig:
         _check_batch_size(self.batch_size)
         if self.epochs_validation < 1:
             raise ValueError("epochs_validation must be positive")
+        if not np.isfinite(self.adam_alpha):
+            raise ValueError(f"adam_alpha must be finite, got {self.adam_alpha}")
         if self.adam_alpha <= 0:
             raise ValueError("adam_alpha must be positive")
         if self.patience < 1:
@@ -232,22 +234,25 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
 
 def evaluate(model, params: Params, sequences, batch_size: int = 128):
-    """Score sequences in eval mode; returns (auc, mean_loss, n_trials)."""
+    """Score sequences in eval mode; returns (auc, mean_loss, n_trials).
+
+    The valid cells are collected student by student and the loss is
+    reduced once over all of them, so the result depends on batch_size
+    only through the logits themselves."""
     _check_batch_size(batch_size)
     kept, _ = _scoreable(sequences)
     if not kept:
         raise ValueError("no scoreable sequences to evaluate")
-    probs = []
-    targets = []
-    loss_total = 0.0
+    cells = []
     for batch in _batches(kept, batch_size):
         skills, corrects, lengths = batch_arrays(list(batch))
         fwd = model.forward(params, skills, corrects, lengths, mode="eval")
-        probs.append(fwd.probs[fwd.valid])
-        targets.append(fwd.targets[fwd.valid])
-        loss_total += fwd.loss_sum()
-    p = np.concatenate(probs)
-    return auc_scores(p, np.concatenate(targets)), loss_total / len(p), len(p)
+        # Transposed, the valid mask's row-major order is student-major.
+        by_student = fwd.valid.T
+        cells.append([a.T[by_student] for a in (fwd.logits, fwd.probs, fwd.targets)])
+    y, p, c = map(np.concatenate, zip(*cells))
+    loss = float(np.sum(binary_cross_entropy(y, c)))
+    return auc_scores(p, c), loss / len(p), len(p)
 
 
 # ---------------------------------------------------------------------------

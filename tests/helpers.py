@@ -138,9 +138,10 @@ def kqn_gradient_errors(rnn_kind):
 # Step-at-a-time reference for the packed scan: every step runs on the whole
 # padded batch, finished students getting a zero input, the input projection
 # is the dense product x @ wx.T, every head runs inside the time loop on all
-# B cells of its step, one dropout mask is drawn per step and every gradient
-# is accumulated step by step. The packed path keeps the per-cell arithmetic
-# (its one-hot gather equals the dense product bit for bit), so on the
+# B cells of its step, one dropout mask is drawn per step for the rows still
+# running and every gradient is accumulated step by step, rnn_wx's as the
+# dense dpre.T @ x. The packed path keeps the per-cell arithmetic (its
+# one-hot gather equals the dense product bit for bit), so on the
 # tests' batches probabilities on valid cells agree bit for bit (a product
 # over one or two rows can take another BLAS kernel and differ in the last
 # bit). Its weight gradients sum over the running rows and valid cells only,
@@ -178,7 +179,9 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
             h, c, cell = lstm_cell(x @ wx.T, h, c, wh, b)
         else:
             h, cell = gru_cell(x @ wx.T, h, wh, b)
-        mask = dropout_mask((bsz, hh), cfg.keep_prob, rng)
+        # Dropout draws only the running rows, in batch order.
+        mask = np.zeros((bsz, hh))
+        mask[rows] = dropout_mask((len(rows), hh), cfg.keep_prob, rng)
         hd = h * mask
         q = skills[:, j + 1]
         if kqn:

@@ -207,6 +207,16 @@ class TestTrain:
         assert not (tmp_path / "div" / "metrics.csv").exists()
 
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_refused(self, ws, tmp_path, capsys, alpha):
+        # Refused as a setting, not blamed on the fit.
+        rc = main(["train", "--out", str(tmp_path / "bad"),
+                   "--train", str(ws / "split" / "train.txt"),
+                   "--valid", str(ws / "split" / "valid.txt"), "--alpha", alpha])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: adam_alpha must be finite, got {alpha}\n"
+        assert not (tmp_path / "bad").exists()
+
     # With one batch per epoch, the validation pass is the first to see the
     # diverged weights.
     @pytest.mark.parametrize("batch_size, where", [("8", "batch 2 loss"),

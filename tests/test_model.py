@@ -14,6 +14,7 @@ from kqn.model import (
     KqnModel,
     ModelConfig,
     OneHotInputs,
+    _gate,
     batch_arrays,
     encode_skill_table,
     forward_batch,
@@ -27,6 +28,7 @@ from kqn.model import (
 from kqn.ops import sigmoid
 
 from helpers import (
+    SCAN_GRAD_RTOL,
     assert_matches_step_loop,
     batch_arrays_loop,
     finite_diff,
@@ -131,7 +133,56 @@ class TestEncodeResponse:
         for j in range(2):
             for given in (rows, rows[:1]):
                 want = inputs.x(j, given) @ wx.T
-                assert inputs.project(wx, j, given).tobytes() == want.tobytes()
+                got = inputs.project(np.ascontiguousarray(wx.T), j, given)
+                assert got.tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_projection_grad_equals_dense_product(self, data):
+        # The scatter-add that scan_backward takes for x.T @ dpre, added to
+        # a table that already holds a gradient. With no repeated response
+        # among the rows each entry gets one term, so the two agree bit for
+        # bit; repeats accumulate in another order.
+        n = data.draw(st.integers(1, 130), label="num_skills")
+        gates = data.draw(st.sampled_from([3, 4, 12, 96, 512]), label="gate width")
+        k = data.draw(st.integers(1, 40), label="students")
+        distinct = data.draw(st.integers(1, n), label="skills drawn from")
+        repeat = data.draw(st.booleans(), label="every other student repeats the first")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        skills = rng.integers(1, distinct + 1, size=(k, 2))
+        corrects = rng.integers(0, 2, size=(k, 2))
+        if repeat:
+            skills[::2], corrects[::2] = skills[0], corrects[0]
+        inputs = OneHotInputs(skills, corrects, n)
+        rows = rng.permutation(k)[: data.draw(st.integers(1, k), label="rows")]
+        start = rng.normal(size=(2 * n, gates))
+        dpre = rng.normal(size=(len(rows), gates))
+        for j in range(2):
+            want = start + inputs.x(j, rows).T @ dpre
+            got = start.copy()
+            inputs.project_grad(got, dpre, j, rows)
+            hot = inputs.hot[rows, j]
+            if len(np.unique(hot)) == len(hot):
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.max(np.abs(got - want)) <= SCAN_GRAD_RTOL * np.max(np.abs(want))
+
+
+class TestGate:
+    def test_tanh_form_is_the_sigmoid_within_one_ulp_of_one(self):
+        # The error is absolute: below about -38 the tanh form is exactly 0
+        # while the sigmoid is still positive.
+        rng = np.random.default_rng(41)
+        u = np.concatenate([
+            rng.uniform(-1e3, 1e3, 200_000), rng.normal(0.0, 5.0, 200_000),
+            np.linspace(-60.0, 60.0, 240_001), [-1e3, 1e3, -np.inf, np.inf, 0.0, -0.0],
+        ])
+        with np.errstate(all="raise"):
+            g = _gate(u)
+        assert g.min() >= 0.0 and g.max() <= 1.0
+        assert np.max(np.abs(g - sigmoid(u))) <= 2.0 ** -52
+        assert _gate(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
 
 
 class TestLstmCell:
@@ -477,6 +528,18 @@ class TestForwardBatch:
         with pytest.raises(ValueError):
             forward_batch(skills, corrects, lengths, params, config, mode="predict")
 
+    def test_dropout_draws_only_the_scored_cells(self):
+        # One uniform per scored cell and hidden unit, none for padding.
+        config = self.make(keep_prob=0.6)
+        params = init_params(config, np.random.default_rng(39))
+        seqs = random_sequences(np.random.default_rng(40), 6, config.num_skills, 2, 12)
+        rng = np.random.default_rng(41)
+        fwd = forward_batch(*batch_arrays(seqs), params, config, mode="train", rng=rng)
+        assert not fwd.valid.all()
+        fresh = np.random.default_rng(41)
+        fresh.random((fwd.num_valid, config.rnn_hidden))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
     def test_dropout_changes_train_but_not_eval(self):
         config = self.make(keep_prob=0.5)
         params = init_params(config, np.random.default_rng(18))
@@ -570,10 +633,10 @@ class TestFullGradient:
 
 
 class TestScanMemory:
-    """scan hands the heads one row per scored cell. On a skewed batch, one
-    student of 200 trials and 63 of 3, the padded (S, B, H) block at H=64
-    would be 6.5 MB, 97% of it padding; no pass may need one, except the
-    dropout draw of a train-mode forward."""
+    """scan hands the heads one row per scored cell and draws dropout on
+    those rows only. On a skewed batch, one student of 200 trials and 63 of
+    3, the padded (S, B, H) block at H=64 would be 6.5 MB, 97% of it
+    padding; no pass may need one."""
 
     MODELS = {
         "kqn_lstm": lambda: KqnModel(ModelConfig(num_skills=10, dim=8, rnn_kind="lstm",

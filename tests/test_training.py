@@ -21,7 +21,7 @@ from kqn.training import (
     write_metrics_csv,
 )
 from kqn.metrics import auc_scores
-from kqn.model import batch_arrays, forward_batch
+from kqn.model import BatchForward, batch_arrays, forward_batch
 
 TINY_CONFIG = ModelConfig(num_skills=10, dim=4, rnn_hidden=6, mlp_hidden=6, keep_prob=1.0)
 
@@ -74,6 +74,9 @@ class TestAdam:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(adam_alpha=0.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^adam_alpha must be finite, got {bad}$"):
+                TrainConfig(adam_alpha=bad)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
 
@@ -221,6 +224,22 @@ class TestEvaluate:
         assert abs(one[0] - many[0]) < 1e-12
         assert abs(one[1] - many[1]) < 1e-12
         assert one[2] == many[2]
+
+    def test_loss_is_bit_identical_at_every_batch_size(self, tiny_synthetic):
+        # A stub whose logit for trial j+1 depends on response j alone, so
+        # each student's logits are the same bits in any batch; only the
+        # reduction could make the loss depend on the batch size.
+        class ResponseLogits:
+            def forward(self, params, skills, corrects, lengths, mode="eval", rng=None):
+                valid = np.arange(lengths.max() - 1)[:, None] < lengths - 1
+                y = 3.0 * np.sin(1.3 * skills[:, :-1].T + 0.7 * corrects[:, :-1].T)
+                return BatchForward.from_valid(y[valid], valid, corrects, None)
+
+        seqs = tiny_synthetic.dataset.sequences[:30]
+        results = [evaluate(ResponseLogits(), {}, seqs, batch_size=size)
+                   for size in (1, 3, len(seqs))]
+        assert len({r[1] for r in results}) == 1
+        assert len({r[0] for r in results}) == 1 and len({r[2] for r in results}) == 1
 
 
 class TestGridSearch:

@@ -123,10 +123,9 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 
 
 def _gate(u):
-    """The logistic function as 0.5 + 0.5*tanh(u/2): one transcendental per
-    entry, in [0, 1] and within 2**-52 of ops.sigmoid, absolutely (below
-    about -38 it is exactly 0). The gates use it; the probabilities, which
-    AUC ranks, keep ops.sigmoid."""
+    """The logistic function as 0.5 + 0.5*tanh(u/2), one transcendental per
+    entry: in [0, 1] and within 2**-52 of ops.sigmoid (exactly 0 below
+    about -38). The probabilities, which AUC ranks, keep ops.sigmoid."""
     t = np.tanh(0.5 * u)
     t *= 0.5
     t += 0.5
@@ -326,15 +325,13 @@ class OneHotInputs:
     flags a wrong answer, position skill-1+N a correct one.
 
     Like every step-input encoding, x(j, rows) is step j's (len(rows), D)
-    input, one row per given row in that order; given wxT, the contiguous
+    input, one row per given row in that order. Given wxT, the contiguous
     (D, G*H) transpose of rnn_wx, project(wxT, j, rows) is x(j, rows) @ wxT
-    and project_grad(d_wxT, dpre, j, rows) adds x(j, rows).T @ dpre to the
-    (D, G*H) gradient d_wxT. Here rnn_wx is an embedding table: project is
-    the row gather wxT[hot], equal to the dense product bit for bit (a
-    one-hot row adds only exact zeros), and project_grad scatter-adds the
-    rows of dpre into the rows they were gathered from, repeated responses
-    accumulating. No runtime path builds x; the tests use it as the
-    reference.
+    and project_grad(d_wxT, dpre, j, rows) adds x(j, rows).T @ dpre into
+    d_wxT. Here wxT is an embedding table: project gathers its rows (equal
+    to the product bit for bit, a one-hot row adding only exact zeros) and
+    project_grad scatter-adds dpre's rows back, repeats accumulating. Only
+    the tests build x.
     """
 
     def __init__(self, skills, corrects, num_skills: int):
@@ -350,8 +347,8 @@ class OneHotInputs:
         return wxT[self.hot[rows, j]]
 
     def project_grad(self, d_wxT, dpre, j, rows):
-        # One flat add.at (1-d indices take NumPy's fast path): entry
-        # (hot, g) of the table is element hot * G*H + g.
+        # Entry (hot, g) of the table is element hot * G*H + g; add.at on
+        # flat 1-d indices takes NumPy's fast path.
         gh = dpre.shape[1]
         at = (self.hot[rows, j] * gh)[:, None] + np.arange(gh)
         np.add.at(d_wxT.reshape(-1), at.ravel(), dpre.ravel())

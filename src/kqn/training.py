@@ -235,10 +235,8 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
 def evaluate(model, params: Params, sequences, batch_size: int = 128):
     """Score sequences in eval mode; returns (auc, mean_loss, n_trials).
-
-    The valid cells are collected student by student and the loss is
-    reduced once over all of them, so the result depends on batch_size
-    only through the logits themselves."""
+    The loss is reduced once over every trial in student order, so
+    batch_size reaches it only through the logits."""
     _check_batch_size(batch_size)
     kept, _ = _scoreable(sequences)
     if not kept:

@@ -136,10 +136,15 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
     median and ward run on squared distances (the matrix is interpreted
     as Euclidean) with recorded heights square-rooted.
 
-    One n x n matrix is updated in place: a merged cluster takes the slot
-    of its lower-slot member and the other slot is retired to inf, so a
-    cluster's slot is its smallest leaf index. Ties in the merge choice
-    resolve to the first pair of slots in row-major upper-triangle order.
+    The distances live in one matrix updated in place: a merged cluster
+    takes the slot of its lower-slot member and the other slot is retired
+    to inf, so slots stay in the order of each cluster's smallest leaf
+    index. Once the live clusters number at most 3/4 of the matrix side,
+    their rows and columns are copied, in slot order, into a smaller
+    matrix (sizes and ids follow), so each merge's argmin scans a matrix
+    that shrinks geometrically instead of all n^2 cells. Ties in the merge
+    choice resolve to the first pair of slots in row-major upper-triangle
+    order, which compaction keeps.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -156,8 +161,13 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
     merges = np.zeros((n - 1, 4))
 
     for step in range(n - 1):
+        live = n - step
+        if 4 * live <= 3 * len(w):
+            keep = np.flatnonzero(active)
+            w = w[np.ix_(keep, keep)]
+            sizes, ids, active = sizes[keep], ids[keep], np.ones(live, dtype=bool)
         # w is symmetric, so the first minimum lies in the upper triangle.
-        i, j = divmod(int(np.argmin(w)), n)
+        i, j = divmod(int(np.argmin(w)), len(w))
         dij = w[i, j]
         ni, nj = int(sizes[i]), int(sizes[j])
         active[i] = active[j] = False
@@ -318,12 +328,17 @@ def mantel(d1, d2, permutations: int = 999, rng=None) -> MantelResult:
 
     # A joint row/column permutation only reorders the upper-triangle
     # multiset, so the permuted mean and norm equal the originals.
+    # Upper-triangle row r holds n-1-r pairs, so the permuted pairs sit at
+    # flat indices perm[r]*n + perm[c]: one take per permutation.
     mean2 = u2.mean()
+    flat = v2.ravel()
+    run = np.arange(n - 1, -1, -1)
     count = 0
     for _ in range(permutations):
         perm = rng.permutation(n)
-        pu2 = v2[perm[iu[0]], perm[iu[1]]]
-        rho_p = float(c1 @ (pu2 - mean2)) / (norm1 * norm2)
+        pu2 = flat.take(np.repeat(perm * n, run) + perm[iu[1]])
+        pu2 -= mean2
+        rho_p = float(c1 @ pu2) / (norm1 * norm2)
         if rho_p >= rho:
             count += 1
     return MantelResult(
@@ -410,10 +425,30 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
 
 
 def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
+    """Write the full matrix, one row per skill, formatting each unordered
+    pair once. The matrix must be symmetric bit for bit (pairwise_distances
+    makes it so; a 0.0 facing a -0.0 is refused too), so cell (i, j) and
+    cell (j, i) get the same bytes. Row k formats its cells from the
+    diagonal rightwards and hands the ones right of the diagonal down: each
+    later row pops its cell in column k from row k's pending strings, kept
+    last column first. Only the pending strings are held, at most n^2/4 of
+    them, never the whole table of strings."""
     ids = list(skill_ids) if skill_ids is not None else list(range(1, dmat.n + 1))
     if len(ids) != dmat.n:
         raise ValueError(f"{len(ids)} skill ids for a {dmat.n}x{dmat.n} matrix")
-    write_table(path, ["skill", *ids], ([i, *row] for i, row in zip(ids, dmat.values.tolist())))
+    v = dmat.values
+    if not np.array_equal(v.view(np.uint64), v.T.view(np.uint64)):
+        raise ValueError("distance matrix is not exactly symmetric")
+
+    def rows():
+        pending = []
+        for k, sid in enumerate(ids):
+            cells = list(map(str, v[k, k:].tolist()))
+            left = [strings.pop() for strings in pending]
+            pending.append(cells[:0:-1])
+            yield [sid, *left, *cells]
+
+    write_table(path, ["skill", *ids], rows())
 
 
 def read_distance_csv(path, kind: str = "euclidean"):

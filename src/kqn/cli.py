@@ -173,7 +173,7 @@ def _option_names(command: str) -> tuple:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge table defaults <- config file <- explicit flags, then check
-    that every required option is set."""
+    that every required option is set and that the seed is not negative."""
     names = _option_names(args.command)
     opts = {name: _OPTIONS[name][1] for name in names}
     if args.config:
@@ -191,6 +191,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     missing = [name for name in ("out", *_COMMANDS[args.command][2]) if opts[name] is None]
     if missing:
         raise ValueError(f"missing required options: {', '.join(missing)}")
+    if opts["seed"] < 0:
+        raise ValueError(f"--seed must be >= 0, got {opts['seed']}")
     return opts
 
 

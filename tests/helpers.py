@@ -377,11 +377,13 @@ def mst_edge_weights(dist):
 # ---------------------------------------------------------------------------
 # Lance-Williams reference: a (2n-1)-square matrix with one row per cluster
 # id, where every merge copies out the active submatrix and scans its upper
-# triangle in id order. The in-place hcluster keeps this arithmetic, so on
-# tie-free inputs the two merge lists agree bit for bit.
+# triangle in id order, or, with tie_order="leaf", in the order of each
+# cluster's smallest leaf. The in-place hcluster keeps this arithmetic, so on
+# tie-free inputs the merge lists agree bit for bit, and with
+# tie_order="leaf" they agree on ties too.
 
 
-def reference_hcluster(dmat, linkage):
+def reference_hcluster(dmat, linkage, tie_order="id"):
     """Merge rows (a, b, height, size) of agglomerative clustering."""
     n = dmat.n
     squared = linkage in ("centroid", "median", "ward")
@@ -392,9 +394,12 @@ def reference_hcluster(dmat, linkage):
     active = np.zeros(total, dtype=bool)
     active[:n] = True
     sizes = np.ones(total, dtype=int)
+    first_leaf = np.arange(total)
     merges = np.zeros((n - 1, 4))
     for step in range(n - 1):
         idx = np.flatnonzero(active)
+        if tie_order == "leaf":
+            idx = idx[np.argsort(first_leaf[idx])]
         sub = w[np.ix_(idx, idx)]
         iu = np.triu_indices(len(idx), k=1)
         flat = int(np.argmin(sub[iu]))
@@ -427,9 +432,31 @@ def reference_hcluster(dmat, linkage):
         active[j] = False
         active[m] = True
         sizes[m] = ni + nj
+        first_leaf[m] = min(first_leaf[i], first_leaf[j])
         height = float(np.sqrt(max(dij, 0.0))) if squared else float(dij)
-        merges[step] = (i, j, height, ni + nj)
+        merges[step] = (min(i, j), max(i, j), height, ni + nj)
     return merges
+
+
+# ---------------------------------------------------------------------------
+# Mantel reference: each null draw permutes the full second matrix and reads
+# its upper triangle, from the same generator stream as kqn.analysis.mantel.
+
+
+def reference_mantel(d1, d2, permutations, seed):
+    """(rho, p_value) of the one-sided Mantel test."""
+    n = len(d1)
+    iu = np.triu_indices(n, k=1)
+    c1 = d1[iu] - d1[iu].mean()
+    c2 = d2[iu] - d2[iu].mean()
+    scale = float(np.linalg.norm(c1)) * float(np.linalg.norm(c2))
+    rho = float(c1 @ c2) / scale
+    rng = np.random.default_rng(seed)
+    count = 0
+    for _ in range(permutations):
+        perm = rng.permutation(n)
+        count += float(c1 @ (d2[np.ix_(perm, perm)][iu] - d2[iu].mean())) / scale >= rho
+    return rho, (1.0 + count) / (permutations + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.cluster.hierarchy import fcluster, linkage as scipy_linkage
 from scipy.spatial.distance import pdist, squareform
 
 from kqn.analysis import (
+    DISTANCE_KINDS,
     DistanceMatrix,
     LINKAGES,
     ari,
@@ -29,8 +30,15 @@ from kqn.analysis import (
 from kqn.data import ResponseSequence
 from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
 from kqn.ops import sigmoid
+from kqn.tables import write_table
 
-from helpers import ari_contingency, mst_edge_weights, random_unit_vectors, reference_hcluster
+from helpers import (
+    ari_contingency,
+    mst_edge_weights,
+    random_unit_vectors,
+    reference_hcluster,
+    reference_mantel,
+)
 
 MONOTONE_LINKAGES = ("single", "complete", "average", "weighted", "ward")
 
@@ -232,6 +240,20 @@ class TestHcluster:
         dmat = pairwise_distances(v / np.linalg.norm(v, axis=1, keepdims=True), "euclidean")
         assert np.array_equal(hcluster(dmat, method).merges, reference_hcluster(dmat, method))
 
+    @pytest.mark.parametrize("method", LINKAGES)
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(2, 90), low=st.integers(0, 2), levels=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_ties_match_reference_keyed_by_leaf(self, method, n, low, levels, seed):
+        # Distances from a handful of integers tie everywhere, and at n up
+        # to 90 the working matrix is compacted several times, so the merge
+        # order rests on keeping the slots in smallest-leaf order.
+        rng = np.random.default_rng(seed)
+        values = np.triu(rng.integers(low, low + levels, size=(n, n)), 1).astype(float)
+        dmat = DistanceMatrix(kind="euclidean", values=values + values.T)
+        expected = reference_hcluster(dmat, method, tie_order="leaf")
+        assert np.array_equal(hcluster(dmat, method).merges, expected)
+
     def test_bad_linkage_and_tiny_matrix(self):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
@@ -350,21 +372,29 @@ class TestMantel:
         assert a == b
 
     def test_p_value_matches_permuted_matrix_oracle(self):
-        # The null draws permute the full matrix and read its upper triangle,
-        # from the same generator stream as mantel().
         d1 = self.random_dmat(9, 19)
         d2 = 0.5 * d1 + self.random_dmat(9, 20)
         res = mantel(d1, d2, permutations=199, rng=np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        iu = np.triu_indices(9, k=1)
-        c1 = d1[iu] - d1[iu].mean()
-        scale = np.linalg.norm(c1) * np.linalg.norm(d2[iu] - d2[iu].mean())
-        count = 0
-        for _ in range(199):
-            perm = rng.permutation(9)
-            count += float(c1 @ (d2[np.ix_(perm, perm)][iu] - d2[iu].mean())) / scale >= res.rho
-        assert res.p_value == (1.0 + count) / 200.0
-        assert 0 < count < 199
+        assert (res.rho, res.p_value) == reference_mantel(d1, d2, 199, 4)
+        assert 1 / 200 < res.p_value < 1
+
+    @settings(deadline=None)
+    @given(n=st.integers(3, 60), levels=st.integers(2, 4), integer=st.booleans(),
+           permutations=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_permuted_matrix_oracle(self, n, levels, integer, permutations, seed):
+        # Integer-valued matrices make permuted statistics tie with rho, so
+        # the >= count is exercised on equal values as well as on random ones.
+        rng = np.random.default_rng(seed)
+        if integer:
+            pair = [np.triu(rng.integers(0, levels, size=(n, n)), 1).astype(float)
+                    for _ in range(2)]
+        else:
+            pair = [np.triu(rng.random((n, n)), 1) for _ in range(2)]
+        d1, d2 = (m + m.T for m in pair)
+        iu = np.triu_indices(n, k=1)
+        assume(np.ptp(d1[iu]) > 0 and np.ptp(d2[iu]) > 0)
+        res = mantel(d1, d2, permutations=permutations, rng=seed)
+        assert (res.rho, res.p_value) == reference_mantel(d1, d2, permutations, seed)
 
     def test_accepts_distance_matrix_objects(self):
         rng = np.random.default_rng(18)
@@ -491,6 +521,32 @@ class TestCsvRoundTrips:
         assert path.read_text().splitlines()[0] == "skill,3,5,7,9,11"
         with pytest.raises(ValueError):
             write_distance_csv(tmp_path / "x.csv", dmat, skill_ids=[1, 2])
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 60), dim=st.integers(1, 8), kind=st.sampled_from(DISTANCE_KINDS),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_distance_csv_bytes_equal_full_rows(self, tmp_path_factory, n, dim, kind, seed,
+                                                data):
+        # Formatting each pair once and handing it down gives the bytes of
+        # formatting every cell of the full matrix.
+        ids = data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n))
+        dmat = pairwise_distances(random_unit_vectors(n, dim, np.random.default_rng(seed)), kind)
+        out = tmp_path_factory.mktemp("csv")
+        write_distance_csv(out / "fast.csv", dmat, skill_ids=ids)
+        rows = ([sid, *row] for sid, row in zip(ids, dmat.values.tolist()))
+        write_table(out / "full.csv", ["skill", *ids], rows)
+        assert (out / "fast.csv").read_bytes() == (out / "full.csv").read_bytes()
+
+    @pytest.mark.parametrize("upper, lower", [(0.5, 0.5 + 1e-13), (0.0, -0.0)],
+                             ids=["within_1e-13", "signed_zero"])
+    def test_distance_csv_refuses_inexact_symmetry(self, tmp_path, upper, lower):
+        # Both matrices pass DistanceMatrix's 1e-12 check, but cell (1, 0)
+        # would not be written with the bytes of cell (0, 1).
+        values = np.array([[0.0, upper, 2.0], [lower, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        dmat = DistanceMatrix(kind="euclidean", values=values)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            write_distance_csv(tmp_path / "d.csv", dmat)
+        assert list(tmp_path.iterdir()) == []
 
     def test_ids_beyond_float_precision_round_trip(self, tmp_path):
         # 2**62 + 1 is not a float64; ids must never pass through one.

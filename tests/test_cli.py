@@ -971,3 +971,21 @@ def test_cli_surface_is_pinned(command):
     with pytest.raises(ValueError) as exc:
         _resolve(parser.parse_args([command]))
     assert str(exc.value) == f"missing required options: {', '.join(given)}"
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", list(CLI_DEFAULTS))
+def test_negative_seed_is_refused(tmp_path, capsys, command, via):
+    # Refused while the options are resolved, before any input is read or
+    # output written, with a message that names the option.
+    argv = [command, "--out", str(tmp_path / "out")]
+    for key in CLI_REQUIRED[command]:
+        argv += ["--" + key.replace("_", "-"), str(tmp_path / "missing")]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()

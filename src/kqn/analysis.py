@@ -26,16 +26,15 @@ _SQUARED_LINKAGES = ("centroid", "median", "ward")
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Finite, symmetric, non-negative matrix with zero diagonal."""
+    """Finite, non-negative matrix with zero diagonal, symmetric within
+    1e-12: the one check of a distance matrix. values holds the given upper
+    triangle mirrored into a new array, so it is symmetric bit for bit and
+    every reader sees the same cells in either triangle."""
 
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if self.kind not in DISTANCE_KINDS:
-            raise ValueError(f"kind must be one of {DISTANCE_KINDS}, got {self.kind!r}")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -46,6 +45,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix diagonal must be zero")
         if np.any(v < 0):
             raise ValueError("distance matrix entries must be non-negative")
+        object.__setattr__(self, "values", np.where(np.tri(len(v), k=-1, dtype=bool), v.T, v))
 
     @property
     def n(self) -> int:
@@ -79,7 +79,7 @@ def pairwise_distances(vectors, kind: str) -> DistanceMatrix:
     out = 0.5 * (out + out.T)
     out = np.maximum(out, 0.0)
     np.fill_diagonal(out, 0.0)
-    return DistanceMatrix(kind=kind, values=out)
+    return DistanceMatrix(out)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,8 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
     matrix (sizes and ids follow), so each merge's argmin scans a matrix
     that shrinks geometrically instead of all n^2 cells. Ties in the merge
     choice resolve to the first pair of slots in row-major upper-triangle
-    order, which compaction keeps.
+    order, which compaction keeps; the argmin scans both triangles, which a
+    DistanceMatrix and each row-and-column update keep equal bit for bit.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -284,28 +285,16 @@ class MantelResult:
     permutations: int
 
 
-def _check_mantel_matrix(values: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} entries must be finite")
-    if np.max(np.abs(v - v.T)) > 1e-10:
-        raise ValueError(f"{name} is not symmetric")
-    if np.any(np.abs(np.diag(v)) > 1e-12):
-        raise ValueError(f"{name} must have a zero diagonal")
-    return v
-
-
-def mantel(d1, d2, permutations: int = 999, rng=None) -> MantelResult:
+def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -> MantelResult:
     """One-sided (greater) Mantel test between two distance matrices.
 
     rho is the Pearson correlation of the upper triangles; the null
     distribution jointly permutes the second matrix's rows and columns,
-    and p = (1 + #{permuted rho >= observed}) / (permutations + 1).
+    and p = (1 + #{permuted rho >= observed}) / (permutations + 1). A
+    permuted upper triangle takes cells from both triangles of d2, which
+    DistanceMatrix makes equal bit for bit.
     """
-    v1 = _check_mantel_matrix(d1.values if isinstance(d1, DistanceMatrix) else d1, "d1")
-    v2 = _check_mantel_matrix(d2.values if isinstance(d2, DistanceMatrix) else d2, "d2")
+    v1, v2 = d1.values, d2.values
     if v1.shape != v2.shape:
         raise ValueError(f"matrices differ in size: {v1.shape} vs {v2.shape}")
     n = v1.shape[0]
@@ -411,7 +400,8 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
     their successive knowledge states."""
     skills, corrects, lengths = batch_arrays([seq])
     fwd = forward_batch(skills, corrects, lengths, params, config)
-    kstates = fwd.knowledge_states[:, 0, :]
+    # One student: the valid cells in row-major order are its steps in order.
+    kstates = fwd.knowledge_states
     skill_ids = tuple(np.unique(seq.responses[:, 0]).tolist())
     table = fwd.skill_table
     logits = table[np.array(skill_ids) - 1] @ kstates.T
@@ -426,19 +416,15 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
 
 def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
     """Write the full matrix, one row per skill, formatting each unordered
-    pair once. The matrix must be symmetric bit for bit (pairwise_distances
-    makes it so; a 0.0 facing a -0.0 is refused too), so cell (i, j) and
+    pair once: DistanceMatrix is symmetric bit for bit, so cell (i, j) and
     cell (j, i) get the same bytes. Row k formats its cells from the
-    diagonal rightwards and hands the ones right of the diagonal down: each
-    later row pops its cell in column k from row k's pending strings, kept
-    last column first. Only the pending strings are held, at most n^2/4 of
-    them, never the whole table of strings."""
+    diagonal rightwards and each later row pops its cell in column k from
+    row k's pending strings, kept last column first; at most n^2/4 strings
+    are held at once."""
     ids = list(skill_ids) if skill_ids is not None else list(range(1, dmat.n + 1))
     if len(ids) != dmat.n:
         raise ValueError(f"{len(ids)} skill ids for a {dmat.n}x{dmat.n} matrix")
     v = dmat.values
-    if not np.array_equal(v.view(np.uint64), v.T.view(np.uint64)):
-        raise ValueError("distance matrix is not exactly symmetric")
 
     def rows():
         pending = []
@@ -451,13 +437,13 @@ def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
     write_table(path, ["skill", *ids], rows())
 
 
-def read_distance_csv(path, kind: str = "euclidean"):
+def read_distance_csv(path):
     """Returns (DistanceMatrix, skill_ids)."""
     header, ids, values = read_table(path, "distance", ("skill", ...))
     if ids != [int(c) for c in header[1:]]:
         raise ValueError(f"{path}: row skill ids differ from the header's")
     try:
-        return DistanceMatrix(kind=kind, values=values), ids
+        return DistanceMatrix(values), ids
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

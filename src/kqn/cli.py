@@ -33,6 +33,7 @@ from . import __version__
 from .analysis import (
     DISTANCE_KINDS,
     LINKAGES,
+    DistanceMatrix,
     ari,
     flat_clusters,
     hcluster,
@@ -395,16 +396,28 @@ def _kqn_checkpoint(path):
     return config, params
 
 
+def _source(opts: dict) -> str:
+    """The one input option given among the command's --distances,
+    --checkpoint and --skill-vectors. None or more than one is refused
+    before any input is read."""
+    keys = [key for key in ("distances", "checkpoint", "skill_vectors") if key in opts]
+    given = [key for key in keys if opts[key]]
+    flags = ["--" + key.replace("_", "-") for key in (given or keys)]
+    if not given:
+        raise ValueError(f"need {' or '.join(flags)}")
+    if len(given) > 1:
+        raise ValueError(f"give only one of {', '.join(flags)}")
+    return given[0]
+
+
 def _table_from_opts(opts):
-    if opts["checkpoint"]:
+    if _source(opts) == "checkpoint":
         config, params = _kqn_checkpoint(opts["checkpoint"])
         table, _ = encode_skill_table(params)
         ids = list(range(1, config.num_skills + 1))
         return table, ids
-    if opts["skill_vectors"]:
-        ids, table = load_skill_vectors(opts["skill_vectors"])
-        return table, list(ids)
-    raise ValueError("need --checkpoint or --skill-vectors")
+    ids, table = load_skill_vectors(opts["skill_vectors"])
+    return table, list(ids)
 
 
 def cmd_distances(opts: dict, outdir: Path) -> None:
@@ -415,20 +428,19 @@ def cmd_distances(opts: dict, outdir: Path) -> None:
 
 
 def cmd_cluster(opts: dict, outdir: Path) -> None:
-    if opts["distances"]:
-        dmat, ids = read_distance_csv(opts["distances"], kind=opts["distance"])
+    method = opts["linkage"]
+    if _source(opts) == "distances":
+        dmat, ids = read_distance_csv(opts["distances"])
     else:
         table, ids = _table_from_opts(opts)
         dmat = pairwise_distances(table, opts["distance"])
+        method += f"/{opts['distance']}"
     dend = hcluster(dmat, opts["linkage"])
     labels = flat_clusters(dend, opts["n"])
     write_dendrogram_csv(outdir / "dendrogram.csv", dend)
     write_clusters_csv(outdir / "clusters.csv", labels, ids)
     sizes = np.bincount(labels)[1:]
-    print(
-        f"{opts['linkage']}/{opts['distance']} cut at n={opts['n']}: "
-        f"cluster sizes {sizes.tolist()}"
-    )
+    print(f"{method} cut at n={opts['n']}: cluster sizes {sizes.tolist()}")
 
 
 def _aligned(path_a, ids_a, path_b, ids_b) -> np.ndarray:
@@ -457,8 +469,8 @@ def cmd_mantel(opts: dict, outdir: Path) -> None:
     d1, ids_a = read_distance_csv(opts["distances_a"])
     d2, ids_b = read_distance_csv(opts["distances_b"])
     rows = _aligned(opts["distances_a"], ids_a, opts["distances_b"], ids_b)
-    result = mantel(d1, d2.values[np.ix_(rows, rows)], permutations=opts["permutations"],
-                    rng=opts["seed"])
+    result = mantel(d1, DistanceMatrix(d2.values[np.ix_(rows, rows)]),
+                    permutations=opts["permutations"], rng=opts["seed"])
     report = {
         "rho": result.rho,
         "p_value": result.p_value,

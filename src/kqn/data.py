@@ -155,7 +155,7 @@ def save_dataset(dataset: Dataset, path, extra: Optional[dict] = None) -> None:
     """Write triplet text plus a JSON sidecar carrying num_skills and any
     extra metadata (generator parameters, concept labels, remaps)."""
     path = Path(path)
-    write_text(path, serialize_triplets(dataset))
+    write_text(path, [serialize_triplets(dataset)])
     meta = {"name": dataset.name, "num_skills": dataset.num_skills}
     if extra:
         meta.update(extra)

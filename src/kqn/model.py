@@ -235,10 +235,10 @@ class BatchForward:
 
     logits, probs = sigmoid(logits), targets and valid are (S, B); position
     (j, b) is student b's prediction for trial j+1. The heads score only
-    the valid cells: elsewhere the logits and knowledge states are 0 (so
-    the probs 0.5), and the loss and its gradient never read them.
-    knowledge_states (S, B, d) and skill_table (N, d) are filled by the
-    query model and None for DKT. cache is populated only in train mode.
+    the valid cells: elsewhere the logits are 0 (so the probs 0.5), and the
+    loss and its gradient never read them. knowledge_states (one row per
+    valid cell, in the row-major order of valid) and skill_table (N, d) are
+    filled by the query model and None for DKT. cache is train mode only.
     """
 
     logits: np.ndarray
@@ -501,14 +501,11 @@ def forward_batch(
     q = next_trials(skills, len(valid))[valid]
     kv = hv @ params["proj_w"].T + params["proj_b"]
     sv = table[q - 1]
-    kstates = np.zeros(valid.shape + kv.shape[1:])
-    kstates[valid] = kv
     cache = None
     if mode == "train":
         cache = {"scan": scan_cache, "skill": skill_cache, "hv": hv, "kv": kv, "q": q, "sv": sv}
     return BatchForward.from_valid(
-        np.sum(kv * sv, axis=1), valid, corrects, cache, knowledge_states=kstates,
-        skill_table=table,
+        np.sum(kv * sv, axis=1), valid, corrects, cache, knowledge_states=kv, skill_table=table,
     )
 
 

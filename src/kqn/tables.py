@@ -1,7 +1,7 @@
 """The one module that writes files or makes directories, the one reader
 of a JSON-object input file, and the CSV format of every table artifact.
 write_text creates the parent directory of the path it writes, so a
-directory such as a command's --out appears only with its first file. A
+directory such as a command's --out appears only as its first file does. A
 table artifact is a header line, then one line per row, cells separated by
 commas and every line ended by "\\n". Column 0 of a row is an integer id:
 a skill id, a merged cluster id or an epoch.
@@ -11,22 +11,25 @@ from __future__ import annotations
 import csv
 import json
 import os
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 
-def write_text(path, text: str) -> None:
-    """Write text to a temp file beside path, then move it over path with
-    os.replace, so a write cut short by an error or an interrupt leaves the
-    old file or no file under path, never part of the new one. (It does not
-    fsync, so it does not guard against a power loss.) Missing parent
-    directories are created first."""
+def write_text(path, chunks: Iterable[str]) -> None:
+    """Write text chunks to a temp file beside path as they come, then move
+    it over path with os.replace, so a write cut short by an error (also one
+    the chunks raise) or an interrupt leaves the old file or no file under
+    path, never part of the new one. (It does not fsync, so it does not
+    guard against a power loss.) Missing parent directories come first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -35,16 +38,16 @@ def write_text(path, text: str) -> None:
 def write_json(path, doc, indent: int = 2, sort_keys: bool = False) -> None:
     """Write doc as indented JSON text ended by a newline, through
     write_text."""
-    write_text(path, json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n")
+    write_text(path, [json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n"])
 
 
 def write_table(path, header, rows) -> None:
     """Write a header and rows of str, int or float64 cells. str() writes
     a Python or NumPy float64 as the shortest string that round-trips, the
-    bytes of repr(float(x)). A header cell that holds a comma is quoted."""
-    lines = [",".join(f'"{c}"' if "," in c else c for c in map(str, header))]
-    lines += [",".join(map(str, row)) for row in rows]
-    write_text(path, "\n".join(lines) + "\n")
+    bytes of repr(float(x)). A header cell that holds a comma is quoted.
+    Each line is written as its row comes, so rows may be a generator."""
+    head = ",".join(f'"{c}"' if "," in c else c for c in map(str, header))
+    write_text(path, chain([head + "\n"], (",".join(map(str, row)) + "\n" for row in rows)))
 
 
 def has_type(value, kind) -> bool:

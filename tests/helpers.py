@@ -300,7 +300,7 @@ def residual_concept_ari(sequences, concepts, num_skills, n_clusters=5):
     dist = 1.0 - np.corrcoef(residuals.T)
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
-    labels = flat_clusters(hcluster(DistanceMatrix("cosine", dist), "average"), n_clusters)
+    labels = flat_clusters(hcluster(DistanceMatrix(dist), "average"), n_clusters)
     truth = np.array([concepts[e] for e in range(1, num_skills + 1)])
     return ari(labels, truth)
 
@@ -467,6 +467,23 @@ def random_distance_matrix(n, rng):
     pts = rng.normal(size=(n, 3))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     return d
+
+
+def nudged_ties(n, levels, step, rng):
+    """(nudged, mirrored): mirrored is a symmetric matrix of distances drawn
+    from 0..levels-1, so that they tie everywhere; nudged is the same matrix
+    with about 30% of its lower-triangle cells moved by step (a cell that
+    would turn negative stays). With |step| <= 1e-12 both pass
+    DistanceMatrix's symmetry check, and mirrored is nudged's upper
+    triangle mirrored."""
+    upper = np.triu(rng.integers(0, levels, size=(n, n)), 1).astype(float)
+    mirrored = upper + upper.T
+    nudged = mirrored.copy()
+    lower = np.tril_indices(n, k=-1)
+    cells = nudged[lower]
+    moved = (rng.random(cells.shape) < 0.3) & (cells + step >= 0.0)
+    nudged[lower] = np.where(moved, cells + step, cells)
+    return nudged, mirrored
 
 
 def random_unit_vectors(n, dim, rng):

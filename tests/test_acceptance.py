@@ -148,7 +148,7 @@ def test_criterion_3_oracle_equivalence():
     for _ in range(50):
         n = int(rng.integers(2, 21))
         values = helpers.random_distance_matrix(n, rng)
-        dend = hcluster(DistanceMatrix(kind="euclidean", values=values), "single")
+        dend = hcluster(DistanceMatrix(values), "single")
         heights = np.sort(dend.merges[:, 2])
         mst_match += bool(
             np.allclose(heights, helpers.mst_edge_weights(values), rtol=1e-12, atol=0.0)

@@ -35,6 +35,7 @@ from kqn.tables import write_table
 from helpers import (
     ari_contingency,
     mst_edge_weights,
+    nudged_ties,
     random_unit_vectors,
     reference_hcluster,
     reference_mantel,
@@ -46,31 +47,47 @@ MONOTONE_LINKAGES = ("single", "complete", "average", "weighted", "ward")
 class TestDistanceMatrix:
     def test_validation(self):
         good = np.array([[0.0, 1.0], [1.0, 0.0]])
-        DistanceMatrix(kind="euclidean", values=good)
+        DistanceMatrix(good)
         with pytest.raises(ValueError):
-            DistanceMatrix(kind="euclidean", values=np.zeros((2, 3)))
+            DistanceMatrix(np.zeros((2, 3)))
         with pytest.raises(ValueError):
-            DistanceMatrix(kind="euclidean", values=np.array([[0.0, 1.0], [2.0, 0.0]]))
+            DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
-            DistanceMatrix(kind="euclidean", values=np.array([[0.5, 1.0], [1.0, 0.0]]))
+            DistanceMatrix(np.array([[0.5, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError):
-            DistanceMatrix(kind="euclidean", values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            DistanceMatrix(kind="manhattan", values=good)
+            DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_rejected(self, bad):
         values = np.array([[0.0, bad, 1.0], [bad, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
-            DistanceMatrix(kind="euclidean", values=values)
+            DistanceMatrix(values)
 
     def test_array_likes_become_float_arrays(self):
-        dmat = DistanceMatrix("euclidean", [[0, 1], [1.0, 0.0]])
+        dmat = DistanceMatrix([[0, 1], [1.0, 0.0]])
         assert isinstance(dmat.values, np.ndarray)
         assert dmat.values.dtype == np.float64
         assert dmat.n == 2
         with pytest.raises(ValueError, match="symmetric"):
-            DistanceMatrix("euclidean", [[0.0, 1.0], [2.0, 0.0]])
+            DistanceMatrix([[0.0, 1.0], [2.0, 0.0]])
+
+    @settings(deadline=None)
+    @given(n=st.integers(1, 30), levels=st.integers(1, 4), step=st.sampled_from([-9e-13, 1e-13]),
+           scaled=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_values_mirror_the_upper_triangle(self, n, levels, step, scaled, seed):
+        # Any matrix within 1e-12 of symmetric, signed zeros anywhere
+        # included, is held as its upper triangle mirrored into a new array.
+        rng = np.random.default_rng(seed)
+        given_values, _ = nudged_ties(n, levels, step, rng)
+        if scaled:
+            given_values *= rng.random()
+        given_values[(rng.random((n, n)) < 0.5) & (given_values == 0.0)] *= -1.0
+        before = given_values.copy()
+        bits = DistanceMatrix(given_values).values.view(np.uint64)
+        assert np.array_equal(bits, bits.T)
+        upper = np.triu_indices(n)
+        assert np.array_equal(bits[upper], given_values.view(np.uint64)[upper])
+        assert np.array_equal(given_values.view(np.uint64), before.view(np.uint64))
 
 
 class TestPairwiseDistances:
@@ -164,7 +181,7 @@ class TestHcluster:
             n = int(rng.integers(3, 15))
             pts = rng.normal(size=(n, 3))
             values = squareform(pdist(pts))
-            dend = hcluster(DistanceMatrix(kind="euclidean", values=values), "single")
+            dend = hcluster(DistanceMatrix(values), "single")
             assert_allclose(np.sort(dend.merges[:, 2]), mst_edge_weights(values), rtol=1e-10)
 
     @pytest.mark.parametrize("method", LINKAGES)
@@ -174,7 +191,7 @@ class TestHcluster:
             n = int(rng.integers(4, 12))
             pts = rng.normal(size=(n, 3))
             values = squareform(pdist(pts))
-            dend = hcluster(DistanceMatrix(kind="euclidean", values=values), method)
+            dend = hcluster(DistanceMatrix(values), method)
             z = scipy_linkage(pdist(pts), method=method)
             assert_allclose(np.sort(dend.merges[:, 2]), np.sort(z[:, 2]), rtol=1e-8)
 
@@ -185,7 +202,7 @@ class TestHcluster:
             n = int(rng.integers(5, 14))
             pts = rng.normal(size=(n, 3))
             values = squareform(pdist(pts))
-            dend = hcluster(DistanceMatrix(kind="euclidean", values=values), method)
+            dend = hcluster(DistanceMatrix(values), method)
             z = scipy_linkage(pdist(pts), method=method)
             for k in (2, 3):
                 ours = flat_clusters(dend, k)
@@ -196,7 +213,7 @@ class TestHcluster:
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(9, 3))
         dend = hcluster(
-            DistanceMatrix(kind="euclidean", values=squareform(pdist(pts))), "average"
+            DistanceMatrix(squareform(pdist(pts))), "average"
         )
         assert dend.merges[-1, 3] == 9
         assert dend.num_leaves == 9
@@ -207,7 +224,7 @@ class TestHcluster:
         np.fill_diagonal(values, 0.0)
         values[0, 1] = values[1, 0] = 1.0
         values[2, 3] = values[3, 2] = 1.0
-        dend = hcluster(DistanceMatrix(kind="euclidean", values=values), "single")
+        dend = hcluster(DistanceMatrix(values), "single")
         assert (dend.merges[0, 0], dend.merges[0, 1]) == (0.0, 1.0)
         assert (dend.merges[1, 0], dend.merges[1, 1]) == (2.0, 3.0)
 
@@ -219,7 +236,7 @@ class TestHcluster:
         np.fill_diagonal(values, 0.0)
         for a, b, d in ((0, 1, 1.0), (3, 4, 2.0), (0, 5, 2.0), (1, 5, 2.0)):
             values[a, b] = values[b, a] = d
-        dmat = DistanceMatrix(kind="euclidean", values=values)
+        dmat = DistanceMatrix(values)
         dend = hcluster(dmat, "single")
         assert dend.merges[:3, :2].tolist() == [[0, 1], [5, 6], [3, 4]]
         assert dend.merges[:3, 2].tolist() == [1.0, 2.0, 2.0]
@@ -230,7 +247,7 @@ class TestHcluster:
         # Finite inputs whose squares (ward) or sums (average) overflow.
         values = step * np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
         with pytest.raises(ValueError, match="too large"):
-            hcluster(DistanceMatrix(kind="euclidean", values=values), method)
+            hcluster(DistanceMatrix(values), method)
 
     @pytest.mark.parametrize("method", LINKAGES)
     @settings(deadline=None)
@@ -250,16 +267,26 @@ class TestHcluster:
         # order rests on keeping the slots in smallest-leaf order.
         rng = np.random.default_rng(seed)
         values = np.triu(rng.integers(low, low + levels, size=(n, n)), 1).astype(float)
-        dmat = DistanceMatrix(kind="euclidean", values=values + values.T)
+        dmat = DistanceMatrix(values + values.T)
         expected = reference_hcluster(dmat, method, tie_order="leaf")
         assert np.array_equal(hcluster(dmat, method).merges, expected)
+
+    @pytest.mark.parametrize("method", LINKAGES)
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(2, 30), levels=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_reads_the_upper_triangle(self, method, n, levels, seed):
+        # Lower-triangle cells 1e-13 below their upper twins, within the
+        # symmetry tolerance, cluster as the mirrored upper triangle.
+        nudged, mirrored = nudged_ties(n, levels, -1e-13, np.random.default_rng(seed))
+        expected = hcluster(DistanceMatrix(mirrored), method).merges
+        assert np.array_equal(hcluster(DistanceMatrix(nudged), method).merges, expected)
 
     def test_bad_linkage_and_tiny_matrix(self):
         values = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            hcluster(DistanceMatrix(kind="euclidean", values=values), "median2")
+            hcluster(DistanceMatrix(values), "median2")
         with pytest.raises(ValueError):
-            hcluster(DistanceMatrix(kind="euclidean", values=np.zeros((1, 1))), "single")
+            hcluster(DistanceMatrix(np.zeros((1, 1))), "single")
 
 
 class TestFlatClusters:
@@ -267,7 +294,7 @@ class TestFlatClusters:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(n, 2))
         return hcluster(
-            DistanceMatrix(kind="euclidean", values=squareform(pdist(pts))), "complete"
+            DistanceMatrix(squareform(pdist(pts))), "complete"
         )
 
     def test_extreme_cuts(self):
@@ -341,7 +368,7 @@ class TestMantel:
     def random_dmat(self, n, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(n, 3))
-        return squareform(pdist(pts))
+        return DistanceMatrix(squareform(pdist(pts)))
 
     def test_self_correlation(self):
         d = self.random_dmat(15, 11)
@@ -355,7 +382,7 @@ class TestMantel:
         d2 = self.random_dmat(12, 13)
         res = mantel(d1, d2, permutations=9, rng=np.random.default_rng(1))
         iu = np.triu_indices(12, k=1)
-        expected = np.corrcoef(d1[iu], d2[iu])[0, 1]
+        expected = np.corrcoef(d1.values[iu], d2.values[iu])[0, 1]
         assert_allclose(res.rho, expected, rtol=1e-12)
 
     def test_independent_matrices_not_significant(self):
@@ -373,9 +400,9 @@ class TestMantel:
 
     def test_p_value_matches_permuted_matrix_oracle(self):
         d1 = self.random_dmat(9, 19)
-        d2 = 0.5 * d1 + self.random_dmat(9, 20)
+        d2 = DistanceMatrix(0.5 * d1.values + self.random_dmat(9, 20).values)
         res = mantel(d1, d2, permutations=199, rng=np.random.default_rng(4))
-        assert (res.rho, res.p_value) == reference_mantel(d1, d2, 199, 4)
+        assert (res.rho, res.p_value) == reference_mantel(d1.values, d2.values, 199, 4)
         assert 1 / 200 < res.p_value < 1
 
     @settings(deadline=None)
@@ -393,8 +420,21 @@ class TestMantel:
         d1, d2 = (m + m.T for m in pair)
         iu = np.triu_indices(n, k=1)
         assume(np.ptp(d1[iu]) > 0 and np.ptp(d2[iu]) > 0)
-        res = mantel(d1, d2, permutations=permutations, rng=seed)
+        res = mantel(DistanceMatrix(d1), DistanceMatrix(d2), permutations=permutations, rng=seed)
         assert (res.rho, res.p_value) == reference_mantel(d1, d2, permutations, seed)
+
+    @settings(deadline=None)
+    @given(n=st.integers(3, 30), levels=st.integers(2, 4), permutations=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_reads_the_upper_triangle(self, n, levels, permutations, seed):
+        # Lower-triangle cells 1e-13 above their upper twins, within the
+        # symmetry tolerance, test as the mirrored upper triangles.
+        rng = np.random.default_rng(seed)
+        (n1, m1), (n2, m2) = (nudged_ties(n, levels, 1e-13, rng) for _ in range(2))
+        iu = np.triu_indices(n, k=1)
+        assume(np.ptp(m1[iu]) > 0 and np.ptp(m2[iu]) > 0)
+        expected = mantel(DistanceMatrix(m1), DistanceMatrix(m2), permutations, seed)
+        assert mantel(DistanceMatrix(n1), DistanceMatrix(n2), permutations, seed) == expected
 
     def test_accepts_distance_matrix_objects(self):
         rng = np.random.default_rng(18)
@@ -406,30 +446,15 @@ class TestMantel:
 
     def test_validation_errors(self):
         d = self.random_dmat(6, 19)
-        with pytest.raises(ValueError, match="symmetric"):
-            bad = d.copy()
-            bad[0, 1] += 1.0
-            mantel(bad, d)
-        with pytest.raises(ValueError, match="diag"):
-            bad = d.copy()
-            bad[0, 0] = 1.0
-            mantel(bad, d)
+        tiny = DistanceMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="size"):
             mantel(d, self.random_dmat(5, 20))
         with pytest.raises(ValueError, match="at least 3"):
-            mantel(np.zeros((2, 2)), np.zeros((2, 2)))
+            mantel(tiny, tiny)
         with pytest.raises(ValueError, match="permutations"):
             mantel(d, d, permutations=0)
         with pytest.raises(ValueError, match="constant"):
-            mantel(np.zeros((4, 4)), d[:4, :4])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        d = self.random_dmat(6, 21)
-        broken = d.copy()
-        broken[1, 2] = broken[2, 1] = bad
-        with pytest.raises(ValueError, match="d2 entries must be finite"):
-            mantel(d, broken, permutations=9)
+            mantel(DistanceMatrix(np.zeros((4, 4))), DistanceMatrix(d.values[:4, :4]))
 
 
 class TestSensitivityStats:
@@ -495,7 +520,7 @@ class TestHeatmap:
         fwd = forward_batch(*batch_arrays([seq]), params, config)
         for r, skill in enumerate(hm.skill_ids):
             for t in range(hm.percent.shape[1]):
-                ks = fwd.knowledge_states[t, 0]
+                ks = fwd.knowledge_states[t]
                 expected = 100.0 * sigmoid(float(ks @ fwd.skill_table[skill - 1]))
                 assert_allclose(hm.percent[r, t], expected, rtol=1e-12)
 
@@ -515,7 +540,7 @@ class TestCsvRoundTrips:
         dmat = pairwise_distances(v, "euclidean")
         path = tmp_path / "dist.csv"
         write_distance_csv(path, dmat, skill_ids=[3, 5, 7, 9, 11])
-        back, ids = read_distance_csv(path, kind="euclidean")
+        back, ids = read_distance_csv(path)
         assert ids == [3, 5, 7, 9, 11]
         assert np.array_equal(back.values, dmat.values)
         assert path.read_text().splitlines()[0] == "skill,3,5,7,9,11"
@@ -539,21 +564,20 @@ class TestCsvRoundTrips:
 
     @pytest.mark.parametrize("upper, lower", [(0.5, 0.5 + 1e-13), (0.0, -0.0)],
                              ids=["within_1e-13", "signed_zero"])
-    def test_distance_csv_refuses_inexact_symmetry(self, tmp_path, upper, lower):
-        # Both matrices pass DistanceMatrix's 1e-12 check, but cell (1, 0)
-        # would not be written with the bytes of cell (0, 1).
+    def test_distance_csv_mirrors_upper_triangle(self, tmp_path, upper, lower):
+        # Both matrices pass DistanceMatrix's 1e-12 check; cell (1, 0) is
+        # written with the bytes of cell (0, 1).
         values = np.array([[0.0, upper, 2.0], [lower, 0.0, 1.0], [2.0, 1.0, 0.0]])
-        dmat = DistanceMatrix(kind="euclidean", values=values)
-        with pytest.raises(ValueError, match="not exactly symmetric"):
-            write_distance_csv(tmp_path / "d.csv", dmat)
-        assert list(tmp_path.iterdir()) == []
+        write_distance_csv(tmp_path / "d.csv", DistanceMatrix(values))
+        rows = [line.split(",") for line in (tmp_path / "d.csv").read_text().splitlines()]
+        assert rows[1][2] == rows[2][1] == repr(upper)
 
     def test_ids_beyond_float_precision_round_trip(self, tmp_path):
         # 2**62 + 1 is not a float64; ids must never pass through one.
         ids = [2 ** 62 + 1, 2 ** 63 - 1, 7]
         dmat = pairwise_distances(random_unit_vectors(3, 2, np.random.default_rng(28)), "cosine")
         write_distance_csv(tmp_path / "d.csv", dmat, skill_ids=ids)
-        back, back_ids = read_distance_csv(tmp_path / "d.csv", kind="cosine")
+        back, back_ids = read_distance_csv(tmp_path / "d.csv")
         assert back_ids == ids
         assert np.array_equal(back.values, dmat.values)
         write_clusters_csv(tmp_path / "c.csv", [2, 1, 2], skill_ids=ids)
@@ -574,7 +598,7 @@ class TestCsvRoundTrips:
         rng = np.random.default_rng(26)
         pts = rng.normal(size=(8, 3))
         dend = hcluster(
-            DistanceMatrix(kind="euclidean", values=squareform(pdist(pts))), "ward"
+            DistanceMatrix(squareform(pdist(pts))), "ward"
         )
         path = tmp_path / "dend.csv"
         write_dendrogram_csv(path, dend)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 import helpers
 import kqn
 from kqn.analysis import (
+    LINKAGES,
     ari,
     heatmap_matrix,
     mantel,
@@ -30,6 +31,7 @@ from kqn.data import (
     relabel_skills,
 )
 from kqn.model import KqnModel, encode_skill_table
+from kqn.tables import write_table
 from kqn.training import evaluate, split_data
 
 
@@ -461,6 +463,32 @@ class TestDistancesClusterAri:
             f"error: {checkpoint} is a dkt checkpoint, not a knowledge-query one\n"
         )
 
+    @pytest.mark.parametrize("command, sources", [
+        ("distances", ("checkpoint", "skill_vectors")),
+        ("cluster", ("distances", "checkpoint")),
+        ("cluster", ("distances", "skill_vectors")),
+        ("cluster", ("checkpoint", "skill_vectors")),
+        ("cluster", ("distances", "checkpoint", "skill_vectors")),
+    ], ids=lambda v: v if isinstance(v, str) else "+".join(v))
+    def test_refuses_more_than_one_source(self, tmp_path, capsys, command, sources):
+        # Refused before any input is read: none of the files exists.
+        flags = ["--" + key.replace("_", "-") for key in sources]
+        argv = [command, "--out", str(tmp_path / "out")]
+        for flag in flags:
+            argv += [flag, str(tmp_path / "missing")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: give only one of {', '.join(flags)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("distances", "--checkpoint or --skill-vectors"),
+        ("cluster", "--distances or --checkpoint or --skill-vectors"),
+    ])
+    def test_needs_a_source(self, tmp_path, capsys, command, flags):
+        assert main([command, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: need {flags}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_cluster_direct_from_checkpoint(self, ws, tmp_path):
         run("cluster", "--out", tmp_path, "--checkpoint",
             ws / "kqn4" / "checkpoint.json", "--distance", "cosine",
@@ -554,6 +582,39 @@ class TestSkillIdAlignment:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'twice.csv'}: skill id 1 appears more than once\n"
         )
+
+
+def write_distances(path, values):
+    """A distance file holding values as given, bit for bit."""
+    ids = range(1, len(values) + 1)
+    write_table(path, ["skill", *ids], ([sid, *row] for sid, row in zip(ids, values.tolist())))
+
+
+class TestUpperTriangle:
+    """A file within 1e-12 of symmetric is read as its upper triangle
+    mirrored: its lower-triangle cells, each 1e-13 off, change nothing."""
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_cluster(self, tmp_path, linkage):
+        nudged, mirrored = helpers.nudged_ties(12, 3, -1e-13, np.random.default_rng(4))
+        for name, values in (("nudged", nudged), ("mirrored", mirrored)):
+            write_distances(tmp_path / f"{name}.csv", values)
+            run("cluster", "--out", tmp_path / name, "--distances", tmp_path / f"{name}.csv",
+                "--linkage", linkage, "--n", 3)
+        for artifact in ("dendrogram.csv", "clusters.csv"):
+            assert (tmp_path / "nudged" / artifact).read_bytes() == \
+                (tmp_path / "mirrored" / artifact).read_bytes()
+
+    def test_mantel(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pairs = [helpers.nudged_ties(12, 3, 1e-13, rng) for _ in range(2)]
+        for k, name in enumerate(("nudged", "mirrored")):
+            for side, pair in zip("ab", pairs):
+                write_distances(tmp_path / f"{name}_{side}.csv", pair[k])
+            run("mantel", "--out", tmp_path / name, "--distances-a", tmp_path / f"{name}_a.csv",
+                "--distances-b", tmp_path / f"{name}_b.csv", "--permutations", 99)
+        assert (tmp_path / "nudged" / "mantel.json").read_bytes() == \
+            (tmp_path / "mirrored" / "mantel.json").read_bytes()
 
 
 class TestMantelSensitivity:

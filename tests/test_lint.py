@@ -1,11 +1,13 @@
 """Static checks of the package source. No linter is a dependency, so the
 checks it would make are kept here."""
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kqn"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,6 +44,43 @@ def test_finds_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unpatched_noqa_imports(source: str, patched) -> list[str]:
+    """Names bound by an import on a line marked `# noqa: F401` that are
+    not in patched."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                "# noqa: F401" in lines[node.lineno - 1]:
+            names = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+            found += [f"line {node.lineno}: {name}" for name in names if name not in patched]
+    return found
+
+
+def traced_names(module: str) -> set:
+    """The names the benchmark's tracer sets in kqn.<module> whether or not
+    the module uses them: those of the TARGETS whose `where` lists it. (A
+    target without `where` replaces only bindings that already exist.)"""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {attr for _, attr, _, where in tracing.TARGETS if where and module in where}
+
+
+def test_finds_an_unpatched_noqa_import():
+    source = (
+        "from .model import lstm_cell, gru_cell  # noqa: F401\n"
+        "import os  # noqa: F401\nimport sys\n"
+    )
+    assert unpatched_noqa_imports(source, {"lstm_cell"}) == ["line 1: gru_cell", "line 2: os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_noqa_imports_are_traced(path):
+    # An import kept only for the tracer stays only while the tracer needs it.
+    assert unpatched_noqa_imports(path.read_text(), traced_names(path.stem)) == []
 
 
 def direct_writes(source: str) -> list[str]:

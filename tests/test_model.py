@@ -304,7 +304,7 @@ class TestSkillEncoder:
         for e in range(1, 7):
             seq = ResponseSequence(0, ((1, 1), (e, 0)))
             fwd = forward_batch(*batch_arrays([seq]), params, config)
-            assert_allclose(fwd.probs[0, 0], sigmoid(fwd.knowledge_states[0, 0] @ table[e - 1]),
+            assert_allclose(fwd.probs[0, 0], sigmoid(fwd.knowledge_states[0] @ table[e - 1]),
                             rtol=1e-12)
         seq = ResponseSequence(0, ((1, 1), (7, 0)))
         with pytest.raises(ValueError):
@@ -353,8 +353,11 @@ class TestQuery:
 
     def test_logit_prob_odds(self):
         fwd, skills = self.forward()
-        s_sel = fwd.skill_table[skills[:, 1:].T - 1]
-        assert_allclose(fwd.logits, np.sum(fwd.knowledge_states * s_sel, axis=2), rtol=1e-12)
+        # One knowledge state per valid cell, in the row-major order of valid.
+        s_sel = fwd.skill_table[skills[:, 1:].T - 1][fwd.valid]
+        assert fwd.knowledge_states.shape == (fwd.num_valid, self.CONFIG.dim)
+        assert_allclose(fwd.logits[fwd.valid], np.sum(fwd.knowledge_states * s_sel, axis=1),
+                        rtol=1e-12)
         assert np.array_equal(fwd.probs, sigmoid(fwd.logits))
         assert_allclose(np.log(fwd.probs / (1.0 - fwd.probs)), fwd.logits, atol=1e-12)
 
@@ -486,7 +489,7 @@ class TestForwardBatch:
             if variant == "dkt":
                 assert fwd.knowledge_states is None
             else:
-                assert np.all(fwd.knowledge_states[padded] == 0.0)
+                assert len(fwd.knowledge_states) == fwd.num_valid
 
     def test_valid_mask_counts(self):
         config = self.make()
@@ -634,15 +637,18 @@ class TestFullGradient:
 
 class TestScanMemory:
     """scan hands the heads one row per scored cell and draws dropout on
-    those rows only. On a skewed batch, one student of 200 trials and 63 of
-    3, the padded (S, B, H) block at H=64 would be 6.5 MB, 97% of it
-    padding; no pass may need one."""
+    those rows only, and the query model keeps one knowledge state per
+    scored cell. On a skewed batch, one student of 200 trials and 63 of 3,
+    a padded (S, B, H) or (S, B, d) block at width 64 would be 6.5 MB, 97%
+    of it padding; no pass may need one."""
 
     MODELS = {
         "kqn_lstm": lambda: KqnModel(ModelConfig(num_skills=10, dim=8, rnn_kind="lstm",
                                                  rnn_hidden=64, mlp_hidden=8)),
         "kqn_gru": lambda: KqnModel(ModelConfig(num_skills=10, dim=8, rnn_kind="gru",
                                                 rnn_hidden=64, mlp_hidden=8)),
+        "kqn_dim64": lambda: KqnModel(ModelConfig(num_skills=10, dim=64, rnn_kind="lstm",
+                                                  rnn_hidden=64, mlp_hidden=8)),
         "dkt_onehot": lambda: DktModel(DktConfig(num_skills=10, hidden=64)),
     }
 

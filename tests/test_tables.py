@@ -1,11 +1,16 @@
 """The CSV table codec shared by every artifact."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqn import tables
+from kqn.analysis import pairwise_distances, write_distance_csv
 from kqn.tables import read_table, write_table, write_text
+
+from helpers import random_unit_vectors
 
 # Values whose repr switches notation or needs all 17 digits.
 HARD_FLOATS = [0.1, 1 / 3, 1e16, 9999999999999998.0, 1e-4, 9.999e-5, 1e-5, 5e-324,
@@ -81,7 +86,7 @@ def test_round_trip_is_exact(tmp_path_factory, ids, width, data):
 
 def test_an_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
-    write_text(path, "old\n")
+    write_text(path, ["old\n"])
 
     def interrupted(src, dst):
         raise KeyboardInterrupt
@@ -91,3 +96,26 @@ def test_an_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch):
         write_table(path, ("a",), [(1,)])
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_a_row_that_raises_leaves_no_file(tmp_path):
+    def rows():
+        yield (1, 0.5)
+        raise ValueError("row 2")
+
+    with pytest.raises(ValueError, match="row 2"):
+        write_table(tmp_path / "t.csv", ("a", "b"), rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rows_are_written_as_they_come(tmp_path):
+    # The 600 x 600 distance file is 6.8 MB of text; writing it may hold
+    # its pending cell strings, never all of its lines at once.
+    dmat = pairwise_distances(random_unit_vectors(600, 8, np.random.default_rng(0)), "euclidean")
+    tracemalloc.start()
+    try:
+        write_distance_csv(tmp_path / "d.csv", dmat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak

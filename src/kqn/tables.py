@@ -45,7 +45,7 @@ def write_table(path, header, rows) -> None:
     """Write a header and rows of str, int or float64 cells. str() writes
     a Python or NumPy float64 as the shortest string that round-trips, the
     bytes of repr(float(x)). A header cell that holds a comma is quoted.
-    Each line is written as its row comes, so rows may be a generator."""
+    Each line is written as its row comes; the lines are never all held."""
     head = ",".join(f'"{c}"' if "," in c else c for c in map(str, header))
     write_text(path, chain([head + "\n"], (",".join(map(str, row)) + "\n" for row in rows)))
 

@@ -39,7 +39,7 @@ class DistanceMatrix:
             raise ValueError(f"distance matrix must be square, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("distance matrix entries must be finite")
-        if np.max(np.abs(v - v.T)) > 1e-12:
+        if np.max(np.abs(v - v.T), initial=0.0) > 1e-12:
             raise ValueError("distance matrix is not symmetric within 1e-12")
         if np.any(np.diag(v) != 0.0):
             raise ValueError("distance matrix diagonal must be zero")

@@ -428,14 +428,17 @@ def cmd_distances(opts: dict, outdir: Path) -> None:
 
 
 def cmd_cluster(opts: dict, outdir: Path) -> None:
-    method = opts["linkage"]
-    if _source(opts) == "distances":
+    method, source = opts["linkage"], _source(opts)
+    if source == "distances":
         dmat, ids = read_distance_csv(opts["distances"])
     else:
         table, ids = _table_from_opts(opts)
         dmat = pairwise_distances(table, opts["distance"])
         method += f"/{opts['distance']}"
-    dend = hcluster(dmat, opts["linkage"])
+    try:
+        dend = hcluster(dmat, opts["linkage"])
+    except ValueError as exc:  # too few points, or distances that overflow
+        raise ValueError(f"{opts[source]}: {exc}") from exc
     labels = flat_clusters(dend, opts["n"])
     write_dendrogram_csv(outdir / "dendrogram.csv", dend)
     write_clusters_csv(outdir / "clusters.csv", labels, ids)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .ops import sigmoid
-from .tables import has_type, read_json_object, write_json, write_text
+from .tables import check_types, has_type, read_json_object, write_json, write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +230,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self)
         if self.num_students < 1 or self.num_skills < 2 or self.steps_per_student < 2:
             raise ValueError(
                 "need at least 1 student, 2 skills and 2 steps per student"

@@ -2,15 +2,17 @@
 whose input concatenates a correctness encoding with frozen skill vectors
 learned elsewhere.
 
-The recurrent scan, the one-hot input encoding, batch checks and loss are
-the query model's (see model.py); this module adds only the hybrid input
-encoding and the output layer, which maps the recurrent output to one logit
-per skill so that trial t scores element e_{t+1} of that vector against
-c_{t+1}. Like the query head, it runs on the valid cells only and reads
-just the e_{t+1} row of the layer. A hybrid model holds its frozen table
-as the parameter "skill_table", which no gradient reaches, so its config
-and parameters describe it fully and a checkpoint carries the table it was
-trained with.
+The recurrent scan, batch checks, scatter-add and loss are the query
+model's (see model.py): a step input is one of the 2N responses, and the
+scan gathers its projection from one table. This module adds only the
+hybrid input rows, the (2N, N+d) matrix that scan projects in place of
+the one-hot identity, and the output layer, which maps the recurrent
+output to one logit per skill so that trial t scores element e_{t+1} of
+that vector against c_{t+1}. Like the query head, it runs on the valid
+cells only and reads just the e_{t+1} row of the layer. A hybrid model
+holds its frozen table as the parameter "skill_table", which no gradient
+reaches, so its config and parameters describe it fully and a checkpoint
+carries the table it was trained with.
 """
 from __future__ import annotations
 
@@ -20,14 +22,15 @@ import numpy as np
 
 from .model import (
     BatchForward,
-    OneHotInputs,
     Params,
     check_batch,
     check_config,
     init_recurrent,
     next_trials,
+    response_rows,
     scan,
     scan_backward,
+    scatter_add,
     uniform_weights,
 )
 
@@ -97,23 +100,15 @@ class DktModel:
     def init_params(self, rng: np.random.Generator) -> Params:
         return init_params(self.config, rng, self.skill_table)
 
-    def step_inputs(self, params, skills, corrects):
-        """The step-input encoding (see model.OneHotInputs): the one-hot
-        response encoding, or in hybrid mode HybridInputs over
-        params["skill_table"]."""
-        cfg = self.config
-        if cfg.input_mode == "onehot":
-            return OneHotInputs(skills, corrects, cfg.num_skills)
-        return HybridInputs(
-            skills, corrects, params["skill_table"], cfg.hybrid_encoding == "signed"
-        )
-
     def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> BatchForward:
         cfg = self.config
         check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
+        inputs = None
+        if cfg.input_mode == "hybrid":
+            inputs = hybrid_rows(params["skill_table"], cfg.hybrid_encoding == "signed")
         hv, valid, scan_cache = scan(
-            params, "lstm", self.step_inputs(params, skills, corrects), lengths, cfg.keep_prob,
-            mode, rng,
+            params, "lstm", response_rows(skills, corrects, cfg.num_skills), lengths,
+            cfg.keep_prob, mode, rng, inputs,
         )
         q = next_trials(skills, len(valid))[valid]
         # Each valid cell reads one output unit, the next skill's row of out_w.
@@ -130,31 +125,15 @@ class DktModel:
         grads = scan_backward(dy[:, None] * params["out_w"][cache["q"] - 1], cache["scan"], params)
         grads["out_w"] = np.zeros_like(params["out_w"])
         grads["out_b"] = np.zeros_like(params["out_b"])
-        np.add.at(grads["out_w"], cache["q"] - 1, dy[:, None] * cache["hv"])
+        scatter_add(grads["out_w"], cache["q"] - 1, dy[:, None] * cache["hv"])
         np.add.at(grads["out_b"], cache["q"] - 1, dy)
         return grads
 
 
-class HybridInputs:
-    """Hybrid step inputs: a correctness block (the flag, or +/-1 when
-    signed, at index skill-1) followed by the skill's row of the frozen
-    table. x, project and project_grad follow model.OneHotInputs; here
-    both passes build x and take the dense product."""
-
-    def __init__(self, skills, corrects, table, signed: bool):
-        self.skills, self.corrects, self.table, self.signed = skills, corrects, table, signed
-
-    def x(self, j, rows):
-        n = len(self.table)
-        x = np.zeros((len(rows), n + self.table.shape[1]))
-        e = self.skills[rows, j]
-        c = self.corrects[rows, j]
-        x[np.arange(len(rows)), e - 1] = 2.0 * c - 1.0 if self.signed else c
-        x[:, n:] = self.table[e - 1]
-        return x
-
-    def project(self, wxT, j, rows):
-        return self.x(j, rows) @ wxT
-
-    def project_grad(self, d_wxT, dpre, j, rows):
-        d_wxT += self.x(j, rows).T @ dpre
+def hybrid_rows(table, signed: bool) -> np.ndarray:
+    """The (2N, N+d) hybrid input of each response, row skill-1 +
+    correct*N: a correctness block (the flag, or -1/+1 when signed, at
+    index skill-1) followed by the skill's row of the frozen table."""
+    n = len(table)
+    wrong = np.diag(np.full(n, -1.0 if signed else 0.0))
+    return np.block([[wrong, table], [np.eye(n), table]])

@@ -5,28 +5,28 @@ the unit sphere, and their dot product is the logit for the next response.
 All forward passes are batched over students with explicit validity masks;
 backward passes are hand-derived and exact for the masked objective (the
 cross-entropy summed over valid trials). The batched recurrent scan, its
-backward pass, the one-hot input encoding and the forward result are shared
-with the DKT baseline, which supplies only its hybrid input encoding and
-its output head.
+backward pass, the scatter-add and the forward result are shared with the
+DKT baseline, which supplies only its hybrid input rows and its output
+head.
 
-Only work a scored trial needs is done: each scan step runs the cell on the
-students still predicting, the cell takes its input as the projection
-x @ rnn_wx.T (a row gather for one-hot inputs, whose gradient is a
-scatter-add of the same rows), the gates use the tanh form of the
-logistic function, dropout draws only the scored cells, and scan hands
-the heads one row of recurrent output per scored cell, no padded
-(S, B, H) block.
+Only work a scored trial needs is done: a step input is one of 2N
+responses, so the scan projects one (2N, G*H) table of input projections
+per call and each step gathers its students' rows (the gradient is a
+scatter-add of the same rows), each step runs the cell on the students
+still predicting, the gates use the tanh form of the logistic function,
+dropout draws only the scored cells, and scan hands the heads one row of
+recurrent output per scored cell, no padded (S, B, H) block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from .metrics import binary_cross_entropy
 from .ops import dropout_mask, l2_normalize_rows, l2_normalize_rows_backward, sigmoid
-from .tables import has_type
+from .tables import check_types
 
 Params = dict[str, np.ndarray]
 
@@ -63,10 +63,8 @@ def check_config(config, **choices) -> None:
     type (a bool is not an int, and an int serves for a float), each field
     named in choices is one of its choices, keep_prob is in (0, 1],
     num_skills is at least 2 and every other field, a width, is positive."""
-    for name, kind in get_type_hints(type(config)).items():
+    for name in check_types(config):
         value = getattr(config, name)
-        if not has_type(value, kind):
-            raise ValueError(f"config field {name!r} must be of type {kind.__name__}, got {value!r}")
         if name in choices:
             ok, rule = value in choices[name], f"one of {choices[name]}"
         elif name == "keep_prob":
@@ -119,7 +117,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 
 # ---------------------------------------------------------------------------
 # Recurrent cells (batched over k rows: a is the (k, G*H) input projection
-# x @ wx.T of the step's inputs, states are (k, H))
+# of the step's inputs, states are (k, H))
 
 
 def _gate(u):
@@ -320,51 +318,36 @@ def next_trials(a: np.ndarray, s_steps: int) -> np.ndarray:
     return np.ascontiguousarray(a[:, 1 : s_steps + 1].T)
 
 
-class OneHotInputs:
-    """Step inputs for the 2N one-hot response encoding: position skill-1
-    flags a wrong answer, position skill-1+N a correct one.
-
-    Like every step-input encoding, x(j, rows) is step j's (len(rows), D)
-    input, one row per given row in that order. Given wxT, the contiguous
-    (D, G*H) transpose of rnn_wx, project(wxT, j, rows) is x(j, rows) @ wxT
-    and project_grad(d_wxT, dpre, j, rows) adds x(j, rows).T @ dpre into
-    d_wxT. Here wxT is an embedding table: project gathers its rows (equal
-    to the product bit for bit, a one-hot row adding only exact zeros) and
-    project_grad scatter-adds dpre's rows back, repeats accumulating. Only
-    the tests build x.
-    """
-
-    def __init__(self, skills, corrects, num_skills: int):
-        self.hot = skills - 1 + corrects * num_skills
-        self.width = 2 * num_skills
-
-    def x(self, j, rows):
-        x = np.zeros((len(rows), self.width))
-        x[np.arange(len(rows)), self.hot[rows, j]] = 1.0
-        return x
-
-    def project(self, wxT, j, rows):
-        return wxT[self.hot[rows, j]]
-
-    def project_grad(self, d_wxT, dpre, j, rows):
-        # Entry (hot, g) of the table is element hot * G*H + g; add.at on
-        # flat 1-d indices takes NumPy's fast path.
-        gh = dpre.shape[1]
-        at = (self.hot[rows, j] * gh)[:, None] + np.arange(gh)
-        np.add.at(d_wxT.reshape(-1), at.ravel(), dpre.ravel())
+def response_rows(skills, corrects, num_skills: int) -> np.ndarray:
+    """Each response's row among the 2N step inputs, skill-1 + correct*N:
+    the first N rows are wrong answers, the last N correct ones."""
+    return skills - 1 + corrects * num_skills
 
 
-def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode: str, rng):
+def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """table[index] += rows in place, repeated indices accumulating in
+    order: the 2-D np.add.at bit for bit, run as np.add.at on flat 1-d
+    indices, NumPy's fast path. table is a C-contiguous (M, W) array."""
+    w = table.shape[1]
+    at = (index * w)[:, None] + np.arange(w)
+    np.add.at(table.reshape(-1), at.ravel(), rows.ravel())
+
+
+def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: str, rng,
+         inputs=None):
     """Run the recurrent cell over a padded batch, packed: each step runs
     only the students that still predict a trial.
 
+    hot is the (B, T) array of response_rows, each naming one of the 2N
+    rows of inputs, the (2N, D) matrix of step inputs; None stands for
+    the identity, the one-hot encoding. The input projections
+    emb = inputs @ rnn_wx.T are taken once per call (for one-hot, a
+    contiguous copy of rnn_wx.T), and each step gathers its students'
+    rows of emb.
+
     The rows are sorted by length, longest first (a stable sort), so step j
     runs the cell on the first k_j sorted rows, k_j being the number of
-    students with j < length - 1; k_j never grows with j. inputs is a
-    step-input encoding such as OneHotInputs: the cell takes the input
-    projection inputs.project(wxT, j, rows) of the k_j rows, one row per
-    student in rows, in that order, wxT being one contiguous copy of
-    rnn_wx.T made per call.
+    students with j < length - 1; k_j never grows with j.
 
     Returns (hv, valid, cache): valid is the (S, B) mask of the cells that
     predict a trial, hv the (n, H) recurrent output of its n cells in the
@@ -373,7 +356,9 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
     cache feeds scan_backward (None in eval mode).
     """
     wh, b = params["rnn_wh"], params["rnn_b"]
-    wxT = np.ascontiguousarray(params["rnn_wx"].T)
+    emb = np.ascontiguousarray(params["rnn_wx"].T)
+    if inputs is not None:
+        emb = inputs @ emb
     bsz, hh = len(lengths), wh.shape[1]
     train = mode == "train"
     s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
@@ -388,7 +373,7 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
     c = np.zeros((bsz, hh))
     for j, k in enumerate(active):
         rows = order[:k]
-        a = inputs.project(wxT, j, rows)
+        a = emb[hot[rows, j]]
         if rnn_kind == "lstm":
             h, c, cell = lstm_cell(a, h[:k], c[:k], wh, b)
         else:
@@ -400,20 +385,20 @@ def scan(params: Params, rnn_kind: str, inputs, lengths, keep_prob: float, mode:
         return hv, valid, None
     mask = dropout_mask(hv.shape, keep_prob, rng)
     hv *= mask
-    return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "cells": cells, "mask": mask,
-                       "order": order, "active": active, "at": at}
+    return hv, valid, {"rnn_kind": rnn_kind, "hot": hot, "inputs": inputs, "emb": emb,
+                       "cells": cells, "mask": mask, "order": order, "active": active, "at": at}
 
 
 def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
     """Gradients of rnn_wx, rnn_wh and rnn_b given d_hv, the (n, H)
     gradient on scan's output hv, walking scan's packed steps in reverse.
-    Step j hands dpre, the gradient on its input projection, to
-    inputs.project_grad, which adds x.T @ dpre to a (D, G*H) table;
-    rnn_wx's gradient is that table's transpose."""
+    Step j scatter-adds dpre, the gradient on its gathered rows of emb,
+    into one (2N, G*H) table d_emb; rnn_wx's gradient is the transpose of
+    d_emb for one-hot inputs, or of inputs.T @ d_emb."""
     wh = params["rnn_wh"]
-    d_wxT = np.zeros(params["rnn_wx"].shape[::-1])
+    d_emb = np.zeros_like(cache["emb"])
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wh", "rnn_b")}
-    order, at = cache["order"], cache["at"]
+    hot, order, at = cache["hot"], cache["order"], cache["at"]
     # Packed-order gradients on the recurrent state; rows a later step did
     # not run stay zero.
     dh_rec = np.zeros((len(order), wh.shape[1]))
@@ -428,10 +413,12 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
             )
         else:
             dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
-        cache["inputs"].project_grad(d_wxT, dpre, j, order[:k])
+        scatter_add(d_emb, hot[order[:k], j], dpre)
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
-    return {"rnn_wx": np.ascontiguousarray(d_wxT.T), **grads}
+    if cache["inputs"] is not None:
+        d_emb = cache["inputs"].T @ d_emb
+    return {"rnn_wx": np.ascontiguousarray(d_emb.T), **grads}
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +482,8 @@ def forward_batch(
     check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
     table, skill_cache = encode_skill_table(params)
     hv, valid, scan_cache = scan(
-        params, config.rnn_kind, OneHotInputs(skills, corrects, config.num_skills),
-        lengths, config.keep_prob, mode, rng,
+        params, config.rnn_kind, response_rows(skills, corrects, config.num_skills), lengths,
+        config.keep_prob, mode, rng,
     )
     q = next_trials(skills, len(valid))[valid]
     kv = hv @ params["proj_w"].T + params["proj_b"]
@@ -517,7 +504,7 @@ def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Pa
     dy = fwd.logit_grad()[:, None]
     dks = dy * cache["sv"]
     d_table = np.zeros_like(fwd.skill_table)
-    np.add.at(d_table, cache["q"] - 1, dy * cache["kv"])
+    scatter_add(d_table, cache["q"] - 1, dy * cache["kv"])
     grads = scan_backward(dks @ params["proj_w"], cache["scan"], params)
     grads["proj_w"] = dks.T @ cache["hv"]
     grads["proj_b"] = dks.sum(axis=0)

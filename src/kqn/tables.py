@@ -13,7 +13,7 @@ import json
 import os
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -56,6 +56,19 @@ def has_type(value, kind) -> bool:
     if isinstance(value, bool):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_types(config) -> dict:
+    """Refuse the first field of a dataclass config whose value fails
+    has_type for its annotated type; returns the field types by name."""
+    hints = get_type_hints(type(config))
+    for name, kind in hints.items():
+        value = getattr(config, name)
+        if not has_type(value, kind):
+            raise ValueError(
+                f"config field {name!r} must be of type {kind.__name__}, got {value!r}"
+            )
+    return hints
 
 
 def read_json_object(path, what: str) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .metrics import auc_scores, binary_cross_entropy
 from .model import KqnModel, ModelConfig, Params, batch_arrays
-from .tables import read_table, write_table
+from .tables import check_types, read_table, write_table
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
@@ -41,7 +41,10 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
+        check_types(self)
         _check_batch_size(self.batch_size)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs_validation < 1:
             raise ValueError("epochs_validation must be positive")
         if not np.isfinite(self.adam_alpha):

@@ -135,16 +135,76 @@ def kqn_gradient_errors(rnn_kind):
 
 
 # ---------------------------------------------------------------------------
+# Dense step inputs: the oracle for the response rows and the input-rows
+# matrix that scan gathers from
+
+
+def dense_inputs(model, params, skills, corrects):
+    """(B, T, D) step input of every response of a KqnModel or DktModel,
+    set cell by cell. One-hot (KQN, one-hot DKT): 2N entries, position
+    skill-1 flagging a wrong answer and skill-1+N a correct one. Hybrid
+    DKT: a correctness block (the flag, or -1/+1 when signed, at index
+    skill-1) followed by the skill's row of params["skill_table"]."""
+    cfg = model.config
+    n = cfg.num_skills
+    hybrid = model.name == "dkt" and cfg.input_mode == "hybrid"
+    table = params["skill_table"] if hybrid else None
+    bsz, t_max = skills.shape
+    x = np.zeros((bsz, t_max, n + table.shape[1] if hybrid else 2 * n))
+    for b in range(bsz):
+        for t in range(t_max):
+            e, c = int(skills[b, t]), int(corrects[b, t])
+            if not hybrid:
+                x[b, t, e - 1 + c * n] = 1.0
+                continue
+            x[b, t, e - 1] = 2 * c - 1 if cfg.hybrid_encoding == "signed" else c
+            x[b, t, n:] = table[e - 1]
+    return x
+
+
+def traced_scan(params, hot, lengths, inputs=None, seed=0):
+    """An LSTM's scan and scan_backward in train mode, keep_prob 1 and a
+    random gradient on hv, with spies on the cell. Returns, per step, the
+    running rows (longest first, a stable sort), the input projection the
+    cell took and the dpre its backward gave, then rnn_wx's gradient."""
+    import pytest
+
+    import kqn.model
+    from kqn.model import lstm_cell, lstm_cell_backward, scan, scan_backward
+
+    taken, dpres = [], []
+
+    def cell(a, *args):
+        taken.append(a)
+        return lstm_cell(a, *args)
+
+    def cell_backward(*args):
+        out = lstm_cell_backward(*args)
+        dpres.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kqn.model, "lstm_cell", cell)
+        mp.setattr(kqn.model, "lstm_cell_backward", cell_backward)
+        hv, valid, cache = scan(params, "lstm", hot, lengths, 1.0, "train", None, inputs)
+        grads = scan_backward(np.random.default_rng(seed).normal(size=hv.shape), cache, params)
+    order = np.argsort(-lengths, kind="stable")
+    rows = [order[:k] for k in valid.sum(axis=1)]
+    return rows, taken, dpres[::-1], grads["rnn_wx"]
+
+
+# ---------------------------------------------------------------------------
 # Step-at-a-time reference for the packed scan: every step runs on the whole
 # padded batch, finished students getting a zero input, the input projection
 # is the dense product x @ wx.T, every head runs inside the time loop on all
 # B cells of its step, one dropout mask is drawn per step for the rows still
 # running and every gradient is accumulated step by step, rnn_wx's as the
-# dense dpre.T @ x. The packed path keeps the per-cell arithmetic (its
-# one-hot gather equals the dense product bit for bit), so on the
-# tests' batches probabilities on valid cells agree bit for bit (a product
-# over one or two rows can take another BLAS kernel and differ in the last
-# bit). Its weight gradients sum over the running rows and valid cells only,
+# dense dpre.T @ x, x coming from dense_inputs. The packed path gathers
+# each step's projection from one product over the 2N input rows (for
+# one-hot, rnn_wx.T itself, equal to the dense product bit for bit), so on
+# the tests' batches probabilities on valid cells agree bit for bit (a
+# product over another row count can take another BLAS kernel and differ
+# in the last bit). Its weight gradients sum over the running rows and valid cells only,
 # in another order, so they agree to a relative SCAN_GRAD_RTOL.
 
 SCAN_GRAD_RTOL = 1e-13
@@ -153,17 +213,14 @@ SCAN_GRAD_RTOL = 1e-13
 def reference_step_loop(model, params, skills, corrects, lengths, rng):
     """Train-mode (probs, grads) of a KqnModel or DktModel, one step at a
     time."""
-    from kqn.model import OneHotInputs, encode_skill_table, gru_cell, gru_cell_backward
+    from kqn.model import encode_skill_table, gru_cell, gru_cell_backward
     from kqn.model import lstm_cell, lstm_cell_backward, skill_table_backward
     from kqn.ops import dropout_mask, sigmoid
 
     cfg = model.config
     kqn = model.name == "kqn"
     kind = cfg.rnn_kind if kqn else "lstm"
-    inputs = (
-        OneHotInputs(skills, corrects, cfg.num_skills) if kqn
-        else model.step_inputs(params, skills, corrects)
-    )
+    inputs = dense_inputs(model, params, skills, corrects)
     bsz, hh = len(lengths), params["rnn_wh"].shape[1]
     s_steps = int(lengths.max()) - 1
     table, skill_cache = encode_skill_table(params) if kqn else (None, None)
@@ -174,7 +231,7 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
     for j in range(s_steps):
         rows = np.flatnonzero(j < lengths - 1)
         x = np.zeros((bsz, wx.shape[1]))
-        x[rows] = inputs.x(j, rows)
+        x[rows] = inputs[rows, j]
         if kind == "lstm":
             h, c, cell = lstm_cell(x @ wx.T, h, c, wh, b)
         else:

@@ -453,6 +453,23 @@ class TestDistancesClusterAri:
         assert capsys.readouterr().err == f"error: {bad}: distance matrix entries must be finite\n"
         assert not (tmp_path / "c" / "dendrogram.csv").exists()
 
+    @pytest.mark.parametrize("command", ["cluster", "mantel"])
+    def test_header_only_distance_file_is_an_error(self, tmp_path, capsys, command):
+        # A file with no rows is a 0x0 matrix, refused by the point-count
+        # rule (cluster) or, against a 3-skill file, by the skill-set rule.
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text("skill\n")
+        good.write_text("skill,1,2,3\n1,0.0,1.0,2.0\n2,1.0,0.0,1.0\n3,2.0,1.0,0.0\n")
+        sources = (["--distances", str(bad)] if command == "cluster"
+                   else ["--distances-a", str(bad), "--distances-b", str(good)])
+        rc = main([command, "--out", str(tmp_path / "out"), *sources])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: need at least 2 points to cluster, got 0\n" if command == "cluster"
+            else f"error: {bad} and {good} cover different skill sets\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["distances", "cluster"])
     def test_rejects_baseline_checkpoint(self, ws, tmp_path, capsys, command):
         # The same check as heatmap's.

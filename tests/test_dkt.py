@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kqn.data import ResponseSequence
-from kqn.dkt import DktConfig, DktModel, init_params
-from kqn.model import batch_arrays, lstm_cell
+from kqn.dkt import DktConfig, DktModel, hybrid_rows, init_params
+from kqn.model import batch_arrays, lstm_cell, response_rows
 from kqn.ops import sigmoid
 from kqn.training import TrainConfig, train
 
-from helpers import assert_matches_step_loop, finite_diff, max_rel_err
+from helpers import (
+    SCAN_GRAD_RTOL,
+    assert_matches_step_loop,
+    dense_inputs,
+    finite_diff,
+    max_rel_err,
+    traced_scan,
+)
 
 TABLE_2X2 = np.array([[0.6, 0.8], [1.0, 0.0]])
 
@@ -32,13 +41,17 @@ def hybrid_model(encoding="correctness"):
 
 
 def dkt_kqn_input(response, encoding="correctness"):
-    """Hybrid input vector of one (skill, correct) response, through the
-    batched step input."""
+    """Hybrid input vector of one (skill, correct) response: its response
+    row of the input-rows matrix, checked against the dense oracle."""
     skill, correct = response
     model = hybrid_model(encoding)
     params = model.init_params(np.random.default_rng(0))
-    inputs = model.step_inputs(params, np.array([[skill]]), np.array([[correct]]))
-    return inputs.x(0, np.array([0]))[0]
+    got = hybrid_rows(params["skill_table"], encoding == "signed")[
+        response_rows(skill, correct, 2)
+    ]
+    want = dense_inputs(model, params, np.array([[skill]]), np.array([[correct]]))[0, 0]
+    assert got.tobytes() == want.tobytes()
+    return got
 
 
 class TestHybridInput:
@@ -53,6 +66,38 @@ class TestHybridInput:
         right = dkt_kqn_input((2, 1), encoding="signed")
         assert_allclose(wrong, [-1.0, 0.0, 0.6, 0.8])
         assert_allclose(right, [0.0, 1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("encoding", ["correctness", "signed"])
+    @settings(deadline=None, max_examples=50)
+    @given(data=st.data())
+    def test_projection_matches_dense_product(self, encoding, data):
+        # scan projects the 2N input rows once and gathers them, so each
+        # step's input projection matches x @ wx.T within rounding, and
+        # rnn_wx's gradient, inputs.T @ the scattered table, matches the
+        # sum of the dense products x.T @ dpre.
+        n = data.draw(st.integers(2, 40), label="num_skills")
+        d = data.draw(st.integers(1, 16), label="table width")
+        hidden = data.draw(st.sampled_from([1, 5, 32]), label="hidden")
+        k = data.draw(st.integers(1, 30), label="students")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        config = DktConfig(num_skills=n, hidden=hidden, keep_prob=1.0, input_mode="hybrid",
+                           hybrid_encoding=encoding)
+        model = DktModel(config, skill_table=rng.random((n, d)))
+        params = model.init_params(rng)
+        lengths = rng.integers(2, 7, size=k)
+        skills = rng.integers(1, n + 1, size=(k, 6))
+        corrects = rng.integers(0, 2, size=(k, 6))
+        x = dense_inputs(model, params, skills, corrects)
+        inputs = hybrid_rows(params["skill_table"], encoding == "signed")
+        rows, taken, dpres, got = traced_scan(
+            params, response_rows(skills, corrects, n), lengths, inputs, seed=1
+        )
+        wx = params["rnn_wx"]
+        for j, (given_rows, a) in enumerate(zip(rows, taken)):
+            want_a = x[given_rows, j] @ wx.T
+            assert np.max(np.abs(a - want_a)) <= 1e-14 * max(np.max(np.abs(want_a)), 1.0)
+        want = sum(x[r, j].T @ dpre for j, (r, dpre) in enumerate(zip(rows, dpres))).T
+        assert np.max(np.abs(got - want)) <= SCAN_GRAD_RTOL * np.max(np.abs(want))
 
     def test_missing_skill_and_bad_encoding_raise(self):
         model = hybrid_model()
@@ -200,12 +245,15 @@ class TestDktForward:
 
 
 class TestDktGradients:
-    @pytest.mark.parametrize("input_mode", ["onehot", "hybrid"])
-    def test_backward_matches_finite_differences(self, input_mode):
+    @pytest.mark.parametrize("input_mode, encoding", [
+        ("onehot", "correctness"), ("hybrid", "correctness"), ("hybrid", "signed"),
+    ], ids=["onehot", "hybrid", "hybrid_signed"])
+    def test_backward_matches_finite_differences(self, input_mode, encoding):
         rng = np.random.default_rng(9)
         table = rng.normal(size=(4, 3))
         table = table / np.linalg.norm(table, axis=1, keepdims=True)
-        config = DktConfig(num_skills=4, hidden=5, keep_prob=1.0, input_mode=input_mode)
+        config = DktConfig(num_skills=4, hidden=5, keep_prob=1.0, input_mode=input_mode,
+                           hybrid_encoding=encoding)
         model = DktModel(config, skill_table=table if input_mode == "hybrid" else None)
         params = model.init_params(np.random.default_rng(10))
         seqs = random_sequences(np.random.default_rng(11), 3, 4, min_len=4, max_len=7)

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kqn.analysis import odds_ratio_identity
-from kqn.data import ResponseSequence
+from kqn.data import ResponseSequence, SyntheticSpec
 from kqn.dkt import DktConfig, DktModel
 from kqn.model import (
     BatchForward,
     KqnModel,
     ModelConfig,
-    OneHotInputs,
     _gate,
     batch_arrays,
     encode_skill_table,
@@ -23,17 +22,22 @@ from kqn.model import (
     init_params,
     lstm_cell,
     lstm_cell_backward,
+    response_rows,
+    scatter_add,
     skill_table_backward,
 )
 from kqn.ops import sigmoid
+from kqn.training import TrainConfig
 
 from helpers import (
     SCAN_GRAD_RTOL,
     assert_matches_step_loop,
     batch_arrays_loop,
+    dense_inputs,
     finite_diff,
     kqn_gradient_errors,
     max_rel_err,
+    traced_scan,
 )
 
 
@@ -50,9 +54,31 @@ def random_sequences(rng, count, num_skills, min_len=2, max_len=9):
 
 
 def encode_response(skill, correct, num_skills):
-    """One response through the batched one-hot step input."""
-    inputs = OneHotInputs(np.array([[skill]]), np.array([[correct]]), num_skills)
-    return inputs.x(0, np.array([0]))[0]
+    """One response's step input: its response row of the identity, the
+    matrix scan gathers from for one-hot inputs."""
+    return np.eye(2 * num_skills)[response_rows(np.array(skill), np.array(correct), num_skills)]
+
+
+def projection_draw(data, max_skills=130):
+    """A batch with repeated students and skills, its response rows, its
+    dense one-hot inputs and an LSTM's recurrent parameters, at gate
+    widths up to the paper-size LSTM's 512."""
+    n = data.draw(st.integers(1, max_skills), label="num_skills")
+    hh = data.draw(st.sampled_from([1, 3, 24, 128]), label="hidden")
+    k = data.draw(st.integers(1, 40), label="students")
+    distinct = data.draw(st.integers(1, n), label="skills drawn from")
+    repeat = data.draw(st.booleans(), label="every other student repeats the first")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, 6, size=k)
+    skills = rng.integers(1, distinct + 1, size=(k, 5))
+    corrects = rng.integers(0, 2, size=(k, 5))
+    if repeat:
+        skills[::2], corrects[::2] = skills[0], corrects[0]
+    config = ModelConfig(num_skills=max(n, 2), dim=2, rnn_hidden=hh, mlp_hidden=2)
+    params = init_params(config, rng)
+    x = dense_inputs(KqnModel(config), params, skills, corrects)
+    return params, response_rows(skills, corrects, config.num_skills), lengths, x
 
 
 class TestConfigTypes:
@@ -77,6 +103,25 @@ class TestConfigTypes:
             make()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: TrainConfig(batch_size=True), "batch_size"),
+        (lambda: TrainConfig(patience=2.5), "patience"),
+        (lambda: TrainConfig(epochs_validation=2.0), "epochs_validation"),
+        (lambda: TrainConfig(adam_alpha="0.1"), "adam_alpha"),
+        (lambda: TrainConfig(seed=1.5), "seed"),
+        (lambda: TrainConfig(seed=-1), "seed"),
+        (lambda: SyntheticSpec(num_students=2.0, num_skills=4, num_concepts=2,
+                               steps_per_student=3), "num_students"),
+        (lambda: SyntheticSpec(num_students=2, num_skills=4, num_concepts=2,
+                               steps_per_student=3, guess="0.1"), "guess"),
+    ], ids=["batch_size_bool", "patience_float", "epochs_float", "alpha_str", "seed_float",
+            "seed_negative", "students_float", "guess_str"])
+    def test_train_and_synthetic_configs_refuse_bad_fields(self, make, field):
+        # The same type rule as the model configs, before train() or the
+        # generator would fail on the value or use it silently.
+        with pytest.raises(ValueError, match=f"\\b{field}\\b"):
+            make()
+
     def test_an_int_serves_for_a_float(self):
         assert ModelConfig(num_skills=5, dim=4, keep_prob=1).keep_prob == 1
         assert DktConfig(num_skills=5, keep_prob=1).keep_prob == 1
@@ -84,10 +129,12 @@ class TestConfigTypes:
 
 class TestEncodeResponse:
     def test_wrong_answer_sets_low_half(self):
+        assert response_rows(np.array([1, 2]), np.array([0, 0]), 2).tolist() == [0, 1]
         assert_allclose(encode_response(1, 0, 2), [1.0, 0.0, 0.0, 0.0])
         assert_allclose(encode_response(2, 0, 2), [0.0, 1.0, 0.0, 0.0])
 
     def test_correct_answer_sets_high_half(self):
+        assert response_rows(np.array([1, 2]), np.array([1, 1]), 2).tolist() == [2, 3]
         assert_allclose(encode_response(1, 1, 2), [0.0, 0.0, 1.0, 0.0])
         assert_allclose(encode_response(2, 1, 2), [0.0, 0.0, 0.0, 1.0])
 
@@ -100,73 +147,64 @@ class TestEncodeResponse:
                 forward_batch(*batch_arrays([seq]), params, config)
 
     def test_one_input_row_per_given_row_in_order(self):
+        # Step j gathers hot[rows, j]: one row per given student, in the
+        # given order, each the identity row equal to the dense input.
         seqs = [
             ResponseSequence(0, ((2, 1), (1, 0))),
             ResponseSequence(1, ((1, 0),) * 3),
         ]
         skills, corrects, _ = batch_arrays(seqs)
-        inputs = OneHotInputs(skills, corrects, 2)
-        assert_allclose(inputs.x(0, np.array([1, 0])),
-                        [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-        assert_allclose(inputs.x(1, np.array([1])), [[1.0, 0.0, 0.0, 0.0]])
-        assert inputs.x(1, np.array([], dtype=int)).shape == (0, 4)
+        hot = response_rows(skills, corrects, 2)
+        assert hot[[1, 0], 0].tolist() == [0, 3]
+        assert hot[[1], 1].tolist() == [0]
+        assert hot[np.array([], dtype=int), 1].shape == (0,)
+        config = ModelConfig(num_skills=2, dim=2)
+        x = dense_inputs(KqnModel(config), None, skills, corrects)
+        assert np.eye(4)[hot].tobytes() == x.tobytes()
 
     @settings(deadline=None)
     @given(st.data())
     def test_projection_gather_equals_dense_product_bit_for_bit(self, data):
-        # The row gather that scan takes for x @ wx.T, over k = 1 and up,
-        # repeated skills and responses included, at gate widths up to the
-        # paper-size LSTM's 512.
-        n = data.draw(st.integers(1, 130), label="num_skills")
-        gates = data.draw(st.sampled_from([3, 4, 12, 96, 512]), label="gate width")
-        k = data.draw(st.integers(1, 40), label="rows")
-        distinct = data.draw(st.integers(1, n), label="skills drawn from")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng = np.random.default_rng(seed)
-        skills = rng.integers(1, distinct + 1, size=(k, 2))
-        corrects = rng.integers(0, 2, size=(k, 2))
-        # Every other student repeats the first one's responses.
-        skills[::2], corrects[::2] = skills[0], corrects[0]
-        wx = rng.normal(size=(gates, 2 * n))
-        inputs = OneHotInputs(skills, corrects, n)
-        rows = rng.permutation(k)
-        for j in range(2):
-            for given in (rows, rows[:1]):
-                want = inputs.x(j, given) @ wx.T
-                got = inputs.project(np.ascontiguousarray(wx.T), j, given)
-                assert got.tobytes() == want.tobytes()
+        # The row of rnn_wx.T that scan gathers for each running student
+        # is x @ wx.T bit for bit, a one-hot row adding only exact zeros,
+        # over k = 1 and up, repeated skills and responses included.
+        params, hot, lengths, x = projection_draw(data)
+        rows, taken, _, _ = traced_scan(params, hot, lengths)
+        wx = params["rnn_wx"]
+        assert len(taken) == len(rows) == lengths.max() - 1
+        for j, (given, a) in enumerate(zip(rows, taken)):
+            assert a.tobytes() == (x[given, j] @ wx.T).tobytes()
 
     @settings(deadline=None)
     @given(st.data())
     def test_projection_grad_equals_dense_product(self, data):
-        # The scatter-add that scan_backward takes for x.T @ dpre, added to
-        # a table that already holds a gradient. With no repeated response
-        # among the rows each entry gets one term, so the two agree bit for
-        # bit; repeats accumulate in another order.
-        n = data.draw(st.integers(1, 130), label="num_skills")
-        gates = data.draw(st.sampled_from([3, 4, 12, 96, 512]), label="gate width")
-        k = data.draw(st.integers(1, 40), label="students")
-        distinct = data.draw(st.integers(1, n), label="skills drawn from")
-        repeat = data.draw(st.booleans(), label="every other student repeats the first")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng = np.random.default_rng(seed)
-        skills = rng.integers(1, distinct + 1, size=(k, 2))
-        corrects = rng.integers(0, 2, size=(k, 2))
-        if repeat:
-            skills[::2], corrects[::2] = skills[0], corrects[0]
-        inputs = OneHotInputs(skills, corrects, n)
-        rows = rng.permutation(k)[: data.draw(st.integers(1, k), label="rows")]
-        start = rng.normal(size=(2 * n, gates))
-        dpre = rng.normal(size=(len(rows), gates))
-        for j in range(2):
-            want = start + inputs.x(j, rows).T @ dpre
-            got = start.copy()
-            inputs.project_grad(got, dpre, j, rows)
-            hot = inputs.hot[rows, j]
-            if len(np.unique(hot)) == len(hot):
-                assert got.tobytes() == want.tobytes()
-            else:
-                assert np.max(np.abs(got - want)) <= SCAN_GRAD_RTOL * np.max(np.abs(want))
+        # rnn_wx's gradient from the scatter-add of every step's dpre into
+        # one table is the sum of the dense products x.T @ dpre; repeated
+        # responses accumulate in another order.
+        params, hot, lengths, x = projection_draw(data)
+        rows, _, dpres, got = traced_scan(params, hot, lengths, seed=1)
+        want = sum(x[given, j].T @ dpre for j, (given, dpre) in enumerate(zip(rows, dpres))).T
+        assert np.max(np.abs(got - want)) <= SCAN_GRAD_RTOL * np.max(np.abs(want))
+
+
+class TestScatterAdd:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_equals_2d_add_at_bit_for_bit(self, data):
+        # A table that already holds values, indices repeated in any order.
+        m = data.draw(st.integers(1, 130), label="table rows")
+        w = data.draw(st.sampled_from([1, 3, 64, 128, 512]), label="width")
+        k = data.draw(st.integers(0, 300), label="rows added")
+        distinct = data.draw(st.integers(1, m), label="indices drawn from")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        start = rng.normal(size=(m, w)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+        index = rng.integers(0, distinct, size=k)
+        rows = rng.normal(size=(k, w))
+        want = start.copy()
+        np.add.at(want, index, rows)
+        got = start.copy()
+        scatter_add(got, index, rows)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGate:

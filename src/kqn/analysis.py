@@ -292,16 +292,17 @@ def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -
     distribution jointly permutes the second matrix's rows and columns,
     and p = (1 + #{permuted rho >= observed}) / (permutations + 1). A
     permuted upper triangle takes cells from both triangles of d2, which
-    DistanceMatrix makes equal bit for bit.
+    DistanceMatrix makes equal bit for bit. The permutation count is
+    checked before the matrices' point count and upper triangles.
     """
     v1, v2 = d1.values, d2.values
     if v1.shape != v2.shape:
         raise ValueError(f"matrices differ in size: {v1.shape} vs {v2.shape}")
+    if permutations < 1:
+        raise ValueError(f"permutations must be positive, got {permutations}")
     n = v1.shape[0]
     if n < 3:
         raise ValueError(f"Mantel test needs at least 3 points, got {n}")
-    if permutations < 1:
-        raise ValueError(f"permutations must be positive, got {permutations}")
     rng = np.random.default_rng(rng)
 
     iu = np.triu_indices(n, k=1)

@@ -66,6 +66,7 @@ from .dkt import HYBRID_ENCODINGS, INPUT_MODES, DktConfig, DktModel
 from .model import RNN_KINDS, KqnModel, ModelConfig, encode_skill_table
 from .tables import has_type, read_json_object, write_json, write_table
 from .training import (
+    SCORE_BLOCK,
     GridSpec,
     TrainConfig,
     evaluate,
@@ -208,8 +209,8 @@ def _load_parts(opts: dict):
 
 def _fit(opts: dict, model, parts, seed: int, metrics: Path, label: str):
     """Train model on the train and valid parts under the fit options and
-    seed, write its per-epoch metrics CSV and score the test part when
-    there is one. Prints one summary line after label and returns the
+    seed, write its per-epoch metrics CSV and score the test part, in
+    blocks of SCORE_BLOCK students, when there is one. Prints one summary line after label and returns the
     fitted parameters and the summary: best epoch, its validation AUC and
     the test AUC, loss and trial count."""
     train_ds, valid_ds, test_ds = parts
@@ -219,7 +220,7 @@ def _fit(opts: dict, model, parts, seed: int, metrics: Path, label: str):
     summary = {"best_epoch": best, "valid_auc": result.metrics.epochs[best - 1].valid_auc}
     if test_ds is not None:
         auc_value, loss_value, n_trials = evaluate(
-            model, result.params, test_ds.sequences, opts["batch_size"]
+            model, result.params, test_ds.sequences, SCORE_BLOCK
         )
         summary.update(test_auc=auc_value, test_loss=loss_value, test_trials=n_trials)
     print(
@@ -472,8 +473,16 @@ def cmd_mantel(opts: dict, outdir: Path) -> None:
     d1, ids_a = read_distance_csv(opts["distances_a"])
     d2, ids_b = read_distance_csv(opts["distances_b"])
     rows = _aligned(opts["distances_a"], ids_a, opts["distances_b"], ids_b)
-    result = mantel(d1, DistanceMatrix(d2.values[np.ix_(rows, rows)]),
-                    permutations=opts["permutations"], rng=opts["seed"])
+    try:
+        result = mantel(d1, DistanceMatrix(d2.values[np.ix_(rows, rows)]),
+                        permutations=opts["permutations"], rng=opts["seed"])
+    except ValueError as exc:
+        # The sizes match after _aligned, and mantel checks the permutation
+        # count, no fault of the files, before their skill count and upper
+        # triangles.
+        if opts["permutations"] < 1:
+            raise
+        raise ValueError(f"{opts['distances_a']} and {opts['distances_b']}: {exc}") from exc
     report = {
         "rho": result.rho,
         "p_value": result.p_value,

@@ -241,6 +241,8 @@ class SyntheticSpec:
             )
         if not 0.0 <= self.guess < 1.0:
             raise ValueError(f"guess must be in [0, 1), got {self.guess}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def concept_of_skill(skill: int, num_concepts: int) -> int:

@@ -31,6 +31,9 @@ from .tables import check_types
 Params = dict[str, np.ndarray]
 
 RNN_KINDS = ("lstm", "gru")
+# An eval-mode product whose row count follows the batch runs on at least
+# this many output cells (see min_rows).
+MIN_CELLS = 2048
 # Gate blocks along axis 0 of the stacked recurrent weights.
 _GATES = {"lstm": 4, "gru": 3}
 
@@ -333,6 +336,25 @@ def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(table.reshape(-1), at.ravel(), rows.ravel())
 
 
+def min_rows(width: int) -> int:
+    """The fewest rows an eval-mode product of output width `width` runs
+    on, so that its rows are the same bits at every batch size.
+
+    This OpenBLAS (scipy-openblas 0.3.31) sends a product of at most about
+    1200 output cells (rows * width), and any 1-row product, through
+    another kernel than larger ones, and their last bits differ; a
+    product of at least MIN_CELLS cells and 2 rows takes the same kernel
+    at every row count."""
+    return max(2, -(-MIN_CELLS // width))
+
+
+def pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
+    """x with zero rows appended up to `rows` rows; x itself if it has as many."""
+    if len(x) >= rows:
+        return x
+    return np.concatenate([x, np.zeros((rows - len(x), x.shape[1]))])
+
+
 def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: str, rng,
          inputs=None):
     """Run the recurrent cell over a padded batch, packed: each step runs
@@ -347,7 +369,14 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
 
     The rows are sorted by length, longest first (a stable sort), so step j
     runs the cell on the first k_j sorted rows, k_j being the number of
-    students with j < length - 1; k_j never grows with j.
+    students with j < length - 1; k_j never grows with j. The packed cells
+    are laid out step-major: step j's cells are the slice offs[j]:offs[j+1]
+    of packed_hot, their response rows, and perm maps each packed cell to
+    its row in the valid mask's row-major order.
+
+    In eval mode the cell runs on at least min_rows of its recurrent
+    product's width: the step's input is padded with zero rows, and the
+    state rows past k_j, which no scored cell reads, are carried along.
 
     Returns (hv, valid, cache): valid is the (S, B) mask of the cells that
     predict a trial, hv the (n, H) recurrent output of its n cells in the
@@ -361,32 +390,38 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
         emb = inputs @ emb
     bsz, hh = len(lengths), wh.shape[1]
     train = mode == "train"
+    lstm = rnn_kind == "lstm"
     s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
     valid = np.arange(s_steps)[:, None] < lengths - 1
-    # at[j, b] is the row of hv that holds valid cell (j, b).
-    at = np.cumsum(valid).reshape(valid.shape) - 1
     order = np.argsort(-lengths, kind="stable")
-    active = np.sum(valid, axis=1)
-    hv = np.empty((int(valid.sum()), hh))
+    packed = valid[:, order]
+    packed_hot = hot[order, :s_steps].T[packed]
+    perm = (np.cumsum(valid).reshape(valid.shape) - 1)[:, order][packed]
+    offs = np.concatenate([[0], np.cumsum(np.sum(valid, axis=1))]).tolist()
+    floor = 0 if train else min_rows(wh.shape[0] if lstm else hh)
+    packed_h = np.empty((len(perm), hh))
     cells = []
-    h = np.zeros((bsz, hh))
-    c = np.zeros((bsz, hh))
-    for j, k in enumerate(active):
-        rows = order[:k]
-        a = emb[hot[rows, j]]
-        if rnn_kind == "lstm":
-            h, c, cell = lstm_cell(a, h[:k], c[:k], wh, b)
+    h = np.zeros((max(bsz, floor), hh))
+    c = np.zeros_like(h)
+    for lo, hi in zip(offs[:-1], offs[1:]):
+        rows = max(hi - lo, floor)
+        a = pad_rows(emb[packed_hot[lo:hi]], rows)
+        if lstm:
+            h, c, cell = lstm_cell(a, h[:rows], c[:rows], wh, b)
         else:
-            h, cell = gru_cell(a, h[:k], wh, b)
-        hv[at[j, rows]] = h
+            h, cell = gru_cell(a, h[:rows], wh, b)
+        packed_h[lo:hi] = h[: hi - lo]
         if train:
             cells.append(cell)
+    hv = np.empty_like(packed_h)
+    hv[perm] = packed_h
+    del packed_h
     if not train:
         return hv, valid, None
     mask = dropout_mask(hv.shape, keep_prob, rng)
     hv *= mask
-    return hv, valid, {"rnn_kind": rnn_kind, "hot": hot, "inputs": inputs, "emb": emb,
-                       "cells": cells, "mask": mask, "order": order, "active": active, "at": at}
+    return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "emb": emb, "cells": cells,
+                       "mask": mask, "packed_hot": packed_hot, "perm": perm, "offs": offs}
 
 
 def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
@@ -398,22 +433,24 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
     wh = params["rnn_wh"]
     d_emb = np.zeros_like(cache["emb"])
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wh", "rnn_b")}
-    hot, order, at = cache["hot"], cache["order"], cache["at"]
-    # Packed-order gradients on the recurrent state; rows a later step did
-    # not run stay zero.
-    dh_rec = np.zeros((len(order), wh.shape[1]))
+    packed_hot, offs = cache["packed_hot"], cache["offs"]
+    # The gradient on hv in scan's step-major packed order.
+    d_h = (d_hv * cache["mask"])[cache["perm"]]
+    # Gradients on the recurrent state of the sorted rows; rows a later
+    # step did not run stay zero.
+    dh_rec = np.zeros((offs[1] if len(offs) > 1 else 0, wh.shape[1]))
     dc_rec = np.zeros_like(dh_rec)
-    d_h = d_hv * cache["mask"]
-    for j in reversed(range(len(cache["active"]))):
-        k = cache["active"][j]
-        dh = d_h[at[j, order[:k]]] + dh_rec[:k]
+    for j in reversed(range(len(offs) - 1)):
+        lo, hi = offs[j], offs[j + 1]
+        k = hi - lo
+        dh = d_h[lo:hi] + dh_rec[:k]
         if cache["rnn_kind"] == "lstm":
             dh_rec[:k], dc_rec[:k], dpre, dwh, db = lstm_cell_backward(
                 dh, dc_rec[:k], cache["cells"][j], wh
             )
         else:
             dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
-        scatter_add(d_emb, hot[order[:k], j], dpre)
+        scatter_add(d_emb, packed_hot[lo:hi], dpre)
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
     if cache["inputs"] is not None:
@@ -486,7 +523,9 @@ def forward_batch(
         config.keep_prob, mode, rng,
     )
     q = next_trials(skills, len(valid))[valid]
-    kv = hv @ params["proj_w"].T + params["proj_b"]
+    # In eval mode the projection runs on at least min_rows(d) rows.
+    rows = len(hv) if mode == "train" else min_rows(config.dim)
+    kv = (pad_rows(hv, rows) @ params["proj_w"].T)[: len(hv)] + params["proj_b"]
     sv = table[q - 1]
     cache = None
     if mode == "train":

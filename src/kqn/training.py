@@ -23,13 +23,18 @@ from .tables import check_types, read_table, write_table
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Students per eval-mode batch when train() validates and a fit scores its
+# test part. Scores do not depend on the batch (see model.min_rows), so
+# this bounds only memory.
+SCORE_BLOCK = 128
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and schedule settings.
 
-    epochs_validation is the epoch budget of train(); it is an upper
+    batch_size is the training batch only: validation and test are scored
+    in blocks of SCORE_BLOCK students. epochs_validation is the epoch budget of train(); it is an upper
     bound under early stopping (patience epochs without a validation-AUC
     improvement, best weights restored).
     """
@@ -213,7 +218,7 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
         train_loss = loss_total / max(trials_total, 1)
         with np.errstate(all="ignore"):
-            valid_auc, valid_loss, _ = evaluate(model, params, valid_kept, cfg.batch_size)
+            valid_auc, valid_loss, _ = evaluate(model, params, valid_kept, SCORE_BLOCK)
         if not np.isfinite(valid_loss):
             raise ValueError(f"training diverged: epoch {epoch} validation loss is {valid_loss}")
         records.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_auc=valid_auc))
@@ -236,10 +241,11 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
     return TrainResult(params=best_params, metrics=metrics)
 
 
-def evaluate(model, params: Params, sequences, batch_size: int = 128):
-    """Score sequences in eval mode; returns (auc, mean_loss, n_trials).
-    The loss is reduced once over every trial in student order, so
-    batch_size reaches it only through the logits."""
+def evaluate(model, params: Params, sequences, batch_size: int = SCORE_BLOCK):
+    """Score sequences in eval mode, batch_size students per forward pass;
+    returns (auc, mean_loss, n_trials). A student's eval-mode logits are
+    the same bits in any batch, and the loss is reduced once over every
+    trial in student order, so the result does not depend on batch_size."""
     _check_batch_size(batch_size)
     kept, _ = _scoreable(sequences)
     if not kept:

@@ -195,6 +195,27 @@ class TestHcluster:
             z = scipy_linkage(pdist(pts), method=method)
             assert_allclose(np.sort(dend.merges[:, 2]), np.sort(z[:, 2]), rtol=1e-8)
 
+    @pytest.mark.parametrize("method", LINKAGES)
+    @settings(deadline=None, max_examples=40)
+    @given(n=st.integers(4, 60), dim=st.integers(2, 16), copies=st.integers(2, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_duplicate_points_merge_at_scipy_heights_and_sizes(self, method, n, dim, copies,
+                                                               seed):
+        # Two or three identical skill vectors tie at distance zero. Which
+        # pair merges first may differ from SciPy's: a trained desk table
+        # held three, and centroid merged leaves (5, 19) where SciPy merged
+        # (19, 22). Every merge height and size still agrees.
+        rng = np.random.default_rng(seed)
+        v = np.abs(rng.normal(size=(n, dim)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        same = rng.choice(n, size=copies, replace=False)
+        v[same] = v[same[0]]
+        dmat = pairwise_distances(v, "euclidean")
+        ours = hcluster(dmat, method).merges
+        ref = scipy_linkage(squareform(dmat.values, checks=False), method=method)
+        assert_allclose(ours[:, 2], ref[:, 2], rtol=1e-9, atol=1e-12)
+        assert np.array_equal(ours[:, 3], ref[:, 3])
+
     @pytest.mark.parametrize("method", MONOTONE_LINKAGES)
     def test_flat_cuts_match_scipy(self, method):
         rng = np.random.default_rng(6)

@@ -165,3 +165,30 @@ def test_evaluate_passes_the_evaluation_check_on_skewed_lengths(tmp_path):
         trials = checks.evaluation(tmp_path / f"eval_{command}", checkpoint,
                                    tmp_path / "split" / "test.txt", 3, fit_auc)
         assert trials == sum(lengths) - len(lengths)
+
+
+def test_evaluate_passes_the_evaluation_check_on_a_desk_shaped_run(tmp_path):
+    # Equal lengths and the desk widths (H=32, a fit at batch size 16):
+    # the fit scores its 200 test students in one block of SCORE_BLOCK and
+    # one of 72, evaluate in batches of 3, the last of 2 students, so its
+    # products run on as few as 2 rows before the row floor.
+    checks = load_perfbench("checks")
+    main = importlib.import_module("kqn.cli").main
+    assert main(["synth", "--out", str(tmp_path / "synth"), "--students", "400", "--skills",
+                 "50", "--concepts", "5", "--steps", "12", "--seed", "6"]) == 0
+    assert main(["split", "--out", str(tmp_path / "split"), "--data",
+                 str(tmp_path / "synth" / "data.txt"), "--tv-ratio", "0.5", "--seed", "6"]) == 0
+    test = tmp_path / "split" / "test.txt"
+    assert kqn.data.load_dataset(test).num_students == 200
+    parts = [f"--{p}={tmp_path / 'split' / p}.txt" for p in ("train", "valid", "test")]
+    fit = [*parts, "--epochs", "1", "--batch-size", "16", "--alpha", "0.003"]
+    assert main(["train", "--out", str(tmp_path / "train"), *fit, "--dim", "16",
+                 "--rnn-hidden", "32", "--mlp-hidden", "32"]) == 0
+    assert main(["dkt", "--out", str(tmp_path / "dkt"), *fit, "--hidden", "32"]) == 0
+    for command in ("train", "dkt"):
+        fit_auc = checks.fit(tmp_path / command, command, 1)
+        checkpoint = tmp_path / command / "checkpoint.json"
+        assert main(["evaluate", "--out", str(tmp_path / f"eval_{command}"), "--checkpoint",
+                     str(checkpoint), "--data", str(test), "--batch-size", "3"]) == 0
+        trials = checks.evaluation(tmp_path / f"eval_{command}", checkpoint, test, 3, fit_auc)
+        assert trials == 200 * 11

@@ -250,6 +250,32 @@ class TestEvaluate:
         assert report["trials"] == n_trials == sum(
             len(seq.responses) - 1 for seq in test_ds.sequences)
 
+    def test_fit_test_scores_equal_evaluate_at_any_batch_size(self, tmp_path):
+        # The fit scores its test part in blocks of SCORE_BLOCK students,
+        # evaluate in batches of --batch-size; lengths from 2 to 40 and
+        # widths the row floor pads make the batches differ step by step.
+        run("synth", "--out", tmp_path / "synth", "--students", 150, "--skills", 30,
+            "--concepts", 2, "--steps", 40, "--seed", 6)
+        rng = np.random.default_rng(7)
+        ds = load_dataset(tmp_path / "synth" / "data.txt")
+        cut = [ResponseSequence(s.student_id, s.responses[: int(rng.integers(2, 41))])
+               for s in ds.sequences]
+        parts = {}
+        for part, seqs in (("train", cut[:40]), ("valid", cut[40:50]), ("test", cut[50:])):
+            parts[part] = tmp_path / f"{part}.txt"
+            kqn.data.save_dataset(kqn.data.Dataset(part, 30, tuple(seqs)), parts[part])
+        run("train", "--out", tmp_path / "fit", *[f"--{p}={path}" for p, path in parts.items()],
+            "--dim", 8, "--rnn-hidden", 32, "--mlp-hidden", 8, "--batch-size", 16,
+            "--epochs", 1, "--alpha", 0.05)
+        fit = json.loads((tmp_path / "fit" / "eval.json").read_text())["repeats"][0]
+        for size in (1, 7):
+            run("evaluate", "--out", tmp_path / f"eval{size}", "--checkpoint",
+                tmp_path / "fit" / "checkpoint.json", "--data", parts["test"],
+                "--batch-size", size)
+            report = json.loads((tmp_path / f"eval{size}" / "eval.json").read_text())
+            assert (report["auc"], report["loss"], report["trials"]) == \
+                (fit["test_auc"], fit["test_loss"], fit["test_trials"])
+
     @pytest.mark.parametrize("size", [0, -3])
     def test_batch_size_must_be_positive(self, ws, tmp_path, capsys, size):
         rc = main(["evaluate", "--out", str(tmp_path / "out"), "--checkpoint",
@@ -661,6 +687,32 @@ class TestMantelSensitivity:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bad}: distance matrix entries must be finite\n"
         assert not (tmp_path / "m" / "mantel.json").exists()
+
+    def mantel_error(self, tmp_path, capsys, text_a, text_b, *flags):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(text_a)
+        b.write_text(text_b)
+        rc = main(["mantel", "--out", str(tmp_path / "m"), "--distances-a", str(a),
+                   "--distances-b", str(b), *flags])
+        assert rc == 1
+        assert not (tmp_path / "m").exists()
+        return capsys.readouterr().err, a, b
+
+    def test_too_few_skills_names_both_files(self, tmp_path, capsys):
+        err, a, b = self.mantel_error(tmp_path, capsys, "skill\n", "skill\n")
+        assert err == f"error: {a} and {b}: Mantel test needs at least 3 points, got 0\n"
+
+    def test_constant_upper_triangle_names_both_files(self, tmp_path, capsys):
+        flat = "skill,1,2,3\n1,0.0,1.0,1.0\n2,1.0,0.0,1.0\n3,1.0,1.0,0.0\n"
+        err, a, b = self.mantel_error(tmp_path, capsys, DISTANCES_123, flat)
+        assert err == f"error: {a} and {b}: constant upper triangle; correlation is undefined\n"
+
+    def test_zero_permutations_blames_no_file(self, tmp_path, capsys):
+        # Checked before the files' contents, so two header-only files get
+        # the same error.
+        for text in (DISTANCES_123, "skill\n"):
+            err, _, _ = self.mantel_error(tmp_path, capsys, text, text, "--permutations", "0")
+            assert err == "error: permutations must be positive, got 0\n"
 
     def test_nan_skill_vector_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

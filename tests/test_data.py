@@ -19,6 +19,7 @@ from kqn.data import (
     save_dataset,
     serialize_triplets,
 )
+from kqn.training import TrainConfig
 
 SAMPLE = """3
 1,2,3
@@ -226,6 +227,16 @@ class TestSyntheticGenerator:
             SyntheticSpec(num_students=1, num_skills=5, num_concepts=6, steps_per_student=5)
         with pytest.raises(ValueError):
             SyntheticSpec(num_students=1, num_skills=5, num_concepts=2, steps_per_student=5, guess=1.0)
+
+    def test_negative_seed_is_refused_by_name(self):
+        # As TrainConfig refuses it, before NumPy's seeding would fail
+        # without naming the field.
+        for make in (lambda: SyntheticSpec(num_students=2, num_skills=4, num_concepts=2,
+                                           steps_per_student=3, seed=-1),
+                     lambda: TrainConfig(seed=-1)):
+            with pytest.raises(ValueError) as exc:
+                make()
+            assert str(exc.value) == "seed must be >= 0, got -1"
 
 
 class TestSequenceTypes:

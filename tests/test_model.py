@@ -673,6 +673,49 @@ class TestFullGradient:
         assert max(errors.values()) <= 1e-4, errors
 
 
+class TestBatchInvariance:
+    """A student's eval-mode probabilities are the same bits scored alone,
+    in any batch and at any position: every product whose row count
+    follows the batch runs on at least min_rows rows. The widths straddle
+    that floor: at H=8 or d=8 nearly every product is padded, at H=128 and
+    d=64 only the steps the long student runs alone or with a few others."""
+
+    VARIANTS = ("lstm", "gru", "onehot", "correctness", "signed")
+
+    @staticmethod
+    def make(variant, n, hidden, dim, rng):
+        if variant in ("lstm", "gru"):
+            return KqnModel(ModelConfig(num_skills=n, dim=dim, rnn_kind=variant,
+                                        rnn_hidden=hidden, mlp_hidden=hidden))
+        if variant == "onehot":
+            return DktModel(DktConfig(num_skills=n, hidden=hidden))
+        config = DktConfig(num_skills=n, hidden=hidden, input_mode="hybrid",
+                           hybrid_encoding=variant)
+        return DktModel(config, skill_table=rng.random((n, dim)))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_probs_do_not_depend_on_the_batch(self, data):
+        variant = data.draw(st.sampled_from(self.VARIANTS), label="model")
+        hidden = data.draw(st.sampled_from([8, 32, 128]), label="hidden")
+        dim = data.draw(st.sampled_from([8, 16, 64]), label="dim")
+        n = data.draw(st.integers(2, 12), label="skills")
+        size = data.draw(st.integers(1, 40), label="batch size")
+        position = data.draw(st.integers(0, size - 1), label="position")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        model = self.make(variant, n, hidden, dim, rng)
+        params = model.init_params(rng)
+        lengths = rng.integers(2, 13, size=size)
+        lengths[rng.integers(size)] = rng.integers(30, 81)
+        seqs = [ResponseSequence(b, np.column_stack((rng.integers(1, n + 1, t),
+                                                     rng.integers(0, 2, t))))
+                for b, t in enumerate(lengths)]
+        steps = lengths[position] - 1
+        alone = model.forward(params, *batch_arrays([seqs[position]])).probs[:, 0]
+        batched = model.forward(params, *batch_arrays(seqs)).probs[:steps, position]
+        assert batched.tobytes() == alone.tobytes()
+
+
 class TestScanMemory:
     """scan hands the heads one row per scored cell and draws dropout on
     those rows only, and the query model keeps one knowledge state per

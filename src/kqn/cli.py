@@ -210,9 +210,10 @@ def _load_parts(opts: dict):
 def _fit(opts: dict, model, parts, seed: int, metrics: Path, label: str):
     """Train model on the train and valid parts under the fit options and
     seed, write its per-epoch metrics CSV and score the test part, in
-    blocks of SCORE_BLOCK students, when there is one. Prints one summary line after label and returns the
-    fitted parameters and the summary: best epoch, its validation AUC and
-    the test AUC, loss and trial count."""
+    blocks of SCORE_BLOCK students, when there is one. Prints one summary
+    line after label and returns the fitted parameters and the summary:
+    best epoch, its validation AUC and the test AUC, loss and trial
+    count."""
     train_ds, valid_ds, test_ds = parts
     result = train(model, train_ds.sequences, valid_ds.sequences, _train_config(opts, seed))
     write_metrics_csv(metrics, result.metrics.epochs)

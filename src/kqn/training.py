@@ -34,9 +34,10 @@ class TrainConfig:
     """Optimizer and schedule settings.
 
     batch_size is the training batch only: validation and test are scored
-    in blocks of SCORE_BLOCK students. epochs_validation is the epoch budget of train(); it is an upper
-    bound under early stopping (patience epochs without a validation-AUC
-    improvement, best weights restored).
+    in blocks of SCORE_BLOCK students. epochs_validation is the epoch
+    budget of train(); it is an upper bound under early stopping
+    (patience epochs without a validation-AUC improvement, best weights
+    restored).
     """
 
     batch_size: int = 128

@@ -243,6 +243,12 @@ class SyntheticSpec:
             raise ValueError(f"guess must be in [0, 1), got {self.guess}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("ability_mean", "ability_std", "difficulty_mean", "difficulty_std"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name.endswith("_std") and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def concept_of_skill(skill: int, num_concepts: int) -> int:

@@ -31,9 +31,6 @@ from .tables import check_types
 Params = dict[str, np.ndarray]
 
 RNN_KINDS = ("lstm", "gru")
-# An eval-mode product whose row count follows the batch runs on at least
-# this many output cells (see min_rows).
-MIN_CELLS = 2048
 # Gate blocks along axis 0 of the stacked recurrent weights.
 _GATES = {"lstm": 4, "gru": 3}
 
@@ -336,18 +333,6 @@ def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(table.reshape(-1), at.ravel(), rows.ravel())
 
 
-def min_rows(width: int) -> int:
-    """The fewest rows an eval-mode product of output width `width` runs
-    on, so that its rows are the same bits at every batch size.
-
-    This OpenBLAS (scipy-openblas 0.3.31) sends a product of at most about
-    1200 output cells (rows * width), and any 1-row product, through
-    another kernel than larger ones, and their last bits differ; a
-    product of at least MIN_CELLS cells and 2 rows takes the same kernel
-    at every row count."""
-    return max(2, -(-MIN_CELLS // width))
-
-
 def pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
     """x with zero rows appended up to `rows` rows; x itself if it has as many."""
     if len(x) >= rows:
@@ -374,9 +359,15 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     of packed_hot, their response rows, and perm maps each packed cell to
     its row in the valid mask's row-major order.
 
-    In eval mode the cell runs on at least min_rows of its recurrent
-    product's width: the step's input is padded with zero rows, and the
-    state rows past k_j, which no scored cell reads, are carried along.
+    Every forward product reads its weight as a C-contiguous (in, out)
+    matrix: emb, and the contiguous transpose of rnn_wh, whose .T view the
+    cells take (the GRU reads its r, z and candidate blocks as column
+    blocks of it). In that layout every row of a product of 2 or more rows
+    is the same bits at any row count on the OpenBLAS measured
+    (scipy-openblas 0.3.31), but NumPy runs a 1-row product as a
+    matrix-vector call whose bits differ. So in eval mode a step that runs
+    one student runs on 2 rows: its input is padded with a zero row, and
+    the state rows past k_j, which no scored cell reads, are carried along.
 
     Returns (hv, valid, cache): valid is the (S, B) mask of the cells that
     predict a trial, hv the (n, H) recurrent output of its n cells in the
@@ -384,7 +375,7 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     drawn in that order, so only scored cells consume the generator;
     cache feeds scan_backward (None in eval mode).
     """
-    wh, b = params["rnn_wh"], params["rnn_b"]
+    wh, b = np.ascontiguousarray(params["rnn_wh"].T).T, params["rnn_b"]
     emb = np.ascontiguousarray(params["rnn_wx"].T)
     if inputs is not None:
         emb = inputs @ emb
@@ -398,7 +389,7 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     packed_hot = hot[order, :s_steps].T[packed]
     perm = (np.cumsum(valid).reshape(valid.shape) - 1)[:, order][packed]
     offs = np.concatenate([[0], np.cumsum(np.sum(valid, axis=1))]).tolist()
-    floor = 0 if train else min_rows(wh.shape[0] if lstm else hh)
+    floor = 0 if train else 2
     packed_h = np.empty((len(perm), hh))
     cells = []
     h = np.zeros((max(bsz, floor), hh))
@@ -514,7 +505,10 @@ def forward_batch(
 
     Student b contributes predictions for j in 0..lengths[b]-2; the head
     runs on those valid cells only, and all other positions are masked out
-    by `valid` and excluded from loss and gradients.
+    by `valid` and excluded from loss and gradients. The head's projection
+    reads proj_w as a C-contiguous (in, out) matrix and, in eval mode,
+    runs a 1-row product on 2 rows, as scan does, so a student's eval-mode
+    probabilities are the same bits in any batch.
     """
     check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
     table, skill_cache = encode_skill_table(params)
@@ -523,9 +517,9 @@ def forward_batch(
         config.keep_prob, mode, rng,
     )
     q = next_trials(skills, len(valid))[valid]
-    # In eval mode the projection runs on at least min_rows(d) rows.
-    rows = len(hv) if mode == "train" else min_rows(config.dim)
-    kv = (pad_rows(hv, rows) @ params["proj_w"].T)[: len(hv)] + params["proj_b"]
+    rows = len(hv) if mode == "train" else 2
+    proj = np.ascontiguousarray(params["proj_w"].T)
+    kv = (pad_rows(hv, rows) @ proj)[: len(hv)] + params["proj_b"]
     sv = table[q - 1]
     cache = None
     if mode == "train":

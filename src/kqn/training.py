@@ -24,7 +24,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Students per eval-mode batch when train() validates and a fit scores its
-# test part. Scores do not depend on the batch (see model.min_rows), so
+# test part. Scores do not depend on the batch (see model.scan), so
 # this bounds only memory.
 SCORE_BLOCK = 128
 

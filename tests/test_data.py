@@ -238,6 +238,19 @@ class TestSyntheticGenerator:
                 make()
             assert str(exc.value) == "seed must be >= 0, got -1"
 
+    @pytest.mark.parametrize("field, value, rule", [
+        (field, value, "finite")
+        for field in ("ability_mean", "ability_std", "difficulty_mean", "difficulty_std")
+        for value in (float("nan"), float("inf"), float("-inf"))
+    ] + [("ability_std", -0.5, ">= 0"), ("difficulty_std", -0.5, ">= 0")])
+    def test_bad_distribution_parameter_is_refused_by_name(self, field, value, rule):
+        # A NaN std gave every response flag 0, and a negative one failed
+        # inside NumPy's normal draw without naming the field.
+        with pytest.raises(ValueError) as exc:
+            SyntheticSpec(num_students=3, num_skills=4, num_concepts=2, steps_per_student=5,
+                          **{field: value})
+        assert str(exc.value) == f"{field} must be {rule}, got {value}"
+
 
 class TestSequenceTypes:
     def test_length_property_and_counts(self):

@@ -20,11 +20,13 @@ from kqn.model import (
     gru_cell,
     gru_cell_backward,
     init_params,
+    init_recurrent,
     lstm_cell,
     lstm_cell_backward,
     response_rows,
     scatter_add,
     skill_table_backward,
+    uniform_weights,
 )
 from kqn.ops import sigmoid
 from kqn.training import TrainConfig
@@ -673,12 +675,40 @@ class TestFullGradient:
         assert max(errors.values()) <= 1e-4, errors
 
 
+class TestRowBits:
+    """The BLAS property the eval-mode floor of 2 rows rests on. With each
+    weight laid out as scan and forward_batch read it, a C-contiguous
+    (in, out) matrix or a column block of one, every row of a product of 2
+    to 300 rows is the same bits as the same row of a 1024-row product.
+    The (out, in) layout read as x @ w.T does not have the property: at
+    inner width 32 and output width 128 its products of up to 9 rows
+    differ in the last bit."""
+
+    @pytest.mark.parametrize("hidden", [8, 32, 128])
+    def test_rows_are_the_same_bits_at_every_row_count(self, hidden):
+        rng = np.random.default_rng(hidden)
+        lstm = np.ascontiguousarray(init_recurrent(rng, "lstm", hidden, 2)["rnn_wh"].T)
+        gru = np.ascontiguousarray(init_recurrent(rng, "gru", hidden, 2)["rnn_wh"].T)
+        operands = {"lstm": lstm}
+        for g, gate in enumerate("rzn"):
+            operands[f"gru_{gate}"] = gru[:, g * hidden : (g + 1) * hidden]
+        for dim in (8, 16, 32, 64):
+            operands[f"head_{dim}"] = np.ascontiguousarray(uniform_weights(rng, dim, hidden).T)
+        x = rng.uniform(-1.0, 1.0, size=(1024, hidden))
+        for name, w in operands.items():
+            full = x @ w
+            differ = [k for k in range(2, 301) if (x[:k] @ w).tobytes() != full[:k].tobytes()]
+            assert not differ, (name, differ[:5])
+
+
 class TestBatchInvariance:
     """A student's eval-mode probabilities are the same bits scored alone,
-    in any batch and at any position: every product whose row count
-    follows the batch runs on at least min_rows rows. The widths straddle
-    that floor: at H=8 or d=8 nearly every product is padded, at H=128 and
-    d=64 only the steps the long student runs alone or with a few others."""
+    in any batch and at any position. Every eval-mode product reads its
+    weight as a C-contiguous (in, out) matrix, whose rows are the same
+    bits at every row count from 2 up (TestRowBits), and a step or head
+    product of one row runs on 2, zero-padded. The batches mix short
+    students with a long one, so a step's row count falls to 1, and the
+    widths span small products (H=8, d=8) and large ones (H=128, d=64)."""
 
     VARIANTS = ("lstm", "gru", "onehot", "correctness", "signed")
 
@@ -693,20 +723,9 @@ class TestBatchInvariance:
                            hybrid_encoding=variant)
         return DktModel(config, skill_table=rng.random((n, dim)))
 
-    @settings(deadline=None)
-    @given(st.data())
-    def test_probs_do_not_depend_on_the_batch(self, data):
-        variant = data.draw(st.sampled_from(self.VARIANTS), label="model")
-        hidden = data.draw(st.sampled_from([8, 32, 128]), label="hidden")
-        dim = data.draw(st.sampled_from([8, 16, 64]), label="dim")
-        n = data.draw(st.integers(2, 12), label="skills")
-        size = data.draw(st.integers(1, 40), label="batch size")
-        position = data.draw(st.integers(0, size - 1), label="position")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    def assert_invariant(self, variant, n, hidden, dim, lengths, position, rng):
         model = self.make(variant, n, hidden, dim, rng)
         params = model.init_params(rng)
-        lengths = rng.integers(2, 13, size=size)
-        lengths[rng.integers(size)] = rng.integers(30, 81)
         seqs = [ResponseSequence(b, np.column_stack((rng.integers(1, n + 1, t),
                                                      rng.integers(0, 2, t))))
                 for b, t in enumerate(lengths)]
@@ -714,6 +733,32 @@ class TestBatchInvariance:
         alone = model.forward(params, *batch_arrays([seqs[position]])).probs[:, 0]
         batched = model.forward(params, *batch_arrays(seqs)).probs[:steps, position]
         assert batched.tobytes() == alone.tobytes()
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_probs_do_not_depend_on_the_batch(self, data):
+        variant = data.draw(st.sampled_from(self.VARIANTS), label="model")
+        hidden = data.draw(st.sampled_from([8, 32, 64, 128]), label="hidden")
+        dim = data.draw(st.sampled_from([8, 16, 32, 64]), label="dim")
+        n = data.draw(st.integers(2, 12), label="skills")
+        size = data.draw(st.integers(1, 40), label="batch size")
+        position = data.draw(st.integers(0, size - 1), label="position")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        lengths = rng.integers(2, 13, size=size)
+        lengths[rng.integers(size)] = rng.integers(30, 81)
+        self.assert_invariant(variant, n, hidden, dim, lengths, position, rng)
+
+    @pytest.mark.parametrize("variant, n, hidden, dim", [
+        ("lstm", 50, 32, 16), ("gru", 50, 32, 8), ("onehot", 50, 32, 8),  # desk, analysis
+        ("lstm", 124, 128, 64), ("gru", 124, 128, 32), ("onehot", 124, 128, 8),  # paper
+    ])
+    def test_benchmark_shapes(self, variant, n, hidden, dim):
+        # The others finish first, so the long student's steps run on
+        # fewer and fewer rows, down to 1 for its last 19 steps.
+        rng = np.random.default_rng(hidden + dim)
+        lengths = rng.integers(2, 61, size=40)
+        lengths[7] = 80
+        self.assert_invariant(variant, n, hidden, dim, lengths, 7, rng)
 
 
 class TestScanMemory:

@@ -16,6 +16,19 @@ scatter-add of the same rows), each step runs the cell on the students
 still predicting, the gates use the tanh form of the logistic function,
 dropout draws only the scored cells, and scan hands the heads one row of
 recurrent output per scored cell, no padded (S, B, H) block.
+
+The cells work on the stacked gate block. A logistic gate is
+0.5 + 0.5*tanh(u/2); fold_gates halves its columns of the input
+projections, the recurrent weights and the bias once per scan, so a
+step runs one tanh over the stacked block and one in-place scale and
+offset, 0.5 and 0.5 on a logistic block, 1.0 and -0.0 on a tanh block.
+The backward keeps the forward's tanh(c) and r*h_prev. Every probability
+and gradient keeps the bits of the unfolded cells: halving is exact, 0.5
+being a power of two; adding -0.0 is the identity, where +0.0 would
+turn a -0.0 into +0.0; and every product keeps the operands and layout
+it had. That last rule is why the GRU keeps one product per gate: on the
+OpenBLAS measured (scipy-openblas 0.3.31), one product with its (H, 2H)
+r|z block gives other bits than two (H, H) products at some widths.
 """
 from __future__ import annotations
 
@@ -31,7 +44,8 @@ from .tables import check_types
 Params = dict[str, np.ndarray]
 
 RNN_KINDS = ("lstm", "gru")
-# Gate blocks along axis 0 of the stacked recurrent weights.
+# Gate blocks along axis 0 of the stacked recurrent weights. Block 2, the
+# LSTM's g and the GRU's candidate n, is a tanh; the others are logistic.
 _GATES = {"lstm": 4, "gru": 3}
 
 
@@ -117,104 +131,145 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 
 # ---------------------------------------------------------------------------
 # Recurrent cells (batched over k rows: a is the (k, G*H) input projection
-# of the step's inputs, states are (k, H))
+# of the step's inputs, states are (k, H)). The forward cells take their
+# operands folded by fold_gates, once per scan; the backward cells take
+# rnn_wh as stored and give gradients for the unfolded parameters.
 
 
-def _gate(u):
-    """The logistic function as 0.5 + 0.5*tanh(u/2), one transcendental per
-    entry: in [0, 1] and within 2**-52 of ops.sigmoid (exactly 0 below
-    about -38). The probabilities, which AUC ranks, keep ops.sigmoid."""
-    t = np.tanh(0.5 * u)
-    t *= 0.5
-    t += 0.5
+def fold_gates(rnn_kind: str, emb, rnn_wh, rnn_b):
+    """The operands of one scan's forward cells: (emb, operands), emb the
+    (M, G*H) input projection rows and operands the cell's arguments after
+    its state, (wh, b, scale, offset) for the LSTM and (wh,) for the GRU.
+
+    A logistic gate is 0.5 + 0.5*tanh(u/2). Its column block of emb, of
+    the C-contiguous (H, G*H) transpose of rnn_wh (so every product reads
+    an (in, out) matrix) and of rnn_b is halved here, exactly (a power of
+    two), and _gate finishes with scale 0.5 and offset 0.5; a tanh block
+    keeps scale 1.0 and offset -0.0. The GRU adds its bias to the input
+    projection before anything else, so its folded bias is added to emb
+    here; the LSTM adds it last, so its cell takes it."""
+    hh = rnn_wh.shape[1]
+    logistic = np.repeat(np.arange(_GATES[rnn_kind]) != 2, hh)
+    scale = np.where(logistic, 0.5, 1.0)
+    wh = np.ascontiguousarray(rnn_wh.T) * scale
+    emb = emb * scale
+    b = rnn_b * scale
+    if rnn_kind == "gru":
+        emb += b
+        return emb, (wh,)
+    return emb, (wh, b, scale, np.where(logistic, 0.5, -0.0))
+
+
+def _gate(t, scale, offset):
+    """The gate nonlinearity over a folded pre-activation block t, in
+    place: tanh, then t*scale + offset. On a block folded by 0.5 with
+    scale and offset 0.5 it is the logistic function 0.5 + 0.5*tanh(u/2),
+    one transcendental per entry, in [0, 1] and within 2**-52 of
+    ops.sigmoid (exactly 0 below about -38); the probabilities, which AUC
+    ranks, keep ops.sigmoid. With scale 1.0 and offset -0.0 it is tanh
+    bit for bit: adding -0.0 is the identity, where +0.0 would turn a
+    -0.0 into +0.0."""
+    np.tanh(t, out=t)
+    t *= scale
+    t += offset
     return t
 
 
-def lstm_cell(a, h_prev, c_prev, wh, b):
-    """One LSTM step. Gate order along the stacked axis is i, f, g, o."""
+def lstm_cell(a, h_prev, c_prev, wh, b, scale, offset):
+    """One LSTM step on the operands of fold_gates. Gate order along the
+    stacked axis is i, f, g, o, and one _gate pass covers all four."""
     hh = h_prev.shape[1]
-    pre = a + h_prev @ wh.T + b
-    i_f = _gate(pre[:, : 2 * hh])
-    i, f = i_f[:, :hh], i_f[:, hh:]
-    g = np.tanh(pre[:, 2 * hh : 3 * hh])
-    o = _gate(pre[:, 3 * hh :])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    cache = (h_prev, c_prev, i, f, g, o, c)
+    act = h_prev @ wh
+    act += a
+    act += b
+    _gate(act, scale, offset)
+    i, f, g, o = act[:, :hh], act[:, hh : 2 * hh], act[:, 2 * hh : 3 * hh], act[:, 3 * hh :]
+    c = f * c_prev
+    c += i * g
+    tc = np.tanh(c)
+    h = o * tc
+    cache = (h_prev, c_prev, act, tc)
     return h, c, cache
 
 
 def lstm_cell_backward(dh, dc_next, cache, wh):
-    """Backward through one LSTM step.
+    """Backward through one LSTM step, wh being rnn_wh as stored.
 
     Returns (dh_prev, dc_prev, dpre, dwh, db), dpre being the gradient on
-    the input projection a. dh is the gradient arriving at h from this
-    step's output, dc_next the one arriving at c from the following step.
+    the (unfolded) input projection a. dh is the gradient arriving at h
+    from this step's output, dc_next the one arriving at c from the
+    following step. The logistic gates' derivative, (d*x)*(1-x), runs
+    over the whole stacked block; the g block is then overwritten with
+    its tanh derivative.
     """
-    h_prev, c_prev, i, f, g, o, c = cache
-    tc = np.tanh(c)
-    do = dh * tc
-    dc = dc_next + dh * o * (1.0 - tc * tc)
-    di = dc * g
-    df = dc * c_prev
+    h_prev, c_prev, act, tc = cache
+    hh = h_prev.shape[1]
+    i, f, g, o = act[:, :hh], act[:, hh : 2 * hh], act[:, 2 * hh : 3 * hh], act[:, 3 * hh :]
+    dc = dh * o
+    dc *= 1.0 - tc * tc
+    dc += dc_next
     dg = dc * i
-    dc_prev = dc * f
-    dpre = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=1,
-    )
+    dg *= 1.0 - g * g
+    dpre = np.concatenate([dc * g, dc * c_prev, dg, dh * tc], axis=1)
+    dc *= f
+    dpre *= act
+    dpre *= 1.0 - act
+    dpre[:, 2 * hh : 3 * hh] = dg
     dwh = dpre.T @ h_prev
     db = dpre.sum(axis=0)
     dh_prev = dpre @ wh
-    return dh_prev, dc_prev, dpre, dwh, db
+    return dh_prev, dc, dpre, dwh, db
 
 
-def gru_cell(a, h_prev, wh, b):
-    """One GRU step, candidate gated as tanh(Wx + U(r*h_prev)).
+def gru_cell(a, h_prev, wh):
+    """One GRU step on the operands of fold_gates (a holds the bias),
+    candidate gated as tanh(Wx + U(r*h_prev)).
 
     Gate order along the stacked axis is r, z, n, and the new state is
-    z*h_prev + (1-z)*n.
+    z*h_prev + (1-z)*n. r and z each take their own product with an
+    (H, H) column block of wh, as the unfolded cell did: on the OpenBLAS
+    measured, one product with the (H, 2H) r|z block gives other bits at
+    some widths (H = 17 to 19, at any row count).
     """
     hh = h_prev.shape[1]
-    a = a + b
-    r = _gate(a[:, :hh] + h_prev @ wh[:hh].T)
-    z = _gate(a[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)
+    r = h_prev @ wh[:, :hh]
+    r += a[:, :hh]
+    _gate(r, 0.5, 0.5)
+    z = h_prev @ wh[:, hh : 2 * hh]
+    z += a[:, hh : 2 * hh]
+    _gate(z, 0.5, 0.5)
     rh = r * h_prev
-    n = np.tanh(a[:, 2 * hh :] + rh @ wh[2 * hh :].T)
-    h = z * h_prev + (1.0 - z) * n
-    cache = (h_prev, r, z, n)
+    n = rh @ wh[:, 2 * hh :]
+    n += a[:, 2 * hh :]
+    np.tanh(n, out=n)
+    h = z * h_prev
+    h += (1.0 - z) * n
+    cache = (h_prev, r, z, n, rh)
     return h, cache
 
 
 def gru_cell_backward(dh, cache, wh):
-    """Backward through one GRU step. Returns (dh_prev, dpre, dwh, db),
-    dpre being the gradient on the input projection a."""
-    h_prev, r, z, n = cache
+    """Backward through one GRU step, wh being rnn_wh as stored. Returns
+    (dh_prev, dpre, dwh, db), dpre being the gradient on the (unfolded)
+    input projection a."""
+    h_prev, r, z, n, rh = cache
     hh = h_prev.shape[1]
     dz = dh * (h_prev - n)
-    dn = dh * (1.0 - z)
+    dan = dh * (1.0 - z)
+    dan *= 1.0 - n * n
     dh_prev = dh * z
-
-    dan = dn * (1.0 - n * n)
-    rh = r * h_prev
-    dwh_n = dan.T @ rh
     drh = dan @ wh[2 * hh :]
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    dar = dr * r * (1.0 - r)
-    daz = dz * z * (1.0 - z)
-    dwh_r = dar.T @ h_prev
-    dwh_z = daz.T @ h_prev
-    dh_prev = dh_prev + dar @ wh[:hh] + daz @ wh[hh : 2 * hh]
-
-    dpre = np.concatenate([dar, daz, dan], axis=1)
-    dwh = np.concatenate([dwh_r, dwh_z, dwh_n], axis=0)
+    dar = drh * h_prev
+    drh *= r
+    dh_prev += drh
+    dar *= r
+    dar *= 1.0 - r
+    dz *= z
+    dz *= 1.0 - z
+    dwh = np.concatenate([dar.T @ h_prev, dz.T @ h_prev, dan.T @ rh])
+    dh_prev += dar @ wh[:hh]
+    dh_prev += dz @ wh[hh : 2 * hh]
+    dpre = np.concatenate([dar, dz, dan], axis=1)
     db = dpre.sum(axis=0)
     return dh_prev, dpre, dwh, db
 
@@ -350,7 +405,8 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     the identity, the one-hot encoding. The input projections
     emb = inputs @ rnn_wx.T are taken once per call (for one-hot, a
     contiguous copy of rnn_wx.T), and each step gathers its students'
-    rows of emb.
+    rows of emb. fold_gates folds the logistic gates' 0.5 into emb and
+    the cell's weights once per call.
 
     The rows are sorted by length, longest first (a stable sort), so step j
     runs the cell on the first k_j sorted rows, k_j being the number of
@@ -360,9 +416,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     its row in the valid mask's row-major order.
 
     Every forward product reads its weight as a C-contiguous (in, out)
-    matrix: emb, and the contiguous transpose of rnn_wh, whose .T view the
-    cells take (the GRU reads its r, z and candidate blocks as column
-    blocks of it). In that layout every row of a product of 2 or more rows
+    matrix: emb, and the contiguous transpose of rnn_wh that the cells
+    take (the GRU reads its r, z and candidate blocks as column blocks of
+    it). In that layout every row of a product of 2 or more rows
     is the same bits at any row count on the OpenBLAS measured
     (scipy-openblas 0.3.31), but NumPy runs a 1-row product as a
     matrix-vector call whose bits differ. So in eval mode a step that runs
@@ -375,11 +431,11 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     drawn in that order, so only scored cells consume the generator;
     cache feeds scan_backward (None in eval mode).
     """
-    wh, b = np.ascontiguousarray(params["rnn_wh"].T).T, params["rnn_b"]
     emb = np.ascontiguousarray(params["rnn_wx"].T)
     if inputs is not None:
         emb = inputs @ emb
-    bsz, hh = len(lengths), wh.shape[1]
+    emb, operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])
+    bsz, hh = len(lengths), params["rnn_wh"].shape[1]
     train = mode == "train"
     lstm = rnn_kind == "lstm"
     s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
@@ -398,9 +454,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
         rows = max(hi - lo, floor)
         a = pad_rows(emb[packed_hot[lo:hi]], rows)
         if lstm:
-            h, c, cell = lstm_cell(a, h[:rows], c[:rows], wh, b)
+            h, c, cell = lstm_cell(a, h[:rows], c[:rows], *operands)
         else:
-            h, cell = gru_cell(a, h[:rows], wh, b)
+            h, cell = gru_cell(a, h[:rows], *operands)
         packed_h[lo:hi] = h[: hi - lo]
         if train:
             cells.append(cell)

@@ -62,6 +62,10 @@ class TrainConfig:
 
 
 def _check_batch_size(size: int) -> None:
+    """Refuse a batch size that is not a positive integer. A Python or
+    NumPy integer serves; a bool or a float (even 2.0) does not."""
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+        raise ValueError(f"batch_size must be a positive integer, got {size!r}")
     if size < 1:
         raise ValueError(f"batch_size must be positive, got {size}")
 

@@ -166,7 +166,8 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
     """An LSTM's scan and scan_backward in train mode, keep_prob 1 and a
     random gradient on hv, with spies on the cell. Returns, per step, the
     running rows (longest first, a stable sort), the input projection the
-    cell took and the dpre its backward gave, then rnn_wx's gradient."""
+    cell took, unfolded (fold_gates' halving undone, exactly), and the dpre
+    its backward gave, then rnn_wx's gradient."""
     import pytest
 
     import kqn.model
@@ -174,9 +175,9 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
 
     taken, dpres = [], []
 
-    def cell(a, *args):
-        taken.append(a)
-        return lstm_cell(a, *args)
+    def cell(a, h_prev, c_prev, wh, b, scale, offset):
+        taken.append(a / scale)
+        return lstm_cell(a, h_prev, c_prev, wh, b, scale, offset)
 
     def cell_backward(*args):
         out = lstm_cell_backward(*args)
@@ -191,6 +192,128 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
     order = np.argsort(-lengths, kind="stable")
     rows = [order[:k] for k in valid.sum(axis=1)]
     return rows, taken, dpres[::-1], grads["rnn_wx"]
+
+
+# ---------------------------------------------------------------------------
+# Reference recurrent cells: the unfolded kernels, one gate at a time, kept
+# verbatim as the bit-exact oracle of model.py's stacked-gate kernels. They
+# take a, wh and b unfolded, wh being the (G*H, H) recurrent weight; scan
+# gave them wh as the .T view of its C-contiguous transpose. The folded_*
+# wrappers run the model's forward cells on the same unfolded operands,
+# folded by model.fold_gates as scan folds them.
+
+
+def folded_lstm_cell(a, h_prev, c_prev, wh, b):
+    from kqn.model import fold_gates, lstm_cell
+
+    a, operands = fold_gates("lstm", a, wh, b)
+    return lstm_cell(a, h_prev, c_prev, *operands)
+
+
+def folded_gru_cell(a, h_prev, wh, b):
+    from kqn.model import fold_gates, gru_cell
+
+    a, operands = fold_gates("gru", a, wh, b)
+    return gru_cell(a, h_prev, *operands)
+
+
+def reference_gate(u):
+    """The logistic function as 0.5 + 0.5*tanh(u/2), one transcendental per
+    entry: in [0, 1] and within 2**-52 of ops.sigmoid (exactly 0 below
+    about -38). The probabilities, which AUC ranks, keep ops.sigmoid."""
+    t = np.tanh(0.5 * u)
+    t *= 0.5
+    t += 0.5
+    return t
+
+
+def reference_lstm_cell(a, h_prev, c_prev, wh, b):
+    """One LSTM step. Gate order along the stacked axis is i, f, g, o."""
+    hh = h_prev.shape[1]
+    pre = a + h_prev @ wh.T + b
+    i_f = reference_gate(pre[:, : 2 * hh])
+    i, f = i_f[:, :hh], i_f[:, hh:]
+    g = np.tanh(pre[:, 2 * hh : 3 * hh])
+    o = reference_gate(pre[:, 3 * hh :])
+    c = f * c_prev + i * g
+    h = o * np.tanh(c)
+    cache = (h_prev, c_prev, i, f, g, o, c)
+    return h, c, cache
+
+
+def reference_lstm_cell_backward(dh, dc_next, cache, wh):
+    """Backward through one LSTM step.
+
+    Returns (dh_prev, dc_prev, dpre, dwh, db), dpre being the gradient on
+    the input projection a. dh is the gradient arriving at h from this
+    step's output, dc_next the one arriving at c from the following step.
+    """
+    h_prev, c_prev, i, f, g, o, c = cache
+    tc = np.tanh(c)
+    do = dh * tc
+    dc = dc_next + dh * o * (1.0 - tc * tc)
+    di = dc * g
+    df = dc * c_prev
+    dg = dc * i
+    dc_prev = dc * f
+    dpre = np.concatenate(
+        [
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ],
+        axis=1,
+    )
+    dwh = dpre.T @ h_prev
+    db = dpre.sum(axis=0)
+    dh_prev = dpre @ wh
+    return dh_prev, dc_prev, dpre, dwh, db
+
+
+def reference_gru_cell(a, h_prev, wh, b):
+    """One GRU step, candidate gated as tanh(Wx + U(r*h_prev)).
+
+    Gate order along the stacked axis is r, z, n, and the new state is
+    z*h_prev + (1-z)*n.
+    """
+    hh = h_prev.shape[1]
+    a = a + b
+    r = reference_gate(a[:, :hh] + h_prev @ wh[:hh].T)
+    z = reference_gate(a[:, hh : 2 * hh] + h_prev @ wh[hh : 2 * hh].T)
+    rh = r * h_prev
+    n = np.tanh(a[:, 2 * hh :] + rh @ wh[2 * hh :].T)
+    h = z * h_prev + (1.0 - z) * n
+    cache = (h_prev, r, z, n)
+    return h, cache
+
+
+def reference_gru_cell_backward(dh, cache, wh):
+    """Backward through one GRU step. Returns (dh_prev, dpre, dwh, db),
+    dpre being the gradient on the input projection a."""
+    h_prev, r, z, n = cache
+    hh = h_prev.shape[1]
+    dz = dh * (h_prev - n)
+    dn = dh * (1.0 - z)
+    dh_prev = dh * z
+
+    dan = dn * (1.0 - n * n)
+    rh = r * h_prev
+    dwh_n = dan.T @ rh
+    drh = dan @ wh[2 * hh :]
+    dr = drh * h_prev
+    dh_prev = dh_prev + drh * r
+
+    dar = dr * r * (1.0 - r)
+    daz = dz * z * (1.0 - z)
+    dwh_r = dar.T @ h_prev
+    dwh_z = daz.T @ h_prev
+    dh_prev = dh_prev + dar @ wh[:hh] + daz @ wh[hh : 2 * hh]
+
+    dpre = np.concatenate([dar, daz, dan], axis=1)
+    dwh = np.concatenate([dwh_r, dwh_z, dwh_n], axis=0)
+    db = dpre.sum(axis=0)
+    return dh_prev, dpre, dwh, db
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +336,7 @@ SCAN_GRAD_RTOL = 1e-13
 def reference_step_loop(model, params, skills, corrects, lengths, rng):
     """Train-mode (probs, grads) of a KqnModel or DktModel, one step at a
     time."""
-    from kqn.model import encode_skill_table, gru_cell, gru_cell_backward
-    from kqn.model import lstm_cell, lstm_cell_backward, skill_table_backward
+    from kqn.model import encode_skill_table, skill_table_backward
     from kqn.ops import dropout_mask, sigmoid
 
     cfg = model.config
@@ -233,9 +355,9 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
         x = np.zeros((bsz, wx.shape[1]))
         x[rows] = inputs[rows, j]
         if kind == "lstm":
-            h, c, cell = lstm_cell(x @ wx.T, h, c, wh, b)
+            h, c, cell = reference_lstm_cell(x @ wx.T, h, c, wh, b)
         else:
-            h, cell = gru_cell(x @ wx.T, h, wh, b)
+            h, cell = reference_gru_cell(x @ wx.T, h, wh, b)
         # Dropout draws only the running rows, in batch order.
         mask = np.zeros((bsz, hh))
         mask[rows] = dropout_mask((len(rows), hh), cfg.keep_prob, rng)
@@ -272,9 +394,9 @@ def reference_step_loop(model, params, skills, corrects, lengths, rng):
             dhd = dyj * params["out_w"][q - 1]
         dh = dhd * mask + dh_rec
         if kind == "lstm":
-            dh_rec, dc_rec, dpre, dwh, db = lstm_cell_backward(dh, dc_rec, cell, wh)
+            dh_rec, dc_rec, dpre, dwh, db = reference_lstm_cell_backward(dh, dc_rec, cell, wh)
         else:
-            dh_rec, dpre, dwh, db = gru_cell_backward(dh, cell, wh)
+            dh_rec, dpre, dwh, db = reference_gru_cell_backward(dh, cell, wh)
         grads["rnn_wx"] += dpre.T @ x
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import kqn
 from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
-from kqn.model import ModelConfig, batch_arrays, forward_batch, init_params
+from kqn.model import KqnModel, ModelConfig, batch_arrays, forward_batch, init_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("ops", "metrics", "model", "dkt", "data", "checkpoint", "training", "analysis", "cli")
@@ -81,13 +82,15 @@ def test_file_hooks_find_the_written_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f.__name__ for f in calls)
 
 
-def test_install_traces_dkt_through_the_shared_scan():
+def traced_train_step(model):
+    """Span names, with their counts, of one traced train-mode forward and
+    backward of model on a batch of 3 packed steps (lengths 4 and 3), and
+    whether every traced binding was restored afterwards."""
     modules = kqn_modules()
     tracer = tracing.Tracer()
     before = {(home, attr): getattr(modules[home], attr) for home, attr, _, _ in tracing.TARGETS}
     tracer.install(modules)
     try:
-        model = DktModel(DktConfig(num_skills=3, hidden=4, keep_prob=0.5))
         params = model.init_params(np.random.default_rng(0))
         arrays = batch_arrays([
             ResponseSequence(0, [(e, e % 2) for e in (1, 3, 2, 2)]),
@@ -99,12 +102,31 @@ def test_install_traces_dkt_through_the_shared_scan():
         tracer.active = False
     finally:
         tracer.uninstall()
-    names = {span["name"] for span in tracer.export()}
-    assert {"dkt.forward.train", "dkt.backward", "model.lstm_cell",
-            "model.lstm_cell_backward", "ops.dropout_mask"} <= names
-    assert not names & {"dkt.lstm_cell", "dkt.lstm_cell_backward"}
-    for (home, attr), original in before.items():
-        assert getattr(modules[home], attr) is original
+    names = Counter(span["name"] for span in tracer.export())
+    restored = all(getattr(modules[home], attr) is original
+                   for (home, attr), original in before.items())
+    return names, restored
+
+
+def test_install_traces_dkt_through_the_shared_scan():
+    # The cells are traced by their module-global names, so each packed
+    # step must call them there: a scan that inlined a cell would record
+    # no span for it.
+    names, restored = traced_train_step(DktModel(DktConfig(num_skills=3, hidden=4, keep_prob=0.5)))
+    assert {"dkt.forward.train", "dkt.backward", "ops.dropout_mask"} <= set(names)
+    assert names["model.lstm_cell"] == names["model.lstm_cell_backward"] == 3
+    assert not set(names) & {"dkt.lstm_cell", "dkt.lstm_cell_backward"}
+    assert restored
+
+
+def test_install_traces_the_gru_cells_once_per_step():
+    config = ModelConfig(num_skills=3, dim=2, rnn_kind="gru", rnn_hidden=4, mlp_hidden=2,
+                         keep_prob=0.5)
+    names, restored = traced_train_step(KqnModel(config))
+    assert {"model.forward_batch.train", "model.backward_batch"} <= set(names)
+    assert names["model.gru_cell"] == names["model.gru_cell_backward"] == 3
+    assert not set(names) & {"model.lstm_cell", "model.lstm_cell_backward"}
+    assert restored
 
 
 def test_fit_reports_have_the_layout_the_checks_read(tmp_path):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel, hybrid_rows, init_params
-from kqn.model import batch_arrays, lstm_cell, response_rows
+from kqn.model import batch_arrays, response_rows
 from kqn.ops import sigmoid
 from kqn.training import TrainConfig, train
 
@@ -15,6 +15,7 @@ from helpers import (
     assert_matches_step_loop,
     dense_inputs,
     finite_diff,
+    folded_lstm_cell,
     max_rel_err,
     traced_scan,
 )
@@ -198,7 +199,7 @@ class TestDktForward:
             x = np.zeros((1, 6))
             x[0, skill - 1 + correct * 3] = 1.0
             proj = x @ params["rnn_wx"].T
-            h, c, _ = lstm_cell(proj, h, c, params["rnn_wh"], params["rnn_b"])
+            h, c, _ = folded_lstm_cell(proj, h, c, params["rnn_wh"], params["rnn_b"])
             a = h @ params["out_w"].T + params["out_b"]
             next_skill, next_correct = seq.responses[j + 1]
             assert_allclose(fwd.probs[j, 0], sigmoid(float(a[0, next_skill - 1])), rtol=1e-12)

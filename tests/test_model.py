@@ -16,12 +16,11 @@ from kqn.model import (
     _gate,
     batch_arrays,
     encode_skill_table,
+    fold_gates,
     forward_batch,
-    gru_cell,
     gru_cell_backward,
     init_params,
     init_recurrent,
-    lstm_cell,
     lstm_cell_backward,
     response_rows,
     scatter_add,
@@ -37,8 +36,15 @@ from helpers import (
     batch_arrays_loop,
     dense_inputs,
     finite_diff,
+    folded_gru_cell,
+    folded_lstm_cell,
     kqn_gradient_errors,
     max_rel_err,
+    reference_gate,
+    reference_gru_cell,
+    reference_gru_cell_backward,
+    reference_lstm_cell,
+    reference_lstm_cell_backward,
     traced_scan,
 )
 
@@ -210,19 +216,128 @@ class TestScatterAdd:
 
 
 class TestGate:
-    def test_tanh_form_is_the_sigmoid_within_one_ulp_of_one(self):
-        # The error is absolute: below about -38 the tanh form is exactly 0
-        # while the sigmoid is still positive.
+    def test_folded_logistic_is_the_sigmoid_within_one_ulp_of_one(self):
+        # On a block folded by 0.5, scale and offset 0.5 give the tanh form
+        # of the logistic function. The error is absolute: below about -38
+        # the tanh form is exactly 0 while the sigmoid is still positive.
         rng = np.random.default_rng(41)
         u = np.concatenate([
             rng.uniform(-1e3, 1e3, 200_000), rng.normal(0.0, 5.0, 200_000),
             np.linspace(-60.0, 60.0, 240_001), [-1e3, 1e3, -np.inf, np.inf, 0.0, -0.0],
         ])
         with np.errstate(all="raise"):
-            g = _gate(u)
+            g = _gate(0.5 * u, 0.5, 0.5)
         assert g.min() >= 0.0 and g.max() <= 1.0
         assert np.max(np.abs(g - sigmoid(u))) <= 2.0 ** -52
-        assert _gate(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+        assert g.tobytes() == reference_gate(u).tobytes()
+        assert _gate(np.array([-np.inf, np.inf]), 0.5, 0.5).tolist() == [0.0, 1.0]
+
+    def test_tanh_block_is_tanh_bit_for_bit(self):
+        # Scale 1.0 and offset -0.0 leave tanh's bits, the sign of zero
+        # included; offset +0.0 would turn tanh(-0.0) = -0.0 into +0.0.
+        rng = np.random.default_rng(42)
+        u = np.concatenate([rng.normal(0.0, 3.0, 10_000), [0.0, -0.0, -np.inf, np.inf, -1e-300]])
+        assert _gate(u.copy(), 1.0, -0.0).tobytes() == np.tanh(u).tobytes()
+        assert np.signbit(_gate(np.array([-0.0]), 1.0, -0.0)).tolist() == [True]
+        assert np.signbit(_gate(np.array([-0.0]), 1.0, 0.0)).tolist() == [False]
+
+    @pytest.mark.parametrize("rnn_kind", ["lstm", "gru"])
+    def test_fold_halves_only_the_logistic_blocks(self, rnn_kind):
+        # fold_gates' emb, weights and bias are the stored ones, transposed
+        # for the weights, with each logistic block halved; the GRU's emb
+        # also holds its bias.
+        hh, gates = 3, {"lstm": 4, "gru": 3}[rnn_kind]
+        rng = np.random.default_rng(43)
+        emb = rng.normal(size=(5, gates * hh))
+        params = init_recurrent(rng, rnn_kind, hh, 5)
+        params["rnn_b"] = rng.normal(size=gates * hh)
+        folded, operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])
+        scale = np.repeat([0.5, 0.5, 1.0, 0.5][:gates], hh)
+        wh = operands[0]
+        assert wh.flags.c_contiguous and wh.shape == (hh, gates * hh)
+        assert wh.tobytes() == (params["rnn_wh"].T * scale).tobytes()
+        if rnn_kind == "gru":
+            assert len(operands) == 1
+            assert folded.tobytes() == ((emb + params["rnn_b"]) * scale).tobytes()
+        else:
+            _, b, got_scale, offset = operands
+            assert folded.tobytes() == (emb * scale).tobytes()
+            assert b.tobytes() == (params["rnn_b"] * scale).tobytes()
+            assert got_scale.tolist() == scale.tolist()
+            assert offset.tobytes() == np.repeat([0.5, 0.5, -0.0, 0.5], hh).tobytes()
+
+
+def kernel_operands(data, rnn_kind):
+    """Operands of one cell step, drawn for the bit-exact oracle: H from
+    {1, 3, 8, 20, 32, 128} (at 3 and 20 one product with the GRU's (H, 2H)
+    r|z block would give other bits than its two (H, H) products), k from
+    {1, 2, 3, 16, 37, 128}, weights at their init
+    scale or larger, and optionally saturated pre-activations (entries of
+    a with |u| in [40, 1000], so gates are exactly 0 or 1 and tanh +-1),
+    exact +-0.0 entries (in the bias too) and all-zero rows."""
+    hh = data.draw(st.sampled_from([1, 3, 8, 20, 32, 128]), label="hidden")
+    k = data.draw(st.sampled_from([1, 2, 3, 16, 37, 128]), label="rows")
+    gain = data.draw(st.sampled_from([1.0, 4.0, 16.0]), label="weight gain")
+    saturate = data.draw(st.booleans(), label="saturated entries")
+    zeros = data.draw(st.booleans(), label="signed-zero entries")
+    zero_rows = data.draw(st.booleans(), label="zero rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    width = {"lstm": 4, "gru": 3}[rnn_kind] * hh
+    params = init_recurrent(rng, rnn_kind, hh, 2)
+    wh = params["rnn_wh"] * gain
+    b = rng.normal(size=width)
+    arrays = {"a": rng.normal(0.0, 2.0, (k, width)), "h_prev": rng.uniform(-1.0, 1.0, (k, hh)),
+              "c_prev": rng.normal(0.0, 2.0, (k, hh)), "dh": rng.normal(size=(k, hh)),
+              "dc_next": rng.normal(size=(k, hh))}
+    if saturate:
+        a = arrays["a"]
+        hit = rng.random(a.shape) < 0.3
+        a[hit] = rng.choice([-1.0, 1.0], hit.sum()) * rng.uniform(40.0, 1000.0, hit.sum())
+    for x in (*arrays.values(), b):
+        if zeros:
+            hit = rng.random(x.shape) < 0.2
+            x[hit] = rng.choice([-0.0, 0.0], hit.sum())
+    if zero_rows:
+        for x in arrays.values():
+            x[rng.random(k) < 0.3] = rng.choice([-0.0, 0.0])
+    return arrays, wh, b
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for i, (x, y) in enumerate(zip(got, want)):
+        assert np.shape(x) == np.shape(y), i
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), i
+
+
+class TestKernelsMatchReference:
+    """The stacked-gate kernels give the unfolded reference cells' bits,
+    the sign of zero included: h and c forward, dh_prev, dc_prev, dpre,
+    dwh and db backward. The reference takes its operands as scan gave
+    them (wh as the .T view of its C-contiguous transpose), the kernel
+    takes them folded by fold_gates, and the backward passes both take
+    rnn_wh as stored."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_lstm(self, data):
+        x, wh, b = kernel_operands(data, "lstm")
+        ref_h, ref_c, ref_cache = reference_lstm_cell(
+            x["a"], x["h_prev"], x["c_prev"], np.ascontiguousarray(wh.T).T, b)
+        h, c, cache = folded_lstm_cell(x["a"], x["h_prev"], x["c_prev"], wh, b)
+        assert_same_bits((h, c), (ref_h, ref_c))
+        assert_same_bits(lstm_cell_backward(x["dh"], x["dc_next"], cache, wh),
+                         reference_lstm_cell_backward(x["dh"], x["dc_next"], ref_cache, wh))
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_gru(self, data):
+        x, wh, b = kernel_operands(data, "gru")
+        ref_h, ref_cache = reference_gru_cell(x["a"], x["h_prev"], np.ascontiguousarray(wh.T).T, b)
+        h, cache = folded_gru_cell(x["a"], x["h_prev"], wh, b)
+        assert_same_bits((h,), (ref_h,))
+        assert_same_bits(gru_cell_backward(x["dh"], cache, wh),
+                         reference_gru_cell_backward(x["dh"], ref_cache, wh))
 
 
 class TestLstmCell:
@@ -243,7 +358,7 @@ class TestLstmCell:
         c_ref = f * c_prev + i * g
         h_ref = o * np.tanh(c_ref)
 
-        h, c, _ = lstm_cell(a, h_prev, c_prev, wh, b)
+        h, c, _ = folded_lstm_cell(a, h_prev, c_prev, wh, b)
         assert_allclose(h, h_ref, rtol=1e-12)
         assert_allclose(c, c_ref, rtol=1e-12)
 
@@ -259,10 +374,10 @@ class TestLstmCell:
         pc = rng.normal(size=(bsz, hh))
 
         def loss(a_, h_, c_, wh_, b_):
-            h, c, _ = lstm_cell(a_, h_, c_, wh_, b_)
+            h, c, _ = folded_lstm_cell(a_, h_, c_, wh_, b_)
             return float(np.sum(h * ph) + np.sum(c * pc))
 
-        h, c, cache = lstm_cell(a, h_prev, c_prev, wh, b)
+        h, c, cache = folded_lstm_cell(a, h_prev, c_prev, wh, b)
         dh_prev, dc_prev, dpre, dwh, db = lstm_cell_backward(ph, pc, cache, wh)
         # dpre/dh_prev/dc_prev cover the input and state paths; dwh/db the
         # parameters
@@ -292,13 +407,13 @@ class TestGruCell:
         n = np.tanh(ab[:, 2 * hh :] + (r * h_prev) @ wh[2 * hh :].T)
         h_ref = z * h_prev + (1.0 - z) * n
 
-        h, _ = gru_cell(a, h_prev, wh, b)
+        h, _ = folded_gru_cell(a, h_prev, wh, b)
         assert_allclose(h, h_ref, rtol=1e-12)
 
     def test_all_zero_parameters_halve_the_state(self):
         rng = np.random.default_rng(3)
         h_prev = rng.normal(size=(2, 4))
-        h, _ = gru_cell(np.zeros((2, 12)), h_prev, np.zeros((12, 4)), np.zeros(12))
+        h, _ = folded_gru_cell(np.zeros((2, 12)), h_prev, np.zeros((12, 4)), np.zeros(12))
         assert_allclose(h, 0.5 * h_prev, rtol=1e-12)
 
     def test_backward_matches_finite_differences(self):
@@ -311,10 +426,10 @@ class TestGruCell:
         ph = rng.normal(size=(bsz, hh))
 
         def loss(a_, h_, wh_, b_):
-            h, _ = gru_cell(a_, h_, wh_, b_)
+            h, _ = folded_gru_cell(a_, h_, wh_, b_)
             return float(np.sum(h * ph))
 
-        _, cache = gru_cell(a, h_prev, wh, b)
+        _, cache = folded_gru_cell(a, h_prev, wh, b)
         dh_prev, dpre, dwh, db = gru_cell_backward(ph, cache, wh)
         pairs = [
             (dpre, finite_diff(lambda v: loss(v, h_prev, wh, b), a)),

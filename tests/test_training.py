@@ -247,6 +247,26 @@ class TestEvaluate:
         assert len({r[0] for r in results}) == 1 and len({r[2] for r in results}) == 1
 
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, np.bool_(True), "4", None])
+    def test_batch_size_must_be_an_integer(self, tiny_synthetic, bad):
+        # range() would refuse a float with a bare TypeError, and a bool
+        # would score at batch size 1 or fail as 0; TrainConfig refuses both.
+        model = KqnModel(TINY_CONFIG)
+        params = model.init_params(np.random.default_rng(0))
+        seqs = tiny_synthetic.dataset.sequences[:5]
+        with pytest.raises(ValueError, match=rf"^batch_size must be a positive integer, got {bad!r}$"):
+            evaluate(model, params, seqs, bad)
+
+    def test_batch_size_may_be_a_numpy_integer(self, tiny_synthetic):
+        model = KqnModel(TINY_CONFIG)
+        params = model.init_params(np.random.default_rng(0))
+        seqs = tiny_synthetic.dataset.sequences[:5]
+        assert evaluate(model, params, seqs, np.int64(2)) == evaluate(model, params, seqs, 2)
+        for bad in (0, np.int64(0), -3):
+            with pytest.raises(ValueError, match=f"^batch_size must be positive, got {bad}$"):
+                evaluate(model, params, seqs, bad)
+
+
 class TestGridSearch:
     def test_enumeration_order_and_size(self):
         cells = list(enumerate_grid(5, GridSpec()))

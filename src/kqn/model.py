@@ -26,9 +26,8 @@ The backward keeps the forward's tanh(c) and r*h_prev. Every probability
 and gradient keeps the bits of the unfolded cells: halving is exact, 0.5
 being a power of two; adding -0.0 is the identity, where +0.0 would
 turn a -0.0 into +0.0; and every product keeps the operands and layout
-it had. That last rule is why the GRU keeps one product per gate: on the
-OpenBLAS measured (scipy-openblas 0.3.31), one product with its (H, 2H)
-r|z block gives other bits than two (H, H) products at some widths.
+it had, which is why the GRU keeps one product per gate (see gru_cell;
+the rule is a property of the OpenBLAS measured, scipy-openblas 0.3.31).
 """
 from __future__ import annotations
 
@@ -131,44 +130,43 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 
 # ---------------------------------------------------------------------------
 # Recurrent cells (batched over k rows: a is the (k, G*H) input projection
-# of the step's inputs, states are (k, H)). The forward cells take their
-# operands folded by fold_gates, once per scan; the backward cells take
-# rnn_wh as stored and give gradients for the unfolded parameters.
+# of the step's inputs, states are (k, H)). The forward cells take the
+# operands of fold_gates; the backward cells take rnn_wh as stored and
+# give gradients for the unfolded parameters.
 
 
 def fold_gates(rnn_kind: str, emb, rnn_wh, rnn_b):
     """The operands of one scan's forward cells: (emb, operands), emb the
-    (M, G*H) input projection rows and operands the cell's arguments after
-    its state, (wh, b, scale, offset) for the LSTM and (wh,) for the GRU.
+    (M, G*H) input projection rows, folded in place and returned, and
+    operands the cell's arguments after its state, (wh, b, scale, offset)
+    for the LSTM and (wh,) for the GRU.
 
-    A logistic gate is 0.5 + 0.5*tanh(u/2). Its column block of emb, of
-    the C-contiguous (H, G*H) transpose of rnn_wh (so every product reads
-    an (in, out) matrix) and of rnn_b is halved here, exactly (a power of
-    two), and _gate finishes with scale 0.5 and offset 0.5; a tanh block
-    keeps scale 1.0 and offset -0.0. The GRU adds its bias to the input
-    projection before anything else, so its folded bias is added to emb
-    here; the LSTM adds it last, so its cell takes it."""
+    Each logistic block's columns of emb, of the C-contiguous (H, G*H)
+    transpose of rnn_wh (so every product reads an (in, out) matrix) and
+    of rnn_b are halved; scale and offset are _gate's, per column. The
+    GRU adds its bias to the input projection before anything else, so
+    its bias is added to emb here; the LSTM adds it last, so its cell
+    takes it. emb is folded in place: at M = 2000 rows a second table
+    cost more than the whole fold."""
     hh = rnn_wh.shape[1]
     logistic = np.repeat(np.arange(_GATES[rnn_kind]) != 2, hh)
     scale = np.where(logistic, 0.5, 1.0)
     wh = np.ascontiguousarray(rnn_wh.T) * scale
-    emb = emb * scale
-    b = rnn_b * scale
     if rnn_kind == "gru":
-        emb += b
+        emb += rnn_b
+        emb *= scale
         return emb, (wh,)
-    return emb, (wh, b, scale, np.where(logistic, 0.5, -0.0))
+    emb *= scale
+    return emb, (wh, rnn_b * scale, scale, np.where(logistic, 0.5, -0.0))
 
 
 def _gate(t, scale, offset):
     """The gate nonlinearity over a folded pre-activation block t, in
-    place: tanh, then t*scale + offset. On a block folded by 0.5 with
-    scale and offset 0.5 it is the logistic function 0.5 + 0.5*tanh(u/2),
-    one transcendental per entry, in [0, 1] and within 2**-52 of
-    ops.sigmoid (exactly 0 below about -38); the probabilities, which AUC
-    ranks, keep ops.sigmoid. With scale 1.0 and offset -0.0 it is tanh
-    bit for bit: adding -0.0 is the identity, where +0.0 would turn a
-    -0.0 into +0.0."""
+    place: tanh, then t*scale + offset. With scale and offset 0.5, on a
+    block fold_gates halved, it is the logistic function, in [0, 1] and
+    within 2**-52 of ops.sigmoid (exactly 0 below about -38; the
+    probabilities, which AUC ranks, keep ops.sigmoid). With scale 1.0
+    and offset -0.0 it is tanh bit for bit."""
     np.tanh(t, out=t)
     t *= scale
     t += offset
@@ -227,9 +225,9 @@ def gru_cell(a, h_prev, wh):
 
     Gate order along the stacked axis is r, z, n, and the new state is
     z*h_prev + (1-z)*n. r and z each take their own product with an
-    (H, H) column block of wh, as the unfolded cell did: on the OpenBLAS
-    measured, one product with the (H, 2H) r|z block gives other bits at
-    some widths (H = 17 to 19, at any row count).
+    (H, H) column block of wh, as the unfolded cell did: one product with
+    the (H, 2H) r|z block gives other bits at some widths (H = 17 to 19,
+    at any row count), on the OpenBLAS measured.
     """
     hh = h_prev.shape[1]
     r = h_prev @ wh[:, :hh]
@@ -431,7 +429,7 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     drawn in that order, so only scored cells consume the generator;
     cache feeds scan_backward (None in eval mode).
     """
-    emb = np.ascontiguousarray(params["rnn_wx"].T)
+    emb = np.array(params["rnn_wx"].T, order="C")
     if inputs is not None:
         emb = inputs @ emb
     emb, operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])

@@ -216,7 +216,7 @@ class TestScatterAdd:
 
 
 class TestGate:
-    def test_folded_logistic_is_the_sigmoid_within_one_ulp_of_one(self):
+    def test_tanh_form_is_the_sigmoid_within_one_ulp_of_one(self):
         # On a block folded by 0.5, scale and offset 0.5 give the tanh form
         # of the logistic function. The error is absolute: below about -38
         # the tanh form is exactly 0 while the sigmoid is still positive.
@@ -251,7 +251,9 @@ class TestGate:
         emb = rng.normal(size=(5, gates * hh))
         params = init_recurrent(rng, rnn_kind, hh, 5)
         params["rnn_b"] = rng.normal(size=gates * hh)
-        folded, operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])
+        given = emb.copy()
+        folded, operands = fold_gates(rnn_kind, given, params["rnn_wh"], params["rnn_b"])
+        assert folded is given
         scale = np.repeat([0.5, 0.5, 1.0, 0.5][:gates], hh)
         wh = operands[0]
         assert wh.flags.c_contiguous and wh.shape == (hh, gates * hh)
@@ -271,10 +273,10 @@ def kernel_operands(data, rnn_kind):
     """Operands of one cell step, drawn for the bit-exact oracle: H from
     {1, 3, 8, 20, 32, 128} (at 3 and 20 one product with the GRU's (H, 2H)
     r|z block would give other bits than its two (H, H) products), k from
-    {1, 2, 3, 16, 37, 128}, weights at their init
-    scale or larger, and optionally saturated pre-activations (entries of
-    a with |u| in [40, 1000], so gates are exactly 0 or 1 and tanh +-1),
-    exact +-0.0 entries (in the bias too) and all-zero rows."""
+    {1, 2, 3, 16, 37, 128}, weights at their init scale or larger, and
+    optionally saturated pre-activations (entries of a with |u| in
+    [40, 1000], so gates are exactly 0 or 1 and tanh +-1), exact +-0.0
+    entries (in the bias too) and all-zero rows."""
     hh = data.draw(st.sampled_from([1, 3, 8, 20, 32, 128]), label="hidden")
     k = data.draw(st.sampled_from([1, 2, 3, 16, 37, 128]), label="rows")
     gain = data.draw(st.sampled_from([1.0, 4.0, 16.0]), label="weight gain")

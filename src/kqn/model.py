@@ -429,6 +429,7 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     drawn in that order, so only scored cells consume the generator;
     cache feeds scan_backward (None in eval mode).
     """
+    # A copy, never a view of rnn_wx: fold_gates folds it in place.
     emb = np.array(params["rnn_wx"].T, order="C")
     if inputs is not None:
         emb = inputs @ emb

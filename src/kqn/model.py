@@ -135,11 +135,10 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
 # give gradients for the unfolded parameters.
 
 
-def fold_gates(rnn_kind: str, emb, rnn_wh, rnn_b):
-    """The operands of one scan's forward cells: (emb, operands), emb the
-    (M, G*H) input projection rows, folded in place and returned, and
-    operands the cell's arguments after its state, (wh, b, scale, offset)
-    for the LSTM and (wh,) for the GRU.
+def fold_gates(rnn_kind: str, emb, rnn_wh, rnn_b) -> tuple:
+    """Fold emb, the (M, G*H) input projection rows, in place and return
+    the other operands of one scan's forward cells, their arguments after
+    the state: (wh, b, scale, offset) for the LSTM and (wh,) for the GRU.
 
     Each logistic block's columns of emb, of the C-contiguous (H, G*H)
     transpose of rnn_wh (so every product reads an (in, out) matrix) and
@@ -155,9 +154,9 @@ def fold_gates(rnn_kind: str, emb, rnn_wh, rnn_b):
     if rnn_kind == "gru":
         emb += rnn_b
         emb *= scale
-        return emb, (wh,)
+        return (wh,)
     emb *= scale
-    return emb, (wh, rnn_b * scale, scale, np.where(logistic, 0.5, -0.0))
+    return wh, rnn_b * scale, scale, np.where(logistic, 0.5, -0.0)
 
 
 def _gate(t, scale, offset):
@@ -433,7 +432,7 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     emb = np.array(params["rnn_wx"].T, order="C")
     if inputs is not None:
         emb = inputs @ emb
-    emb, operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])
+    operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])
     bsz, hh = len(lengths), params["rnn_wh"].shape[1]
     train = mode == "train"
     lstm = rnn_kind == "lstm"

@@ -206,14 +206,16 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
 def folded_lstm_cell(a, h_prev, c_prev, wh, b):
     from kqn.model import fold_gates, lstm_cell
 
-    a, operands = fold_gates("lstm", np.array(a), wh, b)
+    a = np.array(a)
+    operands = fold_gates("lstm", a, wh, b)
     return lstm_cell(a, h_prev, c_prev, *operands)
 
 
 def folded_gru_cell(a, h_prev, wh, b):
     from kqn.model import fold_gates, gru_cell
 
-    a, operands = fold_gates("gru", np.array(a), wh, b)
+    a = np.array(a)
+    operands = fold_gates("gru", a, wh, b)
     return gru_cell(a, h_prev, *operands)
 
 

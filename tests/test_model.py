@@ -251,9 +251,8 @@ class TestGate:
         emb = rng.normal(size=(5, gates * hh))
         params = init_recurrent(rng, rnn_kind, hh, 5)
         params["rnn_b"] = rng.normal(size=gates * hh)
-        given = emb.copy()
-        folded, operands = fold_gates(rnn_kind, given, params["rnn_wh"], params["rnn_b"])
-        assert folded is given
+        folded = emb.copy()
+        operands = fold_gates(rnn_kind, folded, params["rnn_wh"], params["rnn_b"])
         scale = np.repeat([0.5, 0.5, 1.0, 0.5][:gates], hh)
         wh = operands[0]
         assert wh.flags.c_contiguous and wh.shape == (hh, gates * hh)

@@ -94,23 +94,23 @@ def odds_ratio_identity(ks, table):
     sigmoid(table @ ks), differenced per pair and squared. rhs is pure
     geometry: (ks . delta_ij)^2 * d_ij^2, with delta_ij the unit direction
     of s_i - s_j and d_ij their pairwise Euclidean distance. The rows must
-    be unit vectors, and then the two sides agree to rounding. Raises for
-    (near-)identical rows, whose difference direction is undefined.
+    be unit vectors, and then the two sides agree to rounding. A pair of
+    (near-)identical rows has no direction, but its distance is 0, so its
+    rhs is 0; its lhs is 0 to rounding.
     """
     ks = np.asarray(ks, dtype=float)
     table = np.asarray(table, dtype=float)
     i, j = np.triu_indices(len(table), k=1)
     diff = table[i] - table[j]
     norm = np.linalg.norm(diff, axis=1)
-    if np.any(norm < 1e-12):
-        raise ValueError("skill vectors are identical; pair direction is undefined")
     # log sigmoid(y) - log sigmoid(-y) through the stable log sigmoid(u) =
     # -softplus(-u) = -logaddexp(0, -u), finite for every finite logit.
     y = table @ ks
     log_odds = np.logaddexp(0.0, y) - np.logaddexp(0.0, -y)
     lhs = (log_odds[i] - log_odds[j]) ** 2
     dist = pairwise_distances(table, "euclidean").values[i, j]
-    rhs = (diff @ ks / norm) ** 2 * dist ** 2
+    along = np.divide(diff @ ks, norm, out=np.zeros_like(norm), where=norm >= 1e-12)
+    rhs = along ** 2 * dist ** 2
     return lhs, rhs
 
 

@@ -26,6 +26,7 @@ import sys
 import typing
 from collections import Counter
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -588,17 +589,23 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The kqn parser with every subcommand, or with only `command`, whose
+    help and error text are the same as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="kqn",
         description="Knowledge tracing with dot-product knowledge-state queries",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, _, _) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
+    # A one-command parser keeps the full parser's usage line by naming all
+    # commands in its metavar. The full parser keeps argparse's default,
+    # under which a missing command is called "command", not the metavar.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for cmd in _COMMANDS if command is None else [command]:
+        sub = subs.add_parser(cmd, help=_COMMANDS[cmd][1])
         sub.add_argument("--config", help="JSON file of option defaults")
-        for name in _option_names(command):
+        for name in _option_names(cmd):
             kind, _, choices = _OPTIONS[name]
             sub.add_argument(
                 "--" + name.replace("_", "-"),
@@ -625,8 +632,9 @@ def _environment() -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Building one subcommand, not all 13, is most of the parser's cost.
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         opts = _resolve(args)
         outdir = Path(opts["out"])

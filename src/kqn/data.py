@@ -12,6 +12,8 @@ with skills as positive integers and correctness flags in {0, 1}.
 """
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -75,15 +77,11 @@ def _split_ints(line: str, lineno: int, what: str) -> list[int]:
     return out
 
 
-def parse_triplets(text: str, name: str = "dataset") -> Dataset:
-    """Parse triplet text into a Dataset, keeping skill ids as written.
-
-    num_skills is the largest id. A malformed record (bad count, length
-    mismatch, non-positive skill id, correctness flag outside {0, 1})
-    raises with the offending line number.
-    """
-    lines = text.splitlines()
-    sequences = []
+def _read_exact(lines: list[str]):
+    """The response counts and the skill and correctness values of every
+    record, read one token at a time with int(). Raises the first
+    malformed record's error, with its line number, in file order."""
+    counts, all_skills, all_corrects = [], [], []
     idx = 0
     while idx < len(lines):
         if lines[idx].strip() == "":
@@ -114,10 +112,93 @@ def parse_triplets(text: str, name: str = "dataset") -> Dataset:
         for c in corrects:
             if c not in (0, 1):
                 raise ValueError(f"line {lineno + 2}: correctness flags must be 0 or 1, got {c}")
-        sequences.append(ResponseSequence(len(sequences), np.column_stack((skills, corrects))))
+        counts.append(t)
+        all_skills += skills
+        all_corrects += corrects
         idx += 3
-    largest = max((int(seq.responses[:, 0].max()) for seq in sequences), default=0)
-    return Dataset(name=name, num_skills=largest, sequences=tuple(sequences))
+    return counts, all_skills, all_corrects
+
+
+# Comma-separated ASCII decimal tokens, each an optional sign and digits
+# within spaces or tabs: the text on which np.fromstring reads the values
+# int() reads. On other text NumPy reads a blank or sign-only token as 0
+# and "- 5" as -5, where int() refuses them.
+_TOKENS = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*(?:,[ \t]*[+-]?[0-9]+[ \t]*)*")
+
+
+def _fits_fromstring(text: str) -> bool:
+    """Whether text is in the _TOKENS form, checked without the regex when
+    it holds only digits and commas (as serialize_triplets writes it)."""
+    if not text.isascii():
+        return False
+    if text.encode().translate(None, b"0123456789,"):
+        return _TOKENS.fullmatch(text) is not None
+    return ",," not in text and not text.startswith(",") and not text.endswith(",")
+
+
+def _has_long_token(lines: list[str]) -> bool:
+    """Whether a token is longer than the digits int() converts
+    (sys.get_int_max_str_digits(), leading zeros included), a limit
+    np.fromstring does not have."""
+    limit = sys.get_int_max_str_digits()
+    return limit > 0 and any(
+        len(tok) > limit for line in lines if len(line) > limit for tok in line.split(",")
+    )
+
+
+def _read_plain(lines: list[str]):
+    """What _read_exact returns, with the values converted in C by
+    np.fromstring, or None when the lines are not plainly accepted: records
+    apart only by blank lines, tokens in the _TOKENS form, as many per line
+    as the count says, skill ids in 1..2**63-2 and flags in {0, 1}. On None
+    only _read_exact can tell whether the text is accepted and, if not,
+    which error comes first."""
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    heads = rows[0::3]
+    if rows[1::3] != [i + 1 for i in heads] or rows[2::3] != [i + 2 for i in heads]:
+        return None
+    try:
+        counts = [int(lines[i].strip().rstrip(",")) for i in heads]
+    except ValueError:
+        return None
+    columns = []
+    for offset in (1, 2):
+        body = [lines[i + offset] for i in heads]
+        if [line.count(",") + 1 for line in body] != counts or _has_long_token(body):
+            return None
+        text = ",".join(body)
+        if not _fits_fromstring(text):
+            return None
+        columns.append(np.fromstring(text, dtype=np.int64, sep=","))
+    skills, corrects = columns
+    # fromstring saturates a value beyond int64 at a limit without a word,
+    # so 2**63 - 1 itself is left to the exact reader as well.
+    if not (np.all(skills > 0) and np.all(skills < np.iinfo(np.int64).max)
+            and np.all((corrects == 0) | (corrects == 1))):
+        return None
+    return counts, skills, corrects
+
+
+def parse_triplets(text: str, name: str = "dataset") -> Dataset:
+    """Parse triplet text into a Dataset, keeping skill ids as written.
+
+    num_skills is the largest id. A malformed record (bad count, length
+    mismatch, non-positive skill id, correctness flag outside {0, 1})
+    raises with the offending line number. Each sequence's responses are
+    a row slice of one (total, 2) array.
+    """
+    lines = text.splitlines()
+    counts, skills, corrects = _read_plain(lines) or _read_exact(lines)
+    responses = np.empty((len(skills), 2), dtype=int)
+    responses[:, 0] = skills
+    responses[:, 1] = corrects
+    ends = np.cumsum(counts).tolist()
+    sequences = tuple(
+        ResponseSequence(k, responses[end - t:end])
+        for k, (t, end) in enumerate(zip(counts, ends))
+    )
+    largest = int(responses[:, 0].max()) if len(responses) else 0
+    return Dataset(name=name, num_skills=largest, sequences=sequences)
 
 
 def serialize_triplets(dataset: Dataset) -> str:

@@ -8,6 +8,8 @@ implementations against these.
 
 import numpy as np
 
+from kqn.data import Dataset, ResponseSequence
+
 # ---------------------------------------------------------------------------
 # Finite differences
 
@@ -439,6 +441,69 @@ def batch_arrays_loop(sequences):
             skills[b, t] = skill
             corrects[b, t] = correct
     return skills, corrects, lengths
+
+
+# The per-token int() parser that parse_triplets' array conversion
+# replaced, kept verbatim as its oracle: same arrays and num_skills on
+# every accepted text, same first error on every refused one.
+
+
+def _reference_split_ints(line: str, lineno: int, what: str) -> list[int]:
+    # Tolerate trailing separators and stray spaces around tokens.
+    tokens = [tok.strip() for tok in line.strip().split(",")]
+    tokens = [tok for tok in tokens if tok != ""]
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"line {lineno}: {what} token {tok!r} is not an integer")
+    return out
+
+
+def reference_parse_triplets(text: str, name: str = "dataset") -> Dataset:
+    """Parse triplet text into a Dataset, keeping skill ids as written.
+
+    num_skills is the largest id. A malformed record (bad count, length
+    mismatch, non-positive skill id, correctness flag outside {0, 1})
+    raises with the offending line number.
+    """
+    lines = text.splitlines()
+    sequences = []
+    idx = 0
+    while idx < len(lines):
+        if lines[idx].strip() == "":
+            idx += 1
+            continue
+        lineno = idx + 1
+        try:
+            t = int(lines[idx].strip().rstrip(","))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected a response count, got {lines[idx]!r}")
+        if t <= 0:
+            raise ValueError(f"line {lineno}: response count must be positive, got {t}")
+        if idx + 2 >= len(lines):
+            raise ValueError(f"line {lineno}: record is truncated")
+        skills = _reference_split_ints(lines[idx + 1], lineno + 1, "skill")
+        corrects = _reference_split_ints(lines[idx + 2], lineno + 2, "correctness")
+        if len(skills) != t:
+            raise ValueError(
+                f"line {lineno + 1}: expected {t} skills, got {len(skills)}"
+            )
+        if len(corrects) != t:
+            raise ValueError(
+                f"line {lineno + 2}: expected {t} correctness flags, got {len(corrects)}"
+            )
+        for s in skills:
+            if not 0 < s < 2**63:
+                raise ValueError(f"line {lineno + 1}: skill ids must be in 1..2**63-1, got {s}")
+        for c in corrects:
+            if c not in (0, 1):
+                raise ValueError(f"line {lineno + 2}: correctness flags must be 0 or 1, got {c}")
+        sequences.append(ResponseSequence(len(sequences), np.column_stack((skills, corrects))))
+        idx += 3
+    largest = max((int(seq.responses[:, 0].max()) for seq in sequences), default=0)
+    return Dataset(name=name, num_skills=largest, sequences=tuple(sequences))
 
 
 def pairs(seq):

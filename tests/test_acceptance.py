@@ -36,6 +36,21 @@ unchanged), did not move the ARI:
     8x the students, no early stopping,           reaches 0.083 only as    not measured
       40 epochs (seed 1)                            validation AUC falls
                                                     from 0.723 to 0.693
+    DKT+ reconstruction and waviness              mean -0.005 over         0.703 (all three)
+      regularizers on sigmoid(table . kv)           seeds 1-3
+      (Yeung & Yeung, arXiv:1806.02180),
+      lambda_r, lambda_w1, lambda_w2 =
+      0.1, 0.003, 3 (the paper's)
+    DKT+ regularizers, 0.5, 0.03, 30              mean +0.006 over         0.702-0.703
+                                                    seeds 1-3
+    DKT+ regularizers, 1, 0.3, 300                mean -0.020 over         0.701-0.703
+                                                    seeds 1-3
+    DKT+ regularizers, 2, 0, 0                    mean -0.012 over         0.692-0.697
+                                                    seeds 1-3
+
+The DKT+ prototype was gradient-checked against finite differences; unregularized,
+its harness gives seeds 1-3 ARI +0.001, -0.031 and +0.002 (test AUC 0.703,
+0.701, 0.702).
 
 With one trial ahead the multi-step prototype reproduces the fixture
 exactly (ARI 0.0009, test AUC 0.7028). Why, measured on the fixture model:

@@ -149,10 +149,17 @@ class TestOddsRatioIdentity:
             denom = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
             assert np.max(np.abs(lhs - rhs) / denom) <= 1e-8
 
-    def test_identical_vectors_rejected(self):
+    def test_identical_vectors_give_zero_both_sides(self):
+        # Repeated rows have no pair direction, but their distance is 0, so
+        # the identity holds as 0 = 0; trained d=8 tables hold such rows.
         v = np.array([[0.6, 0.8], [1.0, 0.0], [0.6, 0.8]])
-        with pytest.raises(ValueError, match="identical"):
-            odds_ratio_identity(np.ones(2), v)
+        lhs, rhs = odds_ratio_identity(np.array([1.5, -0.5]), v)
+        repeated = 1  # the pair (0, 2) in np.triu_indices order
+        assert rhs[repeated] == 0.0
+        assert lhs[repeated] <= 1e-24
+        others = np.arange(3) != repeated
+        assert_allclose(lhs[others], rhs[others], rtol=1e-12)
+        assert np.all(rhs[others] > 0.1)
 
     @pytest.mark.parametrize("logit", [50.0, -50.0, 800.0, -800.0])
     def test_saturated_logits_stay_finite(self, logit):

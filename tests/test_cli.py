@@ -3,6 +3,10 @@ import base64
 import json
 import os
 import platform
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,36 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: line 9: correctness flags must be 0 or 1, got 2\n"
+
+    def test_malformed_data_leaks_no_warning(self, ws, tmp_path, capsys):
+        # A text np.fromstring cannot read to its end: the one error line
+        # is all that reaches stderr, with warnings shown as by default.
+        (tmp_path / "bad.txt").write_text("2\n1,2,\n0,1\n2\n1,,x\n0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            rc = main(["evaluate", "--out", str(tmp_path / "out"), "--checkpoint",
+                       str(ws / "kqn4" / "checkpoint.json"), "--data", str(tmp_path / "bad.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 5: skill token 'x' is not an integer\n"
+
+    def test_module_entry_point_reads_sys_argv(self, ws, tmp_path):
+        argv = ["evaluate", "--checkpoint", str(ws / "kqn4" / "checkpoint.json"),
+                "--data", str(ws / "split" / "test.txt"), "--batch-size", "8"]
+        src = str(Path(kqn.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "kqn.cli", *argv, "--out", "sub"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        run(*argv, "--out", tmp_path / "inproc")
+        for name in ("eval.json", "manifest.json"):
+            sub = json.loads((tmp_path / "sub" / name).read_text())
+            inproc = json.loads((tmp_path / "inproc" / name).read_text())
+            if name == "manifest.json":
+                assert sub["options"].pop("out") == "sub"
+                inproc["options"].pop("out")
+            assert sub == inproc
 
     def test_skill_ids_beyond_checkpoint(self, ws, tmp_path, capsys):
         steps = ",".join(str(e) for e in range(1, 10))
@@ -1101,6 +1135,38 @@ def test_cli_surface_is_pinned(command):
     with pytest.raises(ValueError) as exc:
         _resolve(parser.parse_args([command]))
     assert str(exc.value) == f"missing required options: {', '.join(given)}"
+
+
+def _exit_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("tail", [["--help"], ["--bogus", "1"]], ids=["help", "usage_error"])
+@pytest.mark.parametrize("command", list(CLI_DEFAULTS))
+def test_one_command_parser_writes_the_full_parsers_text(capsys, command, tail):
+    # main builds only the parser of the command it runs; its help and
+    # usage errors must not show it.
+    argv = [command, *tail]
+    full = _exit_and_output(capsys, build_parser().parse_args, argv)
+    assert full[0] == (0 if tail == ["--help"] else 2)
+    assert _exit_and_output(capsys, build_parser(command).parse_args, argv) == full
+    assert _exit_and_output(capsys, main, argv) == full
+
+
+def test_top_level_help_version_and_missing_command(capsys):
+    code, help_text = _exit_and_output(capsys, main, ["--help"])
+    assert code == 0
+    assert "{" + ",".join(CLI_DEFAULTS) + "}" in help_text.out
+    listed = [line.split()[0] for line in help_text.out.splitlines()
+              if line.startswith("    ") and line.split()[0] in CLI_DEFAULTS]
+    assert listed == list(CLI_DEFAULTS)
+    assert _exit_and_output(capsys, main, ["--version"]) == \
+        (0, (f"kqn {kqn.__version__}\n", ""))
+    code, missing = _exit_and_output(capsys, main, [])
+    assert code == 2
+    assert missing.err.endswith("kqn: error: the following arguments are required: command\n")
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import kqn.data
 from kqn.data import (
     Dataset,
     ResponseSequence,
@@ -77,6 +79,160 @@ class TestParseTriplets:
         for skill in (0, 2**63):
             with pytest.raises(ValueError, match=r"line 2: skill ids must be in 1\.\.2\*\*63-1"):
                 parse_triplets(f"1\n{skill}\n1\n")
+
+
+# Triplet texts that are mostly well formed: counts, ids and flags are
+# right nine times in ten, else drawn from tokens that fromstring and int()
+# read differently; separators and line ends vary the same way, and a text
+# may be cut anywhere.
+_ODD_TOKENS = st.sampled_from([
+    "", " ", "+", "-", "+5", "- 1", "+ 1", "1_0", "٣", "\t1", "1 2", "007", "x",
+    str(2**63), str(2**63 - 1), str(-2**63 - 1), str(-2**63), "1" + "0" * 19, "0x10",
+    "1.0", "\x00", "\xa01", "0" * 5000 + "1",
+])
+_SEPARATORS = [",", ",", ",", ",", ", ", " ,", ",\t", ",,"]
+_LINE_ENDS = ["\n", "\n", "\n", "\n", "\r\n", "\r", "\n\n", ",\n", " \n"]
+
+
+@st.composite
+def _triplet_texts(draw):
+    def pick(good, odd=_ODD_TOKENS):
+        return draw(odd) if draw(st.integers(0, 9)) == 0 else good
+
+    def line(tokens):
+        out = ""
+        for k, tok in enumerate(tokens):
+            out += (draw(st.sampled_from(_SEPARATORS)) if k else "") + tok
+        return out + draw(st.sampled_from(_LINE_ENDS))
+
+    text = ""
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.integers(1, 5))
+        n = t + pick(0, st.sampled_from([-1, 1]))
+        text += pick(str(t)) + draw(st.sampled_from(_LINE_ENDS))
+        text += line([pick(str(draw(st.integers(1, 60)))) for _ in range(n)])
+        text += line([pick(str(draw(st.integers(0, 1)))) for _ in range(n)])
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+
+def assert_parses_like_reference(text):
+    """parse_triplets gives the oracle's arrays and num_skills, or raises
+    the oracle's error text."""
+    try:
+        expected = helpers.reference_parse_triplets(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_triplets(text)
+        assert str(got.value) == str(exc)
+        return
+    ds = parse_triplets(text)
+    assert ds.num_skills == expected.num_skills
+    assert [s.responses.dtype for s in ds.sequences] == \
+        [s.responses.dtype for s in expected.sequences]
+    helpers.assert_same_sequences(ds.sequences, expected.sequences)
+
+
+ORACLE_CASES = {
+    # values at and beyond the int64 limits, as ids, flags and counts
+    "id_2**63": f"1\n{2**63}\n1\n",
+    "id_2**63-1": f"2\n{2**63 - 1},3\n1,0\n",
+    "id_-2**63-1": f"1\n{-2**63 - 1}\n1\n",
+    "id_-2**63": f"1\n{-2**63}\n1\n",
+    "flag_2**63": f"1\n3\n{2**63}\n",
+    "flag_-2**63-1": f"1\n3\n{-2**63 - 1}\n",
+    "flag_2**63-1": f"1\n3\n{2**63 - 1}\n",
+    "flag_20_digits": "2\n3,4\n0,10000000000000000000\n",
+    "flag_20_digits_saturated": "2\n3,4\n0,99999999999999999999\n",
+    "count_2**63": f"{2**63}\n1\n1\n",
+    # tokens int() reads and fromstring reads otherwise or not at all
+    "plus_sign": "2\n+5,3\n+1,-0\n",
+    "underscore": "2\n1_0,3\n0,1\n",
+    "arabic_indic_digit": "2\n٣,3\n0,1\n",
+    "fullwidth_digit": "1\n５\n1\n",
+    "tabs": "2\n\t5\t,\t3\n1\t,0\n",
+    "space_inside_token": "2\n1 2,3\n0,1\n",
+    "empty_token": "2\n1,,2\n0,1\n",
+    "empty_token_counted": "3\n1,,2\n0,1,1\n",
+    "trailing_comma_counted": "3\n1,2,\n0,1,1\n",
+    "leading_comma_counted": "3\n,1,2\n0,1,1\n",
+    "trailing_commas": "2,\n1,2,\n0,1,\n",
+    "trailing_comma_at_end": "2\n1,2\n0,1,",
+    "leading_comma": "2\n,1,2\n0,1\n",
+    "blank_token": "3\n1, ,2\n0,1,1\n",
+    "blank_flag": "3\n1,2,3\n0, ,1\n",
+    "sign_space_digit": "2\n+ 5,3\n- 0,1\n",
+    "sign_only": "2\n1,2\n0,+\n",
+    "leading_zeros": "2\n007,010\n00,01\n",
+    "zeros_beyond_int_digit_limit": "1\n" + "0" * 5000 + "3\n1\n",
+    "hex_float_exponent": "3\n0x10,1.0,1e3\n0,1,1\n",
+    "nul": "2\n1\x00,2\n0,1\n",
+    "nul_at_end": "2\n1,2\n0,1\x00",
+    "nbsp": "2\n1\xa0,2\n0,1\n",
+    "unicode_minus": "1\n−1\n1\n",
+    # line structure
+    "blank_line_inside_record": "2\n1,2\n\n0,1\n",
+    "blank_lines_between_records": "\n\n1\n4\n1\n\n \t\n2\n5,6\n0,1\n\n",
+    "truncated_last_record": "1\n4\n1\n2\n5,6\n",
+    "crlf": "1\r\n4\r\n1\r\n2\r\n5,6\r\n0,1\r\n",
+    "cr_and_unicode_line_breaks": "1\r4\x851 2\x0c5,6\x1d0,1 ",
+    "bad_token_then_bad_header": "2\n1,x\n0,1\nh\n1\n1\n",
+    "bad_header_then_bad_token": "h\n1\n1\n2\n1,x\n0,1\n",
+    "count_mismatch_after_good_records": "1\n4\n1\n3\n1,2\n0,1\n",
+    "zero_count": "0\n\n\n",
+    "negative_count": "-1\n1\n1\n",
+    "empty": "",
+    "blank_only": "\n \n\t\n",
+    "plain": SAMPLE,
+}
+
+
+class TestParseMatchesReference:
+    @pytest.mark.parametrize("text", list(ORACLE_CASES.values()), ids=list(ORACLE_CASES))
+    def test_cases(self, text):
+        assert_parses_like_reference(text)
+
+    @settings(deadline=None, max_examples=400)
+    @given(_triplet_texts())
+    def test_structured_texts(self, text):
+        assert_parses_like_reference(text)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.text(alphabet="0123,-+ \t\n\r_x٣\x00", max_size=40))
+    def test_random_texts(self, text):
+        assert_parses_like_reference(text)
+
+    def test_plain_text_is_not_read_token_by_token(self, monkeypatch):
+        # Signs, spaces, tabs, CRLF, a trailing comma on a count and blank
+        # lines between records are all converted in C.
+        def refuse(lines):
+            raise AssertionError("read token by token")
+
+        monkeypatch.setattr(kqn.data, "_read_exact", refuse)
+        ds = parse_triplets("\r\n2,\r\n 5 ,\t+9\r\n1, 0\r\n\r\n\r\n1\r\n0009\r\n-0\r\n")
+        assert [helpers.pairs(s) for s in ds.sequences] == [((5, 1), (9, 0)), ((9, 0),)]
+        desk, _ = generate_synthetic(SyntheticSpec(num_students=20, num_skills=50,
+                                                   num_concepts=5, steps_per_student=50))
+        assert parse_triplets(serialize_triplets(desk)).num_responses == 1000
+        assert parse_triplets("").num_students == 0
+
+    def test_sequences_are_row_slices_of_one_array(self):
+        ds = parse_triplets(SAMPLE)
+        first, second = (s.responses for s in ds.sequences)
+        assert first.base is not None and first.base is second.base
+        assert first.flags.c_contiguous and second.flags.c_contiguous
+        assert first.dtype == second.dtype == np.dtype(int)
+
+    @pytest.mark.parametrize("text", [SAMPLE, "2\n1,,x\n0,1\n", "2\n1, ,2\n0,1\n"])
+    def test_warning_filters_unchanged(self, text):
+        before = list(warnings.filters)
+        try:
+            parse_triplets(text)
+        except ValueError:
+            pass
+        assert warnings.filters == before
 
 
 class TestSaveLoad:

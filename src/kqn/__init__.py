@@ -53,7 +53,6 @@ from .model import (
     forward_batch,
 )
 from .training import (
-    GridSpec,
     TrainConfig,
     evaluate,
     grid_search,
@@ -98,7 +97,6 @@ __all__ = [
     "batch_arrays",
     "encode_skill_table",
     "forward_batch",
-    "GridSpec",
     "TrainConfig",
     "evaluate",
     "grid_search",

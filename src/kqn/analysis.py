@@ -10,7 +10,7 @@ for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -52,6 +52,15 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
+def off_unit_row(norms) -> Optional[int]:
+    """The index of the norm farthest from 1, or of the first nan, when
+    one is off by more than 1e-6; None when every norm is unit length."""
+    off = np.abs(norms - 1.0)
+    if np.all(off <= 1e-6):  # a nan norm fails too
+        return None
+    return int(np.argmax(off))  # the first nan, if there is one
+
+
 def pairwise_distances(vectors, kind: str) -> DistanceMatrix:
     """All-pairs distances between unit vectors.
 
@@ -64,9 +73,8 @@ def pairwise_distances(vectors, kind: str) -> DistanceMatrix:
     if kind not in DISTANCE_KINDS:
         raise ValueError(f"kind must be one of {DISTANCE_KINDS}, got {kind!r}")
     norms = np.linalg.norm(v, axis=1)
-    off = np.abs(norms - 1.0)
-    if not np.all(off <= 1e-6):  # a nan norm fails too
-        worst = int(np.argmax(off))  # the first nan, if there is one
+    worst = off_unit_row(norms)
+    if worst is not None:
         raise ValueError(
             f"vectors must be unit length; row {worst} has norm {norms[worst]}"
         )
@@ -441,7 +449,11 @@ def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
 def read_distance_csv(path):
     """Returns (DistanceMatrix, skill_ids)."""
     header, ids, values = read_table(path, "distance", ("skill", ...))
-    if ids != [int(c) for c in header[1:]]:
+    try:
+        header_ids = [int(c) for c in header[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path} line 1: {exc}") from exc
+    if ids != header_ids:
         raise ValueError(f"{path}: row skill ids differ from the header's")
     try:
         return DistanceMatrix(values), ids

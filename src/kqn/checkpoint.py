@@ -24,7 +24,7 @@ import numpy as np
 from . import dkt, model
 from .dkt import DktConfig
 from .model import ModelConfig, Params, encode_skill_table
-from .tables import read_table, write_json, write_table
+from .tables import has_type, read_table, write_json, write_table
 
 FORMAT_VERSION = 2
 _DTYPE = "<f8"
@@ -32,16 +32,19 @@ _DTYPE = "<f8"
 _CONFIG_TYPES = {"kqn": ModelConfig, "dkt": DktConfig}
 
 
-def save_checkpoint(path, model_kind: str, config, params: Params) -> None:
-    """Write a checkpoint; refuses non-finite parameters."""
-    if model_kind not in _CONFIG_TYPES:
-        raise ValueError(f"model_kind must be one of {sorted(_CONFIG_TYPES)}, got {model_kind!r}")
+def save_checkpoint(path, config, params: Params) -> None:
+    """Write a checkpoint of the model kind that config's type gives;
+    refuses any other config type and non-finite parameters."""
+    kinds = [kind for kind, cls in _CONFIG_TYPES.items() if type(config) is cls]
+    if not kinds:
+        names = " or ".join(cls.__name__ for cls in _CONFIG_TYPES.values())
+        raise ValueError(f"config must be a {names}, got {type(config).__name__}")
     for key, value in params.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {key!r} contains non-finite values")
     doc = {
         "format_version": FORMAT_VERSION,
-        "model": model_kind,
+        "model": kinds[0],
         "config": dataclasses.asdict(config),
         "params": {k: _encode(v) for k, v in params.items()},
     }
@@ -118,9 +121,7 @@ def _decode(key: str, entry) -> np.ndarray:
     if entry["dtype"] != _DTYPE:
         raise ValueError(f"parameter {key!r} has dtype {entry['dtype']!r}, not {_DTYPE!r}")
     shape = entry["shape"]
-    if not isinstance(shape, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
-    ):
+    if not isinstance(shape, list) or not all(has_type(n, int) and n >= 0 for n in shape):
         raise ValueError(f"parameter {key!r} has shape {shape!r}, not a list of sizes")
     try:
         raw = base64.b64decode(entry["data"], validate=True)

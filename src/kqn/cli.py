@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import os
 import platform
 import re
@@ -40,6 +41,7 @@ from .analysis import (
     hcluster,
     heatmap_matrix,
     mantel,
+    off_unit_row,
     pairwise_distances,
     read_clusters_csv,
     read_distance_csv,
@@ -68,8 +70,8 @@ from .model import RNN_KINDS, KqnModel, ModelConfig, encode_skill_table
 from .tables import has_type, read_json_object, write_json, write_table
 from .training import (
     SCORE_BLOCK,
-    GridSpec,
     TrainConfig,
+    cell_rank,
     evaluate,
     grid_search,
     split_data,
@@ -307,7 +309,7 @@ def cmd_train(opts: dict, outdir: Path) -> None:
         metrics = outdir / ("metrics.csv" if rep == 0 else f"metrics_{rep}.csv")
         params, summary = _fit(opts, KqnModel(config), parts, seed, metrics, f"repeat {rep}:")
         if rep == 0:
-            save_checkpoint(outdir / "checkpoint.json", "kqn", config, params)
+            save_checkpoint(outdir / "checkpoint.json", config, params)
             export_skill_vectors(outdir / "skill_vectors.csv", params, config)
         summaries.append({"repeat": rep, "seed": seed, **summary})
 
@@ -331,49 +333,35 @@ def cmd_evaluate(opts: dict, outdir: Path) -> None:
     print(f"{kind} AUC {auc_value:.4f} loss {loss_value:.4f} over {n_trials} trials")
 
 
+# grid.csv's columns before best_epoch, which are best.json's keys, and the
+# name of a grid cell in a stdout line.
+_GRID_COLUMNS = ("rnn", "dim", "rnn_hidden", "mlp_hidden", "valid_auc")
+_GRID_LABEL = "{rnn} d={dim} rnn={rnn_hidden} mlp={mlp_hidden}"
+
+
+def _grid_row(cell) -> dict:
+    c = cell.config
+    values = (c.rnn_kind, c.dim, c.rnn_hidden, c.mlp_hidden, cell.valid_auc)
+    return dict(zip(_GRID_COLUMNS, values))
+
+
 def cmd_gridsearch(opts: dict, outdir: Path) -> None:
     train_ds, valid_ds, _, num_skills = _load_parts(opts)
-    grid = GridSpec(
-        rnn_kinds=_list_option(opts, "kinds"),
-        dims=_list_option(opts, "dims"),
-        rnn_hiddens=_list_option(opts, "rnn_hiddens"),
-        mlp_hiddens=_list_option(opts, "mlp_hiddens"),
-    )
+    axes = [_list_option(opts, key) for key in ("kinds", "dims", "rnn_hiddens", "mlp_hiddens")]
+    configs = [ModelConfig(num_skills=num_skills, dim=dim, rnn_kind=kind, rnn_hidden=hr,
+                           mlp_hidden=hm, keep_prob=opts["keep_prob"])
+               for kind, dim, hr, hm in itertools.product(*axes)]
 
-    def progress(config, auc_value):
-        print(
-            f"{config.rnn_kind} d={config.dim} rnn={config.rnn_hidden} "
-            f"mlp={config.mlp_hidden}: valid AUC {auc_value:.4f}"
-        )
+    def progress(cell):
+        print((_GRID_LABEL + ": valid AUC {valid_auc:.4f}").format(**_grid_row(cell)))
 
-    result = grid_search(
-        num_skills,
-        train_ds.sequences,
-        valid_ds.sequences,
-        _train_config(opts, opts["seed"]),
-        grid=grid,
-        keep_prob=opts["keep_prob"],
-        progress=progress,
-    )
-    header = ("rnn", "dim", "rnn_hidden", "mlp_hidden", "valid_auc", "best_epoch")
-    rows = ((c.config.rnn_kind, c.config.dim, c.config.rnn_hidden, c.config.mlp_hidden,
-             c.valid_auc, c.best_epoch) for c in result.cells)
-    write_table(outdir / "grid.csv", header, rows)
-    best = result.best.config
-    write_json(
-        outdir / "best.json",
-        {
-            "rnn": best.rnn_kind,
-            "dim": best.dim,
-            "rnn_hidden": best.rnn_hidden,
-            "mlp_hidden": best.mlp_hidden,
-            "valid_auc": result.best.valid_auc,
-        },
-    )
-    print(
-        f"best: {best.rnn_kind} d={best.dim} rnn={best.rnn_hidden} "
-        f"mlp={best.mlp_hidden} (valid AUC {result.best.valid_auc:.4f})"
-    )
+    cells = grid_search(configs, train_ds.sequences, valid_ds.sequences,
+                        _train_config(opts, opts["seed"]), progress)
+    write_table(outdir / "grid.csv", (*_GRID_COLUMNS, "best_epoch"),
+                ((*_grid_row(cell).values(), cell.best_epoch) for cell in cells))
+    best = _grid_row(min(cells, key=cell_rank))
+    write_json(outdir / "best.json", best)
+    print(("best: " + _GRID_LABEL + " (valid AUC {valid_auc:.4f})").format(**best))
 
 
 def cmd_heatmap(opts: dict, outdir: Path) -> None:
@@ -413,13 +401,26 @@ def _source(opts: dict) -> str:
     return given[0]
 
 
+def _unit_vectors(path):
+    """The skill ids and table of a skill-vector file whose rows are unit
+    vectors, as pairwise_distances needs; else an error naming the file
+    and the skill."""
+    ids, table = load_skill_vectors(path)
+    norms = np.linalg.norm(table, axis=1)
+    row = off_unit_row(norms)
+    if row is not None:
+        raise ValueError(f"{path}: vectors must be unit length; "
+                         f"skill {ids[row]} has norm {norms[row]}")
+    return ids, table
+
+
 def _table_from_opts(opts):
     if _source(opts) == "checkpoint":
         config, params = _kqn_checkpoint(opts["checkpoint"])
         table, _ = encode_skill_table(params)
         ids = list(range(1, config.num_skills + 1))
         return table, ids
-    ids, table = load_skill_vectors(opts["skill_vectors"])
+    ids, table = _unit_vectors(opts["skill_vectors"])
     return table, list(ids)
 
 
@@ -498,7 +499,7 @@ def cmd_sensitivity(opts: dict, outdir: Path) -> None:
     paths = _list_option(opts, "vectors")
     if len(paths) < 2:
         raise ValueError("sensitivity needs at least two skill-vector files")
-    loaded = [(path, *load_skill_vectors(path)) for path in paths]
+    loaded = [(path, *_unit_vectors(path)) for path in paths]
     first, first_ids, _ = loaded[0]
     sets = {}
     for path, ids, table in loaded:
@@ -532,10 +533,15 @@ def cmd_dkt(opts: dict, outdir: Path) -> None:
         input_mode=opts["mode"],
         hybrid_encoding=opts["encoding"],
     )
-    table = load_skill_vectors(opts["skill_vectors"])[1] if hybrid else None
+    table = None
+    if hybrid:
+        path = opts["skill_vectors"]
+        ids, vectors = load_skill_vectors(path)
+        table = vectors[_aligned(f"skill ids 1..{num_skills}", range(1, num_skills + 1),
+                                 path, ids)]
     model = DktModel(config, skill_table=table)
     params, report = _fit(opts, model, parts, opts["seed"], outdir / "metrics.csv", "dkt")
-    save_checkpoint(outdir / "checkpoint.json", "dkt", config, params)
+    save_checkpoint(outdir / "checkpoint.json", config, params)
     write_json(outdir / "eval.json", report)
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ops import sigmoid
-from .tables import check_types, has_type, read_json_object, write_json, write_text
+from .tables import check_config, has_type, read_json_object, write_json, write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,9 +294,9 @@ class SyntheticSpec:
     """Item-response style generator settings.
 
     Skills are assigned to concepts round-robin (concept of skill e is
-    (e-1) % num_concepts + 1). Each student draws one ability per concept,
-    each skill has one difficulty, and P(correct) = guess +
-    (1-guess) * sigmoid(ability - difficulty).
+    (e-1) % num_concepts + 1). Each student draws one standard-normal
+    ability per concept, each skill has one standard-normal difficulty,
+    and P(correct) = guess + (1-guess) * sigmoid(ability - difficulty).
     """
 
     num_students: int
@@ -304,32 +304,16 @@ class SyntheticSpec:
     num_concepts: int
     steps_per_student: int
     guess: float = 0.25
-    ability_mean: float = 0.0
-    ability_std: float = 1.0
-    difficulty_mean: float = 0.0
-    difficulty_std: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        check_types(self)
-        if self.num_students < 1 or self.num_skills < 2 or self.steps_per_student < 2:
-            raise ValueError(
-                "need at least 1 student, 2 skills and 2 steps per student"
-            )
-        if not 1 <= self.num_concepts <= self.num_skills:
+        check_config(self)
+        if self.num_concepts > self.num_skills:
             raise ValueError(
                 f"num_concepts must be in 1..{self.num_skills}, got {self.num_concepts}"
             )
         if not 0.0 <= self.guess < 1.0:
             raise ValueError(f"guess must be in [0, 1), got {self.guess}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("ability_mean", "ability_std", "difficulty_mean", "difficulty_std"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if name.endswith("_std") and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def concept_of_skill(skill: int, num_concepts: int) -> int:
@@ -343,13 +327,13 @@ def generate_synthetic(spec: SyntheticSpec):
     ground-truth concept label.
     """
     rng = np.random.default_rng(spec.seed)
-    difficulty = rng.normal(spec.difficulty_mean, spec.difficulty_std, size=spec.num_skills)
+    difficulty = rng.normal(0.0, 1.0, size=spec.num_skills)
     concepts = {
         e: concept_of_skill(e, spec.num_concepts) for e in range(1, spec.num_skills + 1)
     }
     sequences = []
     for sid in range(spec.num_students):
-        ability = rng.normal(spec.ability_mean, spec.ability_std, size=spec.num_concepts)
+        ability = rng.normal(0.0, 1.0, size=spec.num_concepts)
         skills = rng.integers(1, spec.num_skills + 1, size=spec.steps_per_student)
         p = spec.guess + (1.0 - spec.guess) * sigmoid(
             ability[(skills - 1) % spec.num_concepts] - difficulty[skills - 1]

@@ -24,7 +24,6 @@ from .model import (
     BatchForward,
     Params,
     check_batch,
-    check_config,
     init_recurrent,
     next_trials,
     response_rows,
@@ -33,6 +32,7 @@ from .model import (
     scatter_add,
     uniform_weights,
 )
+from .tables import check_config
 
 # Not called here, but perfbench/tracing.py patches these names in this
 # module, so they stay bound.

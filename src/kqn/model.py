@@ -38,7 +38,7 @@ import numpy as np
 
 from .metrics import binary_cross_entropy
 from .ops import dropout_mask, l2_normalize_rows, l2_normalize_rows_backward, sigmoid
-from .tables import check_types
+from .tables import check_config
 
 Params = dict[str, np.ndarray]
 
@@ -69,24 +69,6 @@ class ModelConfig:
 
     def __post_init__(self):
         check_config(self, rnn_kind=RNN_KINDS)
-
-
-def check_config(config, **choices) -> None:
-    """The checks every model config shares: each field has its annotated
-    type (a bool is not an int, and an int serves for a float), each field
-    named in choices is one of its choices, keep_prob is in (0, 1],
-    num_skills is at least 2 and every other field, a width, is positive."""
-    for name in check_types(config):
-        value = getattr(config, name)
-        if name in choices:
-            ok, rule = value in choices[name], f"one of {choices[name]}"
-        elif name == "keep_prob":
-            ok, rule = 0.0 < value <= 1.0, "in (0, 1]"
-        else:
-            low = 2 if name == "num_skills" else 1
-            ok, rule = value >= low, f">= {low}"
-        if not ok:
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def uniform_weights(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

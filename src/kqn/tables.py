@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from itertools import chain
 from pathlib import Path
@@ -58,17 +59,35 @@ def has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def check_types(config) -> dict:
-    """Refuse the first field of a dataclass config whose value fails
-    has_type for its annotated type; returns the field types by name."""
-    hints = get_type_hints(type(config))
-    for name, kind in hints.items():
+# The least value of an int config field, by name; any other int field, a
+# count or a width, is at least 1.
+_LOWER_BOUNDS = {"num_skills": 2, "steps_per_student": 2, "seed": 0}
+
+
+def check_config(config, **choices) -> None:
+    """The one check of a config dataclass, run by its __post_init__.
+    Field by field, in order: the value has the field's annotated type
+    (has_type), is one of its choices when choices names the field, and
+    else is in (0, 1] for keep_prob, finite for any other float, and at
+    least its _LOWER_BOUNDS bound for an int. The first failure raises
+    ValueError naming the field."""
+    for name, kind in get_type_hints(type(config)).items():
         value = getattr(config, name)
         if not has_type(value, kind):
             raise ValueError(
                 f"config field {name!r} must be of type {kind.__name__}, got {value!r}"
             )
-    return hints
+        if name in choices:
+            ok, rule = value in choices[name], f"one of {choices[name]}"
+        elif name == "keep_prob":
+            ok, rule = 0.0 < value <= 1.0, "in (0, 1]"
+        elif kind is float:
+            ok, rule = math.isfinite(value), "finite"
+        else:
+            low = _LOWER_BOUNDS.get(name, 1)
+            ok, rule = value >= low, f">= {low}"
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def read_json_object(path, what: str) -> dict:
@@ -89,7 +108,9 @@ def read_table(path, what: str, header, dtype=float):
 
     The file's header must equal `header`, or begin with its cells when it
     ends with `...`; else this raises "<path> is not a <what> CSV". A row
-    whose cell count differs from the header's is an error naming its line.
+    whose cell count differs from the header's, or with a cell that int()
+    (column 0) or dtype (the others) cannot read, is an error naming its
+    line.
     """
     lines = Path(path).read_text().splitlines()
     head = next(csv.reader(lines[:1]), [])
@@ -106,6 +127,20 @@ def read_table(path, what: str, header, dtype=float):
         return head, [], np.empty((0, len(head) - 1), dtype)
     # loadtxt parses with Python's own string-to-double, so floats round-trip,
     # and takes about three quarters of the time of np.array on split cells.
-    values = np.loadtxt(rows, delimiter=",", dtype=dtype, usecols=range(1, len(head)),
-                        ndmin=2, comments=None)
-    return head, [int(row.partition(",")[0]) for row in rows], values
+    try:
+        values = np.loadtxt(rows, delimiter=",", dtype=dtype, usecols=range(1, len(head)),
+                            ndmin=2, comments=None)
+        ids = [int(row.partition(",")[0]) for row in rows]
+    except ValueError as exc:
+        # Only now look for the line at fault, so a good file is read once.
+        for n, row in enumerate(rows, start=2):
+            cells = row.split(",")
+            for convert, cell in zip([int] + [dtype] * (len(cells) - 1), cells):
+                try:
+                    convert(cell)
+                except ValueError:
+                    raise ValueError(f"{path} line {n}: cannot read {cell!r} as "
+                                     f"{convert.__name__}") from exc
+        # Python reads a few cells loadtxt refuses, such as 1_0.
+        raise ValueError(f"{path}: {exc}") from exc
+    return head, ids, values

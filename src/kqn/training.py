@@ -1,6 +1,7 @@
 """Optimization loop shared by every sequence model in the package: Adam
 with bias correction, student-level data splits, early stopping on
-validation AUC, hyperparameter grid search, and the metrics CSV format.
+validation AUC, a grid search over model configs, and the metrics CSV
+format.
 
 A trainable model is anything exposing init_params(rng), forward(params,
 skills, corrects, lengths, mode, rng) returning an object with logits,
@@ -16,7 +17,7 @@ import numpy as np
 
 from .metrics import auc_scores, binary_cross_entropy
 from .model import KqnModel, ModelConfig, Params, batch_arrays
-from .tables import check_types, read_table, write_table
+from .tables import check_config, read_table, write_table
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
@@ -47,23 +48,14 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        check_types(self)
-        _check_batch_size(self.batch_size)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.epochs_validation < 1:
-            raise ValueError("epochs_validation must be positive")
-        if not np.isfinite(self.adam_alpha):
-            raise ValueError(f"adam_alpha must be finite, got {self.adam_alpha}")
+        check_config(self)
         if self.adam_alpha <= 0:
-            raise ValueError("adam_alpha must be positive")
-        if self.patience < 1:
-            raise ValueError("patience must be positive")
+            raise ValueError(f"adam_alpha must be > 0, got {self.adam_alpha!r}")
 
 
 def _check_batch_size(size: int) -> None:
-    """Refuse a batch size that is not a positive integer. A Python or
-    NumPy integer serves; a bool or a float (even 2.0) does not."""
+    """Refuse an evaluate() batch size that is not a positive integer. A
+    Python or NumPy integer serves; a bool or a float (even 2.0) does not."""
     if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
         raise ValueError(f"batch_size must be a positive integer, got {size!r}")
     if size < 1:
@@ -272,45 +264,16 @@ def evaluate(model, params: Params, sequences, batch_size: int = SCORE_BLOCK):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    rnn_kinds: tuple[str, ...] = ("lstm", "gru")
-    dims: tuple[int, ...] = (32, 64, 128)
-    rnn_hiddens: tuple[int, ...] = (32, 64, 128)
-    mlp_hiddens: tuple[int, ...] = (32, 64, 128)
-
-
-def enumerate_grid(num_skills: int, grid: GridSpec, keep_prob: float = 0.6):
-    """Yield one ModelConfig per grid cell in deterministic order."""
-    for kind in grid.rnn_kinds:
-        for dim in grid.dims:
-            for hr in grid.rnn_hiddens:
-                for hm in grid.mlp_hiddens:
-                    yield ModelConfig(
-                        num_skills=num_skills,
-                        dim=dim,
-                        rnn_kind=kind,
-                        rnn_hidden=hr,
-                        mlp_hidden=hm,
-                        keep_prob=keep_prob,
-                    )
-
-
-@dataclass(frozen=True)
 class GridCell:
     config: ModelConfig
     valid_auc: float
     best_epoch: int
 
 
-@dataclass
-class GridSearchResult:
-    best: GridCell
-    cells: list[GridCell]
-
-
-def _cell_rank(cell: GridCell):
-    # Higher AUC wins; ties prefer smaller dim, then smaller recurrent and
-    # perceptron widths, then LSTM over GRU.
+def cell_rank(cell: GridCell):
+    """The sort key that puts the best cell first: higher AUC wins; ties
+    prefer smaller dim, then smaller recurrent and perceptron widths, then
+    LSTM over GRU."""
     cfg = cell.config
     return (
         -cell.valid_auc,
@@ -322,27 +285,23 @@ def _cell_rank(cell: GridCell):
 
 
 def grid_search(
-    num_skills: int,
+    configs: Sequence[ModelConfig],
     train_seqs,
     valid_seqs,
     cfg: TrainConfig,
-    grid: GridSpec = GridSpec(),
-    keep_prob: float = 0.6,
-    progress: Optional[Callable[[ModelConfig, float], None]] = None,
-) -> GridSearchResult:
-    """Train every grid cell to epochs_validation and rank by best
-    validation AUC with the deterministic tie-break of _cell_rank."""
+    progress: Optional[Callable[[GridCell], None]] = None,
+) -> list[GridCell]:
+    """Train a KqnModel of each config in the order given; returns one
+    GridCell per config, holding its best epoch and that epoch's
+    validation AUC. progress, when given, sees each cell as it is done."""
     cells = []
-    for config in enumerate_grid(num_skills, grid, keep_prob):
-        result = train(KqnModel(config), train_seqs, valid_seqs, cfg)
-        best = max(r.valid_auc for r in result.metrics.epochs)
-        cells.append(
-            GridCell(config=config, valid_auc=best, best_epoch=result.metrics.best_epoch)
-        )
+    for config in configs:
+        metrics = train(KqnModel(config), train_seqs, valid_seqs, cfg).metrics
+        best = metrics.best_epoch
+        cells.append(GridCell(config, metrics.epochs[best - 1].valid_auc, best))
         if progress is not None:
-            progress(config, best)
-    ranked = sorted(cells, key=_cell_rank)
-    return GridSearchResult(best=ranked[0], cells=cells)
+            progress(cells[-1])
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_file_hooks_find_the_written_file(tmp_path):
     params = init_params(config, np.random.default_rng(0))
     table, _ = kqn.model.encode_skill_table(params)
     calls = {
-        kqn.checkpoint.save_checkpoint: ("kqn", config, params),
+        kqn.checkpoint.save_checkpoint: (config, params),
         kqn.checkpoint.export_skill_vectors: (params, config),
         kqn.analysis.write_distance_csv: (kqn.analysis.pairwise_distances(table, "cosine"),),
     }

@@ -19,6 +19,7 @@ from kqn.checkpoint import (
 )
 from kqn.dkt import DktConfig, DktModel
 from kqn.model import ModelConfig, encode_skill_table, init_params
+from kqn.training import TrainConfig
 
 
 # The float64 extremes: smallest subnormal, largest subnormal, smallest
@@ -36,7 +37,7 @@ def make_kqn(seed=0):
 def saved_doc(tmp_path):
     config, params = make_kqn()
     path = tmp_path / "model.json"
-    save_checkpoint(path, "kqn", config, params)
+    save_checkpoint(path, config, params)
     return path, json.loads(path.read_text())
 
 
@@ -107,7 +108,7 @@ class TestCheckpointRoundTrip:
     def test_kqn_bit_exact(self, tmp_path):
         config, params = make_kqn()
         path = tmp_path / "model.json"
-        save_checkpoint(path, "kqn", config, params)
+        save_checkpoint(path, config, params)
         kind, config2, params2 = load_checkpoint(path)
         assert kind == "kqn"
         assert config2 == config
@@ -121,7 +122,7 @@ class TestCheckpointRoundTrip:
         model = DktModel(config)
         params = model.init_params(np.random.default_rng(1))
         path = tmp_path / "dkt.json"
-        save_checkpoint(path, "dkt", config, params)
+        save_checkpoint(path, config, params)
         kind, config2, params2 = load_checkpoint(path)
         assert kind == "dkt"
         assert config2 == config
@@ -130,20 +131,25 @@ class TestCheckpointRoundTrip:
             assert np.array_equal(params[k], params2[k])
 
     def test_unknown_kind_rejected_on_save(self, tmp_path):
-        config, params = make_kqn()
-        with pytest.raises(ValueError):
-            save_checkpoint(tmp_path / "x.json", "irt", config, params)
+        # The kind follows from the config's type, and only a model config
+        # has one; nothing is written.
+        _, params = make_kqn()
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError) as exc:
+            save_checkpoint(path, TrainConfig(), params)
+        assert str(exc.value) == "config must be a ModelConfig or DktConfig, got TrainConfig"
+        assert not path.exists()
 
     def test_non_finite_params_rejected(self, tmp_path):
         config, params = make_kqn()
         params["proj_w"][0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            save_checkpoint(tmp_path / "x.json", "kqn", config, params)
+            save_checkpoint(tmp_path / "x.json", config, params)
 
     def test_version_mismatch_rejected(self, tmp_path):
         config, params = make_kqn()
         path = tmp_path / "model.json"
-        save_checkpoint(path, "kqn", config, params)
+        save_checkpoint(path, config, params)
         doc = json.loads(path.read_text())
         doc["format_version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(doc))
@@ -153,7 +159,7 @@ class TestCheckpointRoundTrip:
     def test_foreign_model_kind_rejected_on_load(self, tmp_path):
         config, params = make_kqn()
         path = tmp_path / "model.json"
-        save_checkpoint(path, "kqn", config, params)
+        save_checkpoint(path, config, params)
         doc = json.loads(path.read_text())
         doc["model"] = "bkt"
         path.write_text(json.dumps(doc))
@@ -213,7 +219,7 @@ class TestDocumentChecks:
         config = DktConfig(num_skills=4, hidden=3, input_mode="hybrid")
         params = DktModel(config, skill_table=table).init_params(np.random.default_rng(1))
         path = tmp_path / "dkt.json"
-        save_checkpoint(path, "dkt", config, params)
+        save_checkpoint(path, config, params)
         loaded = load_checkpoint(path)[2]
         assert loaded["rnn_wx"].shape == (12, 6)
         assert loaded["skill_table"].tobytes() == table.tobytes()

@@ -34,9 +34,9 @@ from kqn.data import (
     load_dataset,
     relabel_skills,
 )
-from kqn.model import KqnModel, encode_skill_table
+from kqn.model import KqnModel, ModelConfig, encode_skill_table
 from kqn.tables import write_table
-from kqn.training import evaluate, split_data
+from kqn.training import TrainConfig, evaluate, split_data, train
 
 
 # A symmetric distance file with one non-finite pair.
@@ -756,6 +756,28 @@ class TestMantelSensitivity:
         assert capsys.readouterr().err == f"error: {bad}: skill 2 has a non-finite coordinate\n"
         assert not (tmp_path / "d" / "distances.csv").exists()
 
+    @pytest.mark.parametrize("bad_side", ["a", "b"])
+    def test_unreadable_cell_names_its_file_and_line(self, tmp_path, capsys, bad_side):
+        texts = {"a": DISTANCES_123, "b": DISTANCES_123}
+        texts[bad_side] = DISTANCES_123.replace("2,1.0,0.0,3.0", "2,1.0,0.0,abc")
+        err, a, b = self.mantel_error(tmp_path, capsys, texts["a"], texts["b"])
+        assert err == f"error: {a if bad_side == 'a' else b} line 3: cannot read 'abc' as float\n"
+
+    @pytest.mark.parametrize("command", ["sensitivity", "distances", "cluster"])
+    def test_non_unit_vector_names_its_file_and_skill(self, tmp_path, capsys, command):
+        # Skill 9 is row 2 of the second file.
+        good, bad = tmp_path / "u.csv", tmp_path / "nu.csv"
+        good.write_text("skill,x1,x2\n5,0.6,0.8\n7,1.0,0.0\n9,0.0,1.0\n")
+        bad.write_text("skill,x1,x2,x3\n5,0.6,0.8,0.0\n7,1.0,0.0,0.0\n9,0.5,0.5,0.0\n")
+        inputs = (["--vectors", str(good), "--vectors", str(bad)] if command == "sensitivity"
+                  else ["--skill-vectors", str(bad)])
+        rc = main([command, "--out", str(tmp_path / "o"), *inputs])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: vectors must be unit length; skill 9 has norm 0.7071067811865476\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_sensitivity_matches_library(self, ws, tmp_path):
         run("sensitivity", "--out", tmp_path,
             "--vectors", ws / "kqn4" / "skill_vectors.csv",
@@ -842,6 +864,39 @@ class TestDkt:
         assert config.input_mode == "hybrid"
         assert config.hybrid_encoding == "signed"
 
+    @staticmethod
+    def hybrid(ws, out, vectors):
+        return main(["dkt", "--out", str(out), "--train", str(ws / "split" / "train.txt"),
+                     "--valid", str(ws / "split" / "valid.txt"), "--mode", "hybrid",
+                     "--skill-vectors", str(vectors), "--hidden", "4", "--epochs", "2",
+                     "--batch-size", "8", "--seed", "2"])
+
+    def test_hybrid_pairs_vectors_with_skills_by_id(self, ws, tmp_path):
+        source = ws / "kqn4" / "skill_vectors.csv"
+        head, *rows = source.read_text().splitlines()
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("\n".join([head, *rows[::-1]]) + "\n")
+        for name, vectors in (("file", source), ("reordered", reordered)):
+            assert self.hybrid(ws, tmp_path / name, vectors) == 0
+        for artifact in ("metrics.csv", "checkpoint.json"):
+            assert (tmp_path / "file" / artifact).read_bytes() == \
+                (tmp_path / "reordered" / artifact).read_bytes()
+
+    @pytest.mark.parametrize("case", ["shifted", "missing", "repeated"])
+    def test_hybrid_refuses_vectors_not_of_every_skill(self, ws, tmp_path, capsys, case):
+        head, *rows = (ws / "kqn4" / "skill_vectors.csv").read_text().splitlines()
+        if case == "shifted":
+            rows = [f"{int(sid) + 1},{rest}" for sid, rest in (r.split(",", 1) for r in rows)]
+        rows = {"shifted": rows, "missing": rows[:-1], "repeated": rows + rows[:1]}[case]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([head, *rows]) + "\n")
+        assert self.hybrid(ws, tmp_path / "out", bad) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: skill id 1 appears more than once\n" if case == "repeated"
+            else f"error: skill ids 1..6 and {bad} cover different skill sets\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestGridsearch:
     def test_tiny_grid(self, ws, tmp_path):
@@ -858,6 +913,39 @@ class TestGridsearch:
         assert best["dim"] in (3, 4)
         cell_aucs = [float(line.split(",")[4]) for line in lines[1:]]
         assert best["valid_auc"] == max(cell_aucs)
+
+    def test_grid_is_the_fits_of_its_cells(self, ws, tmp_path, capsys):
+        # Kinds outermost and perceptron widths innermost; each row is the
+        # fit train() gives its cell, and best.json and the last stdout line
+        # name the cell of highest AUC, ties to the smaller widths, then LSTM.
+        train_ds, valid_ds = (load_dataset(ws / "split" / f"{p}.txt") for p in ("train", "valid"))
+        capsys.readouterr()
+        run("gridsearch", "--out", tmp_path, "--train", ws / "split" / "train.txt",
+            "--valid", ws / "split" / "valid.txt", "--kinds", "lstm,gru", "--dims", "3,4",
+            "--rnn-hiddens", 4, "--mlp-hiddens", "4,5", "--keep-prob", 0.8, "--epochs", 2,
+            "--batch-size", 8, "--alpha", 0.003, "--seed", 1)
+        cfg = TrainConfig(batch_size=8, epochs_validation=2, adam_alpha=0.003, seed=1)
+        rows = []
+        for kind in ("lstm", "gru"):
+            for dim in (3, 4):
+                for mlp in (4, 5):
+                    config = ModelConfig(num_skills=6, dim=dim, rnn_kind=kind, rnn_hidden=4,
+                                         mlp_hidden=mlp, keep_prob=0.8)
+                    fit = train(KqnModel(config), train_ds.sequences, valid_ds.sequences, cfg)
+                    auc = max(r.valid_auc for r in fit.metrics.epochs)
+                    rows.append((kind, dim, 4, mlp, auc, fit.metrics.best_epoch))
+        best = min(rows, key=lambda r: (-r[4], r[1], r[2], r[3], r[0] != "lstm"))
+        assert (tmp_path / "grid.csv").read_text() == \
+            "rnn,dim,rnn_hidden,mlp_hidden,valid_auc,best_epoch\n" + \
+            "".join(",".join(map(str, row)) + "\n" for row in rows)
+        keys = ("rnn", "dim", "rnn_hidden", "mlp_hidden", "valid_auc")
+        assert (tmp_path / "best.json").read_text() == \
+            json.dumps(dict(zip(keys, best)), indent=2) + "\n"
+        label = "{} d={} rnn={} mlp={}"
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"{label.format(*row[:4])}: valid AUC {row[4]:.4f}" for row in rows),
+            f"best: {label.format(*best[:4])} (valid AUC {best[4]:.4f})",
+        ]
 
     @pytest.mark.parametrize("flag, value", [("--dims", ""), ("--kinds", ",")])
     def test_empty_list_option(self, ws, tmp_path, capsys, flag, value):

@@ -21,6 +21,7 @@ from kqn.data import (
     save_dataset,
     serialize_triplets,
 )
+from kqn.ops import sigmoid
 from kqn.training import TrainConfig
 
 SAMPLE = """3
@@ -394,18 +395,20 @@ class TestSyntheticGenerator:
                 make()
             assert str(exc.value) == "seed must be >= 0, got -1"
 
-    @pytest.mark.parametrize("field, value, rule", [
-        (field, value, "finite")
-        for field in ("ability_mean", "ability_std", "difficulty_mean", "difficulty_std")
-        for value in (float("nan"), float("inf"), float("-inf"))
-    ] + [("ability_std", -0.5, ">= 0"), ("difficulty_std", -0.5, ">= 0")])
-    def test_bad_distribution_parameter_is_refused_by_name(self, field, value, rule):
-        # A NaN std gave every response flag 0, and a negative one failed
-        # inside NumPy's normal draw without naming the field.
-        with pytest.raises(ValueError) as exc:
-            SyntheticSpec(num_students=3, num_skills=4, num_concepts=2, steps_per_student=5,
-                          **{field: value})
-        assert str(exc.value) == f"{field} must be {rule}, got {value}"
+    def test_draw_order(self):
+        # data.txt depends on this order: every skill's difficulty, then per
+        # student one ability per concept, the skills and the flags' uniforms.
+        spec = SyntheticSpec(num_students=3, num_skills=6, num_concepts=2, steps_per_student=4,
+                             guess=0.3, seed=8)
+        ds, _ = generate_synthetic(spec)
+        rng = np.random.default_rng(8)
+        difficulty = rng.normal(0.0, 1.0, size=6)
+        for seq in ds.sequences:
+            ability = rng.normal(0.0, 1.0, size=2)
+            skills = rng.integers(1, 7, size=4)
+            p = 0.3 + 0.7 * sigmoid(ability[(skills - 1) % 2] - difficulty[skills - 1])
+            corrects = (rng.random(4) < p).astype(int)
+            assert seq.responses.tolist() == np.column_stack((skills, corrects)).tolist()
 
 
 class TestSequenceTypes:

@@ -132,3 +132,40 @@ def test_only_tables_writes_files(path):
     # an interrupted write never leaves part of an artifact behind, and it
     # makes the directory it writes into, so nothing else makes one.
     assert direct_writes(path.read_text()) == []
+
+
+def unchecked_configs(source: str) -> list[str]:
+    """Classes named *Config or *Spec whose __post_init__ does not call
+    check_config, so a second validator cannot grow beside it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Spec"))):
+            continue
+        post = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+        calls = [c for f in post for c in ast.walk(f) if isinstance(c, ast.Call)
+                 and isinstance(c.func, ast.Name) and c.func.id == "check_config"]
+        if not calls:
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_finds_an_unchecked_config():
+    source = (
+        "class AConfig:\n    def __post_init__(self):\n        check_config(self)\n"
+        "class BSpec:\n    def __post_init__(self):\n        check_types(self)\n"
+        "class CConfig:\n    pass\n"
+        "class Other:\n    pass\n"
+    )
+    assert unchecked_configs(source) == ["line 4: BSpec", "line 7: CConfig"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_config_calls_check_config(path):
+    assert unchecked_configs(path.read_text()) == []
+
+
+def test_the_config_check_sees_every_config():
+    # The check is not vacuous: it finds the four config dataclasses.
+    found = {node.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Spec"))}
+    assert found >= {"ModelConfig", "DktConfig", "TrainConfig", "SyntheticSpec"}

@@ -1,4 +1,7 @@
-"""The CSV table codec shared by every artifact."""
+"""The CSV table codec shared by every artifact, and the one check of a
+config dataclass."""
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,8 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kqn import tables
-from kqn.analysis import pairwise_distances, write_distance_csv
+from kqn.analysis import (
+    pairwise_distances,
+    read_clusters_csv,
+    read_dendrogram_csv,
+    read_distance_csv,
+    read_heatmap_csv,
+    write_distance_csv,
+)
+from kqn.checkpoint import load_skill_vectors
+from kqn.data import SyntheticSpec
+from kqn.dkt import DktConfig
+from kqn.model import ModelConfig
 from kqn.tables import read_table, write_table, write_text
+from kqn.training import TrainConfig, read_metrics_csv
 
 from helpers import random_unit_vectors
 
@@ -119,3 +134,79 @@ def test_rows_are_written_as_they_come(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20, peak
+
+
+# Each reader of a table artifact, with a good file for it.
+READERS = {
+    "distance": (read_distance_csv, "skill,1,2\n1,0.0,1.0\n2,1.0,0.0\n"),
+    "clusters": (read_clusters_csv, "skill,label\n1,1\n2,2\n"),
+    "skill-vector": (load_skill_vectors, "skill,x1,x2\n1,0.6,0.8\n2,1.0,0.0\n"),
+    "metrics": (read_metrics_csv, "epoch,train_loss,valid_auc\n1,0.69,0.5\n2,0.68,0.6\n"),
+    "dendrogram": (read_dendrogram_csv, "a,b,height,size\n1,2,0.5,2\n3,4,1.0,3\n"),
+    "heatmap": (read_heatmap_csv, 'skill,"(1,1)","(2,0)"\n1,50.0,60.0\n2,40.0,30.0\n'),
+}
+
+
+@pytest.mark.parametrize("column", ["id", "value"])
+@pytest.mark.parametrize("reader", READERS)
+def test_a_bad_cell_names_its_file_and_line(tmp_path, reader, column):
+    # NumPy's own message names neither the file nor the file's line.
+    read, text = READERS[reader]
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    read(path)
+    lines = text.splitlines()
+    cells = lines[2].split(",")
+    at = 0 if column == "id" else len(cells) - 1
+    cells[at] = "q" if column == "id" else "abc"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    kind = "int" if column == "id" or reader == "clusters" else "float"
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path} line 3: cannot read {cells[at]!r} as {kind}"
+
+
+def test_a_bad_distance_header_cell_names_its_file(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("skill,1,q\n1,0.0,1.0\n2,1.0,0.0\n")
+    with pytest.raises(ValueError) as exc:
+        read_distance_csv(path)
+    assert str(exc.value) == f"{path} line 1: invalid literal for int() with base 10: 'q'"
+
+
+# A valid instance of each config dataclass, by keyword.
+CONFIGS = {
+    ModelConfig: dict(num_skills=5, dim=4),
+    DktConfig: dict(num_skills=5),
+    TrainConfig: dict(),
+    SyntheticSpec: dict(num_students=3, num_skills=4, num_concepts=2, steps_per_student=5),
+}
+BOUNDS = {"num_skills": 2, "steps_per_student": 2, "seed": 0}
+
+
+def bad_fields():
+    """(config class, field, value, expected message start) for a bool in
+    each int field, a nan in each float field and each int field one under
+    its lower bound."""
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            if f.type == "int":
+                low = BOUNDS.get(f.name, 1)
+                yield cls, f.name, True, f"config field {f.name!r} must be of type int"
+                yield cls, f.name, low - 1, f"{f.name} must be >= {low}, got {low - 1}"
+            elif f.type == "float":
+                rule = "in (0, 1]" if f.name == "keep_prob" else "finite"
+                yield cls, f.name, float("nan"), f"{f.name} must be {rule}, got nan"
+
+
+BAD_FIELDS = list(bad_fields())
+
+
+@pytest.mark.parametrize("cls, field, value, message", BAD_FIELDS,
+                         ids=[f"{cls.__name__}-{field}-{value}" for cls, field, value, _ in BAD_FIELDS])
+def test_every_config_checks_its_fields(cls, field, value, message):
+    cls(**CONFIGS[cls])
+    with pytest.raises(ValueError) as exc:
+        cls(**{**CONFIGS[cls], field: value})
+    assert re.match(re.escape(message), str(exc.value))

@@ -6,12 +6,10 @@ from kqn.data import ResponseSequence
 from kqn.model import ModelConfig, KqnModel
 from kqn.training import (
     AdamState,
-    GridSpec,
     TrainConfig,
-    _cell_rank,
     GridCell,
     adam_step,
-    enumerate_grid,
+    cell_rank,
     evaluate,
     grid_search,
     init_adam,
@@ -268,16 +266,6 @@ class TestEvaluate:
 
 
 class TestGridSearch:
-    def test_enumeration_order_and_size(self):
-        cells = list(enumerate_grid(5, GridSpec()))
-        assert len(cells) == 54
-        assert cells[0].rnn_kind == "lstm" and cells[-1].rnn_kind == "gru"
-        assert cells[0].dim == 32 and cells[0].rnn_hidden == 32 and cells[0].mlp_hidden == 32
-        small = list(enumerate_grid(5, GridSpec(rnn_kinds=("gru",), dims=(4,),
-                                                rnn_hiddens=(6,), mlp_hiddens=(6, 8))))
-        assert [c.mlp_hidden for c in small] == [6, 8]
-        assert all(c.num_skills == 5 for c in small)
-
     def test_tie_break_prefers_small_then_lstm(self):
         def cell(kind, dim, hr, hm, auc_v):
             cfg = ModelConfig(num_skills=4, dim=dim, rnn_kind=kind, rnn_hidden=hr, mlp_hidden=hm)
@@ -288,29 +276,30 @@ class TestGridSearch:
         c = cell("lstm", 4, 32, 32, 0.70)
         d = cell("lstm", 4, 16, 32, 0.70)
         e = cell("lstm", 4, 16, 16, 0.75)
-        ranked = sorted([a, b, c, d, e], key=_cell_rank)
+        ranked = sorted([a, b, c, d, e], key=cell_rank)
         assert ranked[0] is e
         assert ranked[1] is d
         assert ranked[2] is c
         assert ranked[3] is b
         assert ranked[4] is a
 
-    def test_search_returns_best_by_rank(self, tiny_synthetic):
-        cfg = tiny_train_cfg(epochs_validation=2)
-        grid = GridSpec(rnn_kinds=("lstm",), dims=(3, 4), rnn_hiddens=(5,), mlp_hiddens=(5,))
+    def test_one_cell_per_config_in_order(self, tiny_synthetic):
+        # Each cell is the fit an independent train() gives its config: the
+        # best epoch and that epoch's AUC, which is the best AUC.
+        cfg = tiny_train_cfg(epochs_validation=3)
+        train_seqs = tiny_synthetic.dataset.sequences[:25]
+        valid_seqs = tiny_synthetic.dataset.sequences[25:35]
+        configs = [ModelConfig(num_skills=10, dim=dim, rnn_kind=kind, rnn_hidden=5,
+                               mlp_hidden=5, keep_prob=1.0)
+                   for kind, dim in (("gru", 4), ("lstm", 3), ("lstm", 4))]
         seen = []
-        result = grid_search(
-            10,
-            tiny_synthetic.dataset.sequences[:25],
-            tiny_synthetic.dataset.sequences[25:35],
-            cfg,
-            grid=grid,
-            keep_prob=1.0,
-            progress=lambda config, auc_v: seen.append((config.dim, auc_v)),
-        )
-        assert len(result.cells) == 2
-        assert [dim for dim, _ in seen] == [3, 4]
-        assert result.best == sorted(result.cells, key=_cell_rank)[0]
+        cells = grid_search(configs, train_seqs, valid_seqs, cfg, progress=seen.append)
+        assert [cell.config for cell in cells] == configs
+        assert seen == cells
+        for cell in cells:
+            metrics = train(KqnModel(cell.config), train_seqs, valid_seqs, cfg).metrics
+            assert cell.best_epoch == metrics.best_epoch
+            assert cell.valid_auc == max(r.valid_auc for r in metrics.epochs)
 
 
 class TestMetricsCsv:

@@ -117,16 +117,17 @@ class DktModel:
         return BatchForward.from_valid(logits, valid, corrects, cache)
 
     def backward(self, params, fwd: BatchForward) -> Params:
-        """Gradients of every parameter but the frozen skill_table."""
-        if fwd.cache is None:
-            raise ValueError("backward needs a forward pass run with mode='train'")
-        cache = fwd.cache
+        """Gradients of every parameter but the frozen skill_table.
+        Consumes fwd.cache: the output layer's gradients are taken from hv
+        first, and the scan's backward runs without it."""
+        cache = fwd.take_cache()
         dy = fwd.logit_grad()
-        grads = scan_backward(dy[:, None] * params["out_w"][cache["q"] - 1], cache["scan"], params)
-        grads["out_w"] = np.zeros_like(params["out_w"])
-        grads["out_b"] = np.zeros_like(params["out_b"])
-        scatter_add(grads["out_w"], cache["q"] - 1, dy[:, None] * cache["hv"])
-        np.add.at(grads["out_b"], cache["q"] - 1, dy)
+        rows = cache["q"] - 1
+        head = {"out_w": np.zeros_like(params["out_w"]), "out_b": np.zeros_like(params["out_b"])}
+        scatter_add(head["out_w"], rows, dy[:, None] * cache.pop("hv"))
+        np.add.at(head["out_b"], rows, dy)
+        grads = scan_backward(dy[:, None] * params["out_w"][rows], cache.pop("scan"), params)
+        grads.update(head)
         return grads
 
 

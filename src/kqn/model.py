@@ -270,7 +270,8 @@ class BatchForward:
     the valid cells: elsewhere the logits are 0 (so the probs 0.5), and the
     loss and its gradient never read them. knowledge_states (one row per
     valid cell, in the row-major order of valid) and skill_table (N, d) are
-    filled by the query model and None for DKT. cache is train mode only.
+    filled by the query model and None for DKT. cache is train mode only,
+    and a backward pass consumes it (take_cache).
     """
 
     logits: np.ndarray
@@ -299,6 +300,15 @@ class BatchForward:
     @property
     def num_valid(self) -> int:
         return int(np.sum(self.valid))
+
+    def take_cache(self) -> dict:
+        """The train-mode cache, which a backward pass consumes: it is
+        released from this forward, so the state it holds lives no longer
+        than the backward, and a second backward raises."""
+        if self.cache is None:
+            raise ValueError("backward needs a forward pass run with mode='train'")
+        cache, self.cache = self.cache, None
+        return cache
 
     def loss_sum(self) -> float:
         """Cross-entropy summed over valid trials."""
@@ -408,7 +418,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     predict a trial, hv the (n, H) recurrent output of its n cells in the
     mask's row-major order, dropped out in train mode with an (n, H) mask
     drawn in that order, so only scored cells consume the generator;
-    cache feeds scan_backward (None in eval mode).
+    cache feeds scan_backward, which consumes it (None in eval mode). It
+    holds the per-step cell caches and the mask as boolean keep flags and
+    the scalar 1/keep_prob, the mask's only nonzero value.
     """
     # A copy, never a view of rnn_wx: fold_gates folds it in place.
     emb = np.array(params["rnn_wx"].T, order="C")
@@ -447,8 +459,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
         return hv, valid, None
     mask = dropout_mask(hv.shape, keep_prob, rng)
     hv *= mask
-    return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "emb": emb, "cells": cells,
-                       "mask": mask, "packed_hot": packed_hot, "perm": perm, "offs": offs}
+    return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "emb_shape": emb.shape,
+                       "cells": cells, "keep": mask != 0, "scale": 1.0 / keep_prob,
+                       "packed_hot": packed_hot, "perm": perm, "offs": offs}
 
 
 def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
@@ -456,13 +469,22 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
     gradient on scan's output hv, walking scan's packed steps in reverse.
     Step j scatter-adds dpre, the gradient on its gathered rows of emb,
     into one (2N, G*H) table d_emb; rnn_wx's gradient is the transpose of
-    d_emb for one-hot inputs, or of inputs.T @ d_emb."""
+    d_emb for one-hot inputs, or of inputs.T @ d_emb.
+
+    It consumes its arguments: d_hv is overwritten (masked in place by
+    scan's dropout mask), and each step's cell cache is popped from
+    cache["cells"] once its step is done, so the caches are released as
+    the walk goes."""
     wh = params["rnn_wh"]
-    d_emb = np.zeros_like(cache["emb"])
+    d_emb = np.zeros(cache["emb_shape"])
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wh", "rnn_b")}
-    packed_hot, offs = cache["packed_hot"], cache["offs"]
-    # The gradient on hv in scan's step-major packed order.
-    d_h = (d_hv * cache["mask"])[cache["perm"]]
+    packed_hot, offs, cells = cache["packed_hot"], cache["offs"], cache["cells"]
+    # The gradient on hv times scan's mask (d_hv*scale*keep is d_hv*mask
+    # bit for bit), in scan's step-major packed order.
+    d_hv *= cache["scale"]
+    d_hv *= cache["keep"]
+    d_h = d_hv[cache["perm"]]
+    del d_hv
     # Gradients on the recurrent state of the sorted rows; rows a later
     # step did not run stay zero.
     dh_rec = np.zeros((offs[1] if len(offs) > 1 else 0, wh.shape[1]))
@@ -473,10 +495,10 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
         dh = d_h[lo:hi] + dh_rec[:k]
         if cache["rnn_kind"] == "lstm":
             dh_rec[:k], dc_rec[:k], dpre, dwh, db = lstm_cell_backward(
-                dh, dc_rec[:k], cache["cells"][j], wh
+                dh, dc_rec[:k], cells.pop(), wh
             )
         else:
-            dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
+            dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cells.pop(), wh)
         scatter_add(d_emb, packed_hot[lo:hi], dpre)
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
@@ -556,27 +578,28 @@ def forward_batch(
     rows = len(hv) if mode == "train" else 2
     proj = np.ascontiguousarray(params["proj_w"].T)
     kv = (pad_rows(hv, rows) @ proj)[: len(hv)] + params["proj_b"]
-    sv = table[q - 1]
     cache = None
     if mode == "train":
-        cache = {"scan": scan_cache, "skill": skill_cache, "hv": hv, "kv": kv, "q": q, "sv": sv}
+        cache = {"scan": scan_cache, "skill": skill_cache, "hv": hv, "kv": kv, "q": q}
     return BatchForward.from_valid(
-        np.sum(kv * sv, axis=1), valid, corrects, cache, knowledge_states=kv, skill_table=table,
+        np.sum(kv * table[q - 1], axis=1), valid, corrects, cache, knowledge_states=kv,
+        skill_table=table,
     )
 
 
 def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Params:
-    """Exact gradients of fwd.loss_sum() with respect to every parameter."""
-    if fwd.cache is None:
-        raise ValueError("backward needs a forward pass run with mode='train'")
-    cache = fwd.cache
+    """Exact gradients of fwd.loss_sum() with respect to every parameter.
+    Consumes fwd.cache: the head's weight gradients are taken from hv
+    first, and the scan's backward runs without it."""
+    cache = fwd.take_cache()
     dy = fwd.logit_grad()[:, None]
-    dks = dy * cache["sv"]
+    rows = cache["q"] - 1
+    dks = dy * fwd.skill_table[rows]
     d_table = np.zeros_like(fwd.skill_table)
-    scatter_add(d_table, cache["q"] - 1, dy * cache["kv"])
-    grads = scan_backward(dks @ params["proj_w"], cache["scan"], params)
-    grads["proj_w"] = dks.T @ cache["hv"]
-    grads["proj_b"] = dks.sum(axis=0)
+    scatter_add(d_table, rows, dy * cache["kv"])
+    head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
+    grads = scan_backward(dks @ params["proj_w"], cache.pop("scan"), params)
+    grads.update(head)
     grads.update(skill_table_backward(d_table, cache["skill"], params))
     return grads
 

@@ -109,8 +109,8 @@ def read_table(path, what: str, header, dtype=float):
     The file's header must equal `header`, or begin with its cells when it
     ends with `...`; else this raises "<path> is not a <what> CSV". A row
     whose cell count differs from the header's, or with a cell that int()
-    (column 0) or dtype (the others) cannot read, is an error naming its
-    line.
+    (column 0) or np.loadtxt as dtype (the others) cannot read, is an
+    error naming its line and cell.
     """
     lines = Path(path).read_text().splitlines()
     head = next(csv.reader(lines[:1]), [])
@@ -127,20 +127,34 @@ def read_table(path, what: str, header, dtype=float):
         return head, [], np.empty((0, len(head) - 1), dtype)
     # loadtxt parses with Python's own string-to-double, so floats round-trip,
     # and takes about three quarters of the time of np.array on split cells.
+    def load(lines, usecols):
+        return np.loadtxt(lines, delimiter=",", dtype=dtype, usecols=usecols, ndmin=2,
+                          comments=None)
+
     try:
-        values = np.loadtxt(rows, delimiter=",", dtype=dtype, usecols=range(1, len(head)),
-                            ndmin=2, comments=None)
+        values = load(rows, range(1, len(head)))
         ids = [int(row.partition(",")[0]) for row in rows]
     except ValueError as exc:
-        # Only now look for the line at fault, so a good file is read once.
+        # Only now look for the line at fault, one loadtxt call per line,
+        # then for its cell, so a good file is read once. The readers of
+        # the file judge: int() the id, loadtxt a value, which refuses
+        # some cells Python reads, such as 1_0 or a fullwidth digit.
         for n, row in enumerate(rows, start=2):
             cells = row.split(",")
-            for convert, cell in zip([int] + [dtype] * (len(cells) - 1), cells):
+            try:
+                int(cells[0])
+                load([row], range(1, len(cells)))
+                continue
+            except ValueError:
+                pass
+            for at, cell in enumerate(cells):
                 try:
-                    convert(cell)
+                    if at:
+                        load([f"0,{cell}"], [1])
+                    else:
+                        int(cell)
                 except ValueError:
-                    raise ValueError(f"{path} line {n}: cannot read {cell!r} as "
-                                     f"{convert.__name__}") from exc
-        # Python reads a few cells loadtxt refuses, such as 1_0.
+                    kind = (dtype if at else int).__name__
+                    raise ValueError(f"{path} line {n}: cannot read {cell!r} as {kind}") from exc
         raise ValueError(f"{path}: {exc}") from exc
     return head, ids, values

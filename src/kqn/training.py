@@ -172,6 +172,8 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
     one generator seeded with cfg.seed. A non-finite batch loss or gradient
     entry raises ValueError naming the epoch and batch, before that batch's
     update, and so does a non-finite validation loss, naming the epoch.
+    A batch's forward and gradients are dropped before the next forward,
+    so a fit holds one batch of train-mode state at a time.
     """
     train_kept, skipped_train = _scoreable(train_seqs)
     valid_kept, skipped_valid = _scoreable(valid_seqs)
@@ -201,8 +203,9 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
             # reports it as one error instead of a stream of NumPy warnings.
             with np.errstate(all="ignore"):
                 fwd = model.forward(params, skills, corrects, lengths, mode="train", rng=rng)
-                loss = fwd.loss_sum()
+                loss, trials = fwd.loss_sum(), fwd.num_valid
                 grads = model.backward(params, fwd)
+                del fwd
                 diverged = f"training diverged: epoch {epoch} batch {batch_no}"
                 if not np.isfinite(loss):
                     raise ValueError(f"{diverged} loss is {loss}")
@@ -210,8 +213,9 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
                 if bad:
                     raise ValueError(f"{diverged} gradient {bad[0]!r} is not finite")
                 loss_total += loss
-                trials_total += fwd.num_valid
+                trials_total += trials
                 adam_step(params, grads, state, cfg)
+                del grads
 
         train_loss = loss_total / max(trials_total, 1)
         with np.errstate(all="ignore"):

@@ -6,9 +6,26 @@ single linkage, explicit loops elsewhere). Tests compare the fast library
 implementations against these.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from kqn.data import Dataset, ResponseSequence
+
+# ---------------------------------------------------------------------------
+# Memory
+
+
+def traced_peak(fn):
+    """The peak of the memory that tracemalloc traces while fn() runs, in
+    bytes: what fn allocates, counted from zero at its start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 # ---------------------------------------------------------------------------
 # Finite differences

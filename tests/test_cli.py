@@ -778,6 +778,23 @@ class TestMantelSensitivity:
         )
         assert not (tmp_path / "o").exists()
 
+    # Cells Python's float() reads but np.loadtxt refuses.
+    @pytest.mark.parametrize("cell", ["1_0", "１.0", "١.0"])
+    @pytest.mark.parametrize("source", ["distances", "skill-vectors"])
+    def test_cell_only_python_reads_names_its_file_and_line(self, tmp_path, capsys, cell,
+                                                            source):
+        float(cell)
+        bad = tmp_path / "bad.csv"
+        if source == "distances":
+            bad.write_text(DISTANCES_123.replace("2,1.0,0.0,3.0", f"2,1.0,0.0,{cell}"))
+            argv = ["cluster", "--distances", str(bad)]
+        else:
+            bad.write_text(f"skill,x1,x2\n1,0.6,0.8\n2,{cell},0.0\n")
+            argv = ["distances", "--skill-vectors", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {bad} line 3: cannot read {cell!r} as float\n"
+        assert not (tmp_path / "o").exists()
+
     def test_sensitivity_matches_library(self, ws, tmp_path):
         run("sensitivity", "--out", tmp_path,
             "--vectors", ws / "kqn4" / "skill_vectors.csv",

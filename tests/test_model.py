@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +43,7 @@ from helpers import (
     reference_gru_cell_backward,
     reference_lstm_cell,
     reference_lstm_cell_backward,
+    traced_peak,
     traced_scan,
 )
 
@@ -903,14 +902,8 @@ class TestScanMemory:
                 for b, n in enumerate([200] + [3] * 63)]
         batch = batch_arrays(seqs)
         block = 199 * 64 * 64 * 8
-        tracemalloc.start()
-        try:
-            model.forward(params, *batch)
-            eval_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            model.backward(params, model.forward(params, *batch, mode="train", rng=rng))
-            train_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        eval_peak = traced_peak(lambda: model.forward(params, *batch))
+        train_peak = traced_peak(lambda: model.backward(
+            params, model.forward(params, *batch, mode="train", rng=rng)))
         assert eval_peak < block, eval_peak
         assert train_peak < 2 * block, train_peak

@@ -167,6 +167,20 @@ def test_a_bad_cell_names_its_file_and_line(tmp_path, reader, column):
     assert str(exc.value) == f"{path} line 3: cannot read {cells[at]!r} as {kind}"
 
 
+@pytest.mark.parametrize("reader", READERS)
+def test_a_value_only_python_reads_names_its_file_and_line(tmp_path, reader):
+    # int() and float() read 1_0; np.loadtxt, which reads the values, does not.
+    read, text = READERS[reader]
+    lines = text.splitlines()
+    lines[1] = lines[1].rpartition(",")[0] + ",1_0"
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    kind = "int" if reader == "clusters" else "float"
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path} line 2: cannot read '1_0' as {kind}"
+
+
 def test_a_bad_distance_header_cell_names_its_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("skill,1,q\n1,0.0,1.0\n2,1.0,0.0\n")

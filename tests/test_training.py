@@ -1,8 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import traced_peak
 from kqn.data import ResponseSequence
+from kqn.dkt import DktConfig, DktModel
 from kqn.model import ModelConfig, KqnModel
 from kqn.training import (
     AdamState,
@@ -194,6 +198,83 @@ class TestTrain:
         assert runs[0].metrics.epochs == runs[1].metrics.epochs
         for k in runs[0].params:
             assert np.array_equal(runs[0].params[k], runs[1].params[k])
+
+
+# Models whose train-mode state is large next to their parameters: long
+# sequences over few skills.
+LIFETIME_MODELS = {
+    "kqn": lambda: KqnModel(ModelConfig(num_skills=4, dim=4, rnn_hidden=32, mlp_hidden=4)),
+    "dkt": lambda: DktModel(DktConfig(num_skills=4, hidden=32)),
+}
+
+
+def equal_sequences(count, length, seed=0):
+    rng = np.random.default_rng(seed)
+    return [ResponseSequence(b, np.column_stack((rng.integers(1, 5, length),
+                                                 rng.integers(0, 2, length))))
+            for b in range(count)]
+
+
+class OneBatchAtATime:
+    """A model that holds weak references to its last train-mode forward
+    and to one of its gradients, and at every forward asserts that both
+    are gone."""
+
+    def __init__(self, model):
+        self.model = model
+        self.held = []
+        self.train_forwards = 0
+
+    def init_params(self, rng):
+        return self.model.init_params(rng)
+
+    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None):
+        assert all(ref() is None for ref in self.held), "the last batch's state is still held"
+        fwd = self.model.forward(params, skills, corrects, lengths, mode=mode, rng=rng)
+        if mode == "train":
+            self.held = [weakref.ref(fwd)]
+            self.train_forwards += 1
+        return fwd
+
+    def backward(self, params, fwd):
+        grads = self.model.backward(params, fwd)
+        self.held.append(weakref.ref(grads["rnn_wx"]))
+        return grads
+
+
+@pytest.mark.parametrize("name", list(LIFETIME_MODELS))
+class TestOneBatchAtATime:
+    def test_train_drops_each_batch_before_the_next_forward(self, name):
+        model = OneBatchAtATime(LIFETIME_MODELS[name]())
+        train(model, equal_sequences(12, 8), equal_sequences(3, 8, seed=1),
+              tiny_train_cfg(batch_size=4, epochs_validation=2))
+        assert model.train_forwards == 6
+
+    def test_backward_consumes_the_cache(self, name):
+        model = LIFETIME_MODELS[name]()
+        params = model.init_params(np.random.default_rng(0))
+        fwd = model.forward(params, *batch_arrays(equal_sequences(3, 6)), mode="train",
+                            rng=np.random.default_rng(1))
+        model.backward(params, fwd)
+        assert fwd.cache is None
+        with pytest.raises(ValueError, match=r"^backward needs a forward pass run with "
+                                             r"mode='train'$"):
+            model.backward(params, fwd)
+
+    def test_two_batches_peak_as_one(self, name):
+        # At most 1.1x the traced peak of one batch's forward and
+        # backward: a fit that held the last batch's state through the
+        # next forward would peak near twice it.
+        model = LIFETIME_MODELS[name]()
+        seqs = equal_sequences(32, 120)
+        params = model.init_params(np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        arrays = batch_arrays(seqs[:16])
+        one = traced_peak(lambda: model.backward(
+            params, model.forward(params, *arrays, mode="train", rng=rng)))
+        cfg = tiny_train_cfg(batch_size=16, epochs_validation=1)
+        fit = traced_peak(lambda: train(model, seqs, equal_sequences(2, 120, seed=1), cfg))
+        assert fit <= 1.1 * one, (fit, one)
 
 
 class TestEvaluate:

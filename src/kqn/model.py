@@ -471,14 +471,12 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
     into one (2N, G*H) table d_emb; rnn_wx's gradient is the transpose of
     d_emb for one-hot inputs, or of inputs.T @ d_emb.
 
-    It consumes its arguments: d_hv is overwritten (masked in place by
-    scan's dropout mask), and each step's cell cache is popped from
-    cache["cells"] once its step is done, so the caches are released as
-    the walk goes."""
+    It overwrites d_hv, masking it in place by scan's dropout mask, and
+    keeps only its gathered copy in packed order during the step loop."""
     wh = params["rnn_wh"]
     d_emb = np.zeros(cache["emb_shape"])
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wh", "rnn_b")}
-    packed_hot, offs, cells = cache["packed_hot"], cache["offs"], cache["cells"]
+    packed_hot, offs = cache["packed_hot"], cache["offs"]
     # The gradient on hv times scan's mask (d_hv*scale*keep is d_hv*mask
     # bit for bit), in scan's step-major packed order.
     d_hv *= cache["scale"]
@@ -495,10 +493,10 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
         dh = d_h[lo:hi] + dh_rec[:k]
         if cache["rnn_kind"] == "lstm":
             dh_rec[:k], dc_rec[:k], dpre, dwh, db = lstm_cell_backward(
-                dh, dc_rec[:k], cells.pop(), wh
+                dh, dc_rec[:k], cache["cells"][j], wh
             )
         else:
-            dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cells.pop(), wh)
+            dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
         scatter_add(d_emb, packed_hot[lo:hi], dpre)
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db

@@ -418,9 +418,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     predict a trial, hv the (n, H) recurrent output of its n cells in the
     mask's row-major order, dropped out in train mode with an (n, H) mask
     drawn in that order, so only scored cells consume the generator;
-    cache feeds scan_backward, which consumes it (None in eval mode). It
-    holds the per-step cell caches and the mask as boolean keep flags and
-    the scalar 1/keep_prob, the mask's only nonzero value.
+    cache feeds scan_backward (None in eval mode). It holds the per-step
+    cell caches and the mask as boolean keep flags and the scalar
+    1/keep_prob, the mask's only nonzero value.
     """
     # A copy, never a view of rnn_wx: fold_gates folds it in place.
     emb = np.array(params["rnn_wx"].T, order="C")

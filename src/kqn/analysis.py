@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import ModelConfig, Params, batch_arrays, forward_batch
 from .ops import sigmoid
-from .tables import read_table, write_table
+from .tables import read_int, read_table, write_table
 
 DISTANCE_KINDS = ("cosine", "euclidean")
 LINKAGES = ("average", "centroid", "complete", "median", "single", "ward", "weighted")
@@ -450,7 +450,7 @@ def read_distance_csv(path):
     """Returns (DistanceMatrix, skill_ids)."""
     header, ids, values = read_table(path, "distance", ("skill", ...))
     try:
-        header_ids = [int(c) for c in header[1:]]
+        header_ids = [read_int(c) for c in header[1:]]
     except ValueError as exc:
         raise ValueError(f"{path} line 1: {exc}") from exc
     if ids != header_ids:

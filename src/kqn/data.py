@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .ops import sigmoid
-from .tables import check_config, has_type, read_json_object, write_json, write_text
+from .tables import INT_TOKEN, check_config, has_type, read_json_object, write_json, write_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +119,11 @@ def _read_exact(lines: list[str]):
     return counts, all_skills, all_corrects
 
 
-# Comma-separated ASCII decimal tokens, each an optional sign and digits
-# within spaces or tabs: the text on which np.fromstring reads the values
-# int() reads. On other text NumPy reads a blank or sign-only token as 0
+# Comma-separated tables.INT_TOKEN tokens, each an optional sign and ASCII
+# digits within spaces or tabs: the text on which np.fromstring reads the
+# values int() reads. On other text NumPy reads a blank or sign-only token as 0
 # and "- 5" as -5, where int() refuses them.
-_TOKENS = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*(?:,[ \t]*[+-]?[0-9]+[ \t]*)*")
+_TOKENS = re.compile(rf"{INT_TOKEN}(?:,{INT_TOKEN})*")
 
 
 def _fits_fromstring(text: str) -> bool:

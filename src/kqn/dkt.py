@@ -23,12 +23,15 @@ import numpy as np
 from .model import (
     BatchForward,
     Params,
+    ScanOperands,
+    Scorer,
     check_batch,
     init_recurrent,
     next_trials,
     response_rows,
     scan,
     scan_backward,
+    scan_operands,
     scatter_add,
     uniform_weights,
 )
@@ -86,7 +89,7 @@ def init_params(config: DktConfig, rng: np.random.Generator, skill_table=None) -
     return params
 
 
-class DktModel:
+class DktModel(Scorer):
     """Trainer-facing wrapper. skill_table, the frozen table of a hybrid
     model, is read only by init_params; forward reads the copy held in the
     parameters, so DktModel(config) scores any checkpoint of that config."""
@@ -100,15 +103,26 @@ class DktModel:
     def init_params(self, rng: np.random.Generator) -> Params:
         return init_params(self.config, rng, self.skill_table)
 
-    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> BatchForward:
+    def prepare(self, params) -> ScanOperands:
+        """The parameter-only operands of forward: the scan's, over the
+        hybrid rows in hybrid mode. Made on every train-mode batch and
+        once per scoring call (scorer)."""
+        inputs = None
+        if self.config.input_mode == "hybrid":
+            inputs = hybrid_rows(params["skill_table"], self.config.hybrid_encoding == "signed")
+        return scan_operands(params, "lstm", inputs)
+
+    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
+                prepared=None) -> BatchForward:
+        """prepared, when given, is self.prepare(params); else the call
+        makes it."""
         cfg = self.config
         check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
-        inputs = None
-        if cfg.input_mode == "hybrid":
-            inputs = hybrid_rows(params["skill_table"], cfg.hybrid_encoding == "signed")
+        if prepared is None:
+            prepared = self.prepare(params)
         hv, valid, scan_cache = scan(
-            params, "lstm", response_rows(skills, corrects, cfg.num_skills), lengths,
-            cfg.keep_prob, mode, rng, inputs,
+            prepared, response_rows(skills, corrects, cfg.num_skills), lengths,
+            cfg.keep_prob, mode, rng,
         )
         q = next_trials(skills, len(valid))[valid]
         # Each valid cell reads one output unit, the next skill's row of out_w.

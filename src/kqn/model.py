@@ -10,16 +10,17 @@ DKT baseline, which supplies only its hybrid input rows and its output
 head.
 
 Only work a scored trial needs is done: a step input is one of 2N
-responses, so the scan projects one (2N, G*H) table of input projections
-per call and each step gathers its students' rows (the gradient is a
-scatter-add of the same rows), each step runs the cell on the students
-still predicting, the gates use the tanh form of the logistic function,
-dropout draws only the scored cells, and scan hands the heads one row of
-recurrent output per scored cell, no padded (S, B, H) block.
+responses, so one (2N, G*H) table of input projections is made per set
+of parameters (prepare) and each step gathers its students' rows (the
+gradient is a scatter-add of the same rows), each step runs the cell on
+the students still predicting, the gates use the tanh form of the
+logistic function, dropout draws only the scored cells, and scan hands
+the heads one row of recurrent output per scored cell, no padded
+(S, B, H) block.
 
 The cells work on the stacked gate block. A logistic gate is
 0.5 + 0.5*tanh(u/2); fold_gates halves its columns of the input
-projections, the recurrent weights and the bias once per scan, so a
+projections, the recurrent weights and the bias once per prepare, so a
 step runs one tanh over the stacked block and one in-place scale and
 offset, 0.5 and 0.5 on a logistic block, 1.0 and -0.0 on a tanh block.
 The backward keeps the forward's tanh(c) and r*h_prev. Every probability
@@ -32,7 +33,7 @@ the rule is a property of the OpenBLAS measured, scipy-openblas 0.3.31).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -342,7 +343,7 @@ def batch_arrays(sequences):
 def check_batch(skills, lengths, num_skills: int, mode: str, keep_prob: float, rng) -> None:
     """Reject a batch no model can score: an unknown mode, train-mode
     dropout without an rng, a sequence with nothing to predict, or a
-    skill id outside 1..num_skills."""
+    skill id outside 1..num_skills (check_skill_ids)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     if mode == "train" and keep_prob < 1.0 and rng is None:
@@ -351,6 +352,12 @@ def check_batch(skills, lengths, num_skills: int, mode: str, keep_prob: float, r
         raise ValueError(
             f"every sequence needs at least 2 responses to score, got {lengths.min()}"
         )
+    check_skill_ids(skills, num_skills)
+
+
+def check_skill_ids(skills: np.ndarray, num_skills: int) -> None:
+    """Reject skill ids outside 1..num_skills, naming the range of all of
+    them."""
     if skills.size and (skills.min() < 1 or skills.max() > num_skills):
         raise ValueError(
             f"skill ids outside 1..{num_skills}: got range {skills.min()}..{skills.max()}"
@@ -384,18 +391,40 @@ def pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate([x, np.zeros((rows - len(x), x.shape[1]))])
 
 
-def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: str, rng,
-         inputs=None):
+class ScanOperands(NamedTuple):
+    """The operands of scan that depend only on the parameters, made by
+    scan_operands: the cell kind, the (2N, D) step inputs (None for
+    one-hot), emb, the folded (2N, G*H) table of their input projections,
+    and cell, the other operands of the forward cells (fold_gates)."""
+
+    rnn_kind: str
+    inputs: Optional[np.ndarray]
+    emb: np.ndarray
+    cell: tuple
+
+
+def scan_operands(params: Params, rnn_kind: str, inputs=None) -> ScanOperands:
+    """scan's operands for params. inputs is the (2N, D) matrix of step
+    inputs, None standing for the identity, the one-hot encoding. The
+    input projections emb = inputs @ rnn_wx.T (for one-hot, a contiguous
+    copy of rnn_wx.T) and fold_gates' folding of the logistic gates' 0.5
+    into emb and the cell's weights are done here, so a caller that scores
+    many batches with one set of parameters does them once."""
+    # A copy, never a view of rnn_wx: fold_gates folds it in place.
+    emb = np.array(params["rnn_wx"].T, order="C")
+    if inputs is not None:
+        emb = inputs @ emb
+    return ScanOperands(rnn_kind, inputs, emb,
+                        fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"]))
+
+
+def scan(operands: ScanOperands, hot, lengths, keep_prob: float, mode: str, rng):
     """Run the recurrent cell over a padded batch, packed: each step runs
     only the students that still predict a trial.
 
     hot is the (B, T) array of response_rows, each naming one of the 2N
-    rows of inputs, the (2N, D) matrix of step inputs; None stands for
-    the identity, the one-hot encoding. The input projections
-    emb = inputs @ rnn_wx.T are taken once per call (for one-hot, a
-    contiguous copy of rnn_wx.T), and each step gathers its students'
-    rows of emb. fold_gates folds the logistic gates' 0.5 into emb and
-    the cell's weights once per call.
+    rows of the step inputs, and each step gathers its students' rows of
+    operands.emb (see scan_operands).
 
     The rows are sorted by length, longest first (a stable sort), so step j
     runs the cell on the first k_j sorted rows, k_j being the number of
@@ -422,14 +451,11 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
     cell caches and the mask as boolean keep flags and the scalar
     1/keep_prob, the mask's only nonzero value.
     """
-    # A copy, never a view of rnn_wx: fold_gates folds it in place.
-    emb = np.array(params["rnn_wx"].T, order="C")
-    if inputs is not None:
-        emb = inputs @ emb
-    operands = fold_gates(rnn_kind, emb, params["rnn_wh"], params["rnn_b"])
-    bsz, hh = len(lengths), params["rnn_wh"].shape[1]
+    emb, cell_operands = operands.emb, operands.cell
+    # The cells' first operand is the (H, G*H) recurrent weight.
+    bsz, hh = len(lengths), cell_operands[0].shape[0]
     train = mode == "train"
-    lstm = rnn_kind == "lstm"
+    lstm = operands.rnn_kind == "lstm"
     s_steps = max(int(lengths.max()) - 1, 0) if bsz else 0
     valid = np.arange(s_steps)[:, None] < lengths - 1
     order = np.argsort(-lengths, kind="stable")
@@ -446,9 +472,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
         rows = max(hi - lo, floor)
         a = pad_rows(emb[packed_hot[lo:hi]], rows)
         if lstm:
-            h, c, cell = lstm_cell(a, h[:rows], c[:rows], *operands)
+            h, c, cell = lstm_cell(a, h[:rows], c[:rows], *cell_operands)
         else:
-            h, cell = gru_cell(a, h[:rows], *operands)
+            h, cell = gru_cell(a, h[:rows], *cell_operands)
         packed_h[lo:hi] = h[: hi - lo]
         if train:
             cells.append(cell)
@@ -459,8 +485,9 @@ def scan(params: Params, rnn_kind: str, hot, lengths, keep_prob: float, mode: st
         return hv, valid, None
     mask = dropout_mask(hv.shape, keep_prob, rng)
     hv *= mask
-    return hv, valid, {"rnn_kind": rnn_kind, "inputs": inputs, "emb_shape": emb.shape,
-                       "cells": cells, "keep": mask != 0, "scale": 1.0 / keep_prob,
+    return hv, valid, {"rnn_kind": operands.rnn_kind, "inputs": operands.inputs,
+                       "emb_shape": emb.shape, "cells": cells, "keep": mask != 0,
+                       "scale": 1.0 / keep_prob,
                        "packed_hot": packed_hot, "perm": perm, "offs": offs}
 
 
@@ -547,6 +574,25 @@ def skill_table_backward(d_table: np.ndarray, cache: dict, params: Params) -> Pa
 # Query model over a batch
 
 
+class Prepared(NamedTuple):
+    """The operands of a query-model forward pass that depend only on the
+    parameters: scan's, the C-contiguous (H, d) transpose of proj_w, and
+    the skill table with its encoder cache (encode_skill_table)."""
+
+    scan: ScanOperands
+    proj: np.ndarray
+    table: np.ndarray
+    skill_cache: dict
+
+
+def prepare(params: Params, config: ModelConfig) -> Prepared:
+    """The parameter-only operands of forward_batch, made on every
+    train-mode batch and once per scoring call (KqnModel.scorer)."""
+    table, skill_cache = encode_skill_table(params)
+    return Prepared(scan_operands(params, config.rnn_kind),
+                    np.ascontiguousarray(params["proj_w"].T), table, skill_cache)
+
+
 def forward_batch(
     skills: np.ndarray,
     corrects: np.ndarray,
@@ -555,6 +601,7 @@ def forward_batch(
     config: ModelConfig,
     mode: str = "eval",
     rng: Optional[np.random.Generator] = None,
+    prepared: Optional[Prepared] = None,
 ) -> BatchForward:
     """Run the recurrent encoder over a padded batch and query every
     next-trial skill.
@@ -564,21 +611,23 @@ def forward_batch(
     by `valid` and excluded from loss and gradients. The head's projection
     reads proj_w as a C-contiguous (in, out) matrix and, in eval mode,
     runs a 1-row product on 2 rows, as scan does, so a student's eval-mode
-    probabilities are the same bits in any batch.
+    probabilities are the same bits in any batch. prepared, when given,
+    is prepare(params, config); else the call makes it.
     """
     check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
-    table, skill_cache = encode_skill_table(params)
+    if prepared is None:
+        prepared = prepare(params, config)
     hv, valid, scan_cache = scan(
-        params, config.rnn_kind, response_rows(skills, corrects, config.num_skills), lengths,
+        prepared.scan, response_rows(skills, corrects, config.num_skills), lengths,
         config.keep_prob, mode, rng,
     )
     q = next_trials(skills, len(valid))[valid]
     rows = len(hv) if mode == "train" else 2
-    proj = np.ascontiguousarray(params["proj_w"].T)
-    kv = (pad_rows(hv, rows) @ proj)[: len(hv)] + params["proj_b"]
+    kv = (pad_rows(hv, rows) @ prepared.proj)[: len(hv)] + params["proj_b"]
     cache = None
     if mode == "train":
-        cache = {"scan": scan_cache, "skill": skill_cache, "hv": hv, "kv": kv, "q": q}
+        cache = {"scan": scan_cache, "skill": prepared.skill_cache, "hv": hv, "kv": kv, "q": q}
+    table = prepared.table
     return BatchForward.from_valid(
         np.sum(kv * table[q - 1], axis=1), valid, corrects, cache, knowledge_states=kv,
         skill_table=table,
@@ -602,7 +651,20 @@ def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Pa
     return grads
 
 
-class KqnModel:
+class Scorer:
+    """The scorer of KqnModel and DktModel, which give it config.num_skills,
+    prepare(params) and forward(..., prepared)."""
+
+    def scorer(self, params, skills):
+        """An eval-mode forward over blocks (skills, corrects, lengths) of a
+        scored set whose skill ids are skills, refused here if any is out of
+        range; prepare runs once, here."""
+        check_skill_ids(skills, self.config.num_skills)
+        prepared = self.prepare(params)
+        return lambda *block: self.forward(params, *block, mode="eval", prepared=prepared)
+
+
+class KqnModel(Scorer):
     """Trainer-facing wrapper pairing a config with the functional core."""
 
     name = "kqn"
@@ -613,8 +675,13 @@ class KqnModel:
     def init_params(self, rng: np.random.Generator) -> Params:
         return init_params(self.config, rng)
 
-    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None) -> BatchForward:
-        return forward_batch(skills, corrects, lengths, params, self.config, mode=mode, rng=rng)
+    def prepare(self, params) -> Prepared:
+        return prepare(params, self.config)
+
+    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
+                prepared=None) -> BatchForward:
+        return forward_batch(skills, corrects, lengths, params, self.config, mode=mode, rng=rng,
+                             prepared=prepared)
 
     def backward(self, params, fwd: BatchForward) -> Params:
         return backward_batch(fwd, params, self.config)

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, get_type_hints
@@ -102,15 +103,30 @@ def read_json_object(path, what: str) -> dict:
     return doc
 
 
+# An integer token: ASCII digits with an optional sign, within spaces or
+# tabs. On it int() and np.fromstring read the same value; int() alone
+# would also read 2_0 as 20 and a fullwidth digit as its ASCII twin.
+INT_TOKEN = r"[ \t]*[+-]?[0-9]+[ \t]*"
+_INT = re.compile(INT_TOKEN)
+
+
+def read_int(cell: str) -> int:
+    """The int an INT_TOKEN cell holds; any other text is a ValueError
+    "cannot read '<cell>' as int"."""
+    if _INT.fullmatch(cell) is None:
+        raise ValueError(f"cannot read {cell!r} as int")
+    return int(cell)
+
+
 def read_table(path, what: str, header, dtype=float):
-    """Returns (header cells, ids, values): column 0 parsed with int(), so
-    ids up to 2**63 - 1 stay exact, and the other columns as one array.
+    """Returns (header cells, ids, values): column 0 parsed by read_int,
+    so ids up to 2**63 - 1 stay exact, and the other columns as one array.
 
     The file's header must equal `header`, or begin with its cells when it
     ends with `...`; else this raises "<path> is not a <what> CSV". A row
-    whose cell count differs from the header's, or with a cell that int()
-    (column 0) or np.loadtxt as dtype (the others) cannot read, is an
-    error naming its line and cell.
+    whose cell count differs from the header's, or with a cell that
+    read_int (column 0) or np.loadtxt as dtype (the others) cannot read,
+    is an error naming its line and cell.
     """
     lines = Path(path).read_text().splitlines()
     head = next(csv.reader(lines[:1]), [])
@@ -133,16 +149,16 @@ def read_table(path, what: str, header, dtype=float):
 
     try:
         values = load(rows, range(1, len(head)))
-        ids = [int(row.partition(",")[0]) for row in rows]
+        ids = [read_int(row.partition(",")[0]) for row in rows]
     except ValueError as exc:
         # Only now look for the line at fault, one loadtxt call per line,
         # then for its cell, so a good file is read once. The readers of
-        # the file judge: int() the id, loadtxt a value, which refuses
+        # the file judge: read_int the id, loadtxt a value, which refuses
         # some cells Python reads, such as 1_0 or a fullwidth digit.
         for n, row in enumerate(rows, start=2):
             cells = row.split(",")
             try:
-                int(cells[0])
+                read_int(cells[0])
                 load([row], range(1, len(cells)))
                 continue
             except ValueError:
@@ -152,7 +168,7 @@ def read_table(path, what: str, header, dtype=float):
                     if at:
                         load([f"0,{cell}"], [1])
                     else:
-                        int(cell)
+                        read_int(cell)
                 except ValueError:
                     kind = (dtype if at else int).__name__
                     raise ValueError(f"{path} line {n}: cannot read {cell!r} as {kind}") from exc

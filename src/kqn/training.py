@@ -5,7 +5,11 @@ format.
 
 A trainable model is anything exposing init_params(rng), forward(params,
 skills, corrects, lengths, mode, rng) returning an object with logits,
-probs, targets, valid, loss_sum() and num_valid, and backward(params, fwd).
+probs, targets, valid, loss_sum() and num_valid, backward(params, fwd),
+and scorer(params, skills): given every skill id of a scored set, it
+refuses ids the model cannot score and returns score(skills, corrects,
+lengths), an eval-mode forward over the set's blocks with the
+parameter-only work done once.
 """
 from __future__ import annotations
 
@@ -24,9 +28,9 @@ from .tables import check_config, read_table, write_table
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Students per eval-mode batch when train() validates and a fit scores its
-# test part. Scores do not depend on the batch (see model.scan), so
-# this bounds only memory.
+# Students per eval-mode forward pass when train() validates and a fit
+# scores its test part (evaluate forms the blocks longest first). Scores
+# do not depend on the batch (see model.scan), so this bounds only memory.
 SCORE_BLOCK = 128
 
 
@@ -243,22 +247,32 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
 
 
 def evaluate(model, params: Params, sequences, batch_size: int = SCORE_BLOCK):
-    """Score sequences in eval mode, batch_size students per forward pass;
-    returns (auc, mean_loss, n_trials). A student's eval-mode logits are
-    the same bits in any batch, and the loss is reduced once over every
-    trial in student order, so the result does not depend on batch_size."""
+    """Score sequences in eval mode; returns (auc, mean_loss, n_trials).
+
+    The scored set's skill ids are checked once, before any block, and
+    the parameter-only work is done once (model.scorer). Students are
+    scored batch_size per forward pass, longest first (a stable sort),
+    so each block pads only to its own longest student. A student's
+    eval-mode logits are the same bits in any batch, and the logits,
+    probabilities and targets go back to the students' input order, where
+    the loss is reduced once; so the result does not depend on
+    batch_size."""
     _check_batch_size(batch_size)
     kept, _ = _scoreable(sequences)
     if not kept:
         raise ValueError("no scoreable sequences to evaluate")
+    score = model.scorer(params, np.concatenate([s.responses[:, 0] for s in kept]))
+    counts = np.array([len(s.responses) - 1 for s in kept])
+    order = np.argsort(-counts, kind="stable")
     cells = []
-    for batch in _batches(kept, batch_size):
-        skills, corrects, lengths = batch_arrays(list(batch))
-        fwd = model.forward(params, skills, corrects, lengths, mode="eval")
+    for idx in _batches(order, batch_size):
+        fwd = score(*batch_arrays([kept[i] for i in idx]))
         # Transposed, the valid mask's row-major order is student-major.
         by_student = fwd.valid.T
         cells.append([a.T[by_student] for a in (fwd.logits, fwd.probs, fwd.targets)])
-    y, p, c = map(np.concatenate, zip(*cells))
+    # A stable sort of the scored cells by student puts them in input order.
+    back = np.argsort(np.repeat(order, counts[order]), kind="stable")
+    y, p, c = (np.concatenate(part)[back] for part in zip(*cells))
     loss = float(np.sum(binary_cross_entropy(y, c)))
     return auc_scores(p, c), loss / len(p), len(p)
 

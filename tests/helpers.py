@@ -190,7 +190,7 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
     import pytest
 
     import kqn.model
-    from kqn.model import lstm_cell, lstm_cell_backward, scan, scan_backward
+    from kqn.model import lstm_cell, lstm_cell_backward, scan, scan_backward, scan_operands
 
     taken, dpres = [], []
 
@@ -206,7 +206,8 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kqn.model, "lstm_cell", cell)
         mp.setattr(kqn.model, "lstm_cell_backward", cell_backward)
-        hv, valid, cache = scan(params, "lstm", hot, lengths, 1.0, "train", None, inputs)
+        operands = scan_operands(params, "lstm", inputs)
+        hv, valid, cache = scan(operands, hot, lengths, 1.0, "train", None)
         grads = scan_backward(np.random.default_rng(seed).normal(size=hv.shape), cache, params)
     order = np.argsort(-lengths, kind="stable")
     rows = [order[:k] for k in valid.sum(axis=1)]
@@ -439,6 +440,23 @@ def assert_matches_step_loop(model, params, arrays, seed):
     for key in ref:
         scale = np.max(np.abs(ref[key]))
         assert np.max(np.abs(grads[key] - ref[key])) <= SCAN_GRAD_RTOL * scale, key
+
+
+def reference_evaluate(model, params, sequences):
+    """training.evaluate's (auc, mean_loss, n_trials), scoring each student
+    of 2 or more responses alone, in input order, through model.forward,
+    and reducing the loss once over every trial in that order."""
+    from kqn.metrics import auc_scores, binary_cross_entropy
+    from kqn.model import batch_arrays
+
+    scored = []
+    for seq in sequences:
+        if len(seq.responses) >= 2:
+            fwd = model.forward(params, *batch_arrays([seq]), mode="eval")
+            scored.append([a[:, 0] for a in (fwd.logits, fwd.probs, fwd.targets)])
+    y, p, c = map(np.concatenate, zip(*scored))
+    loss = float(np.sum(binary_cross_entropy(y, c)))
+    return auc_scores(p, c), loss / len(p), len(p)
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,19 @@ class TestDistancesClusterAri:
         assert capsys.readouterr().err == f"error: {bad}{message}\n"
         assert not (tmp_path / "c" / "clusters.csv").exists()
 
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize("cell", ["2_0", "\uff12"])
+    def test_distance_id_only_python_reads_is_an_error(self, tmp_path, capsys, line, cell):
+        # int() reads 2_0 as skill 20 and a fullwidth 2 as skill 2.
+        rows = ["skill,1,2,3", "1,0.0,1.0,2.0", "2,1.0,0.0,1.0", "3,2.0,1.0,0.0"]
+        rows[line - 1] = rows[line - 1].replace("2", cell, 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        rc = main(["cluster", "--out", str(tmp_path / "c"), "--distances", str(bad), "--n", "2"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad} line {line}: cannot read {cell!r} as int\n"
+        assert not (tmp_path / "c").exists()
+
     def test_nan_distance_is_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(NAN_DISTANCES)

@@ -186,7 +186,51 @@ def test_a_bad_distance_header_cell_names_its_file(tmp_path):
     path.write_text("skill,1,q\n1,0.0,1.0\n2,1.0,0.0\n")
     with pytest.raises(ValueError) as exc:
         read_distance_csv(path)
-    assert str(exc.value) == f"{path} line 1: invalid literal for int() with base 10: 'q'"
+    assert str(exc.value) == f"{path} line 1: cannot read 'q' as int"
+
+
+# Id cells that int() reads and the ASCII token rule refuses: int() takes
+# 2_0 as 20, and a fullwidth, Arabic-Indic or no-break-space-padded 2 as 2.
+PYTHON_ONLY_IDS = ["2_0", "\uff12", "\u0662", "2\u00a0"]
+# The READERS entry and the line the id is on.
+ID_READERS = {
+    "distance-row": ("distance", 3),
+    "distance-header": ("distance", 1),
+    "clusters": ("clusters", 3),
+    "skill-vector": ("skill-vector", 3),
+}
+
+
+@pytest.mark.parametrize("cell", PYTHON_ONLY_IDS)
+@pytest.mark.parametrize("where", ID_READERS)
+def test_an_id_only_python_reads_is_refused(tmp_path, where, cell):
+    reader, line = ID_READERS[where]
+    read, text = READERS[reader]
+    lines = text.splitlines()
+    if line == 1:
+        lines[0] = lines[0].replace(",2", f",{cell}")
+    else:
+        lines[2] = cell + lines[2][1:]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value) == f"{path} line {line}: cannot read {cell!r} as int"
+
+
+def test_ids_may_be_signed_and_padded_with_spaces_or_tabs(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("skill,label\n +1\t,1\n\t2 ,2\n")
+    ids, labels = read_clusters_csv(path)
+    assert ids.tolist() == [1, 2] and labels.tolist() == [1, 2]
+    path.write_text("skill, +1,\t2\n1,0.0,1.0\n2,1.0,0.0\n")
+    assert read_distance_csv(path)[1] == [1, 2]
+
+
+def test_the_id_rule_is_the_dataset_token_rule():
+    from kqn import data
+
+    assert data._TOKENS.pattern == rf"{tables.INT_TOKEN}(?:,{tables.INT_TOKEN})*"
 
 
 # A valid instance of each config dataclass, by keyword.

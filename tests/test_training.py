@@ -1,10 +1,13 @@
 import weakref
 
+import kqn.dkt
+import kqn.model
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import traced_peak
+from helpers import reference_evaluate, traced_peak
 from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
 from kqn.model import ModelConfig, KqnModel
@@ -241,6 +244,15 @@ class OneBatchAtATime:
         self.held.append(weakref.ref(grads["rnn_wx"]))
         return grads
 
+    def scorer(self, params, skills):
+        score = self.model.scorer(params, skills)
+
+        def checked(*block):
+            assert all(ref() is None for ref in self.held), "the last batch's state is still held"
+            return score(*block)
+
+        return checked
+
 
 @pytest.mark.parametrize("name", list(LIFETIME_MODELS))
 class TestOneBatchAtATime:
@@ -319,6 +331,9 @@ class TestEvaluate:
                 y = 3.0 * np.sin(1.3 * skills[:, :-1].T + 0.7 * corrects[:, :-1].T)
                 return BatchForward.from_valid(y[valid], valid, corrects, None)
 
+            def scorer(self, params, skills):
+                return lambda *block: self.forward(params, *block)
+
         seqs = tiny_synthetic.dataset.sequences[:30]
         results = [evaluate(ResponseLogits(), {}, seqs, batch_size=size)
                    for size in (1, 3, len(seqs))]
@@ -344,6 +359,129 @@ class TestEvaluate:
         for bad in (0, np.int64(0), -3):
             with pytest.raises(ValueError, match=f"^batch_size must be positive, got {bad}$"):
                 evaluate(model, params, seqs, bad)
+
+
+SCORING_VARIANTS = ("lstm", "gru", "onehot", "correctness", "signed")
+
+
+def scoring_model(variant, n=6):
+    """A KQN model of the variant's cell or a DKT model of its input
+    encoding, at small widths, with its initial parameters."""
+    rng = np.random.default_rng(11)
+    if variant in ("lstm", "gru"):
+        model = KqnModel(ModelConfig(num_skills=n, dim=4, rnn_kind=variant, rnn_hidden=8,
+                                     mlp_hidden=5))
+    elif variant == "onehot":
+        model = DktModel(DktConfig(num_skills=n, hidden=8))
+    else:
+        model = DktModel(DktConfig(num_skills=n, hidden=8, input_mode="hybrid",
+                                   hybrid_encoding=variant), skill_table=rng.random((n, 3)))
+    return model, model.init_params(rng)
+
+
+def skewed_sequences(count=40, n=6, seed=5):
+    """count students of 2 to 59 responses in file order, then one of 60,
+    over skills 1..n."""
+    rng = np.random.default_rng(seed)
+    lengths = [*rng.integers(2, 60, count), 60]
+    return [ResponseSequence(b, np.column_stack((rng.integers(1, n + 1, t),
+                                                 rng.integers(0, 2, t))))
+            for b, t in enumerate(lengths)]
+
+
+class TestScoringOrder:
+    """evaluate prepares the model once per call and scores its blocks
+    longest first; the result keeps every bit of scoring each student
+    alone in input order."""
+
+    @pytest.mark.parametrize("size", [1, 3, 7, 32])
+    @pytest.mark.parametrize("variant", SCORING_VARIANTS)
+    def test_equals_scoring_each_student_alone(self, variant, size):
+        model, params = scoring_model(variant)
+        seqs = skewed_sequences()
+        assert evaluate(model, params, seqs, size) == reference_evaluate(model, params, seqs)
+
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("variant", SCORING_VARIANTS)
+    def test_a_prepared_forward_keeps_every_bit(self, variant, mode):
+        model, params = scoring_model(variant)
+        arrays = batch_arrays(skewed_sequences(count=9))
+        fresh, prepared = (
+            model.forward(params, *arrays, mode, np.random.default_rng(4), *given)
+            for given in ((), (model.prepare(params),))
+        )
+        for key in ("logits", "probs", "targets", "valid"):
+            assert getattr(fresh, key).tobytes() == getattr(prepared, key).tobytes(), key
+        if mode == "train":
+            grads, prepared_grads = model.backward(params, fresh), model.backward(params, prepared)
+            assert list(grads) == list(prepared_grads)
+            assert all(grads[k].tobytes() == prepared_grads[k].tobytes() for k in grads)
+
+    @pytest.mark.parametrize("variant", SCORING_VARIANTS)
+    def test_parameter_only_work_runs_once_per_call(self, variant, monkeypatch):
+        calls = {"fold_gates": 0, "encode_skill_table": 0}
+        for name in calls:
+            original = getattr(kqn.model, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(kqn.model, name, counted)
+        model, params = scoring_model(variant)
+        evaluate(model, params, skewed_sequences(), 3)
+        kqn_model = variant in ("lstm", "gru")
+        assert calls == {"fold_gates": 1, "encode_skill_table": int(kqn_model)}
+
+    @pytest.mark.parametrize("variant", ["lstm", "onehot"])
+    def test_blocks_run_the_steps_of_length_order(self, variant, monkeypatch):
+        steps = []
+        if variant == "lstm":
+            original = kqn.model.forward_batch
+
+            def spy(*args, **kwargs):
+                fwd = original(*args, **kwargs)
+                steps.append(fwd.probs.shape[0])
+                return fwd
+
+            monkeypatch.setattr(kqn.model, "forward_batch", spy)
+        else:
+            original = kqn.dkt.DktModel.forward
+
+            def spy(self, *args, **kwargs):
+                fwd = original(self, *args, **kwargs)
+                steps.append(fwd.probs.shape[0])
+                return fwd
+
+            monkeypatch.setattr(kqn.dkt.DktModel, "forward", spy)
+        model, params = scoring_model(variant)
+        seqs = skewed_sequences()
+        evaluate(model, params, seqs, 7)
+        longest_first = sorted((s.length for s in seqs), reverse=True)
+        file_order = sum(max(s.length for s in seqs[i : i + 7]) - 1
+                         for i in range(0, len(seqs), 7))
+        assert sum(steps) == sum(n - 1 for n in longest_first[::7]) < file_order
+        assert len(steps) == 6
+
+    @pytest.mark.parametrize("variant", ["lstm", "signed"])
+    def test_a_bad_id_in_the_last_student_names_the_range_of_the_set(self, variant,
+                                                                       monkeypatch):
+        # Only the first student holds skill 1, and the last, the
+        # shortest, holds skill 9 of 6: in file order and in length order
+        # it is scored alone in the last block, whose range is 3..9.
+        model, params = scoring_model(variant)
+        seqs = [ResponseSequence(0, [(1, 1)] * 10)]
+        seqs += [ResponseSequence(b, [(2 + b % 5, b % 2)] * (3 + b)) for b in range(1, 6)]
+        seqs.append(ResponseSequence(6, [(3, 1), (9, 0)]))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a block was scored")
+
+        monkeypatch.setattr(kqn.model, "forward_batch", no_forward)
+        monkeypatch.setattr(kqn.dkt.DktModel, "forward", no_forward)
+        with pytest.raises(ValueError) as exc:
+            evaluate(model, params, seqs, 3)
+        assert str(exc.value) == "skill ids outside 1..6: got range 1..9"
 
 
 class TestGridSearch:

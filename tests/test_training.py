@@ -1,12 +1,11 @@
 import weakref
 
-import kqn.dkt
-import kqn.model
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kqn.dkt
+import kqn.model
 from helpers import reference_evaluate, traced_peak
 from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
@@ -361,6 +360,20 @@ class TestEvaluate:
                 evaluate(model, params, seqs, bad)
 
 
+def record_calls(monkeypatch, owner, name, record):
+    """Patch owner.name with a wrapper that appends record(result) of each
+    call to the list returned."""
+    original, seen = getattr(owner, name), []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append(record(result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
 SCORING_VARIANTS = ("lstm", "gru", "onehot", "correctness", "signed")
 
 
@@ -419,49 +432,27 @@ class TestScoringOrder:
 
     @pytest.mark.parametrize("variant", SCORING_VARIANTS)
     def test_parameter_only_work_runs_once_per_call(self, variant, monkeypatch):
-        calls = {"fold_gates": 0, "encode_skill_table": 0}
-        for name in calls:
-            original = getattr(kqn.model, name)
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(kqn.model, name, counted)
+        folds = record_calls(monkeypatch, kqn.model, "fold_gates", len)
+        tables = record_calls(monkeypatch, kqn.model, "encode_skill_table", len)
         model, params = scoring_model(variant)
         evaluate(model, params, skewed_sequences(), 3)
-        kqn_model = variant in ("lstm", "gru")
-        assert calls == {"fold_gates": 1, "encode_skill_table": int(kqn_model)}
+        assert (len(folds), len(tables)) == (1, int(variant in ("lstm", "gru")))
 
     @pytest.mark.parametrize("variant", ["lstm", "onehot"])
     def test_blocks_run_the_steps_of_length_order(self, variant, monkeypatch):
-        steps = []
-        if variant == "lstm":
-            original = kqn.model.forward_batch
+        def record_steps(owner, name):
+            return record_calls(monkeypatch, owner, name, lambda fwd: fwd.probs.shape[0])
 
-            def spy(*args, **kwargs):
-                fwd = original(*args, **kwargs)
-                steps.append(fwd.probs.shape[0])
-                return fwd
-
-            monkeypatch.setattr(kqn.model, "forward_batch", spy)
-        else:
-            original = kqn.dkt.DktModel.forward
-
-            def spy(self, *args, **kwargs):
-                fwd = original(self, *args, **kwargs)
-                steps.append(fwd.probs.shape[0])
-                return fwd
-
-            monkeypatch.setattr(kqn.dkt.DktModel, "forward", spy)
+        steps = record_steps(kqn.model, "forward_batch"), record_steps(kqn.dkt.DktModel, "forward")
         model, params = scoring_model(variant)
         seqs = skewed_sequences()
         evaluate(model, params, seqs, 7)
         longest_first = sorted((s.length for s in seqs), reverse=True)
         file_order = sum(max(s.length for s in seqs[i : i + 7]) - 1
                          for i in range(0, len(seqs), 7))
-        assert sum(steps) == sum(n - 1 for n in longest_first[::7]) < file_order
-        assert len(steps) == 6
+        blocks = steps[0] + steps[1]
+        assert len(blocks) == 6
+        assert sum(blocks) == sum(n - 1 for n in longest_first[::7]) < file_order
 
     @pytest.mark.parametrize("variant", ["lstm", "signed"])
     def test_a_bad_id_in_the_last_student_names_the_range_of_the_set(self, variant,

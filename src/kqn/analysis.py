@@ -2,13 +2,14 @@
 
 Covers pairwise distance matrices, the odds-ratio identity relating
 prediction odds to skill distance, agglomerative clustering under seven
-linkages via the Lance-Williams recurrence, flat cuts, the Adjusted Rand
+linkages with SciPy's algorithms and merges, flat cuts, the Adjusted Rand
 Index, Mantel permutation tests, dimensionality sensitivity statistics,
 and the per-student knowledge-interaction heatmap, plus the CSV formats
 for all of them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -20,8 +21,6 @@ from .tables import read_int, read_table, write_table
 
 DISTANCE_KINDS = ("cosine", "euclidean")
 LINKAGES = ("average", "centroid", "complete", "median", "single", "ward", "weighted")
-# Linkages whose recurrence operates on squared Euclidean distances.
-_SQUARED_LINKAGES = ("centroid", "median", "ward")
 
 
 @dataclass(frozen=True)
@@ -138,80 +137,225 @@ class Dendrogram:
 
 @np.errstate(over="ignore", invalid="ignore")
 def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
-    """Agglomerative clustering via the Lance-Williams recurrence.
-
-    single/complete/average/weighted update raw distances; centroid,
-    median and ward run on squared distances (the matrix is interpreted
-    as Euclidean) with recorded heights square-rooted.
-
-    The distances live in one matrix updated in place: a merged cluster
-    takes the slot of its lower-slot member and the other slot is retired
-    to inf, so slots stay in the order of each cluster's smallest leaf
-    index. Once the live clusters number at most 3/4 of the matrix side,
-    their rows and columns are copied, in slot order, into a smaller
-    matrix (sizes and ids follow), so each merge's argmin scans a matrix
-    that shrinks geometrically instead of all n^2 cells. Ties in the merge
-    choice resolve to the first pair of slots in row-major upper-triangle
-    order, which compaction keeps; the argmin scans both triangles, which a
-    DistanceMatrix and each row-and-column update keep equal bit for bit.
+    """Agglomerative clustering equal to scipy.cluster.hierarchy.linkage
+    bit for bit, ties included, by SciPy's algorithm for each linkage
+    (Müllner, arXiv:1109.2378): Prim's minimum spanning tree for single,
+    the nearest-neighbour chain for complete, average, weighted and ward,
+    and the generic algorithm with a heap of neighbour candidates for
+    centroid and median. Distances are updated raw, by SciPy's formulas in
+    its operation order, in one n x n matrix whose retired rows and columns
+    hold inf; centroid, median and ward read it as Euclidean. Tree and
+    chain merges are sorted stably by height and relabelled by union-find.
+    A merge height that overflows to inf or nan raises ValueError.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
     n = dmat.n
     if n < 2:
         raise ValueError(f"need at least 2 points to cluster, got {n}")
-    squared = linkage in _SQUARED_LINKAGES
-
-    w = np.array(dmat.values ** 2 if squared else dmat.values, dtype=float)
+    w = np.array(dmat.values, dtype=float)
     np.fill_diagonal(w, np.inf)
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n, dtype=int)
-    ids = np.arange(n)
+    if linkage in ("centroid", "median"):
+        return Dendrogram(merges=_generic_linkage(w, linkage), num_leaves=n)
+
+    rows = _prim(w) if linkage == "single" else _nn_chain(w, linkage)
+    rows = rows[np.argsort(rows[:, 2], kind="mergesort")]
     merges = np.zeros((n - 1, 4))
-
-    for step in range(n - 1):
-        live = n - step
-        if 4 * live <= 3 * len(w):
-            keep = np.flatnonzero(active)
-            w = w[np.ix_(keep, keep)]
-            sizes, ids, active = sizes[keep], ids[keep], np.ones(live, dtype=bool)
-        # w is symmetric, so the first minimum lies in the upper triangle.
-        i, j = divmod(int(np.argmin(w)), len(w))
-        dij = w[i, j]
-        ni, nj = int(sizes[i]), int(sizes[j])
-        active[i] = active[j] = False
-        others = np.flatnonzero(active)
-        dki = w[others, i]
-        dkj = w[others, j]
-        if linkage == "single":
-            dkm = 0.5 * (dki + dkj) - 0.5 * np.abs(dki - dkj)
-        elif linkage == "complete":
-            dkm = 0.5 * (dki + dkj) + 0.5 * np.abs(dki - dkj)
-        elif linkage == "average":
-            dkm = (ni * dki + nj * dkj) / (ni + nj)
-        elif linkage == "weighted":
-            dkm = 0.5 * (dki + dkj)
-        elif linkage == "centroid":
-            dkm = (ni * dki + nj * dkj) / (ni + nj) - ni * nj * dij / (ni + nj) ** 2
-        elif linkage == "median":
-            dkm = 0.5 * (dki + dkj) - 0.25 * dij
-        else:  # ward
-            nk = sizes[others]
-            dkm = ((ni + nk) * dki + (nj + nk) * dkj - nk * dij) / (ni + nj + nk)
-
-        w[i, others] = w[others, i] = dkm
-        w[j, :] = w[:, j] = np.inf
-        active[i] = True
-        sizes[i] = ni + nj
-        height = float(np.sqrt(max(dij, 0.0))) if squared else float(dij)
-        merges[step] = (min(ids[i], ids[j]), max(ids[i], ids[j]), height, ni + nj)
-        ids[i] = n + step
-
-    # Under the errstate, distances too large for the linkage end as an inf or nan height.
-    if not np.all(np.isfinite(merges[:, 2])):
-        raise ValueError(f"distances too large for {linkage} linkage: a merge height overflows")
-
+    merges[:, [0, 1, 3]] = _join(rows[:, :2].astype(int).tolist(), n)[1]
+    merges[:, 2] = rows[:, 2]
     return Dendrogram(merges=merges, num_leaves=n)
+
+
+def _finite_height(dist, linkage: str) -> float:
+    if not math.isfinite(dist):
+        raise ValueError(f"distances too large for {linkage} linkage: a merge height overflows")
+    return float(dist)
+
+
+def _merge(w, linkage: str, x: int, y: int, dxy: float, sizes) -> int:
+    """Merge cluster x into y at distance dxy; return the merged size. x
+    retires (size 0, row and column inf), and every retired entry of y's
+    new row and column comes out inf. sizes is a float array."""
+    nx, ny = int(sizes[x]), int(sizes[y])
+    sizes[x], sizes[y] = 0, nx + ny
+    dx, dy = w[x], w[y]
+    if linkage == "complete":
+        new = np.maximum(dx, dy)
+    elif linkage == "average":
+        new = (nx * dx + ny * dy) / (nx + ny)
+    elif linkage == "weighted":
+        new = 0.5 * (dx + dy)
+    elif linkage == "ward":
+        t = 1.0 / (nx + ny + sizes)
+        new = np.sqrt((sizes + nx) * t * dx * dx + (sizes + ny) * t * dy * dy
+                      - sizes * t * dxy * dxy)
+    elif linkage == "centroid":
+        new = np.sqrt(((nx * dx * dx + ny * dy * dy) - nx * ny * dxy * dxy / (nx + ny))
+                      / (nx + ny))
+    else:  # median
+        new = np.sqrt(0.5 * (dx * dx + dy * dy) - 0.25 * dxy * dxy)
+    w[y] = w[:, y] = new
+    w[x] = w[:, x] = np.inf
+    return nx + ny
+
+
+def _prim(w) -> np.ndarray:
+    """Single linkage as Prim's minimum spanning tree grown from leaf 0:
+    rows (x, y, height) in the order the tree takes its edges."""
+    n = len(w)
+    best = np.full(n, np.inf)
+    rows = []
+    x = 0
+    for _ in range(n - 1):
+        w[:, x] = np.inf
+        np.minimum(best, w[x], out=best)
+        best[x] = np.inf
+        y = int(best.argmin())
+        rows.append((x, y, best[y]))
+        x = y
+    return np.array(rows)
+
+
+def _nn_chain(w, linkage: str) -> np.ndarray:
+    """The nearest-neighbour chain: rows (x, y, height) in the order of
+    their merges. A step keeps the chain's previous cluster unless another
+    is strictly nearer; merged x < y leave the new cluster at y."""
+    n = len(w)
+    sizes = np.ones(n)
+    rows = []
+    chain = [0]
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(int(sizes.nonzero()[0][0]))
+        while True:
+            x = chain[-1]
+            row = w[x]
+            y = int(row.argmin())
+            dist = _finite_height(row[y], linkage)
+            if len(chain) > 1 and not dist < row[chain[-2]]:
+                y = chain[-2]
+                dist = float(row[y])
+                break
+            chain.append(y)
+        del chain[-2:]
+        x, y = min(x, y), max(x, y)
+        rows.append((x, y, dist))
+        _merge(w, linkage, x, y, dist, sizes)
+    return np.array(rows)
+
+
+def _generic_linkage(w, linkage: str) -> np.ndarray:
+    """The generic algorithm: each cluster x keeps a neighbour candidate
+    above it and a lower bound of its distance, in a heap whose least bound
+    is re-checked until exact, at most n - k times at merge k. Returns the
+    merge rows; merged x < y leave the new cluster at y."""
+    n = len(w)
+    sizes = np.ones(n)
+    ids = list(range(n))
+    merges = []
+
+    def nearest(x: int):
+        # The first nearest live cluster above x. Cluster n - 1 never
+        # retires, so an inf or nan minimum is an overflow.
+        row = w[x, x + 1:]
+        i = int(row.argmin())
+        return x + 1 + i, _finite_height(row[i], linkage)
+
+    upper = np.where(np.tri(n, dtype=bool), np.inf, w)[:-1]
+    neighbor = upper.argmin(axis=1)
+    bound = upper[np.arange(n - 1), neighbor]
+    heap = _Heap(bound.tolist())
+    for k in range(n - 1):
+        for _ in range(n - k):
+            x, dist = heap.keys[0], heap.values[0]
+            y = int(neighbor[x])
+            if dist == w[x, y]:
+                break
+            neighbor[x], bound[x] = y, dist = nearest(x)
+            heap.change(x, dist)
+        heap.pop()
+        size = _merge(w, linkage, x, y, dist, sizes)
+        merges.append((min(ids[x], ids[y]), max(ids[x], ids[y]), dist, size))
+        ids[y] = n + k
+        below = neighbor[:x]
+        below[below == x] = y
+        column = w[:y, y]
+        for z in (column < bound[:y]).nonzero()[0].tolist():
+            neighbor[z], bound[z] = y, column[z]
+            heap.change(z, float(column[z]))
+        if y < n - 1:
+            neighbor[y], bound[y] = z, dist = nearest(y)
+            heap.change(y, dist)
+    return np.array(merges)
+
+
+class _Heap:
+    """SciPy's binary min-heap of the values of keys 0..n-1, least at
+    values[0] and keys[0]: built bottom-up, a changed value sifts up if it
+    fell and down otherwise, and every comparison is strict."""
+
+    def __init__(self, values: list):
+        self.values, self.size = values, len(values)
+        self.keys = list(range(self.size))
+        self.index = list(range(self.size))
+        for i in reversed(range(self.size // 2)):
+            self._down(i)
+
+    def pop(self) -> None:
+        self.size -= 1
+        self.values[0], self.keys[0] = self.values[self.size], self.keys[self.size]
+        self._down(0)
+
+    def change(self, key: int, value: float) -> None:
+        values, keys, index = self.values, self.keys, self.index
+        i = index[key]
+        if not value < values[i]:
+            values[i] = value
+            return self._down(i)
+        while i > 0 and values[(i - 1) >> 1] > value:
+            parent = (i - 1) >> 1
+            values[i], keys[i] = values[parent], keys[parent]
+            index[keys[i]] = i
+            i = parent
+        values[i], keys[i], index[key] = value, key, i
+
+    def _down(self, i: int) -> None:
+        values, keys, index = self.values, self.keys, self.index
+        value, key = values[i], keys[i]
+        child = 2 * i + 1
+        while child < self.size:
+            if child + 1 < self.size and values[child + 1] < values[child]:
+                child += 1
+            if not value > values[child]:
+                break
+            values[i], keys[i] = values[child], keys[child]
+            index[keys[i]] = i
+            i, child = child, 2 * child + 1
+        values[i], keys[i], index[key] = value, key, i
+
+
+def _join(pairs, leaves: int):
+    """Union-find over merge rows: row t joins the clusters holding nodes a
+    and b (leaves, or ids below leaves + t) as cluster leaves + t. Returns
+    find, which maps a node to its cluster after the last row, and each
+    row's (smaller root, larger root, merged size)."""
+    parent = list(range(2 * leaves - 1))
+    size = [1] * (2 * leaves - 1)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = []
+    for t, (a, b) in enumerate(pairs):
+        ra, rb = find(a), find(b)
+        m = leaves + t
+        parent[ra] = parent[rb] = m
+        size[m] = size[ra] + size[rb]
+        joined.append((min(ra, rb), max(ra, rb), size[m]))
+    return find, joined
 
 
 def flat_clusters(dend: Dendrogram, n: int) -> np.ndarray:
@@ -222,28 +366,10 @@ def flat_clusters(dend: Dendrogram, n: int) -> np.ndarray:
     leaves = dend.num_leaves
     if not 1 <= n <= leaves:
         raise ValueError(f"cluster count must be in 1..{leaves}, got {n}")
-    parent = list(range(2 * leaves - 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step in range(leaves - n):
-        a, b = int(dend.merges[step, 0]), int(dend.merges[step, 1])
-        m = leaves + step
-        parent[find(a)] = m
-        parent[find(b)] = m
-
-    labels = np.zeros(leaves, dtype=int)
-    seen: dict[int, int] = {}
-    for leaf in range(leaves):
-        root = find(leaf)
-        if root not in seen:
-            seen[root] = len(seen) + 1
-        labels[leaf] = seen[root]
-    return labels
+    find, _ = _join(dend.merges[: leaves - n, :2].astype(int).tolist(), leaves)
+    roots = [find(leaf) for leaf in range(leaves)]
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -656,70 +656,6 @@ def mst_edge_weights(dist):
 
 
 # ---------------------------------------------------------------------------
-# Lance-Williams reference: a (2n-1)-square matrix with one row per cluster
-# id, where every merge copies out the active submatrix and scans its upper
-# triangle in id order, or, with tie_order="leaf", in the order of each
-# cluster's smallest leaf. The in-place hcluster keeps this arithmetic, so on
-# tie-free inputs the merge lists agree bit for bit, and with
-# tie_order="leaf" they agree on ties too.
-
-
-def reference_hcluster(dmat, linkage, tie_order="id"):
-    """Merge rows (a, b, height, size) of agglomerative clustering."""
-    n = dmat.n
-    squared = linkage in ("centroid", "median", "ward")
-    total = 2 * n - 1
-    w = np.full((total, total), np.inf)
-    w[:n, :n] = dmat.values ** 2 if squared else dmat.values
-    np.fill_diagonal(w, np.inf)
-    active = np.zeros(total, dtype=bool)
-    active[:n] = True
-    sizes = np.ones(total, dtype=int)
-    first_leaf = np.arange(total)
-    merges = np.zeros((n - 1, 4))
-    for step in range(n - 1):
-        idx = np.flatnonzero(active)
-        if tie_order == "leaf":
-            idx = idx[np.argsort(first_leaf[idx])]
-        sub = w[np.ix_(idx, idx)]
-        iu = np.triu_indices(len(idx), k=1)
-        flat = int(np.argmin(sub[iu]))
-        i = int(idx[iu[0][flat]])
-        j = int(idx[iu[1][flat]])
-        dij = w[i, j]
-        m = n + step
-        ni, nj = int(sizes[i]), int(sizes[j])
-        others = idx[(idx != i) & (idx != j)]
-        dki = w[others, i]
-        dkj = w[others, j]
-        if linkage == "single":
-            dkm = 0.5 * (dki + dkj) - 0.5 * np.abs(dki - dkj)
-        elif linkage == "complete":
-            dkm = 0.5 * (dki + dkj) + 0.5 * np.abs(dki - dkj)
-        elif linkage == "average":
-            dkm = (ni * dki + nj * dkj) / (ni + nj)
-        elif linkage == "weighted":
-            dkm = 0.5 * (dki + dkj)
-        elif linkage == "centroid":
-            dkm = (ni * dki + nj * dkj) / (ni + nj) - ni * nj * dij / (ni + nj) ** 2
-        elif linkage == "median":
-            dkm = 0.5 * (dki + dkj) - 0.25 * dij
-        else:  # ward
-            nk = sizes[others]
-            dkm = ((ni + nk) * dki + (nj + nk) * dkj - nk * dij) / (ni + nj + nk)
-        w[m, others] = dkm
-        w[others, m] = dkm
-        active[i] = False
-        active[j] = False
-        active[m] = True
-        sizes[m] = ni + nj
-        first_leaf[m] = min(first_leaf[i], first_leaf[j])
-        height = float(np.sqrt(max(dij, 0.0))) if squared else float(dij)
-        merges[step] = (min(i, j), max(i, j), height, ni + nj)
-    return merges
-
-
-# ---------------------------------------------------------------------------
 # Mantel reference: each null draw permutes the full second matrix and reads
 # its upper triangle, from the same generator stream as kqn.analysis.mantel.
 

@@ -156,9 +156,9 @@ def test_criterion_3_oracle_equivalence():
         b = rng.integers(1, int(rng.integers(2, 8)) + 1, size=n)
         ari_exact += ari(a, b) == helpers.ari_contingency(a, b)
 
-    # Single-linkage heights come out of the Lance-Williams recurrence,
-    # whose 0.5a + 0.5b - 0.5|a-b| form of min(a, b) rounds a few ulp away
-    # from the plain min the MST oracle takes, so match to 1e-12 relative.
+    # Single-linkage heights are the edges of Prim's minimum spanning tree,
+    # taken with the plain min as the oracle takes them; the bar stays at
+    # 1e-12 relative.
     mst_match = 0
     for _ in range(50):
         n = int(rng.integers(2, 21))

@@ -37,11 +37,14 @@ from helpers import (
     mst_edge_weights,
     nudged_ties,
     random_unit_vectors,
-    reference_hcluster,
     reference_mantel,
 )
 
 MONOTONE_LINKAGES = ("single", "complete", "average", "weighted", "ward")
+
+
+def scipy_merges(dmat, method):
+    return scipy_linkage(squareform(dmat.values, checks=False), method=method)
 
 
 class TestDistanceMatrix:
@@ -208,10 +211,10 @@ class TestHcluster:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_duplicate_points_merge_at_scipy_heights_and_sizes(self, method, n, dim, copies,
                                                                seed):
-        # Two or three identical skill vectors tie at distance zero. Which
-        # pair merges first may differ from SciPy's: a trained desk table
-        # held three, and centroid merged leaves (5, 19) where SciPy merged
-        # (19, 22). Every merge height and size still agrees.
+        # Two or three identical skill vectors tie at distance zero, and
+        # the tied pairs merge in SciPy's order: a trained desk table held
+        # three, and SciPy's centroid merges leaves (19, 22) first, not the
+        # smallest leaves (5, 19). Every merged pair, height and size agrees.
         rng = np.random.default_rng(seed)
         v = np.abs(rng.normal(size=(n, dim)))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -219,9 +222,24 @@ class TestHcluster:
         v[same] = v[same[0]]
         dmat = pairwise_distances(v, "euclidean")
         ours = hcluster(dmat, method).merges
-        ref = scipy_linkage(squareform(dmat.values, checks=False), method=method)
+        ref = scipy_merges(dmat, method)
+        assert np.array_equal(ours[:, :2], ref[:, :2])
         assert_allclose(ours[:, 2], ref[:, 2], rtol=1e-9, atol=1e-12)
         assert np.array_equal(ours[:, 3], ref[:, 3])
+
+    def test_three_identical_vectors_merge_as_scipy(self):
+        # The shape of a trained desk table: 50 non-negative unit vectors
+        # at d=16, three of them identical. Here a tie rule keyed by each
+        # cluster's smallest leaf gave other merges than SciPy under
+        # complete, centroid and median.
+        rng = np.random.default_rng(104)
+        v = np.abs(rng.normal(size=(50, 16)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        same = rng.choice(50, size=3, replace=False)
+        v[same] = v[same[0]]
+        dmat = pairwise_distances(v, "euclidean")
+        for method in LINKAGES:
+            assert np.array_equal(hcluster(dmat, method).merges, scipy_merges(dmat, method))
 
     @pytest.mark.parametrize("method", MONOTONE_LINKAGES)
     def test_flat_cuts_match_scipy(self, method):
@@ -247,19 +265,26 @@ class TestHcluster:
         assert dend.num_leaves == 9
 
     def test_tie_breaks_row_major(self):
-        # two equally close pairs: (0,1) must merge before (2,3)
+        # Two equally close pairs: SciPy merges (0,1) before (2,3) under
+        # every linkage, the minimum spanning tree because it grows from
+        # leaf 0, the chain and the generic algorithm because they start at
+        # the first live cluster.
         values = np.full((4, 4), 5.0)
         np.fill_diagonal(values, 0.0)
         values[0, 1] = values[1, 0] = 1.0
         values[2, 3] = values[3, 2] = 1.0
-        dend = hcluster(DistanceMatrix(values), "single")
-        assert (dend.merges[0, 0], dend.merges[0, 1]) == (0.0, 1.0)
-        assert (dend.merges[1, 0], dend.merges[1, 1]) == (2.0, 3.0)
+        dmat = DistanceMatrix(values)
+        for method in LINKAGES:
+            dend = hcluster(dmat, method)
+            assert dend.merges[:2, :2].tolist() == [[0, 1], [2, 3]]
+            assert np.array_equal(dend.merges, scipy_merges(dmat, method))
 
     def test_tie_break_keys_clusters_by_slot(self):
         # After (0,1) merges into cluster 6, d(6,5) = 2 ties with d(3,4) = 2.
-        # Cluster 6 is keyed by its smallest leaf, 0, so (5,6) comes first;
-        # ordering clusters by id instead would merge (3,4) first.
+        # SciPy's tree takes the edge to 5 before the one from 3 to 4, and
+        # its stable sort by height keeps that order, so (5,6) comes first.
+        # A cluster's slot is one of its leaves, and the chain keeps the
+        # merged cluster in the larger one's slot.
         values = np.full((6, 6), 5.0)
         np.fill_diagonal(values, 0.0)
         for a, b, d in ((0, 1, 1.0), (3, 4, 2.0), (0, 5, 2.0), (1, 5, 2.0)):
@@ -268,36 +293,47 @@ class TestHcluster:
         dend = hcluster(dmat, "single")
         assert dend.merges[:3, :2].tolist() == [[0, 1], [5, 6], [3, 4]]
         assert dend.merges[:3, 2].tolist() == [1.0, 2.0, 2.0]
-        assert reference_hcluster(dmat, "single")[1, :2].tolist() == [3, 4]
+        for method in LINKAGES:
+            assert np.array_equal(hcluster(dmat, method).merges, scipy_merges(dmat, method))
 
-    @pytest.mark.parametrize("method, step", [("ward", 1e200), ("average", 5e307)])
+    @pytest.mark.parametrize("method, step", [("ward", 1e200), ("average", 5e307),
+                                              ("centroid", 1e200), ("median", 1e200)])
     def test_overflowing_distances_rejected(self, method, step):
-        # Finite inputs whose squares (ward) or sums (average) overflow.
+        # Finite inputs whose squares (ward, centroid, median) or sums
+        # (average) overflow. SciPy refuses centroid and median here too.
         values = step * np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
         with pytest.raises(ValueError, match="too large"):
             hcluster(DistanceMatrix(values), method)
 
+    # SciPy's linkage is the reference of the next two properties: the
+    # whole merge list, pairs, heights and sizes, must equal it bit for bit.
+
     @pytest.mark.parametrize("method", LINKAGES)
     @settings(deadline=None)
-    @given(n=st.integers(2, 40), dim=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_reference_loop(self, method, n, dim, seed):
-        v = np.abs(np.random.default_rng(seed).normal(size=(n, dim)))
-        dmat = pairwise_distances(v / np.linalg.norm(v, axis=1, keepdims=True), "euclidean")
-        assert np.array_equal(hcluster(dmat, method).merges, reference_hcluster(dmat, method))
+    @given(n=st.integers(2, 40), dim=st.integers(2, 8), kind=st.sampled_from(DISTANCE_KINDS),
+           groups=st.lists(st.integers(2, 5), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_loop(self, method, n, dim, kind, groups, seed):
+        # Non-negative unit vectors with up to two groups of 2-5 copied rows.
+        rng = np.random.default_rng(seed)
+        v = np.abs(rng.normal(size=(n, dim)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        for copies in groups:
+            same = rng.choice(n, size=min(copies, n), replace=False)
+            v[same] = v[same[0]]
+        dmat = pairwise_distances(v, kind)
+        assert np.array_equal(hcluster(dmat, method).merges, scipy_merges(dmat, method))
 
     @pytest.mark.parametrize("method", LINKAGES)
     @settings(deadline=None, max_examples=40)
     @given(n=st.integers(2, 90), low=st.integers(0, 2), levels=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_ties_match_reference_keyed_by_leaf(self, method, n, low, levels, seed):
-        # Distances from a handful of integers tie everywhere, and at n up
-        # to 90 the working matrix is compacted several times, so the merge
-        # order rests on keeping the slots in smallest-leaf order.
+        # Distances from a handful of integers, zeros included, tie
+        # everywhere; SciPy breaks each tie through its algorithm.
         rng = np.random.default_rng(seed)
         values = np.triu(rng.integers(low, low + levels, size=(n, n)), 1).astype(float)
         dmat = DistanceMatrix(values + values.T)
-        expected = reference_hcluster(dmat, method, tie_order="leaf")
-        assert np.array_equal(hcluster(dmat, method).merges, expected)
+        assert np.array_equal(hcluster(dmat, method).merges, scipy_merges(dmat, method))
 
     @pytest.mark.parametrize("method", LINKAGES)
     @settings(deadline=None, max_examples=40)

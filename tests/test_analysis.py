@@ -283,8 +283,6 @@ class TestHcluster:
         # After (0,1) merges into cluster 6, d(6,5) = 2 ties with d(3,4) = 2.
         # SciPy's tree takes the edge to 5 before the one from 3 to 4, and
         # its stable sort by height keeps that order, so (5,6) comes first.
-        # A cluster's slot is one of its leaves, and the chain keeps the
-        # merged cluster in the larger one's slot.
         values = np.full((6, 6), 5.0)
         np.fill_diagonal(values, 0.0)
         for a, b, d in ((0, 1, 1.0), (3, 4, 2.0), (0, 5, 2.0), (1, 5, 2.0)):

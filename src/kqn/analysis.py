@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import ModelConfig, Params, batch_arrays, forward_batch
 from .ops import sigmoid
-from .tables import read_int, read_table, write_table
+from .tables import check_integer, header_line, read_int, read_table, write_table, write_text
 
 DISTANCE_KINDS = ("cosine", "euclidean")
 LINKAGES = ("average", "centroid", "complete", "median", "single", "ward", "weighted")
@@ -364,6 +364,7 @@ def flat_clusters(dend: Dendrogram, n: int) -> np.ndarray:
     Labels are 1..n, numbered by each cluster's smallest leaf index.
     """
     leaves = dend.num_leaves
+    check_integer(n, "cluster count")
     if not 1 <= n <= leaves:
         raise ValueError(f"cluster count must be in 1..{leaves}, got {n}")
     find, _ = _join(dend.merges[: leaves - n, :2].astype(int).tolist(), leaves)
@@ -426,12 +427,14 @@ def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -
     distribution jointly permutes the second matrix's rows and columns,
     and p = (1 + #{permuted rho >= observed}) / (permutations + 1). A
     permuted upper triangle takes cells from both triangles of d2, which
-    DistanceMatrix makes equal bit for bit. The permutation count is
-    checked before the matrices' point count and upper triangles.
+    DistanceMatrix makes equal bit for bit. The permutation count, an
+    integer (tables.check_integer) of at least 1, is checked before the
+    matrices' point count and upper triangles.
     """
     v1, v2 = d1.values, d2.values
     if v1.shape != v2.shape:
         raise ValueError(f"matrices differ in size: {v1.shape} vs {v2.shape}")
+    check_integer(permutations, "permutations")
     if permutations < 1:
         raise ValueError(f"permutations must be positive, got {permutations}")
     n = v1.shape[0]
@@ -553,23 +556,29 @@ def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
     """Write the full matrix, one row per skill, formatting each unordered
     pair once: DistanceMatrix is symmetric bit for bit, so cell (i, j) and
     cell (j, i) get the same bytes. Row k formats its cells from the
-    diagonal rightwards and each later row pops its cell in column k from
-    row k's pending strings, kept last column first; at most n^2/4 strings
-    are held at once."""
+    diagonal rightwards with repr, pops its cells left of the diagonal
+    from the earlier rows' pending strings (kept last column first) and is
+    written as one joined line; at most n^2/4 strings are held at once. A
+    skill id must be an integer (tables.check_integer), as the reader
+    requires."""
     ids = list(skill_ids) if skill_ids is not None else list(range(1, dmat.n + 1))
     if len(ids) != dmat.n:
         raise ValueError(f"{len(ids)} skill ids for a {dmat.n}x{dmat.n} matrix")
+    for sid in ids:
+        check_integer(sid, "skill id")
     v = dmat.values
 
-    def rows():
+    def lines():
+        yield header_line(["skill", *ids])
         pending = []
         for k, sid in enumerate(ids):
-            cells = list(map(str, v[k, k:].tolist()))
-            left = [strings.pop() for strings in pending]
-            pending.append(cells[:0:-1])
-            yield [sid, *left, *cells]
+            right = list(map(repr, v[k, k:].tolist()))
+            left = map(list.pop, pending)
+            line = ",".join([str(sid), *left, *right]) + "\n"
+            pending.append(right[:0:-1])
+            yield line
 
-    write_table(path, ["skill", *ids], rows())
+    write_text(path, lines())
 
 
 def read_distance_csv(path):

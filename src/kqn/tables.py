@@ -43,13 +43,27 @@ def write_json(path, doc, indent: int = 2, sort_keys: bool = False) -> None:
     write_text(path, [json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n"])
 
 
+def header_line(header) -> str:
+    """The header line of a table: its cells by str(), a cell that holds a
+    comma quoted, ended by "\\n"."""
+    return ",".join(f'"{c}"' if "," in c else c for c in map(str, header)) + "\n"
+
+
 def write_table(path, header, rows) -> None:
     """Write a header and rows of str, int or float64 cells. str() writes
     a Python or NumPy float64 as the shortest string that round-trips, the
-    bytes of repr(float(x)). A header cell that holds a comma is quoted.
-    Each line is written as its row comes; the lines are never all held."""
-    head = ",".join(f'"{c}"' if "," in c else c for c in map(str, header))
-    write_text(path, chain([head + "\n"], (",".join(map(str, row)) + "\n" for row in rows)))
+    bytes of repr(float(x)). Each line is written as its row comes; the
+    lines are never all held."""
+    lines = (",".join(map(str, row)) + "\n" for row in rows)
+    write_text(path, chain([header_line(header)], lines))
+
+
+def check_integer(value, name: str, rule: str = "an integer") -> None:
+    """The one integer rule for a count or an id handed to a library entry
+    point: a Python or NumPy integer passes; a bool or a float (even 2.0)
+    does not, and raises ValueError "<name> must be <rule>, got <value!r>"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def has_type(value, kind) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .metrics import auc_scores, binary_cross_entropy
 from .model import KqnModel, ModelConfig, Params, batch_arrays
-from .tables import check_config, read_table, write_table
+from .tables import check_config, check_integer, read_table, write_table
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
@@ -55,15 +55,6 @@ class TrainConfig:
         check_config(self)
         if self.adam_alpha <= 0:
             raise ValueError(f"adam_alpha must be > 0, got {self.adam_alpha!r}")
-
-
-def _check_batch_size(size: int) -> None:
-    """Refuse an evaluate() batch size that is not a positive integer. A
-    Python or NumPy integer serves; a bool or a float (even 2.0) does not."""
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
-        raise ValueError(f"batch_size must be a positive integer, got {size!r}")
-    if size < 1:
-        raise ValueError(f"batch_size must be positive, got {size}")
 
 
 @dataclass
@@ -257,7 +248,9 @@ def evaluate(model, params: Params, sequences, batch_size: int = SCORE_BLOCK):
     probabilities and targets go back to the students' input order, where
     the loss is reduced once; so the result does not depend on
     batch_size."""
-    _check_batch_size(batch_size)
+    check_integer(batch_size, "batch_size", "a positive integer")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     kept, _ = _scoreable(sequences)
     if not kept:
         raise ValueError("no scoreable sequences to evaluate")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -383,6 +385,18 @@ class TestFlatClusters:
         with pytest.raises(ValueError):
             flat_clusters(dend, 8)
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 2.0, 2.5, "2"])
+    def test_count_must_be_an_integer(self, bad):
+        # A bool would cut silently to one cluster; a float reached a
+        # bare TypeError.
+        message = re.escape(f"cluster count must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            flat_clusters(self.make_dend(), bad)
+
+    def test_count_may_be_a_numpy_integer(self):
+        dend = self.make_dend()
+        assert flat_clusters(dend, np.int64(3)).tolist() == flat_clusters(dend, 3).tolist()
+
 
 class TestAri:
     def test_opposed_pairs_hand_value(self):
@@ -518,6 +532,23 @@ class TestMantel:
         with pytest.raises(ValueError, match="constant"):
             mantel(DistanceMatrix(np.zeros((4, 4))), DistanceMatrix(d.values[:4, :4]))
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 2.0, 2.5, "9"])
+    def test_permutation_count_must_be_an_integer(self, bad):
+        # True ran one permutation and reported permutations=True; 2.5
+        # reached a bare TypeError. The count is checked before the point
+        # count.
+        d = self.random_dmat(6, 19)
+        tiny = DistanceMatrix(np.zeros((2, 2)))
+        message = re.escape(f"permutations must be an integer, got {bad!r}")
+        for pair in ((d, d), (tiny, tiny)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                mantel(*pair, permutations=bad)
+
+    def test_permutation_count_may_be_a_numpy_integer(self):
+        d1, d2 = self.random_dmat(8, 21), self.random_dmat(8, 22)
+        res = mantel(d1, d2, permutations=np.int64(19), rng=7)
+        assert res == mantel(d1, d2, permutations=19, rng=7)
+
 
 class TestSensitivityStats:
     def test_hand_computed_example(self):
@@ -610,12 +641,13 @@ class TestCsvRoundTrips:
             write_distance_csv(tmp_path / "x.csv", dmat, skill_ids=[1, 2])
 
     @settings(deadline=None)
-    @given(n=st.integers(1, 60), dim=st.integers(1, 8), kind=st.sampled_from(DISTANCE_KINDS),
+    @given(n=st.integers(0, 60), dim=st.integers(1, 8), kind=st.sampled_from(DISTANCE_KINDS),
            seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_distance_csv_bytes_equal_full_rows(self, tmp_path_factory, n, dim, kind, seed,
                                                 data):
         # Formatting each pair once and handing it down gives the bytes of
-        # formatting every cell of the full matrix.
+        # formatting every cell of the full matrix; at n=0 both are the
+        # header line alone.
         ids = data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n))
         dmat = pairwise_distances(random_unit_vectors(n, dim, np.random.default_rng(seed)), kind)
         out = tmp_path_factory.mktemp("csv")
@@ -647,6 +679,21 @@ class TestCsvRoundTrips:
         assert back_ids.tolist() == ids
         assert labels.tolist() == [2, 1, 2]
         assert (tmp_path / "c.csv").read_text().splitlines()[1] == f"{2 ** 62 + 1},2"
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), 1.0, np.float64(2.0), "a", None])
+    def test_distance_csv_refuses_ids_its_reader_refuses(self, tmp_path, bad):
+        dmat = pairwise_distances(random_unit_vectors(3, 2, np.random.default_rng(29)), "cosine")
+        message = re.escape(f"skill id must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_distance_csv(tmp_path / "d.csv", dmat, skill_ids=[4, bad, 6])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_distance_csv_takes_numpy_integer_ids(self, tmp_path):
+        dmat = pairwise_distances(random_unit_vectors(3, 2, np.random.default_rng(29)), "cosine")
+        write_distance_csv(tmp_path / "np.csv", dmat, skill_ids=np.array([4, -5, 6]))
+        write_distance_csv(tmp_path / "py.csv", dmat, skill_ids=[4, -5, 6])
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "py.csv").read_bytes()
+        assert read_distance_csv(tmp_path / "np.csv")[1] == [4, -5, 6]
 
     def test_distance_csv_default_ids(self, tmp_path):
         v = random_unit_vectors(3, 3, np.random.default_rng(25))

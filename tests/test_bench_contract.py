@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +25,7 @@ MODULES = ("ops", "metrics", "model", "dkt", "data", "checkpoint", "training", "
 def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
     spec.loader.exec_module(module)
     return module
 
@@ -80,6 +82,20 @@ def test_file_hooks_find_the_written_file(tmp_path):
         func(path, *rest)
         assert path.stat().st_size > 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f.__name__ for f in calls)
+
+
+def test_workload_vectors_are_the_skill_vector_table(tmp_path, monkeypatch):
+    # perfbench/workloads._write_vectors writes the analysis workload's
+    # skill-vector files by hand; they must keep the bytes that
+    # export_skill_vectors writes through tables.write_table, so a format
+    # change in tables.py fails here rather than drifting from them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports checks by name
+    workloads = load_perfbench("workloads")
+    config = ModelConfig(num_skills=7, dim=5, rnn_hidden=2, mlp_hidden=2)
+    params = init_params(config, np.random.default_rng(4))
+    kqn.checkpoint.export_skill_vectors(tmp_path / "export.csv", params, config)
+    workloads._write_vectors(tmp_path / "bench.csv", kqn.model.encode_skill_table(params)[0])
+    assert (tmp_path / "bench.csv").read_bytes() == (tmp_path / "export.csv").read_bytes()
 
 
 def traced_train_step(model):

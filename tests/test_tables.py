@@ -25,7 +25,7 @@ from kqn.model import ModelConfig
 from kqn.tables import read_table, write_table, write_text
 from kqn.training import TrainConfig, read_metrics_csv
 
-from helpers import random_unit_vectors
+from helpers import random_unit_vectors, traced_peak
 
 # Values whose repr switches notation or needs all 17 digits.
 HARD_FLOATS = [0.1, 1 / 3, 1e16, 9999999999999998.0, 1e-4, 9.999e-5, 1e-5, 5e-324,
@@ -134,6 +134,37 @@ def test_rows_are_written_as_they_come(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20, peak
+
+
+def test_distance_writer_holds_fewer_strings_than_the_upper_triangle(tmp_path):
+    # The writer keeps only the cells still to be written left of the
+    # diagonal, at most n^2/4 strings; holding every formatted cell of the
+    # upper triangle, the bound this guard is measured against, takes
+    # about twice that.
+    dmat = pairwise_distances(random_unit_vectors(400, 8, np.random.default_rng(3)), "cosine")
+    v = dmat.values
+    upper = traced_peak(lambda: [list(map(repr, v[k, k:].tolist())) for k in range(dmat.n)])
+    writer = traced_peak(lambda: write_distance_csv(tmp_path / "d.csv", dmat))
+    assert writer < upper, (writer, upper)
+
+
+@pytest.mark.parametrize("good", [3, -7, 2 ** 70, np.int64(3), np.int8(-1), np.uint64(5)])
+def test_integer_rule_takes_python_and_numpy_integers(good):
+    tables.check_integer(good, "count")
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), 2.0, 2.5, np.float64(2.0),
+                                 "4", None])
+def test_integer_rule_refuses_bools_floats_and_others(bad):
+    message = re.escape(f"count must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tables.check_integer(bad, "count")
+    with pytest.raises(ValueError, match=r"^size must be a positive integer, got "):
+        tables.check_integer(bad, "size", "a positive integer")
+
+
+def test_header_line_quotes_only_cells_with_a_comma():
+    assert tables.header_line(["skill", 3, "(1,0)", -2]) == 'skill,3,"(1,0)",-2\n'
 
 
 # Each reader of a table artifact, with a good file for it.

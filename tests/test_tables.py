@@ -163,10 +163,6 @@ def test_integer_rule_refuses_bools_floats_and_others(bad):
         tables.check_integer(bad, "size", "a positive integer")
 
 
-def test_header_line_quotes_only_cells_with_a_comma():
-    assert tables.header_line(["skill", 3, "(1,0)", -2]) == 'skill,3,"(1,0)",-2\n'
-
-
 # Each reader of a table artifact, with a good file for it.
 READERS = {
     "distance": (read_distance_csv, "skill,1,2\n1,0.0,1.0\n2,1.0,0.0\n"),

@@ -132,7 +132,10 @@ class Dendrogram:
     0..num_leaves-1."""
 
     merges: np.ndarray
-    num_leaves: int
+
+    @property
+    def num_leaves(self) -> int:
+        return len(self.merges) + 1
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -144,8 +147,8 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
     and the generic algorithm with a heap of neighbour candidates for
     centroid and median. Distances are updated raw, by SciPy's formulas in
     its operation order, in one n x n matrix whose retired rows and columns
-    hold inf; centroid, median and ward read it as Euclidean. Tree and
-    chain merges are sorted stably by height and relabelled by union-find.
+    hold inf; centroid, median and ward read it as Euclidean. Union-find
+    labels all merges, the tree's and chain's sorted stably by height first.
     A merge height that overflows to inf or nan raises ValueError.
     """
     if linkage not in LINKAGES:
@@ -156,14 +159,12 @@ def hcluster(dmat: DistanceMatrix, linkage: str) -> Dendrogram:
     w = np.array(dmat.values, dtype=float)
     np.fill_diagonal(w, np.inf)
     if linkage in ("centroid", "median"):
-        return Dendrogram(merges=_generic_linkage(w, linkage), num_leaves=n)
-
-    rows = _prim(w) if linkage == "single" else _nn_chain(w, linkage)
-    rows = rows[np.argsort(rows[:, 2], kind="mergesort")]
-    merges = np.zeros((n - 1, 4))
-    merges[:, [0, 1, 3]] = _join(rows[:, :2].astype(int).tolist(), n)[1]
-    merges[:, 2] = rows[:, 2]
-    return Dendrogram(merges=merges, num_leaves=n)
+        rows = _generic_linkage(w, linkage)
+    else:
+        rows = _prim(w) if linkage == "single" else _nn_chain(w, linkage)
+        rows = rows[np.argsort(rows[:, 2], kind="mergesort")]
+    a, b, size = np.array(_join(rows[:, :2].astype(int).tolist(), n)[1]).T
+    return Dendrogram(np.column_stack([a, b, rows[:, 2], size]))
 
 
 def _finite_height(dist, linkage: str) -> float:
@@ -172,10 +173,10 @@ def _finite_height(dist, linkage: str) -> float:
     return float(dist)
 
 
-def _merge(w, linkage: str, x: int, y: int, dxy: float, sizes) -> int:
-    """Merge cluster x into y at distance dxy; return the merged size. x
-    retires (size 0, row and column inf), and every retired entry of y's
-    new row and column comes out inf. sizes is a float array."""
+def _merge(w, linkage: str, x: int, y: int, dxy: float, sizes) -> None:
+    """Merge cluster x into y at distance dxy. x retires (size 0, row and
+    column inf), and every retired entry of y's new row and column comes
+    out inf. sizes is a float array."""
     nx, ny = int(sizes[x]), int(sizes[y])
     sizes[x], sizes[y] = 0, nx + ny
     dx, dy = w[x], w[y]
@@ -196,7 +197,6 @@ def _merge(w, linkage: str, x: int, y: int, dxy: float, sizes) -> int:
         new = np.sqrt(0.5 * (dx * dx + dy * dy) - 0.25 * dxy * dxy)
     w[y] = w[:, y] = new
     w[x] = w[:, x] = np.inf
-    return nx + ny
 
 
 def _prim(w) -> np.ndarray:
@@ -247,12 +247,11 @@ def _nn_chain(w, linkage: str) -> np.ndarray:
 def _generic_linkage(w, linkage: str) -> np.ndarray:
     """The generic algorithm: each cluster x keeps a neighbour candidate
     above it and a lower bound of its distance, in a heap whose least bound
-    is re-checked until exact, at most n - k times at merge k. Returns the
-    merge rows; merged x < y leave the new cluster at y."""
+    is re-checked until exact, at most n - k times at merge k. Returns rows
+    (x, y, height) in merge order; merged x < y leave the new cluster at y."""
     n = len(w)
     sizes = np.ones(n)
-    ids = list(range(n))
-    merges = []
+    rows = []
 
     def nearest(x: int):
         # The first nearest live cluster above x. Cluster n - 1 never
@@ -261,9 +260,7 @@ def _generic_linkage(w, linkage: str) -> np.ndarray:
         i = int(row.argmin())
         return x + 1 + i, _finite_height(row[i], linkage)
 
-    upper = np.where(np.tri(n, dtype=bool), np.inf, w)[:-1]
-    neighbor = upper.argmin(axis=1)
-    bound = upper[np.arange(n - 1), neighbor]
+    neighbor, bound = map(np.array, zip(*map(nearest, range(n - 1))))
     heap = _Heap(bound.tolist())
     for k in range(n - 1):
         for _ in range(n - k):
@@ -274,9 +271,8 @@ def _generic_linkage(w, linkage: str) -> np.ndarray:
             neighbor[x], bound[x] = y, dist = nearest(x)
             heap.change(x, dist)
         heap.pop()
-        size = _merge(w, linkage, x, y, dist, sizes)
-        merges.append((min(ids[x], ids[y]), max(ids[x], ids[y]), dist, size))
-        ids[y] = n + k
+        _merge(w, linkage, x, y, dist, sizes)
+        rows.append((x, y, dist))
         below = neighbor[:x]
         below[below == x] = y
         column = w[:y, y]
@@ -286,7 +282,7 @@ def _generic_linkage(w, linkage: str) -> np.ndarray:
         if y < n - 1:
             neighbor[y], bound[y] = z, dist = nearest(y)
             heap.change(y, dist)
-    return np.array(merges)
+    return np.array(rows)
 
 
 class _Heap:
@@ -552,20 +548,25 @@ def heatmap_matrix(params: Params, config: ModelConfig, seq) -> Heatmap:
 # CSV formats (see tables.py)
 
 
+def _skill_ids(skill_ids, rows: int) -> list:
+    """One skill id per row, 1..rows by default; each must be an integer
+    (tables.check_integer), as the readers require."""
+    ids = list(range(1, rows + 1) if skill_ids is None else skill_ids)
+    if len(ids) != rows:
+        raise ValueError(f"{len(ids)} skill ids for {rows} rows")
+    for sid in ids:
+        check_integer(sid, "skill id")
+    return ids
+
+
 def write_distance_csv(path, dmat: DistanceMatrix, skill_ids=None) -> None:
     """Write the full matrix, one row per skill, formatting each unordered
     pair once: DistanceMatrix is symmetric bit for bit, so cell (i, j) and
     cell (j, i) get the same bytes. Row k formats its cells from the
     diagonal rightwards with repr, pops its cells left of the diagonal
     from the earlier rows' pending strings (kept last column first) and is
-    written as one joined line; at most n^2/4 strings are held at once. A
-    skill id must be an integer (tables.check_integer), as the reader
-    requires."""
-    ids = list(skill_ids) if skill_ids is not None else list(range(1, dmat.n + 1))
-    if len(ids) != dmat.n:
-        raise ValueError(f"{len(ids)} skill ids for a {dmat.n}x{dmat.n} matrix")
-    for sid in ids:
-        check_integer(sid, "skill id")
+    written as one joined line; at most n^2/4 strings are held at once."""
+    ids = _skill_ids(skill_ids, dmat.n)
     v = dmat.values
 
     def lines():
@@ -603,11 +604,11 @@ def write_dendrogram_csv(path, dend: Dendrogram) -> None:
 
 def read_dendrogram_csv(path) -> Dendrogram:
     _, a, rest = read_table(path, "dendrogram", ("a", "b", "height", "size"))
-    return Dendrogram(merges=np.column_stack([a, rest]), num_leaves=len(a) + 1)
+    return Dendrogram(np.column_stack([a, rest]))
 
 
 def write_clusters_csv(path, labels, skill_ids=None) -> None:
-    ids = list(skill_ids) if skill_ids is not None else list(range(1, len(labels) + 1))
+    ids = _skill_ids(skill_ids, len(labels))
     write_table(path, ("skill", "label"), ((sid, int(lab)) for sid, lab in zip(ids, labels)))
 
 

@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from . import dkt, model
 from .dkt import DktConfig
 from .model import ModelConfig, Params, encode_skill_table
-from .tables import has_type, read_table, write_json, write_table
+from .tables import has_type, read_json_object, read_table, write_json, write_table
 
 FORMAT_VERSION = 2
 _DTYPE = "<f8"
@@ -62,16 +60,15 @@ def load_checkpoint(path):
     unless the file is a version-2 checkpoint whose config fields have
     their dataclass's types and whose parameters are finite and have the
     keys and shapes init_params gives for that config (and a DKT model's
-    stored skill table)."""
+    stored skill table), after read_json_object's own checks."""
+    doc = read_json_object(path, "checkpoint")
     try:
-        return _read(json.loads(Path(path).read_text()))
+        return _read(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("a checkpoint must hold a JSON object")
+def _read(doc: dict):
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")

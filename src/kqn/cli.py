@@ -165,10 +165,15 @@ def _list_option(opts: dict, key: str) -> tuple:
     value = opts[key]
     raw = value if isinstance(value, list) else str(value).split(",")
     convert = _item_type(_OPTIONS[key][0])
-    items = tuple(convert(str(v).strip()) for v in raw if str(v).strip())
+    items = []
+    for text in filter(None, (str(v).strip() for v in raw)):
+        try:
+            items.append(convert(text))
+        except ValueError as exc:
+            raise ValueError(f"{key}: cannot read {text!r} as {convert.__name__}") from exc
     if not items:
         raise ValueError(f"{key} needs at least one item")
-    return items
+    return tuple(items)
 
 
 def _option_names(command: str) -> tuple:
@@ -416,12 +421,10 @@ def _unit_vectors(path):
 
 def _table_from_opts(opts):
     if _source(opts) == "checkpoint":
-        config, params = _kqn_checkpoint(opts["checkpoint"])
-        table, _ = encode_skill_table(params)
-        ids = list(range(1, config.num_skills + 1))
-        return table, ids
+        _, params = _kqn_checkpoint(opts["checkpoint"])
+        return encode_skill_table(params)[0], None  # the writers' ids, 1..N
     ids, table = _unit_vectors(opts["skill_vectors"])
-    return table, list(ids)
+    return table, ids
 
 
 def cmd_distances(opts: dict, outdir: Path) -> None:

@@ -3,8 +3,8 @@ of a JSON-object input file, and the CSV format of every table artifact.
 write_text creates the parent directory of the path it writes, so a
 directory such as a command's --out appears only as its first file does. A
 table artifact is a header line, then one line per row, cells separated by
-commas and every line ended by "\\n". Column 0 of a row is an integer id:
-a skill id, a merged cluster id or an epoch.
+commas and every line ended by "\\n". Column 0 of every table read back
+is an integer id (a skill, merged cluster or epoch); grid.csv's is rnn.
 """
 from __future__ import annotations
 

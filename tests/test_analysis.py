@@ -705,16 +705,31 @@ class TestCsvRoundTrips:
 
     def test_dendrogram_csv(self, tmp_path):
         rng = np.random.default_rng(26)
-        pts = rng.normal(size=(8, 3))
-        dend = hcluster(
-            DistanceMatrix(squareform(pdist(pts))), "ward"
-        )
-        path = tmp_path / "dend.csv"
-        write_dendrogram_csv(path, dend)
-        back = read_dendrogram_csv(path)
-        assert back.num_leaves == 8
-        assert np.array_equal(back.merges, dend.merges)
-        assert flat_clusters(back, 3).tolist() == flat_clusters(dend, 3).tolist()
+        # The equilateral triangle's centroid and median merges invert: the
+        # third point is sqrt(3)/2 from the midpoint of a side of length 1.
+        triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
+        for pts in (rng.normal(size=(8, 3)), triangle):
+            for linkage in LINKAGES:
+                dend = hcluster(DistanceMatrix(squareform(pdist(pts))), linkage)
+                path = tmp_path / f"{linkage}.csv"
+                write_dendrogram_csv(path, dend)
+                back = read_dendrogram_csv(path)
+                assert back.num_leaves == len(pts)
+                assert np.array_equal(back.merges, dend.merges)
+                assert flat_clusters(back, 3).tolist() == flat_clusters(dend, 3).tolist()
+                if pts is triangle and linkage in ("centroid", "median"):
+                    assert dend.merges[1, 2] < dend.merges[0, 2]
+
+    @pytest.mark.parametrize("ids, message", [
+        ([1, True], "skill id must be an integer, got True"),
+        ([1, 2.0], "skill id must be an integer, got 2.0"),
+        ([1, 2, 3], "3 skill ids for 2 rows"),
+        ([1], "1 skill ids for 2 rows"),
+    ], ids=["bool", "float", "too_many", "too_few"])
+    def test_clusters_csv_refuses_ids_its_reader_refuses(self, tmp_path, ids, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_clusters_csv(tmp_path / "c.csv", [1, 2], skill_ids=ids)
+        assert list(tmp_path.iterdir()) == []
 
     def test_clusters_csv(self, tmp_path):
         labels = np.array([1, 2, 1, 3])

@@ -207,6 +207,19 @@ class TestDocumentChecks:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{message}"):
             load_checkpoint(rewrite(path, doc))
 
+    @pytest.mark.parametrize("text, message", [
+        (b"[1]", "checkpoint file {path} must hold a JSON object"),
+        (b"null", "checkpoint file {path} must hold a JSON object"),
+        (b'{"model": "kqn",}', "{path}: Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "{path}: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["list", "null", "malformed_json", "undecodable"])
+    def test_file_that_is_no_json_object(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}") as exc:
+            load_checkpoint(path)
+        assert str(exc.value).count(str(path)) == 1
+
     def test_an_int_serves_for_keep_prob(self, tmp_path):
         path, doc = saved_doc(tmp_path)
         doc["config"]["keep_prob"] = 1

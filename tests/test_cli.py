@@ -392,13 +392,14 @@ def with_param(doc, key, value):
 
 
 # Each edit of a trained checkpoint and the one stderr line that evaluate
-# then prints after "error: <path>: ".
+# then prints after "error: <path>: ", or after "error: " where the line
+# names the path itself, at {path}.
 MALFORMED = {
     "dim_is_a_string": ("kqn4", lambda d: {**d, "config": {**d["config"], "dim": "3"}},
                         "config field 'dim' must be of type int, got '3'"),
     "unknown_config_key": ("kqn4", lambda d: {**d, "config": {**d["config"], "depth": 2}},
                            "unknown config fields: 'depth'"),
-    "top_level_list": ("kqn4", lambda d: [d], "a checkpoint must hold a JSON object"),
+    "top_level_list": ("kqn4", lambda d: [d], "checkpoint file {path} must hold a JSON object"),
     "missing_parameter": (
         "kqn4", lambda d: {**d, "params": {k: v for k, v in d["params"].items() if k != "proj_w"}},
         "parameters missing: 'proj_w'"),
@@ -430,7 +431,8 @@ class TestMalformedCheckpoint:
         rc = main(["evaluate", "--out", str(tmp_path / "out"), "--checkpoint", str(bad),
                    "--data", str(ws / "split" / "test.txt")])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        line = message.format(path=bad) if "{path}" in message else f"{bad}: {message}"
+        assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out" / "eval.json").exists()
 
 
@@ -984,6 +986,20 @@ class TestGridsearch:
                    "--valid", str(ws / "split" / "valid.txt"), flag, value])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {flag[2:]} needs at least one item\n"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_list_item_names_its_option(self, ws, tmp_path, capsys, source):
+        args = ["gridsearch", "--out", str(tmp_path / "out"),
+                "--train", str(ws / "split" / "train.txt"),
+                "--valid", str(ws / "split" / "valid.txt")]
+        if source == "flag":
+            args += ["--dims", "3, x"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"dims": "3, x"}))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: dims: cannot read 'x' as int\n"
+        assert not (tmp_path / "out").exists()
 
     def test_list_options_from_config(self, tmp_path):
         config = {"kinds": "gru", "dims": "3, 4", "rnn_hiddens": [4, 5], "mlp_hiddens": 6}

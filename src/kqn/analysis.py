@@ -608,8 +608,12 @@ def read_dendrogram_csv(path) -> Dendrogram:
 
 
 def write_clusters_csv(path, labels, skill_ids=None) -> None:
+    """Each label, like each id, must be an integer (tables.check_integer);
+    both are checked before anything is written."""
     ids = _skill_ids(skill_ids, len(labels))
-    write_table(path, ("skill", "label"), ((sid, int(lab)) for sid, lab in zip(ids, labels)))
+    for label in labels:
+        check_integer(label, "cluster label")
+    write_table(path, ("skill", "label"), zip(ids, labels))
 
 
 def read_clusters_csv(path):

@@ -7,14 +7,18 @@ A checkpoint is one JSON object: "format_version" (2), "model" ("kqn" or
 "dkt"), "config" (every field of the model's config dataclass) and
 "params", which maps each parameter name to {"dtype": "<f8", "shape":
 [...], "data": base64 of its little-endian float64 bytes in C order}, so a
-save/load round trip is bit-exact. load_checkpoint checks the document
-against its own config (and a DKT model's against its stored table) and
-raises ValueError naming the file and the field or parameter at fault.
+save/load round trip is bit-exact. The file's bytes are exactly
+json.dumps(doc, indent=1) followed by a newline; the base64 payloads,
+which hold no character JSON escapes, are copied in, not escaped.
+load_checkpoint checks the document against its own config (and a DKT
+model's against its stored table) and raises ValueError naming the file
+and the field or parameter at fault.
 """
 from __future__ import annotations
 
 import base64
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -22,17 +26,29 @@ import numpy as np
 from . import dkt, model
 from .dkt import DktConfig
 from .model import ModelConfig, Params, encode_skill_table
-from .tables import has_type, read_json_object, read_table, write_json, write_table
+from .tables import has_type, read_json_object, read_table, write_table, write_text
 
 FORMAT_VERSION = 2
 _DTYPE = "<f8"
 
 _CONFIG_TYPES = {"kqn": ModelConfig, "dkt": DktConfig}
 
+# A parameter's data slot in the dumped skeleton. Only a parameter entry
+# has a key ending in "data" whose value is null (a config value is never
+# null, and a quote inside a name is escaped), so the skeleton's text
+# splits at this string once per parameter, in order.
+_SLOT = '"data": null'
+
 
 def save_checkpoint(path, config, params: Params) -> None:
     """Write a checkpoint of the model kind that config's type gives;
-    refuses any other config type and non-finite parameters."""
+    refuses any other config type and non-finite parameters.
+
+    Only the skeleton, the document with null in each data slot, goes
+    through json.dumps. Each base64 payload goes to write_text as its own
+    chunk between the skeleton's pieces, so the file gets the bytes of
+    json.dumps(doc, indent=1) + "\n" while the escaper never scans a
+    payload and no joined copy of the document is made."""
     kinds = [kind for kind, cls in _CONFIG_TYPES.items() if type(config) is cls]
     if not kinds:
         names = " or ".join(cls.__name__ for cls in _CONFIG_TYPES.values())
@@ -40,18 +56,23 @@ def save_checkpoint(path, config, params: Params) -> None:
     for key, value in params.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"parameter {key!r} contains non-finite values")
-    doc = {
+    entries = {key: _encode(value) for key, value in params.items()}
+    skeleton = {
         "format_version": FORMAT_VERSION,
         "model": kinds[0],
         "config": dataclasses.asdict(config),
-        "params": {k: _encode(v) for k, v in params.items()},
+        "params": {key: {**entry, "data": None} for key, entry in entries.items()},
     }
-    write_json(path, doc, indent=1)
+    pieces = json.dumps(skeleton, indent=1).split(_SLOT)
+    chunks = [pieces[0]]
+    for entry, piece in zip(entries.values(), pieces[1:]):
+        chunks += ['"data": "', entry["data"], '"' + piece]
+    write_text(path, [*chunks, "\n"])
 
 
 def _encode(value) -> dict:
-    array = np.asarray(value, dtype=_DTYPE)
-    data = base64.b64encode(array.tobytes()).decode("ascii")
+    array = np.asarray(value, dtype=_DTYPE, order="C")
+    data = base64.b64encode(array).decode("ascii")  # the array's bytes in C order
     return {"dtype": _DTYPE, "shape": list(array.shape), "data": data}
 
 

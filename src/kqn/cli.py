@@ -330,9 +330,11 @@ def cmd_evaluate(opts: dict, outdir: Path) -> None:
     kind, config, params = load_checkpoint(opts["checkpoint"])
     model = KqnModel(config) if kind == "kqn" else DktModel(config)
     dataset = load_dataset(opts["data"])
-    auc_value, loss_value, n_trials = evaluate(
-        model, params, dataset.sequences, opts["batch_size"]
-    )
+    with np.errstate(all="ignore"):
+        auc_value, loss_value, n_trials = evaluate(
+            model, params, dataset.sequences, opts["batch_size"]
+        )
+    _check_finite(opts["checkpoint"], "scores", loss_value)
     report = {"model": kind, "auc": auc_value, "loss": loss_value, "trials": n_trials}
     write_json(outdir / "eval.json", report)
     print(f"{kind} AUC {auc_value:.4f} loss {loss_value:.4f} over {n_trials} trials")
@@ -375,12 +377,22 @@ def cmd_heatmap(opts: dict, outdir: Path) -> None:
     idx = opts["student"]
     if not 0 <= idx < dataset.num_students:
         raise ValueError(f"student index {idx} outside 0..{dataset.num_students - 1}")
-    hm = heatmap_matrix(params, config, dataset.sequences[idx])
+    with np.errstate(all="ignore"):
+        hm = heatmap_matrix(params, config, dataset.sequences[idx])
+    _check_finite(opts["checkpoint"], "scores", hm.percent)
     write_heatmap_csv(outdir / "heatmap.csv", hm)
     print(
         f"heatmap for student {idx}: {hm.percent.shape[0]} skills x "
         f"{hm.percent.shape[1]} steps -> {outdir / 'heatmap.csv'}"
     )
+
+
+def _check_finite(path, what: str, values) -> None:
+    """Finite checkpoint weights can still overflow to NaN or inf when
+    used (the caller computes with NumPy's warnings off); such a result
+    is refused as one error naming the checkpoint, before any artifact."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: the model's {what} are not finite")
 
 
 def _kqn_checkpoint(path):
@@ -422,7 +434,10 @@ def _unit_vectors(path):
 def _table_from_opts(opts):
     if _source(opts) == "checkpoint":
         _, params = _kqn_checkpoint(opts["checkpoint"])
-        return encode_skill_table(params)[0], None  # the writers' ids, 1..N
+        with np.errstate(all="ignore"):
+            table = encode_skill_table(params)[0]
+        _check_finite(opts["checkpoint"], "skill vectors", table)
+        return table, None  # the writers' ids, 1..N
     ids, table = _unit_vectors(opts["skill_vectors"])
     return table, ids
 

@@ -39,8 +39,10 @@ def write_text(path, chunks: Iterable[str]) -> None:
 
 def write_json(path, doc, indent: int = 2, sort_keys: bool = False) -> None:
     """Write doc as indented JSON text ended by a newline, through
-    write_text."""
-    write_text(path, [json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n"])
+    write_text. A NaN or infinite float, which JSON cannot hold, raises
+    ValueError before anything is written."""
+    text = json.dumps(doc, indent=indent, sort_keys=sort_keys, allow_nan=False)
+    write_text(path, [text + "\n"])
 
 
 def header_line(header) -> str:

@@ -75,7 +75,11 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
     """One bias-corrected Adam update, in place.
 
     At t=1 the update reduces to alpha * g / (|g| + eps'), so no single
-    step can exceed alpha per coordinate by more than rounding.
+    step can exceed alpha per coordinate by more than rounding. Each
+    parameter takes the IEEE operations, in the order, of
+        m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+        p -= alpha (m / bc1) / (sqrt(v / bc2) + eps),
+    run in place and through two scratch arrays per parameter.
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -84,11 +88,19 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
     for k, g in grads.items():
         m = state.m[k]
         v = state.v[k]
+        step = np.empty_like(g)
+        denom = np.empty_like(g)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(1.0 - b1, g, out=step)
         v *= b2
-        v += (1.0 - b2) * g * g
-        params[k] -= cfg.adam_alpha * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(1.0 - b2, g, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(m, bc1, out=step)
+        step *= cfg.adam_alpha
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        params[k] -= np.divide(step, denom, out=step)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +193,11 @@ def train(model, train_seqs, valid_seqs, cfg: TrainConfig) -> TrainResult:
     params = model.init_params(rng)
     state = init_adam(params)
 
+    # Epoch 1 always sets the best_ values: its validation AUC is finite,
+    # since a non-finite validation loss raises first and auc_scores
+    # refuses a one-class set.
     records: list[EpochRecord] = []
     best_auc = -np.inf
-    best_epoch = 0
-    best_params = copy.deepcopy(params)
     stale = 0
 
     for epoch in range(1, cfg.epochs_validation + 1):

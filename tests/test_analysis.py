@@ -731,6 +731,22 @@ class TestCsvRoundTrips:
             write_clusters_csv(tmp_path / "c.csv", [1, 2], skill_ids=ids)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("labels, message", [
+        ([1.7, 1, 3], "cluster label must be an integer, got 1.7"),
+        ([1, True, 3], "cluster label must be an integer, got True"),
+        ([1, 2, np.float64(3.0)], "cluster label must be an integer, got np.float64(3.0)"),
+    ], ids=["float", "bool", "numpy_float"])
+    def test_clusters_csv_refuses_labels_that_are_no_integers(self, tmp_path, labels, message):
+        # int() would have written 1.7 and True as 1 without a word.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_clusters_csv(tmp_path / "c.csv", labels)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clusters_csv_takes_numpy_integer_labels(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_clusters_csv(path, np.array([3, 1, 2], dtype=np.int32), skill_ids=[5, 6, 7])
+        assert path.read_text() == "skill,label\n5,3\n6,1\n7,2\n"
+
     def test_clusters_csv(self, tmp_path):
         labels = np.array([1, 2, 1, 3])
         path = tmp_path / "clusters.csv"

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import kqn.checkpoint
 from kqn.checkpoint import (
     FORMAT_VERSION,
     _decode,
@@ -165,6 +167,90 @@ class TestCheckpointRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="unknown model"):
             load_checkpoint(path)
+
+
+def documented(kind, config, params):
+    """The checkpoint document as the module docstring describes it,
+    built without the module's own encoder."""
+    return {
+        "format_version": 2,
+        "model": kind,
+        "config": dataclasses.asdict(config),
+        "params": {key: {"dtype": "<f8", "shape": list(value.shape),
+                         "data": base64.b64encode(value.astype("<f8").tobytes()).decode()}
+                   for key, value in params.items()},
+    }
+
+
+def hybrid_dkt():
+    config = DktConfig(num_skills=5, hidden=3, input_mode="hybrid")
+    table = np.abs(np.random.default_rng(4).normal(size=(5, 2)))
+    return config, DktModel(config, skill_table=table).init_params(np.random.default_rng(4))
+
+
+# Each model kind and input, with its config and initial parameters.
+SAVED = {
+    "kqn_lstm": lambda: (ModelConfig(num_skills=7, dim=3, rnn_kind="lstm", rnn_hidden=4,
+                                     mlp_hidden=5, keep_prob=0.7),),
+    "kqn_gru": lambda: (ModelConfig(num_skills=7, dim=3, rnn_kind="gru", rnn_hidden=4,
+                                    mlp_hidden=5, keep_prob=1),),
+    "dkt_onehot": lambda: (DktConfig(num_skills=6, hidden=3, keep_prob=0.5),),
+    "dkt_hybrid": hybrid_dkt,
+}
+
+
+def saved_case(case):
+    made = SAVED[case]()
+    config = made[0]
+    if len(made) == 2:
+        return "dkt", config, made[1]
+    if isinstance(config, DktConfig):
+        return "dkt", config, DktModel(config).init_params(np.random.default_rng(2))
+    return "kqn", config, init_params(config, np.random.default_rng(2))
+
+
+class TestSavedBytes:
+    @pytest.mark.parametrize("case", sorted(SAVED))
+    def test_file_is_the_documented_json(self, tmp_path, case):
+        kind, config, params = saved_case(case)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, params)
+        expected = json.dumps(documented(kind, config, params), indent=1) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_names_that_look_like_a_data_slot(self, tmp_path):
+        # Parameter names holding quotes, "data" or null, and parameters of
+        # every rank and of no values, still give the documented bytes.
+        config, _ = make_kqn()
+        rng = np.random.default_rng(3)
+        params = {"data": rng.normal(size=(2, 3)), 'x"data': np.array(-0.0),
+                  '"data": null': rng.normal(size=4), "e": np.empty((0, 4)),
+                  "t": rng.normal(size=(2, 3)).T}
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, params)
+        expected = json.dumps(documented("kqn", config, params), indent=1) + "\n"
+        assert path.read_text() == expected
+
+    def test_each_payload_is_its_own_chunk(self, tmp_path, monkeypatch):
+        # The payloads reach write_text once each, as they are, and no
+        # chunk holds the whole document.
+        kind, config, params = saved_case("kqn_lstm")
+        seen = []
+
+        def spy(path, chunks):
+            seen.append(list(chunks))
+            return write_text(path, seen[-1])
+
+        write_text = kqn.checkpoint.write_text
+        monkeypatch.setattr(kqn.checkpoint, "write_text", spy)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, params)
+        [chunks] = seen
+        payloads = [entry["data"] for entry in documented(kind, config, params)["params"].values()]
+        assert [c for c in chunks if c in payloads] == payloads
+        assert not any(p in c for c in chunks if c not in payloads for p in payloads)
+        assert "".join(chunks) == path.read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
 
 def nan_bytes(n):

@@ -25,7 +25,7 @@ from kqn.analysis import (
     sensitivity_stats,
     write_heatmap_csv,
 )
-from kqn.checkpoint import _encode, load_checkpoint, load_skill_vectors
+from kqn.checkpoint import _encode, load_checkpoint, load_skill_vectors, save_checkpoint
 from kqn.cli import _list_option, _resolve, build_parser, main
 from kqn.data import (
     ResponseSequence,
@@ -434,6 +434,35 @@ class TestMalformedCheckpoint:
         line = message.format(path=bad) if "{path}" in message else f"{bad}: {message}"
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out" / "eval.json").exists()
+
+
+class TestOverflowingCheckpoint:
+    """Every weight times 1e160 is finite, so the checkpoint loads, but its
+    skill encoder overflows to NaN when used."""
+
+    @pytest.fixture
+    def scaled(self, ws, tmp_path):
+        _, config, params = load_checkpoint(ws / "kqn4" / "checkpoint.json")
+        path = tmp_path / "scaled.json"
+        save_checkpoint(path, config, {k: v * 1e160 for k, v in params.items()})
+        return path
+
+    @pytest.mark.parametrize("command, args, what", [
+        ("evaluate", ["--data", "test"], "scores"),
+        ("heatmap", ["--data", "test", "--student", "0"], "scores"),
+        ("distances", [], "skill vectors"),
+        ("cluster", [], "skill vectors"),
+    ])
+    def test_one_error_line_and_no_artifact(self, ws, tmp_path, capsys, scaled, command,
+                                            args, what):
+        args = [str(ws / "split" / "test.txt") if a == "test" else a for a in args]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--out", str(tmp_path / "out"), "--checkpoint", str(scaled),
+                       *args])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {scaled}: the model's {what} are not finite\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestHeatmap:

@@ -123,6 +123,15 @@ def test_a_row_that_raises_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+def test_json_artifacts_refuse_what_json_cannot_hold(tmp_path, value):
+    # json.dumps would write NaN or Infinity, which no JSON reader accepts.
+    path = tmp_path / "out" / "eval.json"
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        tables.write_json(path, {"loss": value})
+    assert not (tmp_path / "out").exists()
+
+
 def test_rows_are_written_as_they_come(tmp_path):
     # The 600 x 600 distance file is 6.8 MB of text; writing it may hold
     # its pending cell strings, never all of its lines at once.

@@ -73,6 +73,35 @@ class TestAdam:
             assert_allclose(params["w"], ref["w"], rtol=1e-12)
         assert state.t == 10
 
+    @pytest.mark.parametrize("alpha", [0.003, 1])
+    def test_same_bits_as_the_plain_expression(self, alpha):
+        # adam_step runs through scratch arrays the IEEE operations, in the
+        # order, of the expression below, so params and moments agree bit
+        # for bit at every step, for parameters of any rank or size.
+        rng = np.random.default_rng(2)
+        cfg = TrainConfig(adam_alpha=alpha)
+        shapes = {"w": (5, 3), "b": (3,), "s": (), "e": (0, 4), "wide": (2, 40)}
+        params = {k: np.asarray(rng.normal(size=shape)) for k, shape in shapes.items()}
+        ref = {k: p.copy() for k, p in params.items()}
+        m = {k: np.zeros(shape) for k, shape in shapes.items()}
+        v = {k: np.zeros(shape) for k, shape in shapes.items()}
+        state = init_adam(params)
+        for t in range(1, 8):
+            grads = {k: np.asarray(rng.normal(scale=10.0 ** rng.integers(-9, 4), size=shape))
+                     for k, shape in shapes.items()}
+            adam_step(params, grads, state, cfg)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for k, g in grads.items():
+                m[k] *= 0.9
+                m[k] += (1.0 - 0.9) * g
+                v[k] *= 0.999
+                v[k] += (1.0 - 0.999) * g * g
+                ref[k] -= cfg.adam_alpha * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + 1e-8)
+            for k in shapes:
+                assert params[k].tobytes() == ref[k].tobytes()
+                assert state.m[k].tobytes() == m[k].tobytes()
+                assert state.v[k].tobytes() == v[k].tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)

@@ -182,37 +182,24 @@ def documented(kind, config, params):
     }
 
 
-def hybrid_dkt():
-    config = DktConfig(num_skills=5, hidden=3, input_mode="hybrid")
-    table = np.abs(np.random.default_rng(4).normal(size=(5, 2)))
-    return config, DktModel(config, skill_table=table).init_params(np.random.default_rng(4))
-
-
-# Each model kind and input, with its config and initial parameters.
-SAVED = {
-    "kqn_lstm": lambda: (ModelConfig(num_skills=7, dim=3, rnn_kind="lstm", rnn_hidden=4,
-                                     mlp_hidden=5, keep_prob=0.7),),
-    "kqn_gru": lambda: (ModelConfig(num_skills=7, dim=3, rnn_kind="gru", rnn_hidden=4,
-                                    mlp_hidden=5, keep_prob=1),),
-    "dkt_onehot": lambda: (DktConfig(num_skills=6, hidden=3, keep_prob=0.5),),
-    "dkt_hybrid": hybrid_dkt,
-}
-
-
-def saved_case(case):
-    made = SAVED[case]()
-    config = made[0]
-    if len(made) == 2:
-        return "dkt", config, made[1]
-    if isinstance(config, DktConfig):
-        return "dkt", config, DktModel(config).init_params(np.random.default_rng(2))
-    return "kqn", config, init_params(config, np.random.default_rng(2))
+def saved_case(kind, variant):
+    """(kind, config, params) of a KQN model with an rnn_kind or a DKT
+    model with an input_mode."""
+    rng = np.random.default_rng(2)
+    if kind == "kqn":
+        config = ModelConfig(num_skills=7, dim=3, rnn_kind=variant, rnn_hidden=4, mlp_hidden=5,
+                             keep_prob=0.7)
+        return kind, config, init_params(config, rng)
+    config = DktConfig(num_skills=5, hidden=3, input_mode=variant, keep_prob=1)
+    table = np.abs(rng.normal(size=(5, 2))) if variant == "hybrid" else None
+    return kind, config, DktModel(config, skill_table=table).init_params(rng)
 
 
 class TestSavedBytes:
-    @pytest.mark.parametrize("case", sorted(SAVED))
+    @pytest.mark.parametrize("case", [("kqn", "lstm"), ("kqn", "gru"), ("dkt", "onehot"),
+                                      ("dkt", "hybrid")], ids="_".join)
     def test_file_is_the_documented_json(self, tmp_path, case):
-        kind, config, params = saved_case(case)
+        kind, config, params = saved_case(*case)
         path = tmp_path / "model.json"
         save_checkpoint(path, config, params)
         expected = json.dumps(documented(kind, config, params), indent=1) + "\n"
@@ -234,7 +221,7 @@ class TestSavedBytes:
     def test_each_payload_is_its_own_chunk(self, tmp_path, monkeypatch):
         # The payloads reach write_text once each, as they are, and no
         # chunk holds the whole document.
-        kind, config, params = saved_case("kqn_lstm")
+        kind, config, params = saved_case("kqn", "lstm")
         seen = []
 
         def spy(path, chunks):

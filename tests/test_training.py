@@ -77,11 +77,14 @@ class TestAdam:
     def test_same_bits_as_the_plain_expression(self, alpha):
         # adam_step runs through scratch arrays the IEEE operations, in the
         # order, of the expression below, so params and moments agree bit
-        # for bit at every step, for parameters of any rank or size.
+        # for bit at every step, for parameters of any rank or size. The
+        # parameters start near the size of a step, so a step's last bit
+        # shows in them.
         rng = np.random.default_rng(2)
         cfg = TrainConfig(adam_alpha=alpha)
         shapes = {"w": (5, 3), "b": (3,), "s": (), "e": (0, 4), "wide": (2, 40)}
-        params = {k: np.asarray(rng.normal(size=shape)) for k, shape in shapes.items()}
+        params = {k: np.asarray(rng.normal(scale=alpha, size=shape))
+                  for k, shape in shapes.items()}
         ref = {k: p.copy() for k, p in params.items()}
         m = {k: np.zeros(shape) for k, shape in shapes.items()}
         v = {k: np.zeros(shape) for k, shape in shapes.items()}

@@ -423,9 +423,12 @@ def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -
     distribution jointly permutes the second matrix's rows and columns,
     and p = (1 + #{permuted rho >= observed}) / (permutations + 1). A
     permuted upper triangle takes cells from both triangles of d2, which
-    DistanceMatrix makes equal bit for bit. The permutation count, an
-    integer (tables.check_integer) of at least 1, is checked before the
-    matrices' point count and upper triangles.
+    DistanceMatrix makes equal bit for bit. The null loop gathers each
+    permutation's pairs from a centred copy of d2; neither matrix is
+    written. The permutation count, an integer (tables.check_integer) of
+    at least 1, is checked before the matrices' point count and upper
+    triangles. Distances so large that a mean, a norm, their product or
+    the correlation's dot product overflows raise ValueError.
     """
     v1, v2 = d1.values, d2.values
     if v1.shape != v2.shape:
@@ -441,28 +444,34 @@ def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -
     iu = np.triu_indices(n, k=1)
     u1 = v1[iu]
     u2 = v2[iu]
-    c1 = u1 - u1.mean()
-    c2 = u2 - u2.mean()
-    norm1 = float(np.linalg.norm(c1))
-    norm2 = float(np.linalg.norm(c2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean1, mean2 = u1.mean(), u2.mean()
+        c1 = u1 - mean1
+        c2 = u2 - mean2
+        norm1 = float(np.linalg.norm(c1))
+        norm2 = float(np.linalg.norm(c2))
+        scale = norm1 * norm2
+        dot = float(c1 @ c2)
+    if not all(map(math.isfinite, (mean1, mean2, norm1, norm2, scale, dot))):
+        raise ValueError("distances too large for a Mantel test: its statistics overflow")
     if norm1 == 0.0 or norm2 == 0.0:
         raise ValueError("constant upper triangle; correlation is undefined")
-    rho = float(c1 @ c2) / (norm1 * norm2)
+    rho = dot / scale
 
     # A joint row/column permutation only reorders the upper-triangle
     # multiset, so the permuted mean and norm equal the originals.
     # Upper-triangle row r holds n-1-r pairs, so the permuted pairs sit at
-    # flat indices perm[r]*n + perm[c]: one take per permutation.
-    mean2 = u2.mean()
-    flat = v2.ravel()
+    # flat indices perm[r]*n + perm[c]: one take per permutation, from d2
+    # centred once. centered.take(idx) equals flat.take(idx) - mean2
+    # element by element, so every permuted statistic keeps its bits.
+    centered = (v2 - mean2).ravel()
     run = np.arange(n - 1, -1, -1)
     count = 0
     for _ in range(permutations):
         perm = rng.permutation(n)
-        pu2 = flat.take(np.repeat(perm * n, run) + perm[iu[1]])
-        pu2 -= mean2
-        rho_p = float(c1 @ pu2) / (norm1 * norm2)
-        if rho_p >= rho:
+        idx = np.repeat(perm * n, run)
+        idx += perm.take(iu[1])
+        if float(c1 @ centered.take(idx)) / scale >= rho:
             count += 1
     return MantelResult(
         rho=rho,

@@ -26,7 +26,8 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def auc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Area under the ROC curve from raw score/label arrays."""
+    """Area under the ROC curve from raw score/label arrays. Scores must be
+    finite and labels 0 or 1; anything else raises ValueError."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -36,6 +37,11 @@ def auc_scores(scores: np.ndarray, labels: np.ndarray) -> float:
         )
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    # Another label would take a rank slot without being counted.
+    if n_pos + n_neg != labels.size:
+        raise ValueError("AUC labels must be 0 or 1")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("AUC scores must be finite")
     if n_pos == 0 or n_neg == 0:
         raise ValueError(
             f"AUC needs both classes; got {n_pos} positives, {n_neg} negatives"

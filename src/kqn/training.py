@@ -260,7 +260,8 @@ def evaluate(model, params: Params, sequences, batch_size: int = SCORE_BLOCK):
     eval-mode logits are the same bits in any batch, and the logits,
     probabilities and targets go back to the students' input order, where
     the loss is reduced once; so the result does not depend on
-    batch_size."""
+    batch_size. A loss that is not finite comes back with a NaN AUC, and
+    callers refuse the loss."""
     check_integer(batch_size, "batch_size", "a positive integer")
     if batch_size < 1:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -280,7 +281,9 @@ def evaluate(model, params: Params, sequences, batch_size: int = SCORE_BLOCK):
     back = np.argsort(np.repeat(order, counts[order]), kind="stable")
     y, p, c = (np.concatenate(part)[back] for part in zip(*cells))
     loss = float(np.sum(binary_cross_entropy(y, c)))
-    return auc_scores(p, c), loss / len(p), len(p)
+    # auc_scores refuses the NaN probabilities of a NaN loss, naming no file.
+    auc = auc_scores(p, c) if np.isfinite(loss) else np.nan
+    return auc, loss / len(p), len(p)
 
 
 # ---------------------------------------------------------------------------

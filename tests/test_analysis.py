@@ -499,6 +499,31 @@ class TestMantel:
         res = mantel(DistanceMatrix(d1), DistanceMatrix(d2), permutations=permutations, rng=seed)
         assert (res.rho, res.p_value) == reference_mantel(d1, d2, permutations, seed)
 
+    def test_matches_permuted_matrix_oracle_at_benchmark_scale(self):
+        # 300 skills, as in the benchmark's Mantel pair, from tables whose
+        # rows repeat as a trained table's do (one-hot and duplicated
+        # rows), so many cells tie. Neither matrix may be written.
+        rng = np.random.default_rng(35)
+        tables = []
+        for dim in (16, 32):
+            pool = np.vstack([np.eye(dim), np.abs(random_unit_vectors(230, dim, rng))])
+            tables.append(pool[rng.integers(0, len(pool), size=300)])
+        d1, d2 = (pairwise_distances(t, "euclidean") for t in tables)
+        before = [d.values.tobytes() for d in (d1, d2)]
+        res = mantel(d1, d2, permutations=99, rng=35)
+        assert (res.rho, res.p_value) == reference_mantel(d1.values, d2.values, 99, 35)
+        assert [d.values.tobytes() for d in (d1, d2)] == before
+
+    @pytest.mark.parametrize("scale_a, scale_b", [(1e308, 1e308), (1.0, 1e308), (1e200, 1.0)])
+    def test_overflowing_statistics_raise(self, scale_a, scale_b):
+        # A mean or a norm overflows; the test returned rho nan, p 0.01
+        # and warned. Warnings are errors here, so none may escape.
+        rng = np.random.default_rng(23)
+        a, b = (np.triu(rng.random((6, 6)), 1) * scale for scale in (scale_a, scale_b))
+        a, b = DistanceMatrix(a + a.T), DistanceMatrix(b + b.T)
+        with pytest.raises(ValueError, match="^distances too large for a Mantel test"):
+            mantel(a, b, permutations=99, rng=1)
+
     @settings(deadline=None)
     @given(n=st.integers(3, 30), levels=st.integers(2, 4), permutations=st.integers(1, 60),
            seed=st.integers(0, 2 ** 32 - 1))

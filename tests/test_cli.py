@@ -785,6 +785,21 @@ class TestMantelSensitivity:
         err, a, b = self.mantel_error(tmp_path, capsys, DISTANCES_123, flat)
         assert err == f"error: {a} and {b}: constant upper triangle; correlation is undefined\n"
 
+    def test_overflowing_distances_name_both_files(self, tmp_path, capsys):
+        # The statistics of these finite distances overflow: the command
+        # printed RuntimeWarnings and then a JSON error naming no file.
+        rng = np.random.default_rng(6)
+        texts = []
+        for _ in range(2):
+            m = np.triu(rng.random((6, 6)), 1) * 1e308
+            lines = ["skill,1,2,3,4,5,6"]
+            lines += [",".join([str(i + 1), *map(repr, row.tolist())])
+                      for i, row in enumerate(m + m.T)]
+            texts.append("\n".join(lines) + "\n")
+        err, a, b = self.mantel_error(tmp_path, capsys, *texts, "--permutations", "99")
+        assert err == (f"error: {a} and {b}: distances too large for a Mantel test: "
+                       "its statistics overflow\n")
+
     def test_zero_permutations_blames_no_file(self, tmp_path, capsys):
         # Checked before the files' contents, so two header-only files get
         # the same error.

@@ -53,6 +53,19 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc_scores(np.array([0.1, 0.9]), np.array([0, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises(self, bad):
+        # A nan score sorted last and [nan, 0.2, 0.3] against [1, 0, 1] read 1.0.
+        with pytest.raises(ValueError, match="^AUC scores must be finite$"):
+            auc_scores(np.array([bad, 0.2, 0.3]), np.array([1, 0, 1]))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_label_outside_zero_one_raises(self, bad):
+        # A label-2 trial took a rank slot without being counted: these
+        # read 1.0 where the AUC of the 0/1 pairs is 0.
+        with pytest.raises(ValueError, match="^AUC labels must be 0 or 1$"):
+            auc_scores(np.array([0.2, 0.3, 0.1]), np.array([1, 0, bad]))
+
 
 class TestBinaryCrossEntropy:
     def test_half_probability_gives_log_two(self):

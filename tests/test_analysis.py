@@ -516,8 +516,9 @@ class TestMantel:
 
     @pytest.mark.parametrize("scale_a, scale_b", [(1e308, 1e308), (1.0, 1e308), (1e200, 1.0)])
     def test_overflowing_statistics_raise(self, scale_a, scale_b):
-        # A mean or a norm overflows; the test returned rho nan, p 0.01
-        # and warned. Warnings are errors here, so none may escape.
+        # A mean overflows (1e308) or a norm does (1e200): mantel returned
+        # rho nan and p 0.01, or rho -0.0 and p 1.0, with RuntimeWarnings.
+        # Warnings are errors here, so none may escape.
         rng = np.random.default_rng(23)
         a, b = (np.triu(rng.random((6, 6)), 1) * scale for scale in (scale_a, scale_b))
         a, b = DistanceMatrix(a + a.T), DistanceMatrix(b + b.T)

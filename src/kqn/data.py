@@ -21,7 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .ops import sigmoid
-from .tables import INT_TOKEN, check_config, has_type, read_json_object, write_json, write_text
+from .tables import (
+    INT_TOKEN, check_config, has_type, read_int, read_json_object, write_json, write_text,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,22 +67,30 @@ class Dataset:
 
 
 def _split_ints(line: str, lineno: int, what: str) -> list[int]:
-    # Tolerate trailing separators and stray spaces around tokens.
-    tokens = [tok.strip() for tok in line.strip().split(",")]
-    tokens = [tok for tok in tokens if tok != ""]
+    # Tolerate trailing separators, blank tokens and spaces or tabs around
+    # tokens; every other token is read by read_int.
     out = []
-    for tok in tokens:
+    for tok in line.split(","):
+        tok = tok.strip(" \t")
+        if tok == "":
+            continue
         try:
-            out.append(int(tok))
+            out.append(read_int(tok))
         except ValueError:
             raise ValueError(f"line {lineno}: {what} token {tok!r} is not an integer")
     return out
 
 
+def _read_count(line: str) -> int:
+    """The response count a record's first line holds, read by read_int
+    after the spaces, tabs and trailing commas around it."""
+    return read_int(line.strip(" \t").rstrip(","))
+
+
 def _read_exact(lines: list[str]):
     """The response counts and the skill and correctness values of every
-    record, read one token at a time with int(). Raises the first
-    malformed record's error, with its line number, in file order."""
+    record, read one token at a time with tables.read_int. Raises the
+    first malformed record's error, with its line number, in file order."""
     counts, all_skills, all_corrects = [], [], []
     idx = 0
     while idx < len(lines):
@@ -89,7 +99,7 @@ def _read_exact(lines: list[str]):
             continue
         lineno = idx + 1
         try:
-            t = int(lines[idx].strip().rstrip(","))
+            t = _read_count(lines[idx])
         except ValueError:
             raise ValueError(f"line {lineno}: expected a response count, got {lines[idx]!r}")
         if t <= 0:
@@ -158,7 +168,7 @@ def _read_plain(lines: list[str]):
     if rows[1::3] != [i + 1 for i in heads] or rows[2::3] != [i + 2 for i in heads]:
         return None
     try:
-        counts = [int(lines[i].strip().rstrip(",")) for i in heads]
+        counts = [_read_count(lines[i]) for i in heads]
     except ValueError:
         return None
     columns = []

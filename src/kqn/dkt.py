@@ -133,14 +133,17 @@ class DktModel(Scorer):
     def backward(self, params, fwd: BatchForward) -> Params:
         """Gradients of every parameter but the frozen skill_table.
         Consumes fwd.cache: the output layer's gradients are taken from hv
-        first, and the scan's backward runs without it."""
+        first, releasing it, and the gradient on hv goes to the scan's
+        backward in its packed order."""
         cache = fwd.take_cache()
         dy = fwd.logit_grad()
         rows = cache["q"] - 1
         head = {"out_w": np.zeros_like(params["out_w"]), "out_b": np.zeros_like(params["out_b"])}
         scatter_add(head["out_w"], rows, dy[:, None] * cache.pop("hv"))
         np.add.at(head["out_b"], rows, dy)
-        grads = scan_backward(dy[:, None] * params["out_w"][rows], cache.pop("scan"), params)
+        scan_cache = cache.pop("scan")
+        perm = scan_cache["perm"]
+        grads = scan_backward(dy[perm, None] * params["out_w"][rows[perm]], scan_cache, params)
         grads.update(head)
         return grads
 

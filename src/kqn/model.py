@@ -23,12 +23,14 @@ The cells work on the stacked gate block. A logistic gate is
 projections, the recurrent weights and the bias once per prepare, so a
 step runs one tanh over the stacked block and one in-place scale and
 offset, 0.5 and 0.5 on a logistic block, 1.0 and -0.0 on a tanh block.
-The backward keeps the forward's tanh(c) and r*h_prev. Every probability
-and gradient keeps the bits of the unfolded cells: halving is exact, 0.5
-being a power of two; adding -0.0 is the identity, where +0.0 would
-turn a -0.0 into +0.0; and every product keeps the operands and layout
-it had, which is why the GRU keeps one product per gate (see gru_cell;
-the rule is a property of the OpenBLAS measured, scipy-openblas 0.3.31).
+The LSTM's backward recomputes tanh(c) from the cached c in one
+elementwise pass; the GRU's keeps the forward's r*h_prev. Every
+probability and gradient keeps the bits of the unfolded cells: halving
+is exact, 0.5 being a power of two; adding -0.0 is the identity, where
++0.0 would turn a -0.0 into +0.0; and every product keeps the operands
+and layout it had, which is why the GRU keeps one product per gate (see
+gru_cell; the rule is a property of the OpenBLAS measured,
+scipy-openblas 0.3.31).
 """
 from __future__ import annotations
 
@@ -155,9 +157,11 @@ def _gate(t, scale, offset):
     return t
 
 
-def lstm_cell(a, h_prev, c_prev, wh, b, scale, offset):
+def lstm_cell(a, h_prev, c_prev, wh, b, scale, offset, out=None):
     """One LSTM step on the operands of fold_gates. Gate order along the
-    stacked axis is i, f, g, o, and one _gate pass covers all four."""
+    stacked axis is i, f, g, o, and one _gate pass covers all four. h is
+    written into out when it is given. The cache keeps c, not tanh(c),
+    which the backward recomputes."""
     hh = h_prev.shape[1]
     act = h_prev @ wh
     act += a
@@ -166,9 +170,9 @@ def lstm_cell(a, h_prev, c_prev, wh, b, scale, offset):
     i, f, g, o = act[:, :hh], act[:, hh : 2 * hh], act[:, 2 * hh : 3 * hh], act[:, 3 * hh :]
     c = f * c_prev
     c += i * g
-    tc = np.tanh(c)
-    h = o * tc
-    cache = (h_prev, c_prev, act, tc)
+    h = np.tanh(c, out=out)
+    h *= o
+    cache = (h_prev, c_prev, act, c)
     return h, c, cache
 
 
@@ -182,9 +186,10 @@ def lstm_cell_backward(dh, dc_next, cache, wh):
     over the whole stacked block; the g block is then overwritten with
     its tanh derivative.
     """
-    h_prev, c_prev, act, tc = cache
+    h_prev, c_prev, act, c = cache
     hh = h_prev.shape[1]
     i, f, g, o = act[:, :hh], act[:, hh : 2 * hh], act[:, 2 * hh : 3 * hh], act[:, 3 * hh :]
+    tc = np.tanh(c)
     dc = dh * o
     dc *= 1.0 - tc * tc
     dc += dc_next
@@ -201,9 +206,10 @@ def lstm_cell_backward(dh, dc_next, cache, wh):
     return dh_prev, dc, dpre, dwh, db
 
 
-def gru_cell(a, h_prev, wh):
+def gru_cell(a, h_prev, wh, out=None):
     """One GRU step on the operands of fold_gates (a holds the bias),
-    candidate gated as tanh(Wx + U(r*h_prev)).
+    candidate gated as tanh(Wx + U(r*h_prev)); h is written into out when
+    it is given.
 
     Gate order along the stacked axis is r, z, n, and the new state is
     z*h_prev + (1-z)*n. r and z each take their own product with an
@@ -222,7 +228,7 @@ def gru_cell(a, h_prev, wh):
     n = rh @ wh[:, 2 * hh :]
     n += a[:, 2 * hh :]
     np.tanh(n, out=n)
-    h = z * h_prev
+    h = np.multiply(z, h_prev, out=out)
     h += (1.0 - z) * n
     cache = (h_prev, r, z, n, rh)
     return h, cache
@@ -375,13 +381,17 @@ def response_rows(skills, corrects, num_skills: int) -> np.ndarray:
     return skills - 1 + corrects * num_skills
 
 
-def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray, cols=None) -> None:
     """table[index] += rows in place, repeated indices accumulating in
     order: the 2-D np.add.at bit for bit, run as np.add.at on flat 1-d
-    indices, NumPy's fast path. table is a C-contiguous (M, W) array."""
-    w = table.shape[1]
-    at = (index * w)[:, None] + np.arange(w)
-    np.add.at(table.reshape(-1), at.ravel(), rows.ravel())
+    indices, NumPy's fast path. table is a C-contiguous (M, W) array. A
+    caller that scatters many slices into one table makes the flat
+    operands once and passes them instead: table.reshape(-1) as table,
+    index * W as index and np.arange(W) as cols."""
+    if cols is None:
+        cols = np.arange(table.shape[1])
+        table, index = table.reshape(-1), index * len(cols)
+    np.add.at(table, (index[:, None] + cols).ravel(), rows.ravel())
 
 
 def pad_rows(x: np.ndarray, rows: int) -> np.ndarray:
@@ -447,9 +457,11 @@ def scan(operands: ScanOperands, hot, lengths, keep_prob: float, mode: str, rng)
     predict a trial, hv the (n, H) recurrent output of its n cells in the
     mask's row-major order, dropped out in train mode with an (n, H) mask
     drawn in that order, so only scored cells consume the generator;
-    cache feeds scan_backward (None in eval mode). It holds the per-step
-    cell caches and the mask as boolean keep flags and the scalar
-    1/keep_prob, the mask's only nonzero value.
+    cache feeds scan_backward (None in eval mode). In train mode the mask
+    is drawn before the step loop and kept as boolean keep flags, in
+    packed order, and the scalar 1/keep_prob, its only nonzero value; the
+    cells write each step's h straight into the packed rows, so the cell
+    caches' h_prev are views of those rows and each value is held once.
     """
     emb, cell_operands = operands.emb, operands.cell
     # The cells' first operand is the (H, G*H) recurrent weight.
@@ -464,6 +476,8 @@ def scan(operands: ScanOperands, hot, lengths, keep_prob: float, mode: str, rng)
     perm = (np.cumsum(valid).reshape(valid.shape) - 1)[:, order][packed]
     offs = np.concatenate([[0], np.cumsum(np.sum(valid, axis=1))]).tolist()
     floor = 0 if train else 2
+    if train:
+        keep = dropout_mask((len(perm), hh), keep_prob, rng) != 0
     packed_h = np.empty((len(perm), hh))
     cells = []
     h = np.zeros((max(bsz, floor), hh))
@@ -471,45 +485,48 @@ def scan(operands: ScanOperands, hot, lengths, keep_prob: float, mode: str, rng)
     for lo, hi in zip(offs[:-1], offs[1:]):
         rows = max(hi - lo, floor)
         a = pad_rows(emb[packed_hot[lo:hi]], rows)
+        out = packed_h[lo:hi] if train else None
         if lstm:
-            h, c, cell = lstm_cell(a, h[:rows], c[:rows], *cell_operands)
+            h, c, cell = lstm_cell(a, h[:rows], c[:rows], *cell_operands, out=out)
         else:
-            h, cell = gru_cell(a, h[:rows], *cell_operands)
-        packed_h[lo:hi] = h[: hi - lo]
+            h, cell = gru_cell(a, h[:rows], *cell_operands, out=out)
         if train:
             cells.append(cell)
+        else:
+            packed_h[lo:hi] = h[: hi - lo]
     hv = np.empty_like(packed_h)
     hv[perm] = packed_h
     del packed_h
     if not train:
         return hv, valid, None
-    mask = dropout_mask(hv.shape, keep_prob, rng)
-    hv *= mask
+    # hv*scale*keep is hv*mask bit for bit.
+    scale = 1.0 / keep_prob
+    hv *= scale
+    hv *= keep
     return hv, valid, {"rnn_kind": operands.rnn_kind, "inputs": operands.inputs,
-                       "emb_shape": emb.shape, "cells": cells, "keep": mask != 0,
-                       "scale": 1.0 / keep_prob,
-                       "packed_hot": packed_hot, "perm": perm, "offs": offs}
+                       "emb_shape": emb.shape, "cells": cells, "keep": keep[perm],
+                       "scale": scale, "packed_hot": packed_hot, "perm": perm, "offs": offs}
 
 
-def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
-    """Gradients of rnn_wx, rnn_wh and rnn_b given d_hv, the (n, H)
-    gradient on scan's output hv, walking scan's packed steps in reverse.
-    Step j scatter-adds dpre, the gradient on its gathered rows of emb,
-    into one (2N, G*H) table d_emb; rnn_wx's gradient is the transpose of
-    d_emb for one-hot inputs, or of inputs.T @ d_emb.
+def scan_backward(d_h: np.ndarray, cache: dict, params: Params) -> Params:
+    """Gradients of rnn_wx, rnn_wh and rnn_b given d_h, the (n, H)
+    gradient on scan's output hv in scan's packed order (the rows
+    hv[cache["perm"]]), walking scan's packed steps in reverse. Step j
+    scatter-adds dpre, the gradient on its gathered rows of emb, into one
+    (2N, G*H) table d_emb; rnn_wx's gradient is the transpose of d_emb for
+    one-hot inputs, or of inputs.T @ d_emb.
 
-    It overwrites d_hv, masking it in place by scan's dropout mask, and
-    keeps only its gathered copy in packed order during the step loop."""
+    It overwrites d_h, masking it in place by scan's dropout mask
+    (d_h*scale*keep is d_h*mask bit for bit)."""
     wh = params["rnn_wh"]
     d_emb = np.zeros(cache["emb_shape"])
     grads = {k: np.zeros_like(params[k]) for k in ("rnn_wh", "rnn_b")}
-    packed_hot, offs = cache["packed_hot"], cache["offs"]
-    # The gradient on hv times scan's mask (d_hv*scale*keep is d_hv*mask
-    # bit for bit), in scan's step-major packed order.
-    d_hv *= cache["scale"]
-    d_hv *= cache["keep"]
-    d_h = d_hv[cache["perm"]]
-    del d_hv
+    offs = cache["offs"]
+    # scatter_add's flat operands, made once for every step.
+    flat, cols = d_emb.reshape(-1), np.arange(d_emb.shape[1])
+    starts = cache["packed_hot"] * d_emb.shape[1]
+    d_h *= cache["scale"]
+    d_h *= cache["keep"]
     # Gradients on the recurrent state of the sorted rows; rows a later
     # step did not run stay zero.
     dh_rec = np.zeros((offs[1] if len(offs) > 1 else 0, wh.shape[1]))
@@ -524,7 +541,7 @@ def scan_backward(d_hv: np.ndarray, cache: dict, params: Params) -> Params:
             )
         else:
             dh_rec[:k], dpre, dwh, db = gru_cell_backward(dh, cache["cells"][j], wh)
-        scatter_add(d_emb, packed_hot[lo:hi], dpre)
+        scatter_add(flat, starts[lo:hi], dpre, cols)
         grads["rnn_wh"] += dwh
         grads["rnn_b"] += db
     if cache["inputs"] is not None:
@@ -636,16 +653,20 @@ def forward_batch(
 
 def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Params:
     """Exact gradients of fwd.loss_sum() with respect to every parameter.
-    Consumes fwd.cache: the head's weight gradients are taken from hv
-    first, and the scan's backward runs without it."""
+    Consumes fwd.cache: the projection's gradients are taken from hv
+    first, releasing it, and the gradient on hv goes to the scan's
+    backward in its packed order."""
     cache = fwd.take_cache()
     dy = fwd.logit_grad()[:, None]
     rows = cache["q"] - 1
     dks = dy * fwd.skill_table[rows]
+    head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
     d_table = np.zeros_like(fwd.skill_table)
     scatter_add(d_table, rows, dy * cache["kv"])
-    head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
-    grads = scan_backward(dks @ params["proj_w"], cache.pop("scan"), params)
+    scan_cache = cache.pop("scan")
+    d_h = dks[scan_cache["perm"]] @ params["proj_w"]
+    del dks
+    grads = scan_backward(d_h, scan_cache, params)
     grads.update(head)
     grads.update(skill_table_backward(d_table, cache["skill"], params))
     return grads

@@ -183,7 +183,8 @@ def dense_inputs(model, params, skills, corrects):
 
 def traced_scan(params, hot, lengths, inputs=None, seed=0):
     """An LSTM's scan and scan_backward in train mode, keep_prob 1 and a
-    random gradient on hv, with spies on the cell. Returns, per step, the
+    random gradient on hv (in scan's packed order), with spies on the
+    cell. Returns, per step, the
     running rows (longest first, a stable sort), the input projection the
     cell took, unfolded (fold_gates' halving undone, exactly), and the dpre
     its backward gave, then rnn_wx's gradient."""
@@ -194,9 +195,9 @@ def traced_scan(params, hot, lengths, inputs=None, seed=0):
 
     taken, dpres = [], []
 
-    def cell(a, h_prev, c_prev, wh, b, scale, offset):
+    def cell(a, h_prev, c_prev, wh, b, scale, offset, out=None):
         taken.append(a / scale)
-        return lstm_cell(a, h_prev, c_prev, wh, b, scale, offset)
+        return lstm_cell(a, h_prev, c_prev, wh, b, scale, offset, out=out)
 
     def cell_backward(*args):
         out = lstm_cell_backward(*args)
@@ -478,19 +479,30 @@ def batch_arrays_loop(sequences):
     return skills, corrects, lengths
 
 
-# The per-token int() parser that parse_triplets' array conversion
-# replaced, kept verbatim as its oracle: same arrays and num_skills on
-# every accepted text, same first error on every refused one.
+# The per-token parser that parse_triplets' array conversion replaced,
+# kept as its oracle: same arrays and num_skills on every accepted text,
+# same first error on every refused one. A count or token is an optional
+# sign and ASCII digits within spaces or tabs, the rule of tables.INT_TOKEN
+# restated here character by character.
+
+
+def _reference_int(text: str) -> int:
+    body = text.strip(" \t")
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(body)
 
 
 def _reference_split_ints(line: str, lineno: int, what: str) -> list[int]:
-    # Tolerate trailing separators and stray spaces around tokens.
-    tokens = [tok.strip() for tok in line.strip().split(",")]
+    # Tolerate trailing separators, blank tokens and spaces or tabs around
+    # tokens.
+    tokens = [tok.strip(" \t") for tok in line.split(",")]
     tokens = [tok for tok in tokens if tok != ""]
     out = []
     for tok in tokens:
         try:
-            out.append(int(tok))
+            out.append(_reference_int(tok))
         except ValueError:
             raise ValueError(f"line {lineno}: {what} token {tok!r} is not an integer")
     return out
@@ -512,7 +524,7 @@ def reference_parse_triplets(text: str, name: str = "dataset") -> Dataset:
             continue
         lineno = idx + 1
         try:
-            t = int(lines[idx].strip().rstrip(","))
+            t = _reference_int(lines[idx].strip(" \t").rstrip(","))
         except ValueError:
             raise ValueError(f"line {lineno}: expected a response count, got {lines[idx]!r}")
         if t <= 0:

@@ -81,6 +81,29 @@ class TestParseTriplets:
             with pytest.raises(ValueError, match=r"line 2: skill ids must be in 1\.\.2\*\*63-1"):
                 parse_triplets(f"1\n{skill}\n1\n")
 
+    # Tokens int() reads and the ASCII token rule (tables.INT_TOKEN) refuses:
+    # int() takes 2_0 as 20, and a fullwidth or no-break-space-padded 2 as 2.
+    @pytest.mark.parametrize("token", ["2_0", "\uff12", "2\u00a0", "\u00a02"])
+    def test_a_token_only_python_reads_is_refused_as_written(self, token):
+        with pytest.raises(ValueError) as exc:
+            parse_triplets(f"3\n1,{token},3\n0,1,0\n")
+        assert str(exc.value) == f"line 2: skill token {token!r} is not an integer"
+
+    def test_a_flag_only_python_reads_is_refused_as_written(self):
+        with pytest.raises(ValueError) as exc:
+            parse_triplets("2\n4,5\n0,1_0\n")
+        assert str(exc.value) == "line 3: correctness token '1_0' is not an integer"
+
+    # The first text is plain, so the array path reads its counts; the
+    # second ends in a lone line, so only the token-by-token path does.
+    @pytest.mark.parametrize("tail", ["", "x\n"])
+    @pytest.mark.parametrize("count", ["2_0", "\uff12\uff10", "20\u00a0"])
+    def test_a_count_only_python_reads_is_refused(self, count, tail):
+        text = f"{count}\n{','.join(['1'] * 20)}\n{','.join(['0'] * 20)}\n{tail}"
+        with pytest.raises(ValueError) as exc:
+            parse_triplets(text)
+        assert str(exc.value) == f"line 1: expected a response count, got {count!r}"
+
 
 # Triplet texts that are mostly well formed: counts, ids and flags are
 # right nine times in ten, else drawn from tokens that fromstring and int()

@@ -907,3 +907,42 @@ class TestScanMemory:
             params, model.forward(params, *batch, mode="train", rng=rng)))
         assert eval_peak < block, eval_peak
         assert train_peak < 2 * block, train_peak
+
+
+class TestTrainStateMemory:
+    """A train-mode batch holds each recurrent value once. The traced peak
+    of one forward and backward with dropout, on a skewed LSTM batch of n
+    scored cells, stays within a bound written from the shape: per cell
+    the 4H gate block and three (n, H) arrays (c, the packed h, and hv or
+    its gradient), plus the head's arrays of its width w: three (n, d) for
+    KQN (kv, the gathered skill rows and their product) and one (n, H) for
+    DKT (the gathered out_w rows, or the scatter's index), all of 8-byte
+    items. 10% slack covers the boolean keep flags, the (S, B) results and
+    the parameter-sized arrays. A second copy of h or a kept tanh(c) is
+    one more (n, H) array, about 11% of this bound at H = 64; the peak
+    reads about 0.96 of it for both models."""
+
+    SLACK = 1.1
+    HIDDEN, DIM = 64, 16
+    MODELS = {
+        "kqn": (lambda: KqnModel(ModelConfig(num_skills=10, dim=16, rnn_kind="lstm",
+                                             rnn_hidden=64, mlp_hidden=8)), 3, DIM),
+        "dkt": (lambda: DktModel(DktConfig(num_skills=10, hidden=64)), 1, HIDDEN),
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_peak_is_bounded_by_the_shape(self, name):
+        make, heads, width = self.MODELS[name]
+        model = make()
+        params = model.init_params(np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        lengths = rng.integers(2, 201, size=32)
+        lengths[0] = 200
+        seqs = [ResponseSequence(b, np.column_stack((rng.integers(1, 11, t), rng.integers(0, 2, t))))
+                for b, t in enumerate(lengths)]
+        batch = batch_arrays(seqs)
+        n = int(np.sum(batch[2] - 1))
+        peak = traced_peak(lambda: model.backward(
+            params, model.forward(params, *batch, mode="train", rng=rng)))
+        bound = self.SLACK * 8 * n * (4 * self.HIDDEN + 3 * self.HIDDEN + heads * width)
+        assert peak <= bound, (peak, bound)

@@ -184,10 +184,10 @@ def dense_inputs(model, params, skills, corrects):
 def traced_scan(params, hot, lengths, inputs=None, seed=0):
     """An LSTM's scan and scan_backward in train mode, keep_prob 1 and a
     random gradient on hv (in scan's packed order), with spies on the
-    cell. Returns, per step, the
-    running rows (longest first, a stable sort), the input projection the
-    cell took, unfolded (fold_gates' halving undone, exactly), and the dpre
-    its backward gave, then rnn_wx's gradient."""
+    cell. Returns, per step, the running rows (longest first, a stable
+    sort), the input projection the cell took, unfolded (fold_gates'
+    halving undone, exactly), and the dpre its backward gave, then
+    rnn_wx's gradient."""
     import pytest
 
     import kqn.model

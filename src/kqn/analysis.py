@@ -427,8 +427,9 @@ def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -
     permutation's pairs from a centred copy of d2; neither matrix is
     written. The permutation count, an integer (tables.check_integer) of
     at least 1, is checked before the matrices' point count and upper
-    triangles. Distances so large that a mean, a norm, their product or
-    the correlation's dot product overflows raise ValueError.
+    triangles. Each upper triangle, and the centred copy of d2, is divided
+    by its largest entry before centring, so rho does not depend on the
+    distances' scale and no statistic of finite distances can overflow.
     """
     v1, v2 = d1.values, d2.values
     if v1.shape != v2.shape:
@@ -444,27 +445,29 @@ def mantel(d1: DistanceMatrix, d2: DistanceMatrix, permutations=999, rng=None) -
     iu = np.triu_indices(n, k=1)
     u1 = v1[iu]
     u2 = v2[iu]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean1, mean2 = u1.mean(), u2.mean()
-        c1 = u1 - mean1
-        c2 = u2 - mean2
-        norm1 = float(np.linalg.norm(c1))
-        norm2 = float(np.linalg.norm(c2))
-        scale = norm1 * norm2
-        dot = float(c1 @ c2)
-    if not all(map(math.isfinite, (mean1, mean2, norm1, norm2, scale, dot))):
-        raise ValueError("distances too large for a Mantel test: its statistics overflow")
+    top1, top2 = u1.max(), u2.max()
+    if top1 == 0.0 or top2 == 0.0:
+        raise ValueError("constant upper triangle; correlation is undefined")
+    u1 /= top1
+    u2 /= top2
+    mean1, mean2 = u1.mean(), u2.mean()
+    c1 = u1 - mean1
+    c2 = u2 - mean2
+    norm1 = float(np.linalg.norm(c1))
+    norm2 = float(np.linalg.norm(c2))
     if norm1 == 0.0 or norm2 == 0.0:
         raise ValueError("constant upper triangle; correlation is undefined")
-    rho = dot / scale
+    scale = norm1 * norm2
+    rho = float(c1 @ c2) / scale
 
     # A joint row/column permutation only reorders the upper-triangle
     # multiset, so the permuted mean and norm equal the originals.
     # Upper-triangle row r holds n-1-r pairs, so the permuted pairs sit at
     # flat indices perm[r]*n + perm[c]: one take per permutation, from d2
-    # centred once. centered.take(idx) equals flat.take(idx) - mean2
-    # element by element, so every permuted statistic keeps its bits.
-    centered = (v2 - mean2).ravel()
+    # scaled and centred once. centered.take(idx) equals
+    # flat.take(idx) / top2 - mean2 element by element, so every permuted
+    # statistic keeps its bits.
+    centered = (v2 / top2 - mean2).ravel()
     run = np.arange(n - 1, -1, -1)
     count = 0
     for _ in range(permutations):

@@ -94,7 +94,7 @@ def _read_exact(lines: list[str]):
     counts, all_skills, all_corrects = [], [], []
     idx = 0
     while idx < len(lines):
-        if lines[idx].strip() == "":
+        if not lines[idx].strip(" \t"):
             idx += 1
             continue
         lineno = idx + 1
@@ -163,7 +163,7 @@ def _read_plain(lines: list[str]):
     as the count says, skill ids in 1..2**63-2 and flags in {0, 1}. On None
     only _read_exact can tell whether the text is accepted and, if not,
     which error comes first."""
-    rows = [i for i, line in enumerate(lines) if line.strip()]
+    rows = [i for i, line in enumerate(lines) if line.strip(" \t")]
     heads = rows[0::3]
     if rows[1::3] != [i + 1 for i in heads] or rows[2::3] != [i + 2 for i in heads]:
         return None
@@ -192,12 +192,17 @@ def _read_plain(lines: list[str]):
 def parse_triplets(text: str, name: str = "dataset") -> Dataset:
     """Parse triplet text into a Dataset, keeping skill ids as written.
 
-    num_skills is the largest id. A malformed record (bad count, length
-    mismatch, non-positive skill id, correctness flag outside {0, 1})
-    raises with the offending line number. Each sequence's responses are
-    a row slice of one (total, 2) array.
+    num_skills is the largest id. Lines end at LF, CRLF or CR only, and a
+    line of only spaces and tabs is blank (on both readers). A malformed
+    record (bad count, length mismatch, non-positive skill id, correctness
+    flag outside {0, 1}) raises with the offending line number. Each
+    sequence's responses are a row slice of one (total, 2) array.
     """
-    lines = text.splitlines()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     counts, skills, corrects = _read_plain(lines) or _read_exact(lines)
     responses = np.empty((len(skills), 2), dtype=int)
     responses[:, 0] = skills

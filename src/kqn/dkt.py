@@ -2,17 +2,17 @@
 whose input concatenates a correctness encoding with frozen skill vectors
 learned elsewhere.
 
-The recurrent scan, batch checks, scatter-add and loss are the query
-model's (see model.py): a step input is one of the 2N responses, and the
-scan gathers its projection from one table. This module adds only the
-hybrid input rows, the (2N, N+d) matrix that scan projects in place of
-the one-hot identity, and the output layer, which maps the recurrent
-output to one logit per skill so that trial t scores element e_{t+1} of
-that vector against c_{t+1}. Like the query head, it runs on the valid
-cells only and reads just the e_{t+1} row of the layer. A hybrid model
-holds its frozen table as the parameter "skill_table", which no gradient
-reaches, so its config and parameters describe it fully and a checkpoint
-carries the table it was trained with.
+DktModel runs on the query model's batch skeleton (model.SequenceModel:
+batch checks, recurrent scan and its backward, loss): a step input is one
+of the 2N responses, and the scan gathers its projection from one table.
+This module adds only the hybrid input rows, the (2N, N+d) matrix that
+scan projects in place of the one-hot identity, and the head, an output
+layer that maps the recurrent output to one logit per skill so that trial
+t scores element e_{t+1} of that vector against c_{t+1}. Like the query
+head, it runs on the valid cells only and reads just the e_{t+1} row of
+the layer. A hybrid model holds its frozen table as the parameter
+"skill_table", which no gradient reaches, so its config and parameters
+describe it fully and a checkpoint carries the table it was trained with.
 """
 from __future__ import annotations
 
@@ -23,14 +23,9 @@ import numpy as np
 from .model import (
     BatchForward,
     Params,
-    ScanOperands,
-    Scorer,
-    check_batch,
+    Prepared,
+    SequenceModel,
     init_recurrent,
-    next_trials,
-    response_rows,
-    scan,
-    scan_backward,
     scan_operands,
     scatter_add,
     uniform_weights,
@@ -89,63 +84,43 @@ def init_params(config: DktConfig, rng: np.random.Generator, skill_table=None) -
     return params
 
 
-class DktModel(Scorer):
-    """Trainer-facing wrapper. skill_table, the frozen table of a hybrid
-    model, is read only by init_params; forward reads the copy held in the
-    parameters, so DktModel(config) scores any checkpoint of that config."""
+class DktModel(SequenceModel):
+    """skill_table, the frozen table of a hybrid model, is read only by
+    init_params; forward reads the copy held in the parameters, so
+    DktModel(config) scores any checkpoint of that config."""
 
     name = "dkt"
 
     def __init__(self, config: DktConfig, skill_table=None):
-        self.config = config
+        super().__init__(config)
         self.skill_table = skill_table
 
     def init_params(self, rng: np.random.Generator) -> Params:
         return init_params(self.config, rng, self.skill_table)
 
-    def prepare(self, params) -> ScanOperands:
-        """The parameter-only operands of forward: the scan's, over the
-        hybrid rows in hybrid mode. Made on every train-mode batch and
-        once per scoring call (scorer)."""
+    def prepare(self, params) -> Prepared:
+        """The scan's operands, over the hybrid rows in hybrid mode; the
+        head has none."""
         inputs = None
         if self.config.input_mode == "hybrid":
             inputs = hybrid_rows(params["skill_table"], self.config.hybrid_encoding == "signed")
-        return scan_operands(params, "lstm", inputs)
+        return Prepared(scan_operands(params, "lstm", inputs), None)
 
-    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
-                prepared=None) -> BatchForward:
-        """prepared, when given, is self.prepare(params); else the call
-        makes it."""
-        cfg = self.config
-        check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
-        if prepared is None:
-            prepared = self.prepare(params)
-        hv, valid, scan_cache = scan(
-            prepared, response_rows(skills, corrects, cfg.num_skills), lengths,
-            cfg.keep_prob, mode, rng,
-        )
-        q = next_trials(skills, len(valid))[valid]
-        # Each valid cell reads one output unit, the next skill's row of out_w.
+    def head(self, params, prepared, hv, q, mode):
+        """Each valid cell reads one output unit, the next skill's row of
+        out_w."""
         logits = np.einsum("nh,nh->n", hv, params["out_w"][q - 1]) + params["out_b"][q - 1]
-        cache = {"scan": scan_cache, "hv": hv, "q": q} if mode == "train" else None
-        return BatchForward.from_valid(logits, valid, corrects, cache)
+        return logits, {"hv": hv, "q": q}, {}
 
-    def backward(self, params, fwd: BatchForward) -> Params:
-        """Gradients of every parameter but the frozen skill_table.
-        Consumes fwd.cache: the output layer's gradients are taken from hv
-        first, releasing it, and the gradient on hv goes to the scan's
-        backward in its packed order."""
-        cache = fwd.take_cache()
+    def head_backward(self, params, fwd: BatchForward, cache: dict):
+        """The frozen skill_table gets no gradient."""
         dy = fwd.logit_grad()
         rows = cache["q"] - 1
         head = {"out_w": np.zeros_like(params["out_w"]), "out_b": np.zeros_like(params["out_b"])}
         scatter_add(head["out_w"], rows, dy[:, None] * cache.pop("hv"))
         np.add.at(head["out_b"], rows, dy)
-        scan_cache = cache.pop("scan")
-        perm = scan_cache["perm"]
-        grads = scan_backward(dy[perm, None] * params["out_w"][rows[perm]], scan_cache, params)
-        grads.update(head)
-        return grads
+        perm = cache["scan"]["perm"]
+        return head, dy[perm, None] * params["out_w"][rows[perm]]
 
 
 def hybrid_rows(table, signed: bool) -> np.ndarray:

@@ -4,10 +4,11 @@ the unit sphere, and their dot product is the logit for the next response.
 
 All forward passes are batched over students with explicit validity masks;
 backward passes are hand-derived and exact for the masked objective (the
-cross-entropy summed over valid trials). The batched recurrent scan, its
-backward pass, the scatter-add and the forward result are shared with the
-DKT baseline, which supplies only its hybrid input rows and its output
-head.
+cross-entropy summed over valid trials). One skeleton, SequenceModel, runs
+the query model and the DKT baseline: its forward checks the batch, runs
+the recurrent scan and hands the scored cells' output to the model's head;
+its backward runs the head's backward, then the scan's. The two models
+differ only in their heads, and DKT in its hybrid input rows.
 
 Only work a scored trial needs is done: a step input is one of 2N
 responses, so one (2N, G*H) table of input projections is made per set
@@ -588,93 +589,26 @@ def skill_table_backward(d_table: np.ndarray, cache: dict, params: Params) -> Pa
 
 
 # ---------------------------------------------------------------------------
-# Query model over a batch
+# One batch skeleton, two heads
 
 
 class Prepared(NamedTuple):
-    """The operands of a query-model forward pass that depend only on the
-    parameters: scan's, the C-contiguous (H, d) transpose of proj_w, and
-    the skill table with its encoder cache (encode_skill_table)."""
+    """A model's parameter-only operands: scan's and its head's."""
 
     scan: ScanOperands
-    proj: np.ndarray
-    table: np.ndarray
-    skill_cache: dict
+    head: Optional[tuple]
 
 
-def prepare(params: Params, config: ModelConfig) -> Prepared:
-    """The parameter-only operands of forward_batch, made on every
-    train-mode batch and once per scoring call (KqnModel.scorer)."""
-    table, skill_cache = encode_skill_table(params)
-    return Prepared(scan_operands(params, config.rnn_kind),
-                    np.ascontiguousarray(params["proj_w"].T), table, skill_cache)
+class SequenceModel:
+    """The one batched forward and backward of a recurrent encoder with a
+    head. A model gives init_params(rng), prepare(params) -> Prepared,
+    head(params, prepared.head, hv, q, mode) -> (logits, cache, fields) on
+    scan's output hv and next-trial skills q of the valid cells, and
+    head_backward(params, fwd, cache) -> (head gradients, gradient on hv in
+    scan's packed order), which pops hv from the cache."""
 
-
-def forward_batch(
-    skills: np.ndarray,
-    corrects: np.ndarray,
-    lengths: np.ndarray,
-    params: Params,
-    config: ModelConfig,
-    mode: str = "eval",
-    rng: Optional[np.random.Generator] = None,
-    prepared: Optional[Prepared] = None,
-) -> BatchForward:
-    """Run the recurrent encoder over a padded batch and query every
-    next-trial skill.
-
-    Student b contributes predictions for j in 0..lengths[b]-2; the head
-    runs on those valid cells only, and all other positions are masked out
-    by `valid` and excluded from loss and gradients. The head's projection
-    reads proj_w as a C-contiguous (in, out) matrix and, in eval mode,
-    runs a 1-row product on 2 rows, as scan does, so a student's eval-mode
-    probabilities are the same bits in any batch. prepared, when given,
-    is prepare(params, config); else the call makes it.
-    """
-    check_batch(skills, lengths, config.num_skills, mode, config.keep_prob, rng)
-    if prepared is None:
-        prepared = prepare(params, config)
-    hv, valid, scan_cache = scan(
-        prepared.scan, response_rows(skills, corrects, config.num_skills), lengths,
-        config.keep_prob, mode, rng,
-    )
-    q = next_trials(skills, len(valid))[valid]
-    rows = len(hv) if mode == "train" else 2
-    kv = (pad_rows(hv, rows) @ prepared.proj)[: len(hv)] + params["proj_b"]
-    cache = None
-    if mode == "train":
-        cache = {"scan": scan_cache, "skill": prepared.skill_cache, "hv": hv, "kv": kv, "q": q}
-    table = prepared.table
-    return BatchForward.from_valid(
-        np.sum(kv * table[q - 1], axis=1), valid, corrects, cache, knowledge_states=kv,
-        skill_table=table,
-    )
-
-
-def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Params:
-    """Exact gradients of fwd.loss_sum() with respect to every parameter.
-    Consumes fwd.cache: the projection's gradients are taken from hv
-    first, releasing it, and the gradient on hv goes to the scan's
-    backward in its packed order."""
-    cache = fwd.take_cache()
-    dy = fwd.logit_grad()[:, None]
-    rows = cache["q"] - 1
-    dks = dy * fwd.skill_table[rows]
-    head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
-    d_table = np.zeros_like(fwd.skill_table)
-    scatter_add(d_table, rows, dy * cache["kv"])
-    scan_cache = cache.pop("scan")
-    d_h = dks[scan_cache["perm"]] @ params["proj_w"]
-    del dks
-    grads = scan_backward(d_h, scan_cache, params)
-    grads.update(head)
-    grads.update(skill_table_backward(d_table, cache["skill"], params))
-    return grads
-
-
-class Scorer:
-    """The scorer of KqnModel and DktModel, which give it config.num_skills,
-    prepare(params) and forward(..., prepared)."""
+    def __init__(self, config):
+        self.config = config
 
     def scorer(self, params, skills):
         """An eval-mode forward over blocks (skills, corrects, lengths) of a
@@ -684,25 +618,89 @@ class Scorer:
         prepared = self.prepare(params)
         return lambda *block: self.forward(params, *block, mode="eval", prepared=prepared)
 
+    def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
+                prepared=None) -> BatchForward:
+        """Student b contributes predictions for j in 0..lengths[b]-2; the
+        head runs on those valid cells only, and all other positions are
+        masked out by `valid` and excluded from loss and gradients.
+        prepared, when given, is self.prepare(params); else the call makes
+        it."""
+        cfg = self.config
+        check_batch(skills, lengths, cfg.num_skills, mode, cfg.keep_prob, rng)
+        if prepared is None:
+            prepared = self.prepare(params)
+        hv, valid, scan_cache = scan(
+            prepared.scan, response_rows(skills, corrects, cfg.num_skills), lengths,
+            cfg.keep_prob, mode, rng,
+        )
+        q = next_trials(skills, len(valid))[valid]
+        logits, cache, fields = self.head(params, prepared.head, hv, q, mode)
+        cache = None if scan_cache is None else {**cache, "scan": scan_cache}
+        return BatchForward.from_valid(logits, valid, corrects, cache, **fields)
 
-class KqnModel(Scorer):
-    """Trainer-facing wrapper pairing a config with the functional core."""
+    def backward(self, params, fwd: BatchForward) -> Params:
+        """Exact gradients of fwd.loss_sum(); consumes fwd.cache."""
+        cache = fwd.take_cache()
+        head, d_h = self.head_backward(params, fwd, cache)
+        grads = scan_backward(d_h, cache["scan"], params)
+        grads.update(head)
+        return grads
+
+
+class KqnModel(SequenceModel):
+    """The query head: kv = proj_w @ h + proj_b meets the next skill's unit
+    vector in a dot product. forward and backward run through
+    forward_batch and backward_batch."""
 
     name = "kqn"
-
-    def __init__(self, config: ModelConfig):
-        self.config = config
 
     def init_params(self, rng: np.random.Generator) -> Params:
         return init_params(self.config, rng)
 
     def prepare(self, params) -> Prepared:
-        return prepare(params, self.config)
+        """The head's operands are the C-contiguous (H, d) transpose of
+        proj_w and the skill table with its encoder cache."""
+        table, skill_cache = encode_skill_table(params)
+        return Prepared(scan_operands(params, self.config.rnn_kind),
+                        (np.ascontiguousarray(params["proj_w"].T), table, skill_cache))
+
+    def head(self, params, prepared, hv, q, mode):
+        """In eval mode the projection runs a 1-row product on 2 rows, as
+        scan does, so a student's probabilities are the same bits in any
+        batch."""
+        proj, table, skill_cache = prepared
+        rows = len(hv) if mode == "train" else 2
+        kv = (pad_rows(hv, rows) @ proj)[: len(hv)] + params["proj_b"]
+        return (np.sum(kv * table[q - 1], axis=1),
+                {"skill": skill_cache, "hv": hv, "kv": kv, "q": q},
+                {"knowledge_states": kv, "skill_table": table})
+
+    def head_backward(self, params, fwd: BatchForward, cache: dict):
+        dy = fwd.logit_grad()[:, None]
+        rows = cache["q"] - 1
+        dks = dy * fwd.skill_table[rows]
+        head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
+        d_h = dks[cache["scan"]["perm"]] @ params["proj_w"]
+        d_table = np.zeros_like(fwd.skill_table)
+        scatter_add(d_table, rows, dy * cache["kv"])
+        head.update(skill_table_backward(d_table, cache["skill"], params))
+        return head, d_h
 
     def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
                 prepared=None) -> BatchForward:
-        return forward_batch(skills, corrects, lengths, params, self.config, mode=mode, rng=rng,
-                             prepared=prepared)
+        return forward_batch(skills, corrects, lengths, params, self.config, mode, rng, prepared)
 
     def backward(self, params, fwd: BatchForward) -> Params:
         return backward_batch(fwd, params, self.config)
+
+
+def forward_batch(skills, corrects, lengths, params: Params, config: ModelConfig, mode="eval",
+                  rng=None, prepared: Optional[Prepared] = None) -> BatchForward:
+    """The query model's SequenceModel.forward."""
+    return SequenceModel.forward(KqnModel(config), params, skills, corrects, lengths, mode, rng,
+                                 prepared)
+
+
+def backward_batch(fwd: BatchForward, params: Params, config: ModelConfig) -> Params:
+    """The query model's SequenceModel.backward."""
+    return SequenceModel.backward(KqnModel(config), params, fwd)

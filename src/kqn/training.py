@@ -9,7 +9,9 @@ probs, targets, valid, loss_sum() and num_valid, backward(params, fwd),
 and scorer(params, skills): given every skill id of a scored set, it
 refuses ids the model cannot score and returns score(skills, corrects,
 lengths), an eval-mode forward over the set's blocks with the
-parameter-only work done once.
+parameter-only work done once. model.SequenceModel gives the last three
+to both models in the package, KqnModel and DktModel, which supply only
+their parameters and their heads.
 """
 from __future__ import annotations
 

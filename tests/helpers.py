@@ -6,6 +6,7 @@ single linkage, explicit loops elsewhere). Tests compare the fast library
 implementations against these.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -511,15 +512,18 @@ def _reference_split_ints(line: str, lineno: int, what: str) -> list[int]:
 def reference_parse_triplets(text: str, name: str = "dataset") -> Dataset:
     """Parse triplet text into a Dataset, keeping skill ids as written.
 
-    num_skills is the largest id. A malformed record (bad count, length
-    mismatch, non-positive skill id, correctness flag outside {0, 1})
-    raises with the offending line number.
+    num_skills is the largest id. Lines end at LF, CRLF or CR, and a line
+    of only spaces and tabs is blank. A malformed record (bad count,
+    length mismatch, non-positive skill id, correctness flag outside
+    {0, 1}) raises with the offending line number.
     """
-    lines = text.splitlines()
+    lines = re.split(r"\r\n|\r|\n", text)
+    if lines[-1] == "":
+        del lines[-1]
     sequences = []
     idx = 0
     while idx < len(lines):
-        if lines[idx].strip() == "":
+        if lines[idx].strip(" \t") == "":
             idx += 1
             continue
         lineno = idx + 1
@@ -673,9 +677,11 @@ def mst_edge_weights(dist):
 
 
 def reference_mantel(d1, d2, permutations, seed):
-    """(rho, p_value) of the one-sided Mantel test."""
+    """(rho, p_value) of the one-sided Mantel test, each matrix divided
+    by the largest entry of its upper triangle first."""
     n = len(d1)
     iu = np.triu_indices(n, k=1)
+    d1, d2 = d1 / d1[iu].max(), d2 / d2[iu].max()
     c1 = d1[iu] - d1[iu].mean()
     c2 = d2[iu] - d2[iu].mean()
     scale = float(np.linalg.norm(c1)) * float(np.linalg.norm(c2))

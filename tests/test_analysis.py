@@ -514,16 +514,24 @@ class TestMantel:
         assert (res.rho, res.p_value) == reference_mantel(d1.values, d2.values, 99, 35)
         assert [d.values.tobytes() for d in (d1, d2)] == before
 
-    @pytest.mark.parametrize("scale_a, scale_b", [(1e308, 1e308), (1.0, 1e308), (1e200, 1.0)])
-    def test_overflowing_statistics_raise(self, scale_a, scale_b):
-        # A mean overflows (1e308) or a norm does (1e200): mantel returned
-        # rho nan and p 0.01, or rho -0.0 and p 1.0, with RuntimeWarnings.
-        # Warnings are errors here, so none may escape.
+    @pytest.mark.parametrize("scale_a, scale_b", [(1e308, 1e308), (1.0, 1e308), (1e200, 1.0),
+                                                  (1.0, 1e-170), (1.0, 1e-160)])
+    def test_scaled_distances_give_the_unscaled_rho(self, scale_a, scale_b):
+        # A mean overflowed (1e308) or a norm did (1e200): mantel raised.
+        # At 1e-160 a norm's square lost bits (rho -0.3230398 against
+        # -0.3230301 unscaled), and at 1e-170 it underflowed to zero and
+        # the matrix was refused as constant. Warnings are errors here, so
+        # none may escape.
         rng = np.random.default_rng(23)
-        a, b = (np.triu(rng.random((6, 6)), 1) * scale for scale in (scale_a, scale_b))
-        a, b = DistanceMatrix(a + a.T), DistanceMatrix(b + b.T)
-        with pytest.raises(ValueError, match="^distances too large for a Mantel test"):
-            mantel(a, b, permutations=99, rng=1)
+        a, b = (np.triu(rng.random((6, 6)), 1) for _ in range(2))
+        iu = np.triu_indices(6, k=1)
+        pearson = np.corrcoef(a[iu], b[iu])[0, 1]
+        plain = mantel(DistanceMatrix(a + a.T), DistanceMatrix(b + b.T), permutations=99, rng=1)
+        a, b = a * scale_a, b * scale_b
+        scaled = mantel(DistanceMatrix(a + a.T), DistanceMatrix(b + b.T), permutations=99, rng=1)
+        assert scaled.rho == pytest.approx(plain.rho, rel=1e-14, abs=0)
+        assert scaled.rho == pytest.approx(pearson, rel=1e-14, abs=0)
+        assert scaled.p_value == plain.p_value
 
     @settings(deadline=None)
     @given(n=st.integers(3, 30), levels=st.integers(2, 4), permutations=st.integers(1, 60),

@@ -785,20 +785,25 @@ class TestMantelSensitivity:
         err, a, b = self.mantel_error(tmp_path, capsys, DISTANCES_123, flat)
         assert err == f"error: {a} and {b}: constant upper triangle; correlation is undefined\n"
 
-    def test_overflowing_distances_name_both_files(self, tmp_path, capsys):
-        # The statistics of these finite distances overflow: the command
-        # printed RuntimeWarnings and then a JSON error naming no file.
+    def test_huge_distances_give_the_unscaled_rho(self, tmp_path, capsys):
+        # The statistics of these finite distances overflowed: the command
+        # printed RuntimeWarnings and then a JSON error naming no file, and
+        # later refused them as too large.
         rng = np.random.default_rng(6)
-        texts = []
-        for _ in range(2):
-            m = np.triu(rng.random((6, 6)), 1) * 1e308
+        paths, uppers = [], []
+        for name in ("a", "b"):
+            m = np.triu(rng.random((6, 6)), 1)
+            uppers.append(m[np.triu_indices(6, k=1)])
+            m = (m + m.T) * 1e308
             lines = ["skill,1,2,3,4,5,6"]
-            lines += [",".join([str(i + 1), *map(repr, row.tolist())])
-                      for i, row in enumerate(m + m.T)]
-            texts.append("\n".join(lines) + "\n")
-        err, a, b = self.mantel_error(tmp_path, capsys, *texts, "--permutations", "99")
-        assert err == (f"error: {a} and {b}: distances too large for a Mantel test: "
-                       "its statistics overflow\n")
+            lines += [",".join([str(i + 1), *map(repr, row.tolist())]) for i, row in enumerate(m)]
+            paths.append(tmp_path / f"{name}.csv")
+            paths[-1].write_text("\n".join(lines) + "\n")
+        run("mantel", "--out", tmp_path / "m", "--distances-a", paths[0], "--distances-b",
+            paths[1], "--permutations", 99)
+        report = json.loads((tmp_path / "m" / "mantel.json").read_text())
+        assert report["rho"] == pytest.approx(np.corrcoef(*uppers)[0, 1], rel=1e-14, abs=0)
+        assert capsys.readouterr().err == ""
 
     def test_zero_permutations_blames_no_file(self, tmp_path, capsys):
         # Checked before the files' contents, so two header-only files get

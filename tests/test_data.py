@@ -202,6 +202,9 @@ ORACLE_CASES = {
     "truncated_last_record": "1\n4\n1\n2\n5,6\n",
     "crlf": "1\r\n4\r\n1\r\n2\r\n5,6\r\n0,1\r\n",
     "cr_and_unicode_line_breaks": "1\r4\x851 2\x0c5,6\x1d0,1 ",
+    "unicode_line_breaks_inside_lines": "2\r\n4\x1c5,6\r\n1\u2028,0\r\n",
+    "other_whitespace_separators": "1\n4\n1\n\xa0\n1\n5\n0\n\x0c\n",
+    "space_and_tab_separators": " \n1\n4\n1\n\t \n1\n5\n0\n",
     "bad_token_then_bad_header": "2\n1,x\n0,1\nh\n1\n1\n",
     "bad_header_then_bad_token": "h\n1\n1\n2\n1,x\n0,1\n",
     "count_mismatch_after_good_records": "1\n4\n1\n3\n1,2\n0,1\n",
@@ -224,7 +227,7 @@ class TestParseMatchesReference:
         assert_parses_like_reference(text)
 
     @settings(deadline=None, max_examples=300)
-    @given(st.text(alphabet="0123,-+ \t\n\r_x٣\x00", max_size=40))
+    @given(st.text(alphabet="0123,-+ \t\n\r_x٣\x00\x0c\x85\xa0", max_size=40))
     def test_random_texts(self, text):
         assert_parses_like_reference(text)
 
@@ -241,6 +244,28 @@ class TestParseMatchesReference:
                                                    num_concepts=5, steps_per_student=50))
         assert parse_triplets(serialize_triplets(desk)).num_responses == 1000
         assert parse_triplets("").num_students == 0
+
+    @pytest.mark.parametrize("pad", ["\xa0", "\u3000", "\x0c", "\x0b", "\x85"])
+    def test_a_separator_of_other_whitespace_is_not_blank(self, pad):
+        # Only spaces and tabs make a blank line: each of these separator
+        # lines let a 2-student file parse.
+        for text, line in ((f"{pad}\n1\n4\n1\n", 1), (f"1\n4\n1\n{pad}\n2\n5,6\n0,1\n", 4)):
+            with pytest.raises(ValueError) as exc:
+                parse_triplets(text)
+            assert str(exc.value) == f"line {line}: expected a response count, got {pad!r}"
+        assert kqn.data._read_plain(["1", "4", "1", pad, "1", "5", "0"]) is None
+        assert kqn.data._read_plain(["1", "4", "1", " \t", "1", "5", "0"]) is not None
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                     "\u2029"])
+    def test_lines_end_only_at_lf_crlf_and_cr(self, brk):
+        # splitlines() ended a line at each of these, so a form feed after
+        # the skills was refused as 0 flags on line 3.
+        with pytest.raises(ValueError) as exc:
+            parse_triplets(f"2\n4,5{brk}\n1,0\n")
+        assert str(exc.value) == f"line 2: skill token {'5' + brk!r} is not an integer"
+        ds = parse_triplets("1\r4\r1\r\n\r\n2\n5,6\r0,1")
+        assert [helpers.pairs(s) for s in ds.sequences] == [((4, 1),), ((5, 0), (6, 1))]
 
     def test_sequences_are_row_slices_of_one_array(self):
         ds = parse_triplets(SAMPLE)

@@ -169,3 +169,41 @@ def test_the_config_check_sees_every_config():
     found = {node.name for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.ClassDef) and node.name.endswith(("Config", "Spec"))}
     assert found >= {"ModelConfig", "DktConfig", "TrainConfig", "SyntheticSpec"}
+
+
+# The calls that make up the one batch skeleton, model.SequenceModel.
+SKELETON = ("scan(", "scan_backward(", "check_batch(", "BatchForward.from_valid(", ".take_cache()")
+
+
+def second_skeletons(sources: dict) -> list[str]:
+    """SKELETON's calls not made from exactly one place in sources (file
+    name to text), so a second batch skeleton cannot grow beside
+    SequenceModel's. scan, scan_backward and check_batch count when called
+    by name, take_cache when called on any object."""
+    sites = {call: [] for call in SKELETON}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
+            call = ".take_cache()" if attr == "take_cache" else f"{ast.unparse(node.func)}("
+            if call in sites:
+                sites[call].append(f"{name}:{node.lineno}")
+    return [f"{call} at {', '.join(places) or 'no place'}"
+            for call, places in sites.items() if len(places) != 1]
+
+
+def test_finds_a_second_skeleton():
+    sources = {
+        "a.py": "check_batch(s)\nhv = scan(ops)\nfwd.take_cache()\nmodel.scan(x)\n"
+                "BatchForward.from_valid(y)\n",
+        "b.py": "def scan_backward(x):\n    return x\nf.take_cache()\nfrom_valid(y)\n",
+    }
+    assert second_skeletons(sources) == ["scan_backward( at no place",
+                                         ".take_cache() at a.py:3, b.py:3"]
+
+
+def test_one_batch_skeleton():
+    # KQN and DKT differ only in their heads: the checks, the scan, the
+    # result and the backward each run from one place.
+    assert second_skeletons({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []

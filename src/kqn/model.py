@@ -680,11 +680,10 @@ class KqnModel(SequenceModel):
         rows = cache["q"] - 1
         dks = dy * fwd.skill_table[rows]
         head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
-        d_h = dks[cache["scan"]["perm"]] @ params["proj_w"]
         d_table = np.zeros_like(fwd.skill_table)
         scatter_add(d_table, rows, dy * cache["kv"])
         head.update(skill_table_backward(d_table, cache["skill"], params))
-        return head, d_h
+        return head, dks[cache["scan"]["perm"]] @ params["proj_w"]
 
     def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
                 prepared=None) -> BatchForward:

@@ -83,7 +83,6 @@ def pairwise_distances(vectors, kind: str) -> DistanceMatrix:
     else:
         sq = norms[:, None] ** 2 + norms[None, :] ** 2 - 2.0 * gram
         out = np.sqrt(np.maximum(sq, 0.0))
-    out = 0.5 * (out + out.T)
     out = np.maximum(out, 0.0)
     np.fill_diagonal(out, 0.0)
     return DistanceMatrix(out)

@@ -10,9 +10,12 @@ scan projects in place of the one-hot identity, and the head, an output
 layer that maps the recurrent output to one logit per skill so that trial
 t scores element e_{t+1} of that vector against c_{t+1}. Like the query
 head, it runs on the valid cells only and reads just the e_{t+1} row of
-the layer. A hybrid model holds its frozen table as the parameter
-"skill_table", which no gradient reaches, so its config and parameters
-describe it fully and a checkpoint carries the table it was trained with.
+the layer. It sees only per-cell rows (the recurrent output, the next
+skills, the logits' gradient and the scan's packed order) and, being a
+per-row einsum, runs alike in train and eval mode. A hybrid model holds
+its frozen table as the parameter "skill_table", which no gradient
+reaches, so its config and parameters describe it fully and a checkpoint
+carries the table it was trained with.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    BatchForward,
     Params,
     Prepared,
     SequenceModel,
@@ -106,20 +108,18 @@ class DktModel(SequenceModel):
             inputs = hybrid_rows(params["skill_table"], self.config.hybrid_encoding == "signed")
         return Prepared(scan_operands(params, "lstm", inputs), None)
 
-    def head(self, params, prepared, hv, q, mode):
+    def head(self, params, prepared, hv, q):
         """Each valid cell reads one output unit, the next skill's row of
         out_w."""
         logits = np.einsum("nh,nh->n", hv, params["out_w"][q - 1]) + params["out_b"][q - 1]
         return logits, {"hv": hv, "q": q}, {}
 
-    def head_backward(self, params, fwd: BatchForward, cache: dict):
+    def head_backward(self, params, dy, cache: dict, perm):
         """The frozen skill_table gets no gradient."""
-        dy = fwd.logit_grad()
         rows = cache["q"] - 1
         head = {"out_w": np.zeros_like(params["out_w"]), "out_b": np.zeros_like(params["out_b"])}
         scatter_add(head["out_w"], rows, dy[:, None] * cache.pop("hv"))
         np.add.at(head["out_b"], rows, dy)
-        perm = cache["scan"]["perm"]
         return head, dy[perm, None] * params["out_w"][rows[perm]]
 
 

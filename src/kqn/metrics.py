@@ -12,17 +12,9 @@ import numpy as np
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    # Group identical values: gid[i] is the index of i's tie group.
-    starts = np.concatenate(([True], sx[1:] != sx[:-1]))
-    gid = np.cumsum(starts) - 1
-    first = np.flatnonzero(starts)
-    counts = np.diff(np.concatenate((first, [len(x)])))
-    avg = first + (counts - 1) / 2.0 + 1.0
-    ranks = np.empty(len(x))
-    ranks[order] = avg[gid]
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[group]
 
 
 def auc_scores(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -7,16 +7,19 @@ backward passes are hand-derived and exact for the masked objective (the
 cross-entropy summed over valid trials). One skeleton, SequenceModel, runs
 the query model and the DKT baseline: its forward checks the batch, runs
 the recurrent scan and hands the scored cells' output to the model's head;
-its backward runs the head's backward, then the scan's. The two models
+its backward hands the head's backward the logits' gradient and the
+scan's packed order, then runs the scan's. A head sees only per-cell
+rows, never the batch, its mode or the scan's cache. The two models
 differ only in their heads, and DKT in its hybrid input rows.
 
 Only work a scored trial needs is done: a step input is one of 2N
 responses, so one (2N, G*H) table of input projections is made per set
 of parameters (prepare) and each step gathers its students' rows (the
 gradient is a scatter-add of the same rows), each step runs the cell on
-the students still predicting, the gates use the tanh form of the
-logistic function, dropout draws only the scored cells, and scan hands
-the heads one row of recurrent output per scored cell, no padded
+the students still predicting and writes its output straight into the
+packed rows, in train and eval mode alike, the gates use the tanh form of
+the logistic function, dropout draws only the scored cells, and scan
+hands the heads one row of recurrent output per scored cell, no padded
 (S, B, H) block.
 
 The cells work on the stacked gate block. A logistic gate is
@@ -451,18 +454,22 @@ def scan(operands: ScanOperands, hot, lengths, keep_prob: float, mode: str, rng)
     is the same bits at any row count on the OpenBLAS measured
     (scipy-openblas 0.3.31), but NumPy runs a 1-row product as a
     matrix-vector call whose bits differ. So in eval mode a step that runs
-    one student runs on 2 rows: its input is padded with a zero row, and
-    the state rows past k_j, which no scored cell reads, are carried along.
+    one student runs on 2 rows: it also gathers the next packed cell's
+    response row and writes the next packed row, which a later step
+    overwrites (packed_hot and the packed rows have one spare entry for
+    the last step), and the state rows past k_j, which no scored cell
+    reads, are carried along.
 
     Returns (hv, valid, cache): valid is the (S, B) mask of the cells that
     predict a trial, hv the (n, H) recurrent output of its n cells in the
     mask's row-major order, dropped out in train mode with an (n, H) mask
     drawn in that order, so only scored cells consume the generator;
-    cache feeds scan_backward (None in eval mode). In train mode the mask
-    is drawn before the step loop and kept as boolean keep flags, in
-    packed order, and the scalar 1/keep_prob, its only nonzero value; the
-    cells write each step's h straight into the packed rows, so the cell
-    caches' h_prev are views of those rows and each value is held once.
+    cache feeds scan_backward (None in eval mode). In both modes the cells
+    write each step's h straight into the packed rows. In train mode the
+    cell caches' h_prev are views of those rows, so each value is held
+    once, and the mask is drawn before the step loop and kept as boolean
+    keep flags, in packed order, and the scalar 1/keep_prob, its only
+    nonzero value.
     """
     emb, cell_operands = operands.emb, operands.cell
     # The cells' first operand is the (H, G*H) recurrent weight.
@@ -479,24 +486,23 @@ def scan(operands: ScanOperands, hot, lengths, keep_prob: float, mode: str, rng)
     floor = 0 if train else 2
     if train:
         keep = dropout_mask((len(perm), hh), keep_prob, rng) != 0
-    packed_h = np.empty((len(perm), hh))
+    # One spare entry and row, which an eval step of one student runs on.
+    packed_hot = np.append(packed_hot, 0)
+    packed_h = np.empty((len(perm) + 1, hh))
     cells = []
     h = np.zeros((max(bsz, floor), hh))
     c = np.zeros_like(h)
     for lo, hi in zip(offs[:-1], offs[1:]):
         rows = max(hi - lo, floor)
-        a = pad_rows(emb[packed_hot[lo:hi]], rows)
-        out = packed_h[lo:hi] if train else None
+        a, out = emb[packed_hot[lo : lo + rows]], packed_h[lo : lo + rows]
         if lstm:
             h, c, cell = lstm_cell(a, h[:rows], c[:rows], *cell_operands, out=out)
         else:
             h, cell = gru_cell(a, h[:rows], *cell_operands, out=out)
         if train:
             cells.append(cell)
-        else:
-            packed_h[lo:hi] = h[: hi - lo]
-    hv = np.empty_like(packed_h)
-    hv[perm] = packed_h
+    hv = np.empty((len(perm), hh))
+    hv[perm] = packed_h[:-1]
     del packed_h
     if not train:
         return hv, valid, None
@@ -602,10 +608,13 @@ class Prepared(NamedTuple):
 class SequenceModel:
     """The one batched forward and backward of a recurrent encoder with a
     head. A model gives init_params(rng), prepare(params) -> Prepared,
-    head(params, prepared.head, hv, q, mode) -> (logits, cache, fields) on
+    head(params, prepared.head, hv, q) -> (logits, cache, fields) on
     scan's output hv and next-trial skills q of the valid cells, and
-    head_backward(params, fwd, cache) -> (head gradients, gradient on hv in
-    scan's packed order), which pops hv from the cache."""
+    head_backward(params, dy, cache, perm) -> (head gradients, gradient on
+    hv in scan's packed order), dy being the gradient on the valid logits
+    and perm scan's packed order; it pops hv from the cache. A head sees
+    only these per-cell rows: the batch, its mode and the scan's cache
+    stay in the skeleton."""
 
     def __init__(self, config):
         self.config = config
@@ -634,14 +643,14 @@ class SequenceModel:
             cfg.keep_prob, mode, rng,
         )
         q = next_trials(skills, len(valid))[valid]
-        logits, cache, fields = self.head(params, prepared.head, hv, q, mode)
+        logits, cache, fields = self.head(params, prepared.head, hv, q)
         cache = None if scan_cache is None else {**cache, "scan": scan_cache}
         return BatchForward.from_valid(logits, valid, corrects, cache, **fields)
 
     def backward(self, params, fwd: BatchForward) -> Params:
         """Exact gradients of fwd.loss_sum(); consumes fwd.cache."""
         cache = fwd.take_cache()
-        head, d_h = self.head_backward(params, fwd, cache)
+        head, d_h = self.head_backward(params, fwd.logit_grad(), cache, cache["scan"]["perm"])
         grads = scan_backward(d_h, cache["scan"], params)
         grads.update(head)
         return grads
@@ -664,26 +673,24 @@ class KqnModel(SequenceModel):
         return Prepared(scan_operands(params, self.config.rnn_kind),
                         (np.ascontiguousarray(params["proj_w"].T), table, skill_cache))
 
-    def head(self, params, prepared, hv, q, mode):
-        """In eval mode the projection runs a 1-row product on 2 rows, as
-        scan does, so a student's probabilities are the same bits in any
-        batch."""
+    def head(self, params, prepared, hv, q):
+        """A 1-row projection runs on 2 rows, as scan's steps do, so a
+        student's probabilities are the same bits in any batch."""
         proj, table, skill_cache = prepared
-        rows = len(hv) if mode == "train" else 2
-        kv = (pad_rows(hv, rows) @ proj)[: len(hv)] + params["proj_b"]
+        kv = (pad_rows(hv, 2) @ proj)[: len(hv)] + params["proj_b"]
         return (np.sum(kv * table[q - 1], axis=1),
-                {"skill": skill_cache, "hv": hv, "kv": kv, "q": q},
+                {"skill": skill_cache, "table": table, "hv": hv, "kv": kv, "q": q},
                 {"knowledge_states": kv, "skill_table": table})
 
-    def head_backward(self, params, fwd: BatchForward, cache: dict):
-        dy = fwd.logit_grad()[:, None]
-        rows = cache["q"] - 1
-        dks = dy * fwd.skill_table[rows]
+    def head_backward(self, params, dy, cache: dict, perm):
+        dy = dy[:, None]
+        table, rows = cache["table"], cache["q"] - 1
+        dks = dy * table[rows]
         head = {"proj_w": dks.T @ cache.pop("hv"), "proj_b": dks.sum(axis=0)}
-        d_table = np.zeros_like(fwd.skill_table)
+        d_table = np.zeros_like(table)
         scatter_add(d_table, rows, dy * cache["kv"])
         head.update(skill_table_backward(d_table, cache["skill"], params))
-        return head, dks[cache["scan"]["perm"]] @ params["proj_w"]
+        return head, dks[perm] @ params["proj_w"]
 
     def forward(self, params, skills, corrects, lengths, mode="eval", rng=None,
                 prepared=None) -> BatchForward:

@@ -37,11 +37,11 @@ def write_text(path, chunks: Iterable[str]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def write_json(path, doc, indent: int = 2, sort_keys: bool = False) -> None:
-    """Write doc as indented JSON text ended by a newline, through
+def write_json(path, doc, sort_keys: bool = False) -> None:
+    """Write doc as JSON text indented by 2, ended by a newline, through
     write_text. A NaN or infinite float, which JSON cannot hold, raises
     ValueError before anything is written."""
-    text = json.dumps(doc, indent=indent, sort_keys=sort_keys, allow_nan=False)
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
     write_text(path, [text + "\n"])
 
 

@@ -132,6 +132,14 @@ class TestPairwiseDistances:
         with pytest.raises(ValueError):
             pairwise_distances(v, "manhattan")
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_non_matrix_rejected(self, shape):
+        v = np.ones(shape)
+        for kind in ("cosine", "euclidean"):
+            with pytest.raises(ValueError, match=rf"^expected a 2-d array of row vectors, "
+                                                 rf"got shape {re.escape(str(shape))}$"):
+                pairwise_distances(v, kind)
+
 
 class TestOddsRatioIdentity:
     def test_hand_case_lhs_equals_rhs_equals_one(self):
@@ -438,6 +446,11 @@ class TestAri:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             ari([1, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("labels", [[], [3]])
+    def test_fewer_than_two_items_raise(self, labels):
+        with pytest.raises(ValueError, match=f"^need at least 2 items, got {len(labels)}$"):
+            ari(labels, labels)
 
 
 class TestMantel:

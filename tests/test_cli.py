@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import helpers
 import kqn
@@ -518,6 +517,26 @@ class TestDistancesClusterAri:
         merges = (tmp_path / "c" / "dendrogram.csv").read_text().splitlines()
         assert merges[0] == "a,b,height,size"
         assert len(merges) == 1 + 5
+
+    def test_skill_vector_input(self, ws, tmp_path):
+        # Both commands read a skill-vector file in its own row order.
+        source = ws / "kqn4" / "skill_vectors.csv"
+        head, *rows = source.read_text().splitlines()
+        order = [3, 0, 5, 1, 4, 2]
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([head, *(rows[i] for i in order)]) + "\n")
+        run("distances", "--out", tmp_path / "d", "--skill-vectors", shuffled,
+            "--kind", "cosine")
+        dmat, ids = read_distance_csv(tmp_path / "d" / "distances.csv")
+        source_ids, table = load_skill_vectors(source)
+        assert list(ids) == [source_ids[i] for i in order]
+        assert np.array_equal(dmat.values, pairwise_distances(table[order], "cosine").values)
+        run("cluster", "--out", tmp_path / "v", "--skill-vectors", shuffled,
+            "--distance", "cosine", "--linkage", "average", "--n", 2)
+        run("cluster", "--out", tmp_path / "c", "--distances",
+            tmp_path / "d" / "distances.csv", "--linkage", "average", "--n", 2)
+        for name in ("dendrogram.csv", "clusters.csv"):
+            assert (tmp_path / "v" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 
     @pytest.mark.parametrize("header, first_id, message", [
         # The header names 4 skills, but every row holds 3 distances.

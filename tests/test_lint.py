@@ -8,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "kqn"
 TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +41,9 @@ def test_finds_an_unused_import():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

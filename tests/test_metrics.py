@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -52,6 +54,17 @@ class TestAuc:
             auc_scores(np.array([0.1, 0.9]), np.array([1, 1]))
         with pytest.raises(ValueError):
             auc_scores(np.array([0.1, 0.9]), np.array([0, 0]))
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.9, 0.5], [0, 1]),
+        ([[0.1, 0.9]], [[0, 1]]),
+        ([0.1, 0.9], [[0], [1]]),
+    ], ids=["lengths", "2-d", "column-labels"])
+    def test_mismatched_shapes_raise(self, scores, labels):
+        shapes = f"{np.shape(scores)} and {np.shape(labels)}"
+        with pytest.raises(ValueError, match=rf"^scores and labels must be equal-length 1-d "
+                                             rf"arrays, got {re.escape(shapes)}$"):
+            auc_scores(scores, labels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_raises(self, bad):

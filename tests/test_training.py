@@ -11,7 +11,6 @@ from kqn.data import ResponseSequence
 from kqn.dkt import DktConfig, DktModel
 from kqn.model import ModelConfig, KqnModel
 from kqn.training import (
-    AdamState,
     TrainConfig,
     GridCell,
     adam_step,
@@ -222,6 +221,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(KqnModel(TINY_CONFIG), [stub], tiny_synthetic.dataset.sequences[:5], cfg)
 
+    @pytest.mark.parametrize("valid", [[], [ResponseSequence(999, ((1, 1),))]],
+                             ids=["empty", "one-response"])
+    def test_no_scoreable_validation_sequence_raises(self, tiny_synthetic, valid):
+        with pytest.raises(ValueError, match="^no scoreable validation sequences$"):
+            train(KqnModel(TINY_CONFIG), tiny_synthetic.dataset.sequences[:5], valid,
+                  tiny_train_cfg(epochs_validation=1))
+
     def test_seeded_runs_are_identical(self, tiny_synthetic):
         cfg = tiny_train_cfg(epochs_validation=2)
         runs = []
@@ -321,6 +327,14 @@ class TestOneBatchAtATime:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("seqs", [[], [ResponseSequence(999, ((1, 1),))]],
+                             ids=["empty", "one-response"])
+    def test_no_scoreable_sequence_raises(self, seqs):
+        model = KqnModel(TINY_CONFIG)
+        params = model.init_params(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^no scoreable sequences to evaluate$"):
+            evaluate(model, params, seqs, 4)
+
     def test_matches_per_sequence_scoring(self, tiny_synthetic):
         cfg = tiny_train_cfg(epochs_validation=2)
         model = KqnModel(TINY_CONFIG)

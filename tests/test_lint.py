@@ -1,5 +1,5 @@
-"""Static checks of the package source. No linter is a dependency, so the
-checks it would make are kept here."""
+"""Static checks of the package source, and of the tests' imports. No
+linter is a dependency, so the checks it would make are kept here."""
 import ast
 import importlib.util
 from pathlib import Path

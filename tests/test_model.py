@@ -820,10 +820,11 @@ class TestBatchInvariance:
     """A student's eval-mode probabilities are the same bits scored alone,
     in any batch and at any position. Every eval-mode product reads its
     weight as a C-contiguous (in, out) matrix, whose rows are the same
-    bits at every row count from 2 up (TestRowBits), and a step or head
-    product of one row runs on 2, zero-padded. The batches mix short
-    students with a long one, so a step's row count falls to 1, and the
-    widths span small products (H=8, d=8) and large ones (H=128, d=64)."""
+    bits at every row count from 2 up (TestRowBits); a step of one student
+    runs on 2 rows, and a head product of one row on 2, zero-padded. The
+    batches mix short students with a long one, so a step's row count
+    falls to 1, and the widths span small products (H=8, d=8) and large
+    ones (H=128, d=64)."""
 
     VARIANTS = ("lstm", "gru", "onehot", "correctness", "signed")
 
